@@ -23,8 +23,9 @@ from .divide_conquer import (
     compile_disentangler,
     parallelize_cswaps,
     synthesize_dc,
+    synthesize_hybrid,
+    synthesize_time,
 )
-from .hybrid import synthesize_hybrid
 from .resources import dc_formulas, hybrid_formulas, midreset_formulas, reuse_schedule
 from .simulator import (
     Branch,
@@ -35,14 +36,11 @@ from .simulator import (
     statevector,
     verify_preparation,
 )
-from .time_encoding import synthesize_time
 from .tree import (
     AmplitudeTree,
-    PruneAnnotations,
     build_tree,
     pad_to_power_of_two,
     preorder,
-    prune,
     subtree_state,
 )
 
@@ -55,7 +53,6 @@ __all__ = [
     "DcOptions",
     "Gate",
     "OrthPair",
-    "PruneAnnotations",
     "ResourceReport",
     "VerificationReport",
     "build_tree",
@@ -72,7 +69,6 @@ __all__ = [
     "pad_to_power_of_two",
     "parallelize_cswaps",
     "preorder",
-    "prune",
     "reuse_schedule",
     "run",
     "serialize",

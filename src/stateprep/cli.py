@@ -2,10 +2,10 @@
 
 Subcommands: ``compile`` (vector file to circuit document plus a metrics
 summary line), ``verify`` (circuit against a target vector), ``analyze``
-(closed-form table per n), ``sweep`` (width/depth tradeoff per lambda)
-and ``distinguish`` (adaptive measurement plan for two orthogonal
-states).  Exit codes: 0 success, 1 verification failure, 2 usage or bad
-input, 3 conflicting flags.
+(closed-form table per n), ``sweep`` (width/depth tradeoff per lambda
+for one or more n) and ``distinguish`` (adaptive measurement plan for
+two orthogonal states).  Exit codes: 0 success, 1 verification failure,
+2 usage or bad input, 3 conflicting flags.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ import numpy as np
 from . import __version__
 from .circuit import deserialize, metrics, serialize
 from .discrimination import OrthPair, PlanLeaf, decompose, evaluate_plan
-from .divide_conquer import DcOptions, synthesize_dc
+from .divide_conquer import DcOptions, synthesize_dc, synthesize_hybrid, synthesize_time
 from .errors import NotOrthogonal, StatePrepError
-from .hybrid import synthesize_hybrid
 from .resources import dc_formulas, hybrid_formulas
 from .simulator import verify_preparation
-from .time_encoding import synthesize_time
 from .tree import build_tree, pad_to_power_of_two
 
 EXIT_OK = 0
@@ -44,8 +42,12 @@ def _load_vector(path: str) -> np.ndarray:
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise ValueError(f"{path}: expected an object with an 'amplitudes' field")
     amps = doc["amplitudes"]
-    if not isinstance(amps, list) or not all(isinstance(v, (int, float)) for v in amps):
-        raise ValueError(f"{path}: amplitudes must be a list of numbers")
+    # ``type`` rather than ``isinstance`` so that JSON booleans are refused;
+    # the bound refuses NaN, infinities and integers no float can hold.
+    if not isinstance(amps, list) or not all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in amps
+    ):
+        raise ValueError(f"{path}: amplitudes must be a list of finite numbers")
     return np.asarray(amps, dtype=float)
 
 
@@ -117,6 +119,7 @@ def cmd_verify(args) -> int:
         with open(args.circuit) as fh:
             circuit = deserialize(fh.read())
         target = _load_vector(args.target)
+        target = np.ldexp(target, -np.frexp(np.max(np.abs(target)))[1])  # exact; no overflow
         norm = np.linalg.norm(target)
         if norm == 0.0:
             raise ValueError("target vector has zero norm")
@@ -162,26 +165,26 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    n = args.n
     lam_min = args.lambda_min
-    lam_max = args.lambda_max if args.lambda_max is not None else n
-    if n < 1 or not 1 <= lam_min <= lam_max <= n:
-        return _fail("need 1 <= lambda-min <= lambda-max <= n", EXIT_USAGE)
     header = "n,lambda,qubits,depth_gates"
     if args.measure:
         header += ",measured_qubits,measured_cswaps,measured_depth_gates,measured_depth_full"
     lines = [header]
-    rng = np.random.default_rng(2**20 + n)
-    x = rng.random(2**n) + 0.1
-    x /= np.linalg.norm(x)
-    tree = build_tree(x)
-    for lam in range(lam_min, lam_max + 1):
-        f = hybrid_formulas(n, lam)
-        row = f"{n},{lam},{f.qubits},{f.depth}"
-        if args.measure:
-            m = metrics(synthesize_hybrid(tree, lam))
-            row += f",{m.qubits},{m.unit_cswaps},{m.depth_gates},{m.depth_full}"
-        lines.append(row)
+    for n in args.n:
+        lam_max = args.lambda_max if args.lambda_max is not None else n
+        if n < 1 or not 1 <= lam_min <= lam_max <= n:
+            return _fail("need 1 <= lambda-min <= lambda-max <= n", EXIT_USAGE)
+        rng = np.random.default_rng(2**20 + n)
+        x = rng.random(2**n) + 0.1
+        x /= np.linalg.norm(x)
+        tree = build_tree(x)
+        for lam in range(lam_min, lam_max + 1):
+            f = hybrid_formulas(n, lam)
+            row = f"{n},{lam},{f.qubits},{f.depth}"
+            if args.measure:
+                m = metrics(synthesize_hybrid(tree, lam))
+                row += f",{m.qubits},{m.unit_cswaps},{m.depth_gates},{m.depth_full}"
+            lines.append(row)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="width/depth tradeoff across lambda")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, nargs="+", required=True, help="one or more sizes")
     p.add_argument("--lambda-min", type=int, default=1)
     p.add_argument("--lambda-max", type=int, default=None)
     p.add_argument("--measure", action="store_true")

@@ -1,5 +1,10 @@
-"""Bottom-up synthesis: pairwise state combining with controlled swaps,
-followed by measurement-based disentangling of each ancilla register.
+"""The synthesis engine.  ``synthesize_combine(tree, lam, opts)`` prepares
+every ``lam``-qubit subtree as a multiplexed-rotation block on its own
+wires, loads each node above them on one control wire, and combines the
+registers bottom-up with controlled swaps and measurement-based
+disentangling.  ``lam = 1`` is the divide-and-conquer circuit
+(``synthesize_dc``), ``lam = n`` plain time encoding (``synthesize_time``)
+and the values between are the hybrid family (``synthesize_hybrid``).
 
 Wires are assigned by pre-order traversal of the angle tree so that the
 data register always occupies the first wires.  Levels are combined from
@@ -7,6 +12,7 @@ the bottom up; the combine at a node swaps the live registers of its two
 children under its control wire, then the right register is measured in
 an adaptive basis and a conditioned Z on the control wire undoes the
 relative sign, leaving the ancilla wires in computational states.
+With ``prune``, ``_plan_tree`` alone decides which nodes keep one child.
 
 ``parallelize_cswaps`` repositions the interior swaps of every combining
 run into earlier layers.  In a run of ``c`` swaps (its enclosing block
@@ -39,16 +45,20 @@ from .circuit import (
     with_ops,
 )
 from .discrimination import OrthPair, PlanLeaf, decompose
-from .errors import NegativeOverlapAfterConvention, NonUnitInput, UnrecognizedStructure
+from .errors import (
+    LambdaOutOfRange,
+    NegativeOverlapAfterConvention,
+    NonUnitInput,
+    UnrecognizedStructure,
+)
 from .time_encoding import rotation_ops
-from .tree import AmplitudeTree, ZERO_NORM_TOL, children_of, state_or_ground
+from .tree import ANGLE_TOL, AmplitudeTree, ZERO_NORM_TOL, children_of, state_or_ground
 
 # States are treated as equal only at machine-level overlap deficit.
 # The +/- basis construction stays numerically sound for any larger
 # deficit, while a computational shortcut there can distort the rare
 # outcomes' amplitude ratios on wide-dynamic-range inputs.
 OVERLAP_EQUAL_TOL = 1e-12
-ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -186,23 +196,17 @@ def _plan_tree(tree: AmplitudeTree, block_level: int, prune: bool) -> _Plan:
         left, right = children_of(f)
         if not prune:
             mode[f] = "combine"
-            visit(left, level + 1)
-            visit(right, level + 1)
-            return
-        if tree.omega1[f] <= ZERO_NORM_TOL:
+        elif tree.omega1[f] <= ZERO_NORM_TOL:
             mode[f] = "left"
-            visit(left, level + 1)
         elif tree.omega0[f] <= ZERO_NORM_TOL:
             mode[f] = "right"
-            visit(right, level + 1)
-        elif tree_mod.states_equal(
-            state_or_ground(tree, left), state_or_ground(tree, right)
-        ):
+        elif tree_mod.states_equal(state_or_ground(tree, left), state_or_ground(tree, right)):
             mode[f] = "left"
-            visit(left, level + 1)
         else:
             mode[f] = "combine"
+        if mode[f] != "right":
             visit(left, level + 1)
+        if mode[f] != "left":
             visit(right, level + 1)
 
     visit(0, 0)
@@ -221,53 +225,42 @@ def _plan_tree(tree: AmplitudeTree, block_level: int, prune: bool) -> _Plan:
     return _Plan(mode=mode, wire=wire, block_wires=block_wires, order=included)
 
 
-def _live_wires(tree: AmplitudeTree, plan: _Plan, f: int, block_level: int) -> list[int]:
+def _live_wires(plan: _Plan, f: int, block_level: int) -> list[int]:
     if tree_mod.level_of(f) == block_level:
         return plan.block_wires[f]
     left, right = children_of(f)
     child = right if plan.mode[f] == "right" else left
-    return [plan.wire[f]] + _live_wires(tree, plan, child, block_level)
+    return [plan.wire[f]] + _live_wires(plan, child, block_level)
 
 
 def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circuit:
     """Shared engine: time-encode ``lam``-qubit sub-blocks, then combine
     them level by level with controlled swaps and disentangling."""
-    n = tree.n
-    block_level = n - lam
+    block_level = tree.n - lam
     plan = _plan_tree(tree, block_level, opts.prune)
 
     ops: list[Gate] = []
     for f in plan.order:
-        level = tree_mod.level_of(f)
-        if level == block_level:
-            if lam == 1:
-                angle = tree.alpha[f]
-                if opts.prune and abs(angle) <= ANGLE_TOL:
-                    continue
-                ops.append(_loading_gate(plan.block_wires[f][0], angle))
-            else:
-                ops.extend(rotation_ops(tree, plan.block_wires[f], base_node=f))
-        else:
-            angle = tree.alpha[f]
-            if opts.prune and abs(angle) <= ANGLE_TOL:
-                continue
-            ops.append(_loading_gate(plan.wire[f], angle))
+        if f in plan.block_wires and lam > 1:
+            ops.extend(rotation_ops(tree, plan.block_wires[f], base_node=f))
+            continue
+        angle = tree.alpha[f]
+        if opts.prune and abs(angle) <= ANGLE_TOL:
+            continue
+        wire = plan.wire[f] if f in plan.wire else plan.block_wires[f][0]
+        ops.append(_loading_gate(wire, angle))
 
     next_bit = 0
     reports: list[StageReport] = []
     for level in range(block_level - 1, -1, -1):
         base = 2**level - 1
-        combiners = [
-            base + p
-            for p in range(2**level)
-            if (base + p) in plan.mode and plan.mode[base + p] == "combine"
-        ]
+        combiners = [base + p for p in range(2**level) if plan.mode.get(base + p) == "combine"]
         stage_meta = []
         for f in combiners:
             left, right = children_of(f)
             control = plan.wire[f]
-            left_live = _live_wires(tree, plan, left, block_level)
-            right_live = _live_wires(tree, plan, right, block_level)
+            left_live = _live_wires(plan, left, block_level)
+            right_live = _live_wires(plan, right, block_level)
             for a, b in zip(left_live, right_live):
                 ops.append(cswap(control, a, b, role=ROLE_COMBINE))
             stage_meta.append((f, control, right_live, left, right))
@@ -297,7 +290,7 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
             )
 
     n_qubits = len(plan.wire) + lam * len(plan.block_wires)
-    data = tuple(_live_wires(tree, plan, 0, block_level))
+    data = tuple(_live_wires(plan, 0, block_level))
     circuit = Circuit(
         n_qubits=n_qubits,
         n_clbits=next_bit,
@@ -311,8 +304,20 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
 
 
 def synthesize_dc(tree: AmplitudeTree, opts: DcOptions | None = None) -> Circuit:
-    """Divide-and-conquer circuit; wires follow the tree's pre-order."""
+    """Divide-and-conquer circuit (``lam = 1``); one wire per tree node."""
     return synthesize_combine(tree, 1, opts or DcOptions())
+
+
+def synthesize_hybrid(tree: AmplitudeTree, lam: int, opts: DcOptions | None = None) -> Circuit:
+    """Hybrid circuit with ``lam``-qubit time-encoded sub-blocks."""
+    if not 1 <= lam <= tree.n:
+        raise LambdaOutOfRange(f"lambda {lam} outside 1..{tree.n}")
+    return synthesize_combine(tree, lam, opts or DcOptions())
+
+
+def synthesize_time(tree: AmplitudeTree) -> Circuit:
+    """Measurement-free circuit on ``n`` wires (``lam = n``, pruned)."""
+    return synthesize_combine(tree, tree.n, DcOptions(prune=True))
 
 
 def _run_layers(length: int) -> list[int]:

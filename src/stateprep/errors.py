@@ -13,6 +13,10 @@ class NegativeAmplitude(StatePrepError):
     pass
 
 
+class NonFiniteAmplitude(StatePrepError):
+    pass
+
+
 class ZeroVector(StatePrepError):
     pass
 

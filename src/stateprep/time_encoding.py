@@ -1,29 +1,29 @@
-"""Ancilla-free synthesis from multiplexed y-rotations.
+"""Multiplexed-rotation block emitter.
 
-Walks the angle tree top-down: the node at level ``l`` and position ``p``
-becomes a y-rotation on wire ``l`` controlled on the first ``l`` wires
-reading the binary digits of ``p``.  Zero-angle nodes are skipped, so the
-gate count is at most ``2**n - 1``.  The output is exact and needs no
-measurements.
+The node at depth ``k`` and position ``p`` below a block's root becomes a
+y-rotation on the block's ``k``-th wire, controlled on the first ``k``
+wires reading the binary digits of ``p``.  Zero-angle nodes are skipped.
+The synthesis engine (``divide_conquer.synthesize_combine``) emits every
+sub-block wider than one qubit here; one block over all ``n`` wires is
+plain time encoding (``synthesize_time``).
 """
 
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, mcroty, roty
-from .circuit import ROLE_LOAD
-from .tree import AmplitudeTree, ZERO_NORM_TOL
+from .circuit import ROLE_LOAD, Gate, mcroty, roty
+from .tree import ANGLE_TOL, AmplitudeTree
 
 
 def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> list[Gate]:
     """Multiplexed-rotation ops preparing the subtree at ``base_node`` on
-    ``wires``; used directly by the hybrid synthesizer for sub-blocks."""
+    ``wires``."""
     depth = len(wires)
     ops: list[Gate] = []
     for k in range(depth):
         for p in range(2**k):
             f = _descend(base_node, k, p)
             angle = tree.alpha[f]
-            if abs(angle) <= ZERO_NORM_TOL:
+            if abs(angle) <= ANGLE_TOL:
                 continue
             if k == 0:
                 ops.append(roty(wires[0], angle, role=ROLE_LOAD))
@@ -38,12 +38,3 @@ def _descend(base: int, depth: int, position: int) -> int:
     for step in range(depth - 1, -1, -1):
         f = 2 * f + 1 + ((position >> step) & 1)
     return f
-
-
-def synthesize_time(tree: AmplitudeTree) -> Circuit:
-    """Measurement-free circuit on ``n`` wires preparing the tree's vector."""
-    n = tree.n
-    ops = rotation_ops(tree, list(range(n)))
-    return Circuit(
-        n_qubits=n, n_clbits=0, ops=tuple(ops), data_qubits=tuple(range(n))
-    ).validate()

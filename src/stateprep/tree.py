@@ -15,10 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeAmplitude, NonPowerOfTwoLength, UndefinedNode, ZeroVector
+from .errors import (
+    NegativeAmplitude,
+    NonFiniteAmplitude,
+    NonPowerOfTwoLength,
+    UndefinedNode,
+    ZeroVector,
+)
 
 ZERO_NORM_TOL = 1e-12
 STATE_EQ_TOL = 1e-12
+# A y-rotation this close to zero is emitted as the identity (skipped).
+ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,22 +51,6 @@ class AmplitudeTree:
         return 2**self.n - 1
 
 
-@dataclass(frozen=True)
-class PruneAnnotations:
-    """Per-node simplification flags derived from the tree.
-
-    ``skip_rotation``: the loading rotation is the identity.
-    ``trivial_subtree``: the subtree prepares ``|0...0>`` (zero-norm
-    subtrees count as trivial since their wires are never touched).
-    ``children_equal``: both child subtree states coincide, so the
-    combining swap acts as the identity.  Only set below the leaf level.
-    """
-
-    skip_rotation: np.ndarray
-    trivial_subtree: np.ndarray
-    children_equal: np.ndarray
-
-
 def level_of(f: int) -> int:
     return (f + 1).bit_length() - 1
 
@@ -79,9 +71,10 @@ def pad_to_power_of_two(amplitudes) -> np.ndarray:
 def build_tree(amplitudes) -> AmplitudeTree:
     """Build the weighted tree for a non-negative vector of length ``2**n``.
 
-    The vector is renormalized internally; entries must be real and
-    non-negative.  Raises ``NonPowerOfTwoLength``, ``NegativeAmplitude``
-    or ``ZeroVector`` on invalid input.
+    The vector is renormalized internally; entries must be real, finite
+    and non-negative.  Raises ``NonPowerOfTwoLength``,
+    ``NonFiniteAmplitude``, ``NegativeAmplitude`` or ``ZeroVector`` on
+    invalid input.
     """
     arr = np.asarray(amplitudes)
     if np.iscomplexobj(arr):
@@ -92,11 +85,17 @@ def build_tree(amplitudes) -> AmplitudeTree:
     size = x.size
     if size < 2 or size & (size - 1):
         raise NonPowerOfTwoLength(f"length {size} is not a power of two >= 2")
+    if not np.isfinite(x).all():
+        raise NonFiniteAmplitude("amplitudes must be finite")
     if np.min(x) < -ZERO_NORM_TOL:
         raise NegativeAmplitude(f"negative amplitude {np.min(x)}")
     x = np.clip(x, 0.0, None)
+    # Scaling by a power of two is exact and keeps the squares in the
+    # norm from overflowing; the zero test still applies to the input.
+    _, exp = np.frexp(np.max(x))
+    x = np.ldexp(x, -exp)
     total = float(np.linalg.norm(x))
-    if total < ZERO_NORM_TOL:
+    if total < np.ldexp(ZERO_NORM_TOL, -exp):
         raise ZeroVector("input vector has zero norm")
     x = x / total
 
@@ -190,32 +189,3 @@ def _sign_fixed(v: np.ndarray) -> np.ndarray:
     if len(nz) and v[nz[0]] < 0:
         return -v
     return v
-
-
-def prune(tree: AmplitudeTree) -> PruneAnnotations:
-    """Compute the per-node simplification flags for ``tree``."""
-    count = tree.num_nodes
-    skip_rotation = np.abs(tree.alpha) <= ZERO_NORM_TOL
-    trivial = np.zeros(count, dtype=bool)
-    children_equal = np.zeros(count, dtype=bool)
-
-    for f in range(count - 1, -1, -1):
-        if not tree.defined[f]:
-            trivial[f] = True
-            continue
-        if level_of(f) == tree.n - 1:
-            trivial[f] = tree.omega1[f] <= ZERO_NORM_TOL
-        else:
-            left, _ = children_of(f)
-            trivial[f] = tree.omega1[f] <= ZERO_NORM_TOL and trivial[left]
-
-    for f in range(count):
-        if level_of(f) >= tree.n - 1:
-            continue
-        left, right = children_of(f)
-        children_equal[f] = states_equal(
-            state_or_ground(tree, left), state_or_ground(tree, right)
-        )
-    return PruneAnnotations(
-        skip_rotation=skip_rotation, trivial_subtree=trivial, children_equal=children_equal
-    )

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,24 @@ class TestCompile:
         bad.write_text('{"amplitudes": [0.5, -0.5]}')
         out = str(tmp_path / "c.json")
         assert main(["compile", str(bad), "--method", "dc", "--out", out]) == 2
+
+    def test_non_finite_or_bool_amplitudes_exit_two(self, tmp_path, dense_file):
+        out = str(tmp_path / "c.json")
+        assert main(["compile", dense_file, "--method", "dc", "--out", out]) == 0
+        bad = tmp_path / "bad.json"
+        for amps in ("[NaN, 1, 1, 1]", "[Infinity, 1, 1, 1]", "[true, false]", "[1e400, 1]"):
+            bad.write_text('{"amplitudes": %s}' % amps)
+            assert main(["compile", str(bad), "--method", "dc", "--out", out + "2"]) == 2, amps
+            assert main(["verify", out, str(bad)]) == 2, amps
+            assert main(["distinguish", str(bad), dense_file]) == 2, amps
+
+    def test_huge_entries_compile_and_verify(self, tmp_path, capsys):
+        vec = write_vector(tmp_path, "v.json", [1e300, 1e300, 1.0, 1.0])
+        out = str(tmp_path / "c.json")
+        assert main(["compile", vec, "--method", "dc", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["verify", out, vec]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"]
 
     def test_short_vector_padded(self, tmp_path, capsys):
         vec = write_vector(tmp_path, "v.json", [3.0, 4.0, 5.0])
@@ -152,6 +172,16 @@ class TestAnalyzeSweep:
         assert qubits == sorted(qubits, reverse=True) and len(set(qubits)) == len(qubits)
         assert depth == sorted(depth) and len(set(depth)) == len(depth)
 
+    def test_sweep_several_sizes(self, capsys):
+        assert main(["sweep", "--n", "4", "6", "--measure"]) == 0
+        both = capsys.readouterr().out.splitlines()
+        main(["sweep", "--n", "4", "--measure"])
+        four = capsys.readouterr().out.splitlines()
+        main(["sweep", "--n", "6", "--measure"])
+        six = capsys.readouterr().out.splitlines()
+        assert both == four + six[1:]
+        assert main(["sweep", "--n", "4", "2", "--lambda-min", "3"]) == 2
+
     def test_byte_identical_across_runs(self, capsys):
         main(["sweep", "--n", "5", "--measure"])
         first = capsys.readouterr().out
@@ -204,10 +234,13 @@ def test_compile_verify_round_trip_every_method(tmp_path, capsys):
 
 def test_module_entry_point(dense_file, tmp_path):
     out = str(tmp_path / "c.json")
+    # The child imports the same package as this process, installed or not.
+    path = [str(Path(sp.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "stateprep", "compile", dense_file, "--method", "dc", "--out", out],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["qubits"] == 7

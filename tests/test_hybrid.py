@@ -5,7 +5,7 @@ import stateprep as sp
 from stateprep.divide_conquer import DcOptions
 from stateprep.errors import LambdaOutOfRange
 
-from conftest import random_unit
+from conftest import oracle_statevector, random_unit
 
 
 def test_n4_lambda2_matches_published_point():
@@ -34,12 +34,21 @@ def test_lambda_one_equals_dc():
 
 def test_lambda_n_equals_time_encoding():
     rng = np.random.default_rng(43)
-    x = random_unit(rng, 16)
-    tree = sp.build_tree(x)
-    h = sp.synthesize_hybrid(tree, 4)
-    t = sp.synthesize_time(tree)
-    assert sp.metrics(h) == sp.metrics(t)
-    assert sp.fidelity(sp.statevector(h), x) == pytest.approx(1, abs=1e-12)
+    for n in range(2, 7):
+        x = random_unit(rng, 2**n)
+        tree = sp.build_tree(x)
+        h = sp.synthesize_hybrid(tree, n)
+        t = sp.synthesize_time(tree)
+        assert h.ops == t.ops, n
+        assert sp.metrics(h) == sp.metrics(t)
+        assert sp.fidelity(sp.statevector(h), x) == pytest.approx(1, abs=1e-12)
+    # At n = 1 time encoding is the pruned one-wire circuit, so the two
+    # special loading angles use the Hadamard/X spelling.
+    for x, kind in (([1.0, 1.0], "h"), ([0.0, 1.0], "x")):
+        x = np.asarray(x) / np.linalg.norm(x)
+        t = sp.synthesize_time(sp.build_tree(x))
+        assert [op.kind for op in t.ops] == [kind]
+        assert np.allclose(oracle_statevector(t), x, atol=1e-12)
 
 
 def test_metrics_match_formulas_up_to_n6():

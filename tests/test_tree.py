@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stateprep as sp
-from stateprep.errors import NegativeAmplitude, NonPowerOfTwoLength, UndefinedNode, ZeroVector
+from stateprep.circuit import ROLE_LOAD
+from stateprep.divide_conquer import DcOptions, _plan_tree
+from stateprep.errors import (
+    NegativeAmplitude,
+    NonFiniteAmplitude,
+    NonPowerOfTwoLength,
+    StatePrepError,
+    UndefinedNode,
+    ZeroVector,
+)
 from stateprep.tree import children_of, level_of, state_or_ground
 
 from conftest import random_unit
@@ -66,6 +75,21 @@ class TestBuildTree:
             sp.build_tree([0.8 + 0.1j, 0.6])
         with pytest.raises(ZeroVector):
             sp.build_tree([0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteAmplitude):
+            sp.build_tree([bad, 1.0, 1.0, 1.0])
+        assert issubclass(NonFiniteAmplitude, StatePrepError)
+
+    def test_huge_entries_normalize_without_overflow(self):
+        x = np.array([1e300, 1e300, 1.0, 1.0])
+        big = sp.build_tree(x)
+        small = sp.build_tree(np.ldexp(x, -1000))
+        for name in ("omega0", "omega1", "alpha", "norm", "defined"):
+            assert np.array_equal(getattr(big, name), getattr(small, name)), name
+        assert big.alpha[0] == pytest.approx(0.0, abs=1e-12)
+        assert big.alpha[1] == pytest.approx(np.pi / 2, abs=1e-12)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=8, max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -149,27 +173,33 @@ class TestSubtreeState:
 
 
 class TestPrune:
-    def test_w_state_flags(self, w_vector):
-        tree = sp.build_tree(w_vector)
-        ann = sp.prune(tree)
-        assert ann.trivial_subtree[2]
-        assert ann.children_equal[2]
-        assert not ann.trivial_subtree[1]
-        assert not ann.children_equal[1]
-        assert ann.skip_rotation[2] and ann.skip_rotation[4] and ann.skip_rotation[5]
+    """Pruning is decided by the synthesis planner; these pin its output."""
 
-    def test_basis_state_all_trivial(self):
+    @staticmethod
+    def pruned(x):
+        tree = sp.build_tree(x)
+        circuit = sp.synthesize_dc(tree, DcOptions(prune=True))
+        loads = {op.qubits[0] for op in circuit.ops if op.role == ROLE_LOAD}
+        return _plan_tree(tree, tree.n - 1, prune=True), circuit, loads
+
+    def test_w_state_plan(self, w_vector):
+        plan, _, loads = self.pruned(w_vector)
+        assert plan.mode == {0: "combine", 1: "combine", 2: "left"}
+        assert not loads & {plan.wire[2], plan.block_wires[4][0], plan.block_wires[5][0]}
+        assert loads == {plan.wire[0], plan.wire[1], plan.block_wires[3][0]}
+
+    def test_basis_state_plan(self):
         e0 = np.zeros(8)
         e0[0] = 1.0
-        ann = sp.prune(sp.build_tree(e0))
-        assert ann.trivial_subtree.all()
-        assert ann.skip_rotation.all()
+        plan, circuit, loads = self.pruned(e0)
+        assert set(plan.mode.values()) == {"left"}
+        assert not loads
+        assert not any(op.kind == "cswap" for op in circuit.ops)
 
-    def test_children_equal_on_balanced_vector(self):
+    def test_balanced_vector_plan(self):
         x = np.array([1.0, 2.0, 1.0, 2.0])
-        x = x / np.linalg.norm(x)
-        ann = sp.prune(sp.build_tree(x))
-        assert ann.children_equal[0]
+        plan, _, _ = self.pruned(x / np.linalg.norm(x))
+        assert plan.mode == {0: "left"}
 
     def test_state_or_ground_for_zero_norm(self, w_vector):
         tree = sp.build_tree(w_vector)
