@@ -1,9 +1,11 @@
 """Circuit intermediate representation.
 
 Gates, mid-circuit measurements and classically conditioned operations are
-stored as one flat op list.  Conditions are explicit truth tables over
-previously written classical bits: ``table`` has one entry per assignment
-of ``bits``, indexed with ``bits[0]`` as the most significant position.
+stored as one flat op list.  A condition fires when the integer that
+previously written classical ``bits`` spell (``bits[0]`` most significant)
+is one of ``values``, OpenQASM 3's ``if (c == v)`` widened to a set.  A
+``Circuit`` validates itself when constructed.  ``deserialize`` also reads
+the older ``{"bits", "table"}`` truth-table form.
 
 Two depth figures are reported.  ``depth_gates`` layers only the loading
 and combining unitaries (ops whose ``role`` is not measurement machinery
@@ -15,6 +17,8 @@ basis-change rotations, measurements and conditioned corrections.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import InvalidCircuit, ParseError
@@ -31,14 +35,17 @@ ROLE_COMBINE = "combine"
 
 @dataclass(frozen=True)
 class Condition:
-    bits: tuple[int, ...]
-    table: tuple[int, ...]
+    """Fires when the integer ``bits`` spell (``bits[0]`` most significant)
+    is in ``values``, which ascends strictly within ``[0, 2**len(bits))``."""
 
-    def index_of(self, values: dict[int, int]) -> int:
+    bits: tuple[int, ...]
+    values: tuple[int, ...]
+
+    def holds(self, bits: dict[int, int]) -> bool:
         idx = 0
         for b in self.bits:
-            idx = (idx << 1) | values[b]
-        return idx
+            idx = (idx << 1) | bits[b]
+        return idx in self.values
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,11 @@ class Circuit:
     data_qubits: tuple[int, ...]
     stage_reports: tuple = field(default=(), compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> "Circuit":
+        """Raise ``InvalidCircuit`` unless well formed; construction runs it."""
         written: set[int] = set()
         for i, op in enumerate(self.ops):
             if op.kind not in KINDS:
@@ -115,6 +126,8 @@ class Circuit:
                     raise InvalidCircuit(f"op {i}: qubit {q} out of range")
             if (op.angle is not None) != (op.kind in ANGLE_KINDS):
                 raise InvalidCircuit(f"op {i}: angle mismatch for kind {op.kind!r}")
+            if op.angle is not None and not math.isfinite(op.angle):
+                raise InvalidCircuit(f"op {i}: angle {op.angle} is not finite")
             if op.kind == "cswap" and len(op.qubits) != 3:
                 raise InvalidCircuit(f"op {i}: cswap needs 3 qubits")
             if op.kind == "mcroty":
@@ -136,10 +149,11 @@ class Circuit:
                 if op.kind in ("measure", "reset"):
                     raise InvalidCircuit(f"op {i}: conditions on {op.kind} unsupported")
                 cond = op.condition
-                if len(cond.table) != 2 ** len(cond.bits):
-                    raise InvalidCircuit(f"op {i}: truth table length mismatch")
-                if any(v not in (0, 1) for v in cond.table):
-                    raise InvalidCircuit(f"op {i}: truth table entries must be 0/1")
+                vals = cond.values
+                if any(a >= b for a, b in zip(vals, vals[1:])):
+                    raise InvalidCircuit(f"op {i}: condition values must ascend strictly")
+                if vals and not (vals[0] >= 0 and vals[-1] < 2 ** len(cond.bits)):
+                    raise InvalidCircuit(f"op {i}: condition value out of range")
                 for b in cond.bits:
                     if b not in written:
                         raise InvalidCircuit(f"op {i}: condition reads unmeasured bit {b}")
@@ -197,7 +211,6 @@ def layers(circuit: Circuit, full: bool = True) -> list[int | None]:
 
 
 def metrics(circuit: Circuit) -> ResourceReport:
-    circuit.validate()
     gate_layers = [v for v in _asap_layers(circuit.ops, _counts_for_gates) if v is not None]
     full_layers = [v for v in _asap_layers(circuit.ops, lambda op: True) if v is not None]
     return ResourceReport(
@@ -223,7 +236,7 @@ def _op_to_dict(op: Gate) -> dict:
     if op.condition is not None:
         doc["condition"] = {
             "bits": list(op.condition.bits),
-            "table": list(op.condition.table),
+            "values": list(op.condition.values),
         }
     if op.role is not None:
         doc["role"] = op.role
@@ -231,7 +244,6 @@ def _op_to_dict(op: Gate) -> dict:
 
 
 def serialize(circuit: Circuit) -> str:
-    circuit.validate()
     doc = {
         "n_qubits": circuit.n_qubits,
         "n_clbits": circuit.n_clbits,
@@ -241,19 +253,35 @@ def serialize(circuit: Circuit) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _expect(doc: dict, key: str, types, where: str):
+# ``type`` rather than ``isinstance`` refuses JSON booleans as numbers.
+def _expect(doc: dict, key: str, kind: type, where: str):
     if key not in doc:
         raise ParseError(f"missing field {key!r}", where)
     value = doc[key]
-    if not isinstance(value, types):
+    if type(value) is not kind:
         raise ParseError(f"field {key!r} has wrong type", f"{where}.{key}")
     return value
 
 
 def _parse_int_list(value, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if type(value) is not list or not all(type(v) is int for v in value):
         raise ParseError("expected a list of integers", where)
     return value
+
+
+def _parse_condition(cond, where: str) -> Condition:
+    if not isinstance(cond, dict):
+        raise ParseError("condition is not an object", where)
+    bits = tuple(_parse_int_list(_expect(cond, "bits", list, where), f"{where}.bits"))
+    if "table" in cond:
+        # Older documents spell the condition as a truth table with one 0/1
+        # entry per assignment of ``bits``.
+        table = _parse_int_list(_expect(cond, "table", list, where), f"{where}.table")
+        if len(table) != 2 ** len(bits) or any(v not in (0, 1) for v in table):
+            raise ParseError("truth table needs 2**len(bits) 0/1 entries", f"{where}.table")
+        return Condition(bits=bits, values=tuple(i for i, v in enumerate(table) if v))
+    values = _parse_int_list(_expect(cond, "values", list, where), f"{where}.values")
+    return Condition(bits=bits, values=tuple(values))
 
 
 def _parse_op(doc, i: int) -> Gate:
@@ -269,24 +297,19 @@ def _parse_op(doc, i: int) -> Gate:
         raise ParseError(f"unknown op kind {kind!r}", f"{where}.kind")
     qubits = tuple(_parse_int_list(_expect(doc, "qubits", list, where), f"{where}.qubits"))
     angle = doc.get("angle")
-    if angle is not None and not isinstance(angle, (int, float)):
-        raise ParseError("angle must be a number", f"{where}.angle")
+    # The bound refuses NaN, infinities and integers no float can hold.
+    finite = type(angle) in (int, float) and abs(angle) <= sys.float_info.max
+    if angle is not None and not finite:
+        raise ParseError("angle must be a finite number", f"{where}.angle")
     clbit = doc.get("clbit")
-    if clbit is not None and not isinstance(clbit, int):
+    if clbit is not None and type(clbit) is not int:
         raise ParseError("clbit must be an integer", f"{where}.clbit")
     pols = doc.get("polarities")
     if pols is not None:
         pols = tuple(_parse_int_list(pols, f"{where}.polarities"))
     condition = None
     if "condition" in doc:
-        cond = doc["condition"]
-        if not isinstance(cond, dict):
-            raise ParseError("condition is not an object", f"{where}.condition")
-        bits = tuple(_parse_int_list(_expect(cond, "bits", list, f"{where}.condition"),
-                                     f"{where}.condition.bits"))
-        table = tuple(_parse_int_list(_expect(cond, "table", list, f"{where}.condition"),
-                                      f"{where}.condition.table"))
-        condition = Condition(bits=bits, table=table)
+        condition = _parse_condition(doc["condition"], f"{where}.condition")
     role = doc.get("role")
     if role is not None and not isinstance(role, str):
         raise ParseError("role must be a string", f"{where}.role")
@@ -315,12 +338,10 @@ def deserialize(text: str) -> Circuit:
     )
     ops_doc = _expect(doc, "ops", list, "$")
     ops = tuple(_parse_op(op, i) for i, op in enumerate(ops_doc))
-    circuit = Circuit(n_qubits=n_qubits, n_clbits=n_clbits, ops=ops, data_qubits=data_qubits)
     try:
-        circuit.validate()
+        return Circuit(n_qubits=n_qubits, n_clbits=n_clbits, ops=ops, data_qubits=data_qubits)
     except InvalidCircuit as exc:
         raise ParseError(str(exc), "$.ops") from exc
-    return circuit
 
 
 def with_ops(circuit: Circuit, ops) -> Circuit:

@@ -102,8 +102,7 @@ def cmd_compile(args) -> int:
                 "ancilla_wires": list(r.ancilla_wires),
                 "clbits": list(r.clbits),
                 "computational": r.computational,
-                "correction_bits": list(r.correction_bits),
-                "correction_table": list(r.correction_table),
+                "correction_values": list(r.correction_values),
             }
             for r in circuit.stage_reports
         ]

@@ -78,8 +78,7 @@ class StageReport:
     ancilla_wires: tuple[int, ...]
     clbits: tuple[int, ...]
     computational: bool
-    correction_bits: tuple[int, ...]
-    correction_table: tuple[int, ...]
+    correction_values: tuple[int, ...]
 
 
 def _loading_gate(wire: int, angle: float) -> Gate:
@@ -139,9 +138,12 @@ def compile_disentangler(
     minus = (left - right) / np.sqrt(2.0 * (1.0 - overlap))
     plan = decompose(OrthPair.from_states(plus, minus))
 
+    # A plan path is tracked as the integer its outcomes spell, first
+    # outcome most significant, which is how a ``Condition`` reads bits.
     ops: list[Gate] = []
-    nodes = [((), plan.root)]
+    nodes = [(0, plan.root)]
     for k, wire in enumerate(wires):
+        bits = tuple(range(first_clbit, first_clbit + k))
         next_nodes = []
         for path, node in nodes:
             if isinstance(node, PlanLeaf):
@@ -149,29 +151,21 @@ def compile_disentangler(
             if node.angle is None:
                 raise NonUnitInput("plan basis is not a real rotation")
             if abs(node.angle) > ANGLE_TOL:
-                condition = None
-                if k > 0:
-                    bits = tuple(first_clbit + j for j in range(k))
-                    table = [0] * 2**k
-                    table[int("".join(map(str, path)), 2)] = 1
-                    condition = Condition(bits=bits, table=tuple(table))
+                condition = Condition(bits, (path,)) if k > 0 else None
                 ops.append(
                     roty(wire, node.angle, condition=condition, role=ROLE_MEAS_BASIS)
                 )
-            next_nodes.append((path + (0,), node.on0))
-            next_nodes.append((path + (1,), node.on1))
+            next_nodes.append((2 * path, node.on0))
+            next_nodes.append((2 * path + 1, node.on1))
         ops.append(measure(wire, first_clbit + k))
         nodes = next_nodes
 
-    bits = tuple(first_clbit + j for j in range(len(wires)))
-    table = [0] * 2 ** len(wires)
-    for path, label in plan.paths():
-        wants_z = (label == "-") != flipped
-        if wants_z:
-            table[int("".join(map(str, path)), 2)] = 1
-    ops.append(
-        pauli_z(control_wire, condition=Condition(bits=bits, table=tuple(table)), role=ROLE_CORRECT)
+    # ``paths()`` lists all 2**m leaves in order, so a leaf's index is its path.
+    bits = tuple(range(first_clbit, first_clbit + len(wires)))
+    values = tuple(
+        i for i, (_, label) in enumerate(plan.paths()) if (label == "-") != flipped
     )
+    ops.append(pauli_z(control_wire, condition=Condition(bits, values), role=ROLE_CORRECT))
     return ops
 
 
@@ -284,8 +278,7 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
                     ancilla_wires=tuple(right_live),
                     clbits=clbits,
                     computational=correction is None,
-                    correction_bits=correction.condition.bits if correction else (),
-                    correction_table=correction.condition.table if correction else (),
+                    correction_values=correction.condition.values if correction else (),
                 )
             )
 
@@ -297,7 +290,7 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         ops=tuple(ops),
         data_qubits=data,
         stage_reports=tuple(reports),
-    ).validate()
+    )
     if opts.parallelize:
         circuit = parallelize_cswaps(circuit)
     return circuit
@@ -409,4 +402,4 @@ def parallelize_cswaps(circuit: Circuit) -> Circuit:
                 keyed.append(((mach_layer, 1, idx), op))
 
     keyed.sort(key=lambda item: item[0])
-    return with_ops(circuit, (op for _, op in keyed)).validate()
+    return with_ops(circuit, (op for _, op in keyed))

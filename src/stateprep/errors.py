@@ -71,7 +71,3 @@ class NOutOfRange(StatePrepError):
 
 class TooManyBranches(StatePrepError):
     pass
-
-
-class InvalidCondition(StatePrepError):
-    pass

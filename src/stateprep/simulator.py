@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit
-from .errors import (
-    DimensionMismatch,
-    InvalidCondition,
-    TooManyBranches,
-)
+from .errors import DimensionMismatch, TooManyBranches
 
 BRANCH_PROB_TOL = 1e-14
 DEFAULT_BRANCH_CAP = 14
@@ -185,16 +181,6 @@ def _apply_unitary(frame: _Frame, op) -> None:
     raise ValueError(f"cannot apply op kind {op.kind!r}")
 
 
-def _condition_met(frame: _Frame, op) -> bool:
-    cond = op.condition
-    if cond is None:
-        return True
-    for b in cond.bits:
-        if b not in frame.bits:
-            raise InvalidCondition(f"bit {b} read before measurement")
-    return bool(cond.table[cond.index_of(frame.bits)])
-
-
 def _norm_sq(a: np.ndarray) -> float:
     flat = a.reshape(-1)
     return float(np.vdot(flat, flat).real)
@@ -293,7 +279,6 @@ def run(
     ``branch_cap`` measured wires); ``sample`` draws ``shots`` seeded
     trajectories and reports frequencies as probabilities.
     """
-    circuit.validate()
     if mode == "enumerate":
         n_meas = sum(1 for op in circuit.ops if op.kind == "measure")
         if n_meas > branch_cap:
@@ -337,7 +322,7 @@ def _enumerate(circuit: Circuit, frame: _Frame, start: int, out: list[Branch]) -
                     _apply_reset(child, op, outcome, slc, p)
                 _enumerate(circuit, child, i + 1, out)
             return
-        if _condition_met(frame, op):
+        if op.condition is None or op.condition.holds(frame.bits):
             _apply_unitary(frame, op)
         i += 1
     out.append(_finish_branch(circuit, frame))
@@ -355,7 +340,7 @@ def _run_single(circuit: Circuit, rng: np.random.Generator) -> _Frame:
                 _project_measure(frame, op, outcome, slc, p)
             else:
                 _apply_reset(frame, op, outcome, slc, p)
-        elif _condition_met(frame, op):
+        elif op.condition is None or op.condition.holds(frame.bits):
             _apply_unitary(frame, op)
     return frame
 

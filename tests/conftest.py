@@ -141,7 +141,10 @@ def oracle_branches(circuit, prob_floor=1e-14):
                 k += 1
             else:
                 if op.condition is not None:
-                    if not op.condition.table[op.condition.index_of(bits)]:
+                    value = 0
+                    for b in op.condition.bits:
+                        value = 2 * value + bits[b]
+                    if value not in op.condition.values:
                         continue
                 state = full_unitary(op, n) @ state
         prob = float(np.vdot(state, state).real)

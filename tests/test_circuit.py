@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,8 @@ from stateprep.errors import InvalidCircuit, ParseError
 
 from conftest import random_unit
 
+DATA = Path(__file__).parent / "data"
+
 
 def simple_circuit():
     ops = (
@@ -28,7 +33,7 @@ def simple_circuit():
         cswap(0, 1, 2),
         roty(2, -0.3, role="meas_basis"),
         measure(2, 0),
-        pauli_z(0, condition=Condition(bits=(0,), table=(0, 1)), role="correct"),
+        pauli_z(0, condition=Condition(bits=(0,), values=(1,)), role="correct"),
     )
     return Circuit(n_qubits=3, n_clbits=1, ops=ops, data_qubits=(0, 1)).validate()
 
@@ -51,14 +56,28 @@ class TestValidation:
             Circuit(2, 1, ops, (0,)).validate()
 
     def test_rejects_condition_before_measure(self):
-        ops = (pauli_z(0, condition=Condition((0,), (0, 1))), measure(0, 0))
+        ops = (pauli_z(0, condition=Condition((0,), (1,))), measure(0, 0))
         with pytest.raises(InvalidCircuit):
             Circuit(1, 1, ops, (0,)).validate()
 
     def test_rejects_bad_table_length(self):
-        ops = (measure(0, 0), pauli_z(1, condition=Condition((0,), (0, 1, 1, 0))))
-        with pytest.raises(InvalidCircuit):
-            Circuit(2, 1, ops, (0,)).validate()
+        # Values must ascend strictly and fit the bits; a truth table in an
+        # older document must hold one 0/1 entry per assignment of its bits.
+        for values in ((2,), (-1,), (1, 0), (1, 1)):
+            ops = (measure(0, 0), pauli_z(1, condition=Condition((0,), values)))
+            with pytest.raises(InvalidCircuit):
+                Circuit(2, 1, ops, (0,))
+        for table in ([0, 1, 1, 0], [0, 2]):
+            z = {"kind": "z", "qubits": [1], "condition": {"bits": [0], "table": table}}
+            doc = {"n_qubits": 2, "n_clbits": 1, "data_qubits": [0],
+                   "ops": [{"kind": "measure", "qubits": [0], "clbit": 0}, z]}
+            with pytest.raises(ParseError):
+                deserialize(json.dumps(doc))
+
+    def test_rejects_non_finite_angle(self):
+        for angle in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidCircuit):
+                Circuit(1, 0, (roty(0, angle),), (0,))
 
 
 class TestMetrics:
@@ -92,7 +111,7 @@ class TestMetrics:
         ops = (
             hadamard(0),
             measure(0, 0),
-            pauli_z(1, condition=Condition((0,), (0, 1))),
+            pauli_z(1, condition=Condition((0,), (1,))),
         )
         m = sp.metrics(Circuit(2, 1, ops, (1,)))
         assert m.depth_gates == 1
@@ -176,6 +195,44 @@ class TestSerialization:
         """
         with pytest.raises(ParseError):
             deserialize(text)
+
+    def test_rejects_non_finite_and_boolean_fields(self):
+        good = (
+            '{"n_qubits": 2, "n_clbits": 1, "data_qubits": [0], "ops": ['
+            '{"kind": "roty", "qubits": [0], "angle": 0.5},'
+            ' {"kind": "measure", "qubits": [1], "clbit": 0},'
+            ' {"kind": "z", "qubits": [0], "condition": {"bits": [0], "values": [1]}}]}'
+        )
+        deserialize(good)
+        for old, new in (
+            ('"angle": 0.5', '"angle": NaN'),
+            ('"angle": 0.5', '"angle": Infinity'),
+            ('"angle": 0.5', '"angle": -Infinity'),
+            ('"angle": 0.5', '"angle": 1' + "0" * 400),
+            ('"angle": 0.5', '"angle": true'),
+            ('"qubits": [0], "angle"', '"qubits": [false], "angle"'),
+            ('"clbit": 0', '"clbit": false'),
+            ('"n_qubits": 2', '"n_qubits": true'),
+            ('"data_qubits": [0]', '"data_qubits": [false]'),
+            ('"values": [1]', '"values": [true]'),
+            ('"values": [1]', '"table": [false, true]'),
+        ):
+            bad = good.replace(old, new)
+            assert bad != good
+            with pytest.raises(ParseError):
+                deserialize(bad)
+
+    def test_legacy_truth_table_document(self):
+        # Written by the truth-table version of ``serialize`` (dc, n=3).
+        with open(DATA / "dc_n3_legacy.json") as fh:
+            text = fh.read()
+        with open(DATA / "dc_n3_vector.json") as fh:
+            x = np.array(json.load(fh)["amplitudes"])
+        assert '"table"' in text
+        legacy = deserialize(text)
+        assert legacy == deserialize(serialize(sp.synthesize_dc(sp.build_tree(x))))
+        assert any(op.condition and len(op.condition.bits) == 2 for op in legacy.ops)
+        assert sp.verify_preparation(legacy, x).passed
 
     def test_malformed_json_reports_location(self):
         with pytest.raises(ParseError):

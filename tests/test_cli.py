@@ -107,7 +107,10 @@ class TestCompile:
         assert [s["ancilla_wires"] for s in doc["stages"]] == [[3], [6], [4, 5]]
         final = doc["stages"][-1]
         assert final["control_wire"] == 0
-        assert len(final["correction_table"]) == 4
+        correction = json.loads(Path(out).read_text())["ops"][-1]
+        assert correction["kind"] == "z"
+        assert final["correction_values"] == correction["condition"]["values"]
+        assert len(final["correction_values"]) == 2
 
 
 class TestVerify:
@@ -143,6 +146,23 @@ class TestVerify:
         first = capsys.readouterr().out
         main(["verify", out, dense_file, "--mode", "sample", "--shots", "500", "--seed", "9"])
         assert capsys.readouterr().out == first
+
+    def test_non_finite_or_bool_document_fields_exit_two(self, tmp_path, capsys):
+        vec = write_vector(tmp_path, "v.json", [0.6, 0.8])
+        out = tmp_path / "c.json"
+        assert main(["compile", vec, "--method", "dc", "--out", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert doc["ops"][0]["kind"] == "roty"
+        for field, value in (("angle", "NaN"), ("angle", "Infinity"), ("angle", "true"),
+                             ("qubits", "[true]")):
+            doc["ops"][0][field] = "@"
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc).replace('"@"', value))
+            assert main(["verify", str(bad), vec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "NaN" not in captured.err
+            doc = json.loads(out.read_text())
 
 
 class TestAnalyzeSweep:

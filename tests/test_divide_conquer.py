@@ -142,7 +142,10 @@ class TestSynthesizeDc:
         assert wires == [3, 6, 4, 5]
         final = c.stage_reports[-1]
         assert final.control_wire == 0
-        assert len(final.correction_table) == 4
+        correction = c.ops[-1]
+        assert correction.kind == "z" and correction.condition.bits == final.clbits
+        assert final.correction_values == correction.condition.values
+        assert len(final.correction_values) == 2
 
 
 class TestWState(object):
@@ -214,7 +217,8 @@ class TestCompileDisentangler:
         )
         z = ops[-1]
         assert z.kind == "z" and z.qubits == (0,)
-        assert z.condition is not None and len(z.condition.table) == 4
+        assert z.condition is not None and z.condition.bits == (0, 1)
+        assert len(z.condition.values) == 2 and set(z.condition.values) <= {0, 1, 2, 3}
 
     def test_rejects_non_unit_input(self):
         with pytest.raises(NonUnitInput):

@@ -73,15 +73,18 @@ class TestEnumerate:
         assert [b.outcomes for b in branches] == [(1,)]
 
     def test_conditions_respected(self):
-        # Flip wire 1 only when the measured bit is 1.
+        # Flip wire 1 only when the measured bit is 1: wire 0 starts in
+        # |+>, so one branch fires the flip and the other does not.
         ops = (
-            pauli_x(0),
+            hadamard(0),
             measure(0, 0),
-            pauli_x(1, condition=Condition((0,), (0, 1))),
+            pauli_x(1, condition=Condition((0,), (1,))),
         )
         c = Circuit(2, 1, ops, (1,)).validate()
-        [branch] = sp.run(c)
-        assert np.allclose(branch.data_state, [0, 1])
+        unfired, fired = sp.run(c)
+        assert (unfired.outcomes, fired.outcomes) == ((0,), (1,))
+        assert np.allclose(unfired.data_state, [1, 0])
+        assert np.allclose(fired.data_state, [0, 1])
 
     def test_branch_cap(self):
         ops = tuple(hadamard(i) for i in range(3)) + tuple(measure(i, i) for i in range(3))
