@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end demo: draw a random non-negative unit vector, synthesize a
 circuit with each method, enumerate every measurement branch and print
-the verification summary per method."""
+the verification summary per method.  Exits 1 if any method fails."""
 
 import argparse
 
@@ -35,6 +35,7 @@ def main() -> int:
         circuits[f"hybrid(lam={args.lam})"] = sp.synthesize_hybrid(tree, args.lam, opts)
 
     print(f"target: n={args.n}, seed={args.seed}")
+    failed = 0
     for name, circuit in circuits.items():
         m = sp.metrics(circuit)
         rep = sp.verify_preparation(circuit, x)
@@ -44,7 +45,8 @@ def main() -> int:
             f"branches={rep.branches:5d} min_fidelity={rep.min_fidelity:.12f} "
             f"{'ok' if rep.passed else 'FAILED'}"
         )
-    return 0
+        failed += not rep.passed
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -114,8 +114,15 @@ class Circuit:
         self.validate()
 
     def validate(self) -> "Circuit":
-        """Raise ``InvalidCircuit`` unless well formed; construction runs it."""
+        """Raise ``InvalidCircuit`` unless well formed; construction runs it.
+
+        Besides the document's own consistency this fixes what the
+        simulator relies on: no op touches a wire after its ``measure``.
+        """
+        if self.n_qubits < 0 or self.n_clbits < 0:
+            raise InvalidCircuit(f"negative register size {self.n_qubits}, {self.n_clbits}")
         written: set[int] = set()
+        measured: set[int] = set()
         for i, op in enumerate(self.ops):
             if op.kind not in KINDS:
                 raise InvalidCircuit(f"op {i}: unknown kind {op.kind!r}")
@@ -124,12 +131,15 @@ class Circuit:
             for q in op.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise InvalidCircuit(f"op {i}: qubit {q} out of range")
+                if q in measured:
+                    raise InvalidCircuit(f"op {i}: qubit {q} used after its measurement")
             if (op.angle is not None) != (op.kind in ANGLE_KINDS):
                 raise InvalidCircuit(f"op {i}: angle mismatch for kind {op.kind!r}")
             if op.angle is not None and not math.isfinite(op.angle):
                 raise InvalidCircuit(f"op {i}: angle {op.angle} is not finite")
-            if op.kind == "cswap" and len(op.qubits) != 3:
-                raise InvalidCircuit(f"op {i}: cswap needs 3 qubits")
+            arity = 3 if op.kind == "cswap" else 1
+            if op.kind != "mcroty" and len(op.qubits) != arity:
+                raise InvalidCircuit(f"op {i}: {op.kind} needs {arity} qubit(s)")
             if op.kind == "mcroty":
                 if op.polarities is None or len(op.polarities) != len(op.qubits) - 1:
                     raise InvalidCircuit(f"op {i}: bad mcroty polarities")
@@ -143,6 +153,7 @@ class Circuit:
                 if op.clbit in written:
                     raise InvalidCircuit(f"op {i}: clbit {op.clbit} written twice")
                 written.add(op.clbit)
+                measured.add(op.qubits[0])
             elif op.clbit is not None:
                 raise InvalidCircuit(f"op {i}: clbit only valid on measure")
             if op.condition is not None:

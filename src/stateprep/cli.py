@@ -22,7 +22,7 @@ from .discrimination import OrthPair, PlanLeaf, decompose, evaluate_plan
 from .divide_conquer import DcOptions, synthesize_dc, synthesize_hybrid, synthesize_time
 from .errors import NotOrthogonal, StatePrepError
 from .resources import dc_formulas, hybrid_formulas
-from .simulator import verify_preparation
+from .simulator import DEFAULT_BRANCH_CAP, verify_preparation
 from .tree import build_tree, pad_to_power_of_two
 
 EXIT_OK = 0
@@ -122,14 +122,19 @@ def cmd_verify(args) -> int:
         norm = np.linalg.norm(target)
         if norm == 0.0:
             raise ValueError("target vector has zero norm")
-        report = verify_preparation(
-            circuit,
-            target / norm,
-            mode=args.mode,
-            shots=args.shots,
-            seed=args.seed,
-            branch_cap=args.branch_cap,
-        )
+        try:
+            report = verify_preparation(
+                circuit,
+                target / norm,
+                mode=args.mode,
+                shots=args.shots,
+                seed=args.seed,
+                branch_cap=args.branch_cap,
+            )
+        except MemoryError:
+            raise ValueError(
+                f"the state of {circuit.n_qubits} wires does not fit in memory"
+            ) from None
     except (OSError, ValueError, json.JSONDecodeError, StatePrepError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     print(json.dumps(report.to_json_dict()))
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     p.add_argument("--shots", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--branch-cap", type=int, default=14)
+    p.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="closed-form resource table")

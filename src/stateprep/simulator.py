@@ -1,12 +1,15 @@
 """Statevector simulation with mid-circuit measurement and feed-forward.
 
 The state is kept as a tensor with one axis per *active* wire (wire 0 is
-the most significant index bit).  A measured wire collapses to a
-computational value and its axis is dropped, so branch enumeration stays
-cheap even for circuits that measure most of their wires.  ``enumerate``
-mode explores both outcomes of every measurement depth-first and returns
-branches in lexicographic outcome order; ``sample`` mode draws seeded
-shots and aggregates identical outcome strings.
+the most significant index bit); a measured wire collapses and its axis
+is dropped.  One iterative depth-first walk serves both modes, splitting
+a weighted frame at every ``measure`` or ``reset``.  ``enumerate``
+weighs a frame by its path probability and follows every outcome of
+probability at least ``BRANCH_PROB_TOL``.  ``sample`` weighs it by its
+shot count, splits the shots between the outcomes with one binomial
+draw and follows those that receive any, so the counts are multinomial
+and no shot count makes the walk longer than enumeration.  Branches come
+back in lexicographic outcome order.
 """
 
 from __future__ import annotations
@@ -18,38 +21,32 @@ import numpy as np
 from .circuit import Circuit
 from .errors import DimensionMismatch, TooManyBranches
 
+# A branch below this path probability is dropped: no verdict can see it.
 BRANCH_PROB_TOL = 1e-14
 DEFAULT_BRANCH_CAP = 14
+# A residual column below this squared norm (amplitudes 1e-12) is rounding.
+EMPTY_COLUMN_TOL = 1e-24
+# Passing fidelity shortfall: far above rounding, below a 1e-4 rad angle error.
+FIDELITY_TOL = 1e-9
+# Allowed |sum of probabilities - 1|: rounding plus mass pruned by BRANCH_PROB_TOL.
+PROB_SUM_TOL = 1e-10
+
+_FIXED_MATRICES = {
+    "z": np.diag([1.0, -1.0]).astype(complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "h": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
+}
 
 
-def _roty_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rotz_matrix(phi: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-1j * phi / 2.0), 0.0], [0.0, np.exp(1j * phi / 2.0)]], dtype=complex
-    )
-
-
-_Z = np.diag([1.0, -1.0]).astype(complex)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
-
-def _single_qubit_matrix(op) -> np.ndarray:
+def _single_qubit_matrix(op) -> np.ndarray | None:
+    """The matrix ``op`` applies to its last wire; None for ``cswap``,
+    ``measure`` and ``reset``."""
     if op.kind in ("roty", "mcroty"):
-        return _roty_matrix(op.angle)
+        c, s = np.cos(op.angle / 2.0), np.sin(op.angle / 2.0)
+        return np.array([[c, -s], [s, c]], dtype=complex)
     if op.kind == "rotz":
-        return _rotz_matrix(op.angle)
-    if op.kind == "z":
-        return _Z
-    if op.kind == "x":
-        return _X
-    if op.kind == "h":
-        return _H
-    raise ValueError(f"not a single-qubit unitary: {op.kind}")
+        return np.diag([np.exp(-0.5j * op.angle), np.exp(0.5j * op.angle)])
+    return _FIXED_MATRICES.get(op.kind)
 
 
 @dataclass
@@ -84,27 +81,26 @@ class VerificationReport:
         }
 
 
+@dataclass(slots=True)
 class _Frame:
-    """Mutable simulation frame: active tensor plus classical records."""
+    """Mutable simulation frame: active tensor, classical records and the
+    frame's weight (path probability, or shot count when sampling)."""
 
-    __slots__ = ("state", "active", "bits", "outcomes", "fixed", "prob")
+    state: np.ndarray
+    active: list[int]
+    bits: dict[int, int]
+    outcomes: list[int]
+    fixed: dict[int, int]
+    weight: float
 
-    def __init__(self, state, active, bits, outcomes, fixed, prob):
-        self.state = state
-        self.active = active
-        self.bits = bits
-        self.outcomes = outcomes
-        self.fixed = fixed
-        self.prob = prob
-
-    def copy(self, state=None) -> "_Frame":
+    def copy(self) -> "_Frame":
         return _Frame(
-            self.state if state is None else state,
+            self.state,
             list(self.active),
             dict(self.bits),
             list(self.outcomes),
             dict(self.fixed),
-            self.prob,
+            self.weight,
         )
 
 
@@ -116,14 +112,11 @@ def _split_view(state: np.ndarray, ax: int):
     """
     if not state.flags.c_contiguous:
         raise AssertionError("simulation state buffer lost contiguity")
-    pre = 1
-    for d in range(ax):
-        pre *= state.shape[d]
-    post = state.size // (2 * pre)
-    return state.reshape(pre, 2, post)
+    return state.reshape(2**ax, 2, -1)
 
 
-def _apply_unitary(frame: _Frame, op) -> None:
+def _apply_unitary(frame: _Frame, op, mat: np.ndarray | None) -> None:
+    """Apply unitary ``op``, whose ``_single_qubit_matrix`` is ``mat``."""
     active = frame.active
     state = frame.state
     if op.kind == "cswap":
@@ -135,7 +128,6 @@ def _apply_unitary(frame: _Frame, op) -> None:
         state[tuple(idx)] = np.swapaxes(sub, adj(a), adj(b)).copy()
         return
     if op.kind == "mcroty" and len(op.qubits) > 1:
-        mat = _single_qubit_matrix(op)
         controls = op.qubits[:-1]
         target = op.qubits[-1]
         caxes = [active.index(q) for q in controls]
@@ -148,37 +140,20 @@ def _apply_unitary(frame: _Frame, op) -> None:
         sub = np.tensordot(mat, sub, axes=([1], [t_ax]))
         state[tuple(idx)] = np.moveaxis(sub, 0, t_ax)
         return
+    (m00, m01), (m10, m11) = mat.tolist()
     v = _split_view(state, active.index(op.qubits[-1]))
     v0, v1 = v[:, 0, :], v[:, 1, :]
-    if op.kind == "z":
-        v1 *= -1.0
+    if m01 == 0 and m10 == 0:
+        # A diagonal matrix scales the halves; skipping the zero terms
+        # leaves every value unchanged and saves most of a gate's cost.
+        v0 *= m00
+        v1 *= m11
         return
-    if op.kind == "x":
-        tmp = v0.copy()
-        v0[...] = v1
-        v1[...] = tmp
-        return
-    if op.kind == "roty":
-        c, s = np.cos(op.angle / 2.0), np.sin(op.angle / 2.0)
-        tmp = v0.copy()
-        v0 *= c
-        v0 -= s * v1
-        v1 *= c
-        v1 += s * tmp
-        return
-    if op.kind == "rotz":
-        v0 *= np.exp(-0.5j * op.angle)
-        v1 *= np.exp(0.5j * op.angle)
-        return
-    if op.kind == "h":
-        r = 1.0 / np.sqrt(2.0)
-        tmp = v0.copy()
-        v0 += v1
-        v0 *= r
-        v1 *= -r
-        v1 += r * tmp
-        return
-    raise ValueError(f"cannot apply op kind {op.kind!r}")
+    tmp = v0.copy()
+    v0 *= m00
+    v0 += m01 * v1
+    v1 *= m11
+    v1 += m10 * tmp
 
 
 def _norm_sq(a: np.ndarray) -> float:
@@ -186,35 +161,98 @@ def _norm_sq(a: np.ndarray) -> float:
     return float(np.vdot(flat, flat).real)
 
 
-def _measure_probs(state: np.ndarray, ax: int) -> tuple[float, float, np.ndarray, np.ndarray]:
-    v = _split_view(state, ax)
-    sl0, sl1 = v[:, 0, :], v[:, 1, :]
-    p0 = _norm_sq(sl0)
-    p1 = _norm_sq(sl1)
-    return p0, p1, sl0, sl1
-
-
-def _project_measure(frame: _Frame, op, outcome: int, slc: np.ndarray, prob: float) -> None:
-    frame.state = (slc / np.sqrt(prob)).reshape((2,) * (len(frame.active) - 1))
-    frame.active.remove(op.qubits[0])
-    frame.outcomes.append(outcome)
-    frame.fixed[op.qubits[0]] = outcome
-    frame.bits[op.clbit] = outcome
-    frame.prob *= prob
-
-
-def _apply_reset(frame: _Frame, op, outcome: int, slc: np.ndarray, prob: float) -> None:
-    # Projective reset: collapse, then place the wire back in |0>.
-    ax = frame.active.index(op.qubits[0])
+def _collapse(frame: _Frame, op, outcome: int, slc: np.ndarray, p: float) -> None:
+    """Project ``op``'s wire onto ``outcome``, whose slice of the state is
+    ``slc`` with squared norm ``p``.  A measured wire leaves the tensor; a
+    reset wire is put back in |0>."""
+    q = op.qubits[0]
+    ax = frame.active.index(q)
     shape = (2,) * len(frame.active)
-    collapsed = (slc / np.sqrt(prob)).reshape(shape[:ax] + shape[ax + 1 :])
-    new = np.zeros(shape, dtype=complex)
-    idx = [slice(None)] * new.ndim
-    idx[ax] = 0
-    new[tuple(idx)] = collapsed
-    frame.state = new
+    collapsed = (slc / np.sqrt(p)).reshape(shape[:ax] + shape[ax + 1 :])
     frame.outcomes.append(outcome)
-    frame.prob *= prob
+    if op.kind == "measure":
+        del frame.active[ax]
+        frame.state = collapsed
+        frame.fixed[q] = outcome
+        frame.bits[op.clbit] = outcome
+        return
+    frame.state = np.zeros(shape, dtype=complex)
+    frame.state[(slice(None),) * ax + (0,)] = collapsed
+
+
+def _split(weight, p0: float, p1: float, rng):
+    """The two outcomes' weights; an outcome of weight 0 is not followed."""
+    if rng is None:
+        return tuple(w if w >= BRANCH_PROB_TOL else 0.0 for w in (weight * p0, weight * p1))
+    k1 = int(rng.binomial(weight, p1 / (p0 + p1)))
+    return weight - k1, k1
+
+
+def _walk(circuit: Circuit, rng, total) -> list[Branch]:
+    """Depth-first over the outcome tree with an explicit stack.  Without
+    ``rng`` every outcome above ``BRANCH_PROB_TOL`` is followed; with it,
+    ``total`` shots are split binomially at each measurement."""
+    ops = circuit.ops
+    mats = [_single_qubit_matrix(op) for op in ops]  # shared by every branch
+    state = np.zeros((2,) * circuit.n_qubits, dtype=complex)
+    state[(0,) * circuit.n_qubits] = 1.0
+    stack = [(0, _Frame(state, list(range(circuit.n_qubits)), {}, [], {}, total))]
+    out: list[Branch] = []
+    while stack:
+        start, frame = stack.pop()
+        for i in range(start, len(ops)):
+            op = ops[i]
+            if op.kind not in ("measure", "reset"):
+                if op.condition is None or op.condition.holds(frame.bits):
+                    _apply_unitary(frame, op, mats[i])
+                continue
+            v = _split_view(frame.state, frame.active.index(op.qubits[0]))
+            slices = (v[:, 0, :], v[:, 1, :])
+            probs = (_norm_sq(slices[0]), _norm_sq(slices[1]))
+            weights = _split(frame.weight, probs[0], probs[1], rng)
+            # Outcome 0 is pushed last, so walked first: lexicographic order.
+            kept = [o for o in (1, 0) if weights[o]]
+            for o in kept:
+                child = frame if o == kept[-1] else frame.copy()
+                _collapse(child, op, o, slices[o], probs[o])
+                child.weight = weights[o]
+                stack.append((i + 1, child))
+            break
+        else:
+            out.append(
+                Branch(
+                    outcomes=tuple(frame.outcomes),
+                    probability=frame.weight / total,
+                    data_state=_extract_data_state(frame, circuit.data_qubits),
+                    residual_wires=tuple(frame.active),
+                    residual_state=frame.state.reshape(-1),
+                    fixed_outcomes=dict(frame.fixed),
+                )
+            )
+    return out
+
+
+def _data_rows(state: np.ndarray, active, data_qubits):
+    """The active data wires of ``data_qubits`` (in that order), and
+    ``state`` over ``active`` as a matrix with one row per assignment of
+    them and one column per assignment of the other active wires."""
+    active_data = [q for q in data_qubits if q in active]
+    perm = [active.index(q) for q in active_data] + [
+        i for i, w in enumerate(active) if w not in active_data
+    ]
+    tensor = np.transpose(state.reshape((2,) * len(active)), perm)
+    return active_data, tensor.reshape(2 ** len(active_data), -1)
+
+
+def _embed_measured(vec: np.ndarray, active_data, data_qubits, fixed) -> np.ndarray:
+    """Widen ``vec``, over ``active_data``, to all of ``data_qubits`` by
+    fixing each measured data wire to its outcome in ``fixed``."""
+    if len(active_data) == len(data_qubits):
+        return vec
+    full = np.zeros((2,) * len(data_qubits), dtype=vec.dtype)
+    idx = tuple(slice(None) if q in active_data else fixed[q] for q in data_qubits)
+    full[idx] = vec.reshape((2,) * len(active_data))
+    return full.reshape(-1)
 
 
 def _extract_data_state(frame: _Frame, data_qubits) -> np.ndarray:
@@ -228,42 +266,16 @@ def _extract_data_state(frame: _Frame, data_qubits) -> np.ndarray:
     if list(data_qubits) == frame.active:
         vec = frame.state.reshape(-1)
         return vec / np.sqrt(_norm_sq(vec))
-    active_data = [q for q in data_qubits if q in frame.active]
-    other = [w for w in frame.active if w not in active_data]
-    perm = [frame.active.index(q) for q in active_data] + [
-        frame.active.index(w) for w in other
-    ]
-    tensor = np.transpose(frame.state, perm)
-    d_dim = 2 ** len(active_data)
-    mat = tensor.reshape(d_dim, -1)
-    if mat.shape[1] == 1:
-        vec = mat[:, 0]
+    active_data, mat = _data_rows(frame.state, frame.active, data_qubits)
+    col_norms = np.sum(np.abs(mat) ** 2, axis=0)
+    nonzero = np.flatnonzero(col_norms > EMPTY_COLUMN_TOL)
+    if len(nonzero) == 1:
+        vec = mat[:, nonzero[0]]
     else:
-        col_norms = np.sum(np.abs(mat) ** 2, axis=0)
-        nonzero = np.flatnonzero(col_norms > 1e-24)
-        if len(nonzero) == 1:
-            vec = mat[:, nonzero[0]]
-        else:
-            rho = mat @ mat.conj().T
-            _, vecs = np.linalg.eigh(rho)
-            vec = vecs[:, -1]
+        _, vecs = np.linalg.eigh(mat @ mat.conj().T)
+        vec = vecs[:, -1]
     vec = vec / np.linalg.norm(vec)
-
-    if len(active_data) == len(data_qubits):
-        return vec
-    # Insert measured data wires as fixed computational factors.
-    full = np.zeros((2,) * len(data_qubits), dtype=complex)
-    idx: list = []
-    for q in data_qubits:
-        idx.append(slice(None) if q in frame.active else frame.fixed[q])
-    full[tuple(idx)] = vec.reshape((2,) * len(active_data))
-    return full.reshape(-1)
-
-
-def _initial_frame(circuit: Circuit) -> _Frame:
-    state = np.zeros((2,) * circuit.n_qubits, dtype=complex)
-    state[(0,) * circuit.n_qubits] = 1.0
-    return _Frame(state, list(range(circuit.n_qubits)), {}, [], {}, 1.0)
+    return _embed_measured(vec, active_data, data_qubits, frame.fixed)
 
 
 def run(
@@ -276,92 +288,19 @@ def run(
     """Simulate ``circuit`` and return its measurement branches.
 
     ``enumerate`` explores every outcome assignment (requires at most
-    ``branch_cap`` measured wires); ``sample`` draws ``shots`` seeded
-    trajectories and reports frequencies as probabilities.
+    ``branch_cap`` measured wires); ``sample`` splits ``shots`` seeded
+    shots over the branches and reports frequencies as probabilities.
     """
     if mode == "enumerate":
         n_meas = sum(1 for op in circuit.ops if op.kind == "measure")
         if n_meas > branch_cap:
             raise TooManyBranches(f"{n_meas} measured wires exceed cap {branch_cap}")
-        branches: list[Branch] = []
-        _enumerate(circuit, _initial_frame(circuit), 0, branches)
-        return branches
+        return _walk(circuit, None, 1.0)
     if mode == "sample":
         if not shots or shots <= 0:
             raise ValueError("sample mode needs a positive shot count")
-        return _sample(circuit, shots, seed)
+        return _walk(circuit, np.random.default_rng(seed), shots)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _finish_branch(circuit: Circuit, frame: _Frame) -> Branch:
-    return Branch(
-        outcomes=tuple(frame.outcomes),
-        probability=frame.prob,
-        data_state=_extract_data_state(frame, circuit.data_qubits),
-        residual_wires=tuple(frame.active),
-        residual_state=frame.state.reshape(-1),
-        fixed_outcomes=dict(frame.fixed),
-    )
-
-
-def _enumerate(circuit: Circuit, frame: _Frame, start: int, out: list[Branch]) -> None:
-    ops = circuit.ops
-    i = start
-    while i < len(ops):
-        op = ops[i]
-        if op.kind in ("measure", "reset"):
-            ax = frame.active.index(op.qubits[0])
-            p0, p1, sl0, sl1 = _measure_probs(frame.state, ax)
-            for outcome, p, slc in ((0, p0, sl0), (1, p1, sl1)):
-                if frame.prob * p < BRANCH_PROB_TOL:
-                    continue
-                child = frame.copy(state=frame.state)
-                if op.kind == "measure":
-                    _project_measure(child, op, outcome, slc, p)
-                else:
-                    _apply_reset(child, op, outcome, slc, p)
-                _enumerate(circuit, child, i + 1, out)
-            return
-        if op.condition is None or op.condition.holds(frame.bits):
-            _apply_unitary(frame, op)
-        i += 1
-    out.append(_finish_branch(circuit, frame))
-
-
-def _run_single(circuit: Circuit, rng: np.random.Generator) -> _Frame:
-    frame = _initial_frame(circuit)
-    for op in circuit.ops:
-        if op.kind in ("measure", "reset"):
-            ax = frame.active.index(op.qubits[0])
-            p0, p1, sl0, sl1 = _measure_probs(frame.state, ax)
-            outcome = 1 if rng.random() < p1 / (p0 + p1) else 0
-            p, slc = ((p0, sl0), (p1, sl1))[outcome]
-            if op.kind == "measure":
-                _project_measure(frame, op, outcome, slc, p)
-            else:
-                _apply_reset(frame, op, outcome, slc, p)
-        elif op.condition is None or op.condition.holds(frame.bits):
-            _apply_unitary(frame, op)
-    return frame
-
-
-def _sample(circuit: Circuit, shots: int, seed: int | None) -> list[Branch]:
-    rng = np.random.default_rng(seed)
-    counts: dict[tuple[int, ...], int] = {}
-    kept: dict[tuple[int, ...], _Frame] = {}
-    for _ in range(shots):
-        frame = _run_single(circuit, rng)
-        key = tuple(frame.outcomes)
-        counts[key] = counts.get(key, 0) + 1
-        if key not in kept:
-            kept[key] = frame
-    branches = []
-    for key in sorted(counts):
-        frame = kept[key]
-        branch = _finish_branch(circuit, frame)
-        branch.probability = counts[key] / shots
-        branches.append(branch)
-    return branches
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
@@ -386,21 +325,11 @@ def fidelity(a, b) -> float:
 
 def data_probabilities(branch: Branch, data_qubits) -> np.ndarray:
     """Marginal computational probabilities of the data register."""
-    active = list(branch.residual_wires)
-    state = branch.residual_state.reshape((2,) * len(active))
-    active_data = [q for q in data_qubits if q in active]
-    perm = [active.index(q) for q in active_data] + [
-        i for i, w in enumerate(active) if w not in active_data
-    ]
-    tensor = np.transpose(state, perm)
-    mat = tensor.reshape(2 ** len(active_data), -1)
-    probs_active = np.sum(np.abs(mat) ** 2, axis=1)
-    full = np.zeros((2,) * len(data_qubits))
-    idx = []
-    for q in data_qubits:
-        idx.append(slice(None) if q in active else branch.fixed_outcomes[q])
-    full[tuple(idx)] = probs_active.reshape((2,) * len(active_data))
-    return full.reshape(-1)
+    active_data, mat = _data_rows(
+        branch.residual_state, list(branch.residual_wires), data_qubits
+    )
+    probs = np.sum(np.abs(mat) ** 2, axis=1)
+    return _embed_measured(probs, active_data, data_qubits, branch.fixed_outcomes)
 
 
 def verify_preparation(
@@ -421,7 +350,7 @@ def verify_preparation(
     stacked = np.stack([b.data_state for b in branches])
     min_fid = float(np.min(np.abs(stacked.conj() @ (target / np.linalg.norm(target)))))
     total = float(sum(b.probability for b in branches))
-    passed = min_fid >= 1.0 - 1e-9 and abs(total - 1.0) <= 1e-10
+    passed = min_fid >= 1.0 - FIDELITY_TOL and abs(total - 1.0) <= PROB_SUM_TOL
     return VerificationReport(
         branches=len(branches), sum_prob=total, min_fidelity=min_fid, passed=passed
     )

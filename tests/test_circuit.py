@@ -10,11 +10,14 @@ import stateprep as sp
 from stateprep.circuit import (
     Circuit,
     Condition,
+    Gate,
     cswap,
     hadamard,
     layers,
+    mcroty,
     measure,
     pauli_z,
+    reset,
     roty,
     serialize,
     deserialize,
@@ -73,6 +76,24 @@ class TestValidation:
                    "ops": [{"kind": "measure", "qubits": [0], "clbit": 0}, z]}
             with pytest.raises(ParseError):
                 deserialize(json.dumps(doc))
+
+    def test_rejects_negative_register_sizes(self):
+        for n_qubits, n_clbits in ((-1, 0), (0, -1), (-1, -2)):
+            with pytest.raises(InvalidCircuit):
+                Circuit(n_qubits, n_clbits, (), ())
+
+    def test_rejects_op_after_measure(self):
+        # The simulator drops a measured wire from its state.
+        for after in (measure(0, 1), reset(0), roty(0, 0.3), cswap(1, 0, 2),
+                      mcroty(0.3, [(0, 1)], 1)):
+            with pytest.raises(InvalidCircuit):
+                Circuit(3, 2, (measure(0, 0), after), (1,))
+
+    def test_rejects_wrong_arity(self):
+        for op in (Gate("measure", (), clbit=0), Gate("roty", (0, 1), angle=0.1),
+                   Gate("z", (0, 1)), Gate("cswap", (0, 1))):
+            with pytest.raises(InvalidCircuit):
+                Circuit(2, 1, (op,), (0,))
 
     def test_rejects_non_finite_angle(self):
         for angle in (float("nan"), float("inf"), -float("inf")):

@@ -164,6 +164,26 @@ class TestVerify:
             assert captured.out == "" and "NaN" not in captured.err
             doc = json.loads(out.read_text())
 
+    def test_malformed_or_oversized_documents_exit_two(self, tmp_path, capsys):
+        vec = write_vector(tmp_path, "v.json", [1.0, 0.0])
+        measure = {"kind": "measure", "qubits": [0], "clbit": 0}
+        docs = (
+            {"n_qubits": -1, "n_clbits": -2, "data_qubits": [], "ops": []},
+            {"n_qubits": 1, "n_clbits": 2, "data_qubits": [0],
+             "ops": [measure, dict(measure, clbit=1)]},
+            {"n_qubits": 1, "n_clbits": 1, "data_qubits": [0],
+             "ops": [measure, {"kind": "x", "qubits": [0]}]},
+            # 2**40 amplitudes: numpy refuses the 16 TiB at once.
+            {"n_qubits": 40, "n_clbits": 0, "data_qubits": [0], "ops": []},
+        )
+        for doc in docs:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert main(["verify", str(bad), vec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+        assert "40 wires" in captured.err
+
 
 class TestAnalyzeSweep:
     def test_analyze_n3_row(self, capsys):

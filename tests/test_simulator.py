@@ -103,6 +103,16 @@ class TestEnumerate:
                 assert b.probability == pytest.approx(prob, abs=1e-12)
                 assert np.allclose(b.data_state, data, atol=1e-10)
 
+    def test_long_circuit_needs_no_recursion(self):
+        # Each reset of a wire in |0> has one outcome, so the walk goes
+        # 1,201 measurement points deep without branching.
+        ops = (reset(0),) * 1200 + (measure(0, 0),)
+        c = Circuit(1, 1, ops, (0,))
+        for kwargs in ({}, {"mode": "sample", "shots": 64, "seed": 0}):
+            [branch] = sp.run(c, **kwargs)
+            assert branch.outcomes == (0,) * 1201
+            assert branch.probability == 1.0
+
     def test_reset_collapses_to_zero(self):
         ops = (hadamard(0), reset(0), measure(0, 0))
         c = Circuit(1, 1, ops, (0,)).validate()
@@ -143,6 +153,43 @@ class TestSample:
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         cutoff = stats.chi2.ppf(1 - 1e-4, df=len(exact) - 1)
         assert chi2 < cutoff
+
+    def test_shot_counts_are_integers_summing_to_shots(self, dense_vector):
+        c = sp.synthesize_dc(sp.build_tree(dense_vector))
+        for shots in (1, 7, 1000):
+            counts = [b.probability * shots for b in sp.run(c, mode="sample", shots=shots, seed=4)]
+            assert all(abs(k - round(k)) < 1e-9 * shots and round(k) >= 1 for k in counts)
+            assert sum(round(k) for k in counts) == shots
+
+    def test_sampled_branch_equals_enumerated_branch(self, dense_vector, w_vector):
+        for vec, prune in ((dense_vector, False), (w_vector, True)):
+            c = sp.synthesize_dc(sp.build_tree(vec), sp.DcOptions(prune=prune))
+            exact = {b.outcomes: b for b in sp.run(c)}
+            for b in sp.run(c, mode="sample", shots=3000, seed=1):
+                e = exact[b.outcomes]
+                assert np.array_equal(b.data_state, e.data_state)
+                assert b.residual_wires == e.residual_wires
+                assert b.fixed_outcomes == e.fixed_outcomes
+
+    def test_reset_in_sample_mode(self):
+        ops = (hadamard(0), reset(0), measure(0, 0))
+        c = Circuit(1, 1, ops, (0,))
+        sampled = sp.run(c, mode="sample", shots=4000, seed=2)
+        assert [b.outcomes for b in sampled] == [(0, 0), (1, 0)]
+        assert sum(b.probability for b in sampled) == pytest.approx(1, abs=1e-12)
+        for b in sampled:
+            assert b.probability == pytest.approx(0.5, abs=0.05)
+            assert b.fixed_outcomes == {0: 0}
+
+    def test_a_billion_shots_cost_one_walk(self):
+        rng = np.random.default_rng(21)
+        x = random_unit(rng, 8)
+        c = sp.synthesize_dc(sp.build_tree(x))
+        exact = {b.outcomes: b.probability for b in sp.run(c)}
+        sampled = sp.run(c, mode="sample", shots=10**9, seed=0)
+        assert len(sampled) == len(exact)
+        for b in sampled:
+            assert abs(b.probability - exact[b.outcomes]) < 1e-3
 
     def test_sampled_branches_subset_of_enumeration(self, dense_vector):
         c = sp.synthesize_dc(sp.build_tree(dense_vector))
