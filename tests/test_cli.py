@@ -284,3 +284,49 @@ def test_module_entry_point(dense_file, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["qubits"] == 7
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = {
+    "dc_dense_n6": ("dense_n6", ["--method", "dc"]),
+    "dc_parallel_dense_n6": ("dense_n6", ["--method", "dc", "--parallelize"]),
+    "hybrid2_prune_dense_n6": ("dense_n6", ["--method", "hybrid", "--lambda", "2", "--prune"]),
+    "dc_prune_w_n5": ("w_n5", ["--method", "dc", "--prune"]),
+    "dc_sparse_n5": ("sparse_n5", ["--method", "dc"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_documents(name, tmp_path, capsys):
+    # ``golden_<name>.json`` and its ``_stages.json`` sidecar were written by
+    # the per-stage recursive synthesis; the level-batched one must emit the
+    # same circuit.  Documents keep 12 significant digits, hence the angle
+    # tolerance.
+    vector, flags = GOLDEN[name]
+    out, report = tmp_path / "c.json", tmp_path / "r.json"
+    argv = ["compile", str(DATA / f"golden_{vector}_vector.json"), *flags]
+    assert main(argv + ["--out", str(out), "--report", str(report)]) == 0
+    capsys.readouterr()
+    got = sp.deserialize(out.read_text())
+    want = sp.deserialize((DATA / f"golden_{name}.json").read_text())
+    assert (got.n_qubits, got.n_clbits, got.data_qubits) == (
+        want.n_qubits,
+        want.n_clbits,
+        want.data_qubits,
+    )
+    assert len(got.ops) == len(want.ops)
+    for a, b in zip(got.ops, want.ops):
+        assert (a.kind, a.qubits, a.clbit, a.polarities, a.condition, a.role) == (
+            b.kind,
+            b.qubits,
+            b.clbit,
+            b.polarities,
+            b.condition,
+            b.role,
+        )
+        assert (a.angle is None) == (b.angle is None)
+        if a.angle is not None:
+            assert a.angle == pytest.approx(b.angle, abs=1e-11)
+    assert json.loads(report.read_text()) == json.loads(
+        (DATA / f"golden_{name}_stages.json").read_text()
+    )
