@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_FLAG_CONFLICT = 3
+# ``distinguish`` passes when each state reaches its own leaves with at
+# most this much probability lost, which is rounding in the plan bases.
+PLAN_MISS_TOL = 1e-10
 
 
 def _fail(message: str, code: int) -> int:
@@ -221,7 +224,7 @@ def cmd_distinguish(args) -> int:
             json.dump({"m": plan.m, "root": _plan_to_dict(plan.root)}, fh, indent=2)
             fh.write("\n")
     print(json.dumps({"p_correct_plus": p_plus, "p_correct_minus": p_minus}))
-    ok = p_plus >= 1.0 - 1e-10 and p_minus >= 1.0 - 1e-10
+    ok = p_plus >= 1.0 - PLAN_MISS_TOL and p_minus >= 1.0 - PLAN_MISS_TOL
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -2,15 +2,21 @@
 
 Any pair of orthogonal ``m``-qubit states can be told apart perfectly by
 measuring one qubit at a time, feeding each outcome forward to pick the
-next measurement basis.  The construction splits off the first qubit,
-finds a 2x2 unitary that removes the same-index overlaps between the two
-conditional residuals, and recurses on the residual pair for each
-outcome.  The result is a binary decision tree of depth ``m`` whose
-leaves are labelled with the identified state.
+next measurement basis.  The plan is a complete binary decision tree of
+depth ``m``: the node for outcome path ``p`` at depth ``d`` measures
+qubit ``d`` (most significant first) in a basis that removes the
+same-index overlaps between the two conditional residuals, and every leaf
+pair is labelled ``+`` (outcome 0) and ``-`` (outcome 1).
+
+The tree is built depth by depth and nothing recurses.  At depth ``d``
+the residual pairs of all ``2**d`` nodes, of every stacked input pair,
+are the rows of two arrays of shape ``(pairs * 2**d, 2**(m - d))``; one
+step solves every row's basis and splits each row into its two children.
+Degenerate, dead and nearly dead rows are handled by masks.
 
 For real input pairs every basis in the tree is a plane rotation, and the
 stored ``angle`` is the y-rotation that maps the basis to the
-computational axes.
+computational axes; complex bases store ``NaN`` there.
 """
 
 from __future__ import annotations
@@ -24,11 +30,17 @@ from .errors import DimensionMismatch, NotOrthogonal, TraceNotZero
 
 ORTH_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
+# A residual overlap above this after a basis change means the input was
+# not an orthogonal pair; below it, it is cancellation noise and is removed.
+DRIFT_TOL = 1e-5
+# Imaginary parts below this are rounding noise: the pair gets real bases.
+REAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class OrthPair:
-    """Two orthonormal states of ``m`` qubits."""
+    """Two orthonormal states of ``m`` qubits, or a stack of such pairs
+    (arrays of shape ``(pairs, 2**m)``)."""
 
     plus: np.ndarray
     minus: np.ndarray
@@ -36,19 +48,23 @@ class OrthPair:
 
     @classmethod
     def from_states(cls, plus, minus) -> "OrthPair":
-        plus = np.asarray(plus, dtype=complex).reshape(-1)
-        minus = np.asarray(minus, dtype=complex).reshape(-1)
+        plus = np.asarray(plus, dtype=complex)
+        minus = np.asarray(minus, dtype=complex)
+        if plus.ndim != 2:
+            plus, minus = plus.reshape(-1), minus.reshape(-1)
         if plus.shape != minus.shape:
             raise DimensionMismatch(f"{plus.shape} vs {minus.shape}")
-        dim = plus.size
+        dim = plus.shape[-1]
         if dim < 2 or dim & (dim - 1):
             raise DimensionMismatch(f"dimension {dim} is not a power of two >= 2")
-        np_, nm = np.linalg.norm(plus), np.linalg.norm(minus)
-        if np_ < ORTH_TOL or nm < ORTH_TOL:
+        np_ = np.linalg.norm(plus, axis=-1, keepdims=True)
+        nm = np.linalg.norm(minus, axis=-1, keepdims=True)
+        if np.any(np_ < ORTH_TOL) or np.any(nm < ORTH_TOL):
             raise NotOrthogonal("zero-norm input state")
         plus, minus = plus / np_, minus / nm
-        if abs(np.vdot(plus, minus)) > ORTH_TOL:
-            raise NotOrthogonal(f"overlap {abs(np.vdot(plus, minus)):.3e} exceeds tolerance")
+        overlap = np.abs(_dot(plus, minus))
+        if np.any(overlap > ORTH_TOL):
+            raise NotOrthogonal(f"overlap {np.max(overlap):.3e} exceeds tolerance")
         return cls(plus=plus, minus=minus, m=dim.bit_length() - 1)
 
 
@@ -70,45 +86,71 @@ class PlanNode:
 
 @dataclass(frozen=True)
 class AdaptiveMeasPlan:
+    """Plan nodes in heap order: the children of node ``i`` are ``2i + 1``
+    and ``2i + 2``, so depth ``d`` holds nodes ``2**d - 1 + path``.
+
+    ``angles`` has shape ``(..., 2**m - 1)`` and ``bases`` ``(..., 2**m -
+    1, 2, 2)``; the leading axis, if any, runs over stacked pairs.
+    """
+
     m: int
-    root: PlanNode
+    angles: np.ndarray
+    bases: np.ndarray
+
+    @property
+    def root(self) -> PlanNode:
+        """The plan of a single pair as a linked tree."""
+
+        def node(i: int) -> Union[PlanNode, PlanLeaf]:
+            if i >= self.angles.shape[-1]:
+                return PlanLeaf("-" if i % 2 == 0 else "+")
+            angle = float(self.angles[i])
+            return PlanNode(
+                basis=self.bases[i],
+                angle=None if np.isnan(angle) else angle,
+                on0=node(2 * i + 1),
+                on1=node(2 * i + 2),
+            )
+
+        return node(0)
 
     def paths(self) -> list[tuple[tuple[int, ...], str]]:
         """All (outcome path, leaf label) pairs in lexicographic order."""
-        out: list[tuple[tuple[int, ...], str]] = []
-
-        def walk(node, prefix):
-            if isinstance(node, PlanLeaf):
-                out.append((prefix, node.label))
-                return
-            walk(node.on0, prefix + (0,))
-            walk(node.on1, prefix + (1,))
-
-        walk(self.root, ())
-        return out
+        return [
+            (tuple((i >> (self.m - 1 - k)) & 1 for k in range(self.m)), "+-"[i & 1])
+            for i in range(2**self.m)
+        ]
 
 
-def solve_ua(eta0, eta1, nu0, nu1) -> tuple[float, float]:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``vdot`` over the last axis."""
+    return np.einsum("...i,...i->...", a.conj(), b)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norm over the last axis."""
+    return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
+
+
+def solve_ua(eta0, eta1, nu0, nu1):
     """Parameters (theta, omega) of the first-qubit basis change.
 
     The returned unitary ``[[cos t, sin t e^{i w}], [sin t e^{-i w},
     -cos t]]`` zeroes both same-index overlaps between the transformed
-    residual families.  Raises ``TraceNotZero`` when the inputs do not
-    come from an orthogonal pair.
+    residual families.  Stacked inputs of shape ``(rows, k)`` give one
+    pair of parameters per row.  Raises ``TraceNotZero`` when the inputs
+    do not come from an orthogonal pair.
     """
-    eta0 = np.asarray(eta0, dtype=complex).reshape(-1)
-    eta1 = np.asarray(eta1, dtype=complex).reshape(-1)
-    nu0 = np.asarray(nu0, dtype=complex).reshape(-1)
-    nu1 = np.asarray(nu1, dtype=complex).reshape(-1)
-    m00 = np.vdot(nu0, eta0)
-    m11 = np.vdot(nu1, eta1)
-    if abs(m00 + m11) > ORTH_TOL:
-        raise TraceNotZero(f"sum of same-index overlaps is {abs(m00 + m11):.3e}")
-    if abs(m00) < DEGENERATE_TOL and abs(m11) < DEGENERATE_TOL:
-        return 0.0, 0.0
+    eta0, eta1, nu0, nu1 = (np.asarray(v, dtype=complex) for v in (eta0, eta1, nu0, nu1))
+    m00 = _dot(nu0, eta0)
+    m11 = _dot(nu1, eta1)
+    trace = np.abs(m00 + m11)
+    if np.any(trace > ORTH_TOL):
+        raise TraceNotZero(f"sum of same-index overlaps is {np.max(trace):.3e}")
+    degenerate = (np.abs(m00) < DEGENERATE_TOL) & (np.abs(m11) < DEGENERATE_TOL)
 
-    p = np.vdot(nu1, eta0)
-    q = np.vdot(nu0, eta1)
+    p = _dot(nu1, eta0)
+    q = _dot(nu0, eta1)
     a = m00 - m11
 
     # Phase alignment: pick omega so the off-diagonal combination shares
@@ -117,51 +159,51 @@ def solve_ua(eta0, eta1, nu0, nu1) -> tuple[float, float]:
     # the numerator relative to the transposed-overlap convention.
     omega_n = a.imag * (p + q).real - a.real * (p + q).imag
     omega_d = a.real * (p - q).real + a.imag * (p - q).imag
-    if abs(omega_n) < DEGENERATE_TOL:
-        # omega = 0 and omega = pi both align the phases when the
-        # numerator vanishes; zero keeps real inputs on real bases.
-        omega = 0.0
-    else:
-        omega = -float(np.arctan2(omega_n, omega_d))
+    # omega = 0 and omega = pi both align the phases when the numerator
+    # vanishes; zero keeps real inputs on real bases.
+    omega = np.where(np.abs(omega_n) < DEGENERATE_TOL, 0.0, -np.arctan2(omega_n, omega_d))
 
     b = q * np.exp(1j * omega) + p * np.exp(-1j * omega)
-    if abs(a.imag) < DEGENERATE_TOL and abs(b.imag) < DEGENERATE_TOL:
-        # Real case: numerator/denominator are plain real parts.
-        theta_n, theta_d = a.real, b.real
-    else:
-        # Project onto the common phase so the arctangent stays real.
-        ref = a if abs(a) >= abs(b) else b
-        ref = ref / abs(ref)
-        theta_n = (a / ref).real
-        theta_d = (b / ref).real
-    if abs(theta_n) < DEGENERATE_TOL and abs(theta_d) < DEGENERATE_TOL:
-        return 0.0, omega
-    theta = 0.5 * float(np.arctan2(-theta_n, theta_d))
+    # Real case: numerator/denominator are plain real parts.  Otherwise
+    # project onto the common phase so the arctangent stays real.
+    real = (np.abs(a.imag) < DEGENERATE_TOL) & (np.abs(b.imag) < DEGENERATE_TOL)
+    ref = np.where(np.abs(a) >= np.abs(b), a, b)
+    ref = np.where(real, 1.0, ref / np.where(real, 1.0, np.abs(ref)))
+    theta_n = np.where(real, a.real, (a / ref).real)
+    theta_d = np.where(real, b.real, (b / ref).real)
+    flat = (np.abs(theta_n) < DEGENERATE_TOL) & (np.abs(theta_d) < DEGENERATE_TOL)
+    theta = np.where(flat | degenerate, 0.0, 0.5 * np.arctan2(-theta_n, theta_d))
+    omega = np.where(degenerate, 0.0, omega)
+    if theta.ndim == 0:
+        return float(theta), float(omega)
     return theta, omega
 
 
 def _sign_fixed(v: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(np.abs(v) > DEGENERATE_TOL)
-    if not len(nz):
-        return v
-    phase = v[nz[0]] / abs(v[nz[0]])
-    return v / phase
+    """Rows rescaled by a phase that makes their first non-negligible
+    entry real and positive."""
+    live = np.abs(v) > DEGENERATE_TOL
+    pivot = v[np.arange(len(v)), live.argmax(axis=1)]
+    pivot = np.where(live.any(axis=1), pivot, 1.0)
+    return v / (pivot / np.abs(pivot))[:, None]
 
 
-def _is_real(v: np.ndarray) -> bool:
-    return bool(np.max(np.abs(v.imag)) < 1e-12)
+def _is_real(v: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(v.imag), axis=1) < REAL_TOL
 
 
-def _basis_node(plus: np.ndarray, minus: np.ndarray):
-    """Measurement basis (rows) for a single-qubit pair, plus rotation angle."""
-    plus = _sign_fixed(plus)
-    minus = _sign_fixed(minus)
-    if _is_real(plus) and _is_real(minus):
-        angle = -2.0 * float(np.arctan2(plus[1].real, plus[0].real))
-        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-        basis = np.array([[c, -s], [s, c]], dtype=complex)
-        return basis, angle
-    return np.array([plus.conj(), minus.conj()]), None
+def _rotation_bases(angle: np.ndarray) -> np.ndarray:
+    """Rows of the y-rotation by ``-angle``: ``[[c, -s], [s, c]]``."""
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
+
+
+def _split(bases: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Project the first qubit of every row of ``v`` onto the two rows of
+    its basis: row ``r`` becomes rows ``2r`` (outcome 0) and ``2r + 1``."""
+    half = v.shape[1] // 2
+    out = bases[:, :, 0, None] * v[:, None, :half] + bases[:, :, 1, None] * v[:, None, half:]
+    return out.reshape(-1, half)
 
 
 def _orthogonal_filler(v: np.ndarray) -> np.ndarray:
@@ -178,96 +220,105 @@ def _orthogonal_filler(v: np.ndarray) -> np.ndarray:
     return best / best_norm
 
 
-def _decompose_pair(plus: np.ndarray, minus: np.ndarray):
-    dim = plus.size
-    if dim == 2:
-        basis, angle = _basis_node(plus, minus)
-        return PlanNode(basis=basis, angle=angle, on0=PlanLeaf("+"), on1=PlanLeaf("-"))
-
-    half = dim // 2
-    eta = (plus[:half], plus[half:])
-    nu = (minus[:half], minus[half:])
-    theta, omega = solve_ua(eta[0], eta[1], nu[0], nu[1])
+def _inner_step(plus: np.ndarray, minus: np.ndarray):
+    """Bases of one depth's rows and the residual pairs below them."""
+    half = plus.shape[1] // 2
+    theta, omega = solve_ua(plus[:, :half], plus[:, half:], minus[:, :half], minus[:, half:])
+    real = (np.abs(omega) < DEGENERATE_TOL) & _is_real(plus) & _is_real(minus)
+    angle = -2.0 * theta
     c, s = np.cos(theta), np.sin(theta)
-    ua = np.array([[c, s * np.exp(1j * omega)], [s * np.exp(-1j * omega), -c]])
-    if abs(omega) < DEGENERATE_TOL and _is_real(plus) and _is_real(minus):
-        angle = -2.0 * theta
-        cc, ss = np.cos(angle / 2.0), np.sin(angle / 2.0)
-        basis = np.array([[cc, -ss], [ss, cc]], dtype=complex)
-        rows = basis
-    else:
-        angle = None
-        rows = ua
-        basis = ua
+    ua = np.stack(
+        [
+            np.stack([c, s * np.exp(1j * omega)], -1),
+            np.stack([s * np.exp(-1j * omega), -c], -1),
+        ],
+        -2,
+    )
+    bases = np.where(real[:, None, None], _rotation_bases(angle), ua)
 
-    children = []
-    for a in (0, 1):
-        eta_a = rows[a, 0] * eta[0] + rows[a, 1] * eta[1]
-        nu_a = rows[a, 0] * nu[0] + rows[a, 1] * nu[1]
-        ne, nn = np.linalg.norm(eta_a), np.linalg.norm(nu_a)
-        if ne > DEGENERATE_TOL and nn > DEGENERATE_TOL:
-            eta_a, nu_a = eta_a / ne, nu_a / nn
-            drift = abs(np.vdot(eta_a, nu_a))
-            if drift > 1e-5:
-                raise NotOrthogonal(
-                    f"residual pair overlap {drift:.3e} after basis change"
-                )
-            # The exact residuals are orthogonal; cancellation noise on
-            # near-dead outcomes can leave a small computed overlap.
-            # Re-orthogonalizing keeps the plan bases exactly valid.
-            if drift > 0.0:
-                nu_a = nu_a - np.vdot(eta_a, nu_a) * eta_a
-                nu_a = nu_a / np.linalg.norm(nu_a)
-        elif nn > DEGENERATE_TOL:
-            nu_a = nu_a / nn
-            eta_a = _orthogonal_filler(nu_a)
-        elif ne > DEGENERATE_TOL:
-            eta_a = eta_a / ne
-            nu_a = _orthogonal_filler(eta_a)
+    eta, nu = _split(bases, plus), _split(bases, minus)
+    ne, nn = _norm(eta), _norm(nu)
+    live_e, live_n = ne > DEGENERATE_TOL, nn > DEGENERATE_TOL
+    eta = eta / np.where(live_e, ne, 1.0)[:, None]
+    nu = nu / np.where(live_n, nn, 1.0)[:, None]
+    both = live_e & live_n
+    overlap = np.where(both, _dot(eta, nu), 0.0)
+    drift = np.abs(overlap)
+    if np.any(drift > DRIFT_TOL):
+        raise NotOrthogonal(f"residual pair overlap {np.max(drift):.3e} after basis change")
+    # The exact residuals are orthogonal; cancellation noise on
+    # near-dead outcomes can leave a small computed overlap.
+    # Re-orthogonalizing keeps the plan bases exactly valid.
+    fix = np.flatnonzero(drift > 0.0)
+    if len(fix):
+        v = nu[fix] - overlap[fix, None] * eta[fix]
+        nu[fix] = v / _norm(v)[:, None]
+    for r in np.flatnonzero(~both):
+        if live_n[r]:
+            eta[r] = _orthogonal_filler(nu[r])
+        elif live_e[r]:
+            nu[r] = _orthogonal_filler(eta[r])
         else:
             # Dead branch: neither state reaches this outcome.
-            eta_a = np.zeros(half, dtype=complex)
-            eta_a[0] = 1.0
-            nu_a = _orthogonal_filler(eta_a)
-        children.append(_decompose_pair(_sign_fixed(eta_a), _sign_fixed(nu_a)))
+            eta[r] = 0.0
+            eta[r, 0] = 1.0
+            nu[r] = _orthogonal_filler(eta[r])
+    return np.where(real, angle, np.nan), bases, _sign_fixed(eta), _sign_fixed(nu)
 
-    return PlanNode(basis=basis, angle=angle, on0=children[0], on1=children[1])
+
+def _leaf_step(plus: np.ndarray, minus: np.ndarray):
+    """Bases of single-qubit rows."""
+    plus, minus = _sign_fixed(plus), _sign_fixed(minus)
+    real = _is_real(plus) & _is_real(minus)
+    angle = -2.0 * np.arctan2(plus[:, 1].real, plus[:, 0].real)
+    bases = np.where(
+        real[:, None, None], _rotation_bases(angle), np.stack([plus.conj(), minus.conj()], 1)
+    )
+    return np.where(real, angle, np.nan), bases
 
 
 def decompose(pair: OrthPair) -> AdaptiveMeasPlan:
-    """Adaptive single-qubit measurement plan discriminating ``pair``.
+    """Adaptive single-qubit measurement plan discriminating ``pair``, or
+    one plan per pair of a stacked ``pair``.
 
-    The first measured qubit is the most significant one; each recursion
-    level measures the next lower qubit conditioned on all previous
-    outcomes.
+    The first measured qubit is the most significant one; depth ``d``
+    measures qubit ``d`` conditioned on all previous outcomes.
     """
-    return AdaptiveMeasPlan(m=pair.m, root=_decompose_pair(pair.plus, pair.minus))
+    size = 2**pair.m
+    plus, minus = pair.plus.reshape(-1, size), pair.minus.reshape(-1, size)
+    count = len(plus)
+    angles = np.empty((count, size - 1))
+    bases = np.empty((count, size - 1, 2, 2), dtype=complex)
+    for d in range(pair.m):
+        if d < pair.m - 1:
+            angle, basis, plus, minus = _inner_step(plus, minus)
+        else:
+            angle, basis = _leaf_step(plus, minus)
+        angles[:, 2**d - 1 : 2 ** (d + 1) - 1] = angle.reshape(count, -1)
+        bases[:, 2**d - 1 : 2 ** (d + 1) - 1] = basis.reshape(count, -1, 2, 2)
+    lead = pair.plus.shape[:-1]
+    return AdaptiveMeasPlan(
+        m=pair.m, angles=angles.reshape(lead + (-1,)), bases=bases.reshape(lead + (-1, 2, 2))
+    )
 
 
 def evaluate_plan(plan: AdaptiveMeasPlan, state) -> list[tuple[tuple[int, ...], str, float]]:
-    """Outcome distribution of running ``plan`` on ``state``.
+    """Outcome distribution of running a single-pair ``plan`` on ``state``.
 
     Returns one entry per outcome path: (path, leaf label, probability).
     Probabilities sum to one.
     """
     state = np.asarray(state, dtype=complex).reshape(-1)
+    if plan.bases.ndim != 3:
+        raise DimensionMismatch("evaluate_plan takes the plan of a single pair")
     if state.size != 2**plan.m:
         raise DimensionMismatch(f"state dimension {state.size}, plan expects {2 ** plan.m}")
     norm = np.linalg.norm(state)
     if norm == 0.0:
         raise DimensionMismatch("zero-norm state")
-    out: list[tuple[tuple[int, ...], str, float]] = []
-
-    def walk(node, vec, prefix):
-        # Probability bookkeeping via unnormalized residuals.
-        half = vec.size // 2
-        blocks = (vec[:half], vec[half:])
-        for a, child in ((0, node.on0), (1, node.on1)):
-            comp = node.basis[a, 0] * blocks[0] + node.basis[a, 1] * blocks[1]
-            if isinstance(child, PlanLeaf):
-                out.append((prefix + (a,), child.label, float(np.vdot(comp, comp).real)))
-            else:
-                walk(child, comp, prefix + (a,))
-
-    walk(plan.root, state / norm, ())
-    return out
+    # Probability bookkeeping via unnormalized residuals, one row per path.
+    rows = (state / norm)[None, :]
+    for d in range(plan.m):
+        rows = _split(plan.bases[2**d - 1 : 2 ** (d + 1) - 1], rows)
+    probs = _norm(rows) ** 2
+    return [(path, label, float(p)) for (path, label), p in zip(plan.paths(), probs)]

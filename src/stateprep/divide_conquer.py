@@ -14,6 +14,12 @@ an adaptive basis and a conditioned Z on the control wire undoes the
 relative sign, leaving the ancilla wires in computational states.
 With ``prune``, ``_plan_tree`` alone decides which nodes keep one child.
 
+Synthesis works one tree level at a time and nothing recurses over the
+plans: the sibling states of every combining stage of a level are rows of
+the tree's level arrays (``tree.grounded_states``), and one
+``compile_disentangler`` call builds all of the level's measurement plans
+together and emits the level's ops in stage order.
+
 ``parallelize_cswaps`` repositions the interior swaps of every combining
 run into earlier layers.  In a run of ``c`` swaps (its enclosing block
 calls it stage ``m = c + 1``) the first and last swaps are rigid; the
@@ -44,21 +50,19 @@ from .circuit import (
     roty,
     with_ops,
 )
-from .discrimination import OrthPair, PlanLeaf, decompose
-from .errors import (
-    LambdaOutOfRange,
-    NegativeOverlapAfterConvention,
-    NonUnitInput,
-    UnrecognizedStructure,
-)
+from .discrimination import OrthPair, decompose
+from .errors import LambdaOutOfRange, NonUnitInput, UnrecognizedStructure
 from .time_encoding import rotation_ops
-from .tree import ANGLE_TOL, AmplitudeTree, ZERO_NORM_TOL, children_of, state_or_ground
+from .tree import ANGLE_TOL, AmplitudeTree, ZERO_NORM_TOL, children_of
 
 # States are treated as equal only at machine-level overlap deficit.
 # The +/- basis construction stays numerically sound for any larger
 # deficit, while a computational shortcut there can distort the rare
 # outcomes' amplitude ratios on wide-dynamic-range inputs.
 OVERLAP_EQUAL_TOL = 1e-12
+# Stage states are products of unit edge weights; a norm further than
+# this from one is a caller error, not rounding.
+UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ def compile_disentangler(
     psi_left,
     psi_right,
     ancilla_wires,
-    control_wire: int,
+    control_wire,
     first_clbit: int = 0,
 ) -> list[Gate]:
     """Ops that measure out an ancilla register holding one of two known
@@ -106,66 +110,73 @@ def compile_disentangler(
     paths that picked the antisymmetric projector.  When the two states
     coincide the register is already in a product state and plain
     computational measurements are emitted with no correction.
+
+    Stacked states of shape ``(stages, 2**m)``, with one wire list and
+    one control wire per stage, compile every stage at once; their ops
+    follow in stage order on consecutive classical bits.
     """
-    left = np.asarray(psi_left, dtype=float if not np.iscomplexobj(psi_left) else complex)
-    right = np.asarray(psi_right, dtype=float if not np.iscomplexobj(psi_right) else complex)
+    left, right = np.asarray(psi_left), np.asarray(psi_right)
     if np.iscomplexobj(left) or np.iscomplexobj(right):
         raise NonUnitInput("disentangling bases are built from real vectors only")
-    left = left.reshape(-1).astype(float)
-    right = right.reshape(-1).astype(float)
-    wires = list(ancilla_wires)
-    if left.shape != right.shape or left.size != 2 ** len(wires):
+    if left.ndim == 1:
+        ancilla_wires, control_wire = [ancilla_wires], [control_wire]
+    left = np.atleast_2d(left).astype(float)
+    right = np.atleast_2d(right).astype(float)
+    wires = [list(w) for w in ancilla_wires]
+    m = len(wires[0])
+    if (
+        left.shape != right.shape
+        or left.shape != (len(wires), 2**m)
+        or len(control_wire) != len(wires)
+        or any(len(w) != m for w in wires)
+    ):
         raise NonUnitInput(
-            f"state dimensions {left.size}/{right.size} do not match {len(wires)} wires"
+            f"state shapes {left.shape}/{right.shape} do not match {len(wires)} "
+            f"registers of {m} wires and {len(control_wire)} controls"
         )
-    if abs(np.linalg.norm(left) - 1.0) > 1e-9 or abs(np.linalg.norm(right) - 1.0) > 1e-9:
+    norms = np.linalg.norm(np.concatenate([left, right]), axis=1)
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise NonUnitInput("input states must be unit norm")
 
-    flipped = False
-    overlap = float(left @ right)
-    if overlap < 0.0:
-        right = -right
-        overlap = -overlap
-        flipped = True
-    if overlap < -1e-12:
-        raise NegativeOverlapAfterConvention(f"overlap {overlap} still negative")
+    overlap = np.einsum("ij,ij->i", left, right)
+    flipped = overlap < 0.0
+    right = np.where(flipped[:, None], -right, right)
+    overlap = np.abs(overlap)
+    # Equal states: the register factors out, any basis works.
+    equal = overlap >= 1.0 - OVERLAP_EQUAL_TOL
+    live = np.flatnonzero(~equal)
+    plans = iter(())
+    if len(live):
+        ov = overlap[live, None]
+        plus = (left[live] + right[live]) / np.sqrt(2.0 * (1.0 + ov))
+        minus = (left[live] - right[live]) / np.sqrt(2.0 * (1.0 - ov))
+        angles = decompose(OrthPair.from_states(plus, minus)).angles
+        if np.isnan(angles).any():
+            raise NonUnitInput("plan basis is not a real rotation")
+        plans = zip(angles.tolist(), (np.abs(angles) > ANGLE_TOL).tolist())
 
-    if overlap >= 1.0 - OVERLAP_EQUAL_TOL:
-        # Equal states: the register factors out, any basis works.
-        return [measure(w, first_clbit + k) for k, w in enumerate(wires)]
-
-    plus = (left + right) / np.sqrt(2.0 * (1.0 + overlap))
-    minus = (left - right) / np.sqrt(2.0 * (1.0 - overlap))
-    plan = decompose(OrthPair.from_states(plus, minus))
-
-    # A plan path is tracked as the integer its outcomes spell, first
-    # outcome most significant, which is how a ``Condition`` reads bits.
+    # Plan node ``2**k - 1 + path`` measures wire ``k`` after the outcomes
+    # that spell ``path``, first outcome most significant, which is how a
+    # ``Condition`` reads bits.  Every leaf pair is labelled (+, -), so the
+    # antisymmetric outcomes are the odd paths (even ones when flipped).
     ops: list[Gate] = []
-    nodes = [(0, plan.root)]
-    for k, wire in enumerate(wires):
-        bits = tuple(range(first_clbit, first_clbit + k))
-        next_nodes = []
-        for path, node in nodes:
-            if isinstance(node, PlanLeaf):
-                raise NonUnitInput("plan shorter than ancilla register")
-            if node.angle is None:
-                raise NonUnitInput("plan basis is not a real rotation")
-            if abs(node.angle) > ANGLE_TOL:
-                condition = Condition(bits, (path,)) if k > 0 else None
-                ops.append(
-                    roty(wire, node.angle, condition=condition, role=ROLE_MEAS_BASIS)
-                )
-            next_nodes.append((2 * path, node.on0))
-            next_nodes.append((2 * path + 1, node.on1))
-        ops.append(measure(wire, first_clbit + k))
-        nodes = next_nodes
-
-    # ``paths()`` lists all 2**m leaves in order, so a leaf's index is its path.
-    bits = tuple(range(first_clbit, first_clbit + len(wires)))
-    values = tuple(
-        i for i, (_, label) in enumerate(plan.paths()) if (label == "-") != flipped
-    )
-    ops.append(pauli_z(control_wire, condition=Condition(bits, values), role=ROLE_CORRECT))
+    for stage, (stage_wires, control) in enumerate(zip(wires, control_wire)):
+        clbits = tuple(range(first_clbit + stage * m, first_clbit + (stage + 1) * m))
+        if equal[stage]:
+            ops.extend(measure(w, b) for w, b in zip(stage_wires, clbits))
+            continue
+        stage_angles, keep = next(plans)
+        for k, wire in enumerate(stage_wires):
+            for path in range(2**k):
+                node = 2**k - 1 + path
+                if keep[node]:
+                    condition = Condition(clbits[:k], (path,)) if k else None
+                    ops.append(
+                        roty(wire, stage_angles[node], condition=condition, role=ROLE_MEAS_BASIS)
+                    )
+            ops.append(measure(wire, clbits[k]))
+        values = tuple(range(1 - int(flipped[stage]), 2**m, 2))
+        ops.append(pauli_z(control, condition=Condition(clbits, values), role=ROLE_CORRECT))
     return ops
 
 
@@ -182,6 +193,12 @@ class _Plan:
 def _plan_tree(tree: AmplitudeTree, block_level: int, prune: bool) -> _Plan:
     mode: dict[int, str] = {}
     included: list[int] = []
+    # Whether the two children of each node hold the same state, by level.
+    same: list[np.ndarray] = []
+    if prune:
+        for level in range(block_level):
+            states = tree_mod.grounded_states(tree, level + 1)
+            same.append(tree_mod.states_equal(states[0::2], states[1::2]))
 
     def visit(f: int, level: int) -> None:
         included.append(f)
@@ -194,7 +211,7 @@ def _plan_tree(tree: AmplitudeTree, block_level: int, prune: bool) -> _Plan:
             mode[f] = "left"
         elif tree.omega0[f] <= ZERO_NORM_TOL:
             mode[f] = "right"
-        elif tree_mod.states_equal(state_or_ground(tree, left), state_or_ground(tree, right)):
+        elif same[level][f + 1 - 2**level]:
             mode[f] = "left"
         else:
             mode[f] = "combine"
@@ -249,38 +266,40 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
     for level in range(block_level - 1, -1, -1):
         base = 2**level - 1
         combiners = [base + p for p in range(2**level) if plan.mode.get(base + p) == "combine"]
-        stage_meta = []
+        controls, right_lives = [], []
         for f in combiners:
             left, right = children_of(f)
-            control = plan.wire[f]
             left_live = _live_wires(plan, left, block_level)
             right_live = _live_wires(plan, right, block_level)
             for a, b in zip(left_live, right_live):
-                ops.append(cswap(control, a, b, role=ROLE_COMBINE))
-            stage_meta.append((f, control, right_live, left, right))
-        if not opts.disentangle:
+                ops.append(cswap(plan.wire[f], a, b, role=ROLE_COMBINE))
+            controls.append(plan.wire[f])
+            right_lives.append(right_live)
+        if not opts.disentangle or not combiners:
             continue
-        for f, control, right_live, left, right in stage_meta:
-            psi_left = state_or_ground(tree, left)
-            psi_right = state_or_ground(tree, right)
-            stage_ops = compile_disentangler(
-                psi_left, psi_right, right_live, control, first_clbit=next_bit
-            )
-            clbits = tuple(range(next_bit, next_bit + len(right_live)))
-            next_bit += len(right_live)
-            ops.extend(stage_ops)
-            correction = stage_ops[-1] if stage_ops[-1].kind == "z" else None
+        states = tree_mod.grounded_states(tree, level + 1)
+        pos = 2 * (np.array(combiners) - base)
+        stage_ops = compile_disentangler(
+            states[pos], states[pos + 1], right_lives, controls, first_clbit=next_bit
+        )
+        ops.extend(stage_ops)
+        corrections = {
+            op.qubits[0]: op.condition.values for op in stage_ops if op.role == ROLE_CORRECT
+        }
+        m = len(right_lives[0])
+        for f, control, right_live in zip(combiners, controls, right_lives):
             reports.append(
                 StageReport(
                     level=level,
                     node=f,
                     control_wire=control,
                     ancilla_wires=tuple(right_live),
-                    clbits=clbits,
-                    computational=correction is None,
-                    correction_values=correction.condition.values if correction else (),
+                    clbits=tuple(range(next_bit, next_bit + m)),
+                    computational=control not in corrections,
+                    correction_values=corrections.get(control, ()),
                 )
             )
+            next_bit += m
 
     n_qubits = len(plan.wire) + lam * len(plan.block_wires)
     data = tuple(_live_wires(plan, 0, block_level))

@@ -53,10 +53,6 @@ class NonUnitInput(StatePrepError):
     pass
 
 
-class NegativeOverlapAfterConvention(StatePrepError):
-    pass
-
-
 class UnrecognizedStructure(StatePrepError):
     pass
 

@@ -7,11 +7,17 @@ children, the y-rotation angle that prepares the corresponding single-qubit
 state, and the norm of the amplitude block covered by its subtree.  The
 product of edge weights along the path from the root to leaf ``i`` equals
 amplitude ``x_i``.
+
+The states below the nodes are formed level by level, bottom up, in one
+pass (``AmplitudeTree.states``): the rows of level ``l`` are the left
+child rows scaled by ``omega0`` next to the right child rows scaled by
+``omega1``.  Nothing recurses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +55,21 @@ class AmplitudeTree:
     @property
     def num_nodes(self) -> int:
         return 2**self.n - 1
+
+    @cached_property
+    def states(self) -> tuple[np.ndarray, ...]:
+        """``states[l]`` has shape ``(2**l, 2**(n - l))``; row ``p`` is the
+        state below node ``2**l - 1 + p``, a zero row for zero-norm nodes."""
+        leaves = slice(2 ** (self.n - 1) - 1, None)
+        level = np.stack([self.omega0[leaves], self.omega1[leaves]], 1)
+        out = [level]
+        for lvl in range(self.n - 2, -1, -1):
+            nodes = slice(2**lvl - 1, 2 ** (lvl + 1) - 1)
+            level = np.concatenate(
+                [self.omega0[nodes, None] * level[0::2], self.omega1[nodes, None] * level[1::2]], 1
+            )
+            out.append(level)
+        return tuple(reversed(out))
 
 
 def level_of(f: int) -> int:
@@ -141,28 +162,16 @@ def preorder(tree: AmplitudeTree) -> list[int]:
 def subtree_state(tree: AmplitudeTree, f: int) -> np.ndarray:
     """Normalized state of the ``n - level(f)`` qubits below node ``f``.
 
-    Obtained by multiplying edge weights down the subtree; zero-norm
-    branches contribute zero blocks.  Raises ``UndefinedNode`` when the
-    node itself carries no amplitude.
+    The product of edge weights down the subtree; zero-norm branches
+    contribute zero blocks.  Raises ``UndefinedNode`` when the node itself
+    carries no amplitude.
     """
     if f < 0 or f >= tree.num_nodes:
         raise UndefinedNode(f"node index {f} out of range")
     if not tree.defined[f]:
         raise UndefinedNode(f"node {f} has zero norm")
-    return _state_below(tree, f)
-
-
-def _state_below(tree: AmplitudeTree, f: int) -> np.ndarray:
-    if level_of(f) == tree.n - 1:
-        return np.array([tree.omega0[f], tree.omega1[f]])
-    left, right = children_of(f)
-    half = 2 ** (tree.n - level_of(f) - 1)
-    out = np.zeros(2 * half)
-    if tree.omega0[f] > 0.0:
-        out[:half] = tree.omega0[f] * _state_below(tree, left)
-    if tree.omega1[f] > 0.0:
-        out[half:] = tree.omega1[f] * _state_below(tree, right)
-    return out
+    level = level_of(f)
+    return tree.states[level][f + 1 - 2**level].copy()
 
 
 def state_or_ground(tree: AmplitudeTree, f: int) -> np.ndarray:
@@ -172,20 +181,29 @@ def state_or_ground(tree: AmplitudeTree, f: int) -> np.ndarray:
     the state actually sitting in those registers.
     """
     if tree.defined[f]:
-        return _state_below(tree, f)
+        return subtree_state(tree, f)
     out = np.zeros(2 ** (tree.n - level_of(f)))
     out[0] = 1.0
     return out
 
 
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = STATE_EQ_TOL) -> bool:
-    a = _sign_fixed(a)
-    b = _sign_fixed(b)
-    return bool(np.max(np.abs(a - b)) <= tol)
+def grounded_states(tree: AmplitudeTree, level: int) -> np.ndarray:
+    """``state_or_ground`` of every node at ``level``, one row each."""
+    out = tree.states[level].copy()
+    dead = ~tree.defined[2**level - 1 : 2 ** (level + 1) - 1]
+    out[dead] = 0.0
+    out[dead, 0] = 1.0
+    return out
+
+
+def states_equal(a: np.ndarray, b: np.ndarray, tol: float = STATE_EQ_TOL):
+    """Whether ``a`` and ``b`` agree up to a global sign, row by row for
+    stacked states."""
+    return np.max(np.abs(_sign_fixed(a) - _sign_fixed(b)), axis=-1) <= tol
 
 
 def _sign_fixed(v: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(np.abs(v) > ZERO_NORM_TOL)
-    if len(nz) and v[nz[0]] < 0:
-        return -v
-    return v
+    """``v`` with each row's first non-negligible entry made positive."""
+    live = np.abs(v) > ZERO_NORM_TOL
+    first = np.take_along_axis(v, live.argmax(axis=-1)[..., None], -1)
+    return np.where(live.any(axis=-1, keepdims=True) & (first < 0), -v, v)

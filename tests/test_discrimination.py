@@ -129,6 +129,19 @@ class TestDecompose:
             assert plan_depth(plan) == m
             assert all(len(path) == m for path, _ in plan.paths())
 
+    @pytest.mark.parametrize("real", [False, True])
+    def test_stacked_pairs_match_single_pairs(self, real):
+        rng = np.random.default_rng(11)
+        pairs = [random_orthogonal_pair(rng, 8, real=real) for _ in range(20)]
+        stacked = decompose(OrthPair.from_states([p for p, _ in pairs], [m for _, m in pairs]))
+        assert stacked.angles.shape == (20, 7) and stacked.bases.shape == (20, 7, 2, 2)
+        # Complex bases store NaN angles; real ones store every angle.
+        assert np.isnan(stacked.angles).all() != real
+        for row, (plus, minus) in enumerate(pairs):
+            single = decompose(OrthPair.from_states(plus, minus))
+            for got, want in zip((stacked.angles, stacked.bases), (single.angles, single.bases)):
+                assert np.allclose(got[row], want, rtol=0, atol=1e-14, equal_nan=True)
+
     def test_not_orthogonal_rejected(self):
         with pytest.raises(NotOrthogonal):
             OrthPair.from_states([1, 0], [np.sqrt(0.5), np.sqrt(0.5)])

@@ -5,6 +5,7 @@ import stateprep as sp
 from stateprep.circuit import Circuit, layers, roty
 from stateprep.divide_conquer import DcOptions, compile_disentangler, parallelize_cswaps
 from stateprep.errors import NonUnitInput, UnrecognizedStructure
+from stateprep.tree import state_or_ground
 
 from conftest import random_unit
 
@@ -146,6 +147,64 @@ class TestSynthesizeDc:
         assert correction.kind == "z" and correction.condition.bits == final.clbits
         assert final.correction_values == correction.condition.values
         assert len(final.correction_values) == 2
+
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_stages_match_single_stage_calls(self, n):
+        # Each stage's machinery, compiled with its whole level, equals
+        # the ops of a call on that stage alone.
+        x = random_unit(np.random.default_rng(50 + n), 2**n)
+        tree = sp.build_tree(x)
+        c = sp.synthesize_dc(tree)
+        assert len(c.stage_reports) == 2 ** (n - 1) - 1
+        for rep in c.stage_reports:
+            left, right = 2 * rep.node + 1, 2 * rep.node + 2
+            alone = compile_disentangler(
+                state_or_ground(tree, left),
+                state_or_ground(tree, right),
+                rep.ancilla_wires,
+                rep.control_wire,
+                first_clbit=rep.clbits[0],
+            )
+            inside = [
+                op
+                for op in c.ops
+                if (op.role == "meas_basis" or op.kind == "measure")
+                and op.qubits[0] in rep.ancilla_wires
+                or op.role == "correct" and op.condition.bits == rep.clbits
+            ]
+            assert len(inside) == len(alone)
+            for a, b in zip(inside, alone):
+                assert (a.kind, a.qubits, a.clbit, a.condition, a.role) == (
+                    b.kind,
+                    b.qubits,
+                    b.clbit,
+                    b.condition,
+                    b.role,
+                )
+                assert (a.angle is None and b.angle is None) or abs(a.angle - b.angle) <= 1e-14
+
+    def test_level_mixing_equal_and_unequal_siblings(self):
+        # Level 1 of this n=4 tree has one stage whose siblings hold the
+        # same state (node 1: u and u) and one whose siblings differ
+        # (node 2: v and w).
+        rng = np.random.default_rng(29)
+        u, v, w = (rng.random(4) + 0.1 for _ in range(3))
+        x = np.concatenate([u, u, v, w])
+        x /= np.linalg.norm(x)
+        c = sp.synthesize_dc(sp.build_tree(x))
+        level1 = {rep.node: rep for rep in c.stage_reports if rep.level == 1}
+        same, differ = level1[1], level1[2]
+        assert same.computational and same.correction_values == ()
+        assert not differ.computational and len(differ.correction_values) == 2
+        assert differ.clbits == (same.clbits[-1] + 1, same.clbits[-1] + 2)
+        machinery = [op for op in c.ops if op.role == "meas_basis" or op.kind == "measure"]
+        same_ops = [op for op in machinery if op.qubits[0] in same.ancilla_wires]
+        assert [(op.kind, op.clbit) for op in same_ops] == [("measure", b) for b in same.clbits]
+        corrections = {op.condition.bits: op for op in c.ops if op.role == "correct"}
+        assert same.clbits not in corrections
+        assert corrections[differ.clbits].qubits == (differ.control_wire,)
+        assert sp.verify_preparation(c, x).passed
 
 
 class TestWState(object):
