@@ -29,8 +29,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_FLAG_CONFLICT = 3
-# ``distinguish`` passes when each state reaches its own leaves with at
-# most this much probability lost, which is rounding in the plan bases.
+# Probability a ``distinguish`` plan may misroute: rounding in its bases.
 PLAN_MISS_TOL = 1e-10
 
 

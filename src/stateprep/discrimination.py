@@ -30,8 +30,7 @@ from .errors import DimensionMismatch, NotOrthogonal, TraceNotZero
 
 ORTH_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
-# A residual overlap above this after a basis change means the input was
-# not an orthogonal pair; below it, it is cancellation noise and is removed.
+# Residual overlap beyond cancellation noise: the input pair was not orthogonal.
 DRIFT_TOL = 1e-5
 # Imaginary parts below this are rounding noise: the pair gets real bases.
 REAL_TOL = 1e-12
@@ -86,12 +85,9 @@ class PlanNode:
 
 @dataclass(frozen=True)
 class AdaptiveMeasPlan:
-    """Plan nodes in heap order: the children of node ``i`` are ``2i + 1``
-    and ``2i + 2``, so depth ``d`` holds nodes ``2**d - 1 + path``.
-
-    ``angles`` has shape ``(..., 2**m - 1)`` and ``bases`` ``(..., 2**m -
-    1, 2, 2)``; the leading axis, if any, runs over stacked pairs.
-    """
+    """Plan nodes in heap order (children of ``i`` at ``2i + 1``, ``2i + 2``):
+    ``angles`` has shape ``(..., 2**m - 1)`` and ``bases`` ``(..., 2**m - 1,
+    2, 2)``, with a leading axis over stacked pairs if any."""
 
     m: int
     angles: np.ndarray
@@ -102,15 +98,10 @@ class AdaptiveMeasPlan:
         """The plan of a single pair as a linked tree."""
 
         def node(i: int) -> Union[PlanNode, PlanLeaf]:
-            if i >= self.angles.shape[-1]:
-                return PlanLeaf("-" if i % 2 == 0 else "+")
-            angle = float(self.angles[i])
-            return PlanNode(
-                basis=self.bases[i],
-                angle=None if np.isnan(angle) else angle,
-                on0=node(2 * i + 1),
-                on1=node(2 * i + 2),
-            )
+            if i >= len(self.angles):
+                return PlanLeaf("-+"[i % 2])
+            angle = None if np.isnan(self.angles[i]) else float(self.angles[i])
+            return PlanNode(self.bases[i], angle, node(2 * i + 1), node(2 * i + 2))
 
         return node(0)
 
@@ -192,10 +183,15 @@ def _is_real(v: np.ndarray) -> np.ndarray:
     return np.max(np.abs(v.imag), axis=1) < REAL_TOL
 
 
+def _bases(a, b, c, d) -> np.ndarray:
+    """One 2x2 basis ``[[a, b], [c, d]]`` per row."""
+    return np.stack([a, b, c, d], -1).reshape(-1, 2, 2)
+
+
 def _rotation_bases(angle: np.ndarray) -> np.ndarray:
-    """Rows of the y-rotation by ``-angle``: ``[[c, -s], [s, c]]``."""
+    """Bases of the y-rotations by ``-angle``."""
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
+    return _bases(c, -s, s, c)
 
 
 def _split(bases: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,13 +223,7 @@ def _inner_step(plus: np.ndarray, minus: np.ndarray):
     real = (np.abs(omega) < DEGENERATE_TOL) & _is_real(plus) & _is_real(minus)
     angle = -2.0 * theta
     c, s = np.cos(theta), np.sin(theta)
-    ua = np.stack(
-        [
-            np.stack([c, s * np.exp(1j * omega)], -1),
-            np.stack([s * np.exp(-1j * omega), -c], -1),
-        ],
-        -2,
-    )
+    ua = _bases(c, s * np.exp(1j * omega), s * np.exp(-1j * omega), -c)
     bases = np.where(real[:, None, None], _rotation_bases(angle), ua)
 
     eta, nu = _split(bases, plus), _split(bases, minus)
@@ -250,9 +240,8 @@ def _inner_step(plus: np.ndarray, minus: np.ndarray):
     # near-dead outcomes can leave a small computed overlap.
     # Re-orthogonalizing keeps the plan bases exactly valid.
     fix = np.flatnonzero(drift > 0.0)
-    if len(fix):
-        v = nu[fix] - overlap[fix, None] * eta[fix]
-        nu[fix] = v / _norm(v)[:, None]
+    v = nu[fix] - overlap[fix, None] * eta[fix]
+    nu[fix] = v / _norm(v)[:, None]
     for r in np.flatnonzero(~both):
         if live_n[r]:
             eta[r] = _orthogonal_filler(nu[r])
@@ -260,8 +249,7 @@ def _inner_step(plus: np.ndarray, minus: np.ndarray):
             nu[r] = _orthogonal_filler(eta[r])
         else:
             # Dead branch: neither state reaches this outcome.
-            eta[r] = 0.0
-            eta[r, 0] = 1.0
+            eta[r] = np.arange(eta.shape[1]) == 0
             nu[r] = _orthogonal_filler(eta[r])
     return np.where(real, angle, np.nan), bases, _sign_fixed(eta), _sign_fixed(nu)
 
@@ -271,9 +259,8 @@ def _leaf_step(plus: np.ndarray, minus: np.ndarray):
     plus, minus = _sign_fixed(plus), _sign_fixed(minus)
     real = _is_real(plus) & _is_real(minus)
     angle = -2.0 * np.arctan2(plus[:, 1].real, plus[:, 0].real)
-    bases = np.where(
-        real[:, None, None], _rotation_bases(angle), np.stack([plus.conj(), minus.conj()], 1)
-    )
+    measured = np.stack([plus, minus], 1).conj()
+    bases = np.where(real[:, None, None], _rotation_bases(angle), measured)
     return np.where(real, angle, np.nan), bases
 
 
@@ -294,12 +281,10 @@ def decompose(pair: OrthPair) -> AdaptiveMeasPlan:
             angle, basis, plus, minus = _inner_step(plus, minus)
         else:
             angle, basis = _leaf_step(plus, minus)
-        angles[:, 2**d - 1 : 2 ** (d + 1) - 1] = angle.reshape(count, -1)
-        bases[:, 2**d - 1 : 2 ** (d + 1) - 1] = basis.reshape(count, -1, 2, 2)
-    lead = pair.plus.shape[:-1]
-    return AdaptiveMeasPlan(
-        m=pair.m, angles=angles.reshape(lead + (-1,)), bases=bases.reshape(lead + (-1, 2, 2))
-    )
+        angles[:, 2**d - 1 : 2 ** (d + 1) - 1] = angle.reshape(count, 2**d)
+        bases[:, 2**d - 1 : 2 ** (d + 1) - 1] = basis.reshape(count, 2**d, 2, 2)
+    lead = pair.plus.shape[:-1] + (size - 1,)
+    return AdaptiveMeasPlan(pair.m, angles.reshape(lead), bases.reshape(lead + (2, 2)))
 
 
 def evaluate_plan(plan: AdaptiveMeasPlan, state) -> list[tuple[tuple[int, ...], str, float]]:

@@ -60,8 +60,7 @@ from .tree import ANGLE_TOL, AmplitudeTree, ZERO_NORM_TOL, children_of
 # deficit, while a computational shortcut there can distort the rare
 # outcomes' amplitude ratios on wide-dynamic-range inputs.
 OVERLAP_EQUAL_TOL = 1e-12
-# Stage states are products of unit edge weights; a norm further than
-# this from one is a caller error, not rounding.
+# Stage states are products of unit weights: a larger norm error is no rounding.
 UNIT_NORM_TOL = 1e-9
 
 
@@ -120,20 +119,12 @@ def compile_disentangler(
         raise NonUnitInput("disentangling bases are built from real vectors only")
     if left.ndim == 1:
         ancilla_wires, control_wire = [ancilla_wires], [control_wire]
-    left = np.atleast_2d(left).astype(float)
-    right = np.atleast_2d(right).astype(float)
+    left, right = (np.atleast_2d(v).astype(float) for v in (left, right))
     wires = [list(w) for w in ancilla_wires]
     m = len(wires[0])
-    if (
-        left.shape != right.shape
-        or left.shape != (len(wires), 2**m)
-        or len(control_wire) != len(wires)
-        or any(len(w) != m for w in wires)
-    ):
-        raise NonUnitInput(
-            f"state shapes {left.shape}/{right.shape} do not match {len(wires)} "
-            f"registers of {m} wires and {len(control_wire)} controls"
-        )
+    ragged = len(control_wire) != len(wires) or any(len(w) != m for w in wires)
+    if ragged or left.shape != right.shape or left.shape != (len(wires), 2**m):
+        raise NonUnitInput(f"states {left.shape}/{right.shape} do not fit {len(wires)}x{m} wires")
     norms = np.linalg.norm(np.concatenate([left, right]), axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise NonUnitInput("input states must be unit norm")
@@ -145,15 +136,13 @@ def compile_disentangler(
     # Equal states: the register factors out, any basis works.
     equal = overlap >= 1.0 - OVERLAP_EQUAL_TOL
     live = np.flatnonzero(~equal)
-    plans = iter(())
-    if len(live):
-        ov = overlap[live, None]
-        plus = (left[live] + right[live]) / np.sqrt(2.0 * (1.0 + ov))
-        minus = (left[live] - right[live]) / np.sqrt(2.0 * (1.0 - ov))
-        angles = decompose(OrthPair.from_states(plus, minus)).angles
-        if np.isnan(angles).any():
-            raise NonUnitInput("plan basis is not a real rotation")
-        plans = zip(angles.tolist(), (np.abs(angles) > ANGLE_TOL).tolist())
+    ov = overlap[live, None]
+    plus = (left[live] + right[live]) / np.sqrt(2.0 * (1.0 + ov))
+    minus = (left[live] - right[live]) / np.sqrt(2.0 * (1.0 - ov))
+    angles = decompose(OrthPair.from_states(plus, minus)).angles
+    if np.isnan(angles).any():
+        raise NonUnitInput("plan basis is not a real rotation")
+    plans = zip(angles.tolist(), (np.abs(angles) > ANGLE_TOL).tolist())
 
     # Plan node ``2**k - 1 + path`` measures wire ``k`` after the outcomes
     # that spell ``path``, first outcome most significant, which is how a
@@ -171,9 +160,7 @@ def compile_disentangler(
                 node = 2**k - 1 + path
                 if keep[node]:
                     condition = Condition(clbits[:k], (path,)) if k else None
-                    ops.append(
-                        roty(wire, stage_angles[node], condition=condition, role=ROLE_MEAS_BASIS)
-                    )
+                    ops.append(roty(wire, stage_angles[node], condition, ROLE_MEAS_BASIS))
             ops.append(measure(wire, clbits[k]))
         values = tuple(range(1 - int(flipped[stage]), 2**m, 2))
         ops.append(pauli_z(control, condition=Condition(clbits, values), role=ROLE_CORRECT))
@@ -283,22 +270,12 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
             states[pos], states[pos + 1], right_lives, controls, first_clbit=next_bit
         )
         ops.extend(stage_ops)
-        corrections = {
-            op.qubits[0]: op.condition.values for op in stage_ops if op.role == ROLE_CORRECT
-        }
+        fired = {op.qubits[0]: op.condition.values for op in stage_ops if op.role == ROLE_CORRECT}
         m = len(right_lives[0])
-        for f, control, right_live in zip(combiners, controls, right_lives):
-            reports.append(
-                StageReport(
-                    level=level,
-                    node=f,
-                    control_wire=control,
-                    ancilla_wires=tuple(right_live),
-                    clbits=tuple(range(next_bit, next_bit + m)),
-                    computational=control not in corrections,
-                    correction_values=corrections.get(control, ()),
-                )
-            )
+        for f, control, wires in zip(combiners, controls, right_lives):
+            clbits = tuple(range(next_bit, next_bit + m))
+            values = fired.get(control, ())
+            reports.append(StageReport(level, f, control, tuple(wires), clbits, not values, values))
             next_bit += m
 
     n_qubits = len(plan.wire) + lam * len(plan.block_wires)

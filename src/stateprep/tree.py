@@ -8,10 +8,8 @@ state, and the norm of the amplitude block covered by its subtree.  The
 product of edge weights along the path from the root to leaf ``i`` equals
 amplitude ``x_i``.
 
-The states below the nodes are formed level by level, bottom up, in one
-pass (``AmplitudeTree.states``): the rows of level ``l`` are the left
-child rows scaled by ``omega0`` next to the right child rows scaled by
-``omega1``.  Nothing recurses.
+The states below all nodes are formed bottom up, one level per array
+step (``AmplitudeTree.states``); nothing recurses.
 """
 
 from __future__ import annotations
@@ -60,14 +58,10 @@ class AmplitudeTree:
     def states(self) -> tuple[np.ndarray, ...]:
         """``states[l]`` has shape ``(2**l, 2**(n - l))``; row ``p`` is the
         state below node ``2**l - 1 + p``, a zero row for zero-norm nodes."""
-        leaves = slice(2 ** (self.n - 1) - 1, None)
-        level = np.stack([self.omega0[leaves], self.omega1[leaves]], 1)
-        out = [level]
-        for lvl in range(self.n - 2, -1, -1):
-            nodes = slice(2**lvl - 1, 2 ** (lvl + 1) - 1)
-            level = np.concatenate(
-                [self.omega0[nodes, None] * level[0::2], self.omega1[nodes, None] * level[1::2]], 1
-            )
+        level, out = np.ones((2**self.n, 1)), []
+        for lvl in range(self.n - 1, -1, -1):
+            w0, w1 = (w[2**lvl - 1 : 2 ** (lvl + 1) - 1, None] for w in (self.omega0, self.omega1))
+            level = np.concatenate([w0 * level[0::2], w1 * level[1::2]], 1)
             out.append(level)
         return tuple(reversed(out))
 
@@ -162,9 +156,9 @@ def preorder(tree: AmplitudeTree) -> list[int]:
 def subtree_state(tree: AmplitudeTree, f: int) -> np.ndarray:
     """Normalized state of the ``n - level(f)`` qubits below node ``f``.
 
-    The product of edge weights down the subtree; zero-norm branches
-    contribute zero blocks.  Raises ``UndefinedNode`` when the node itself
-    carries no amplitude.
+    Obtained by multiplying edge weights down the subtree; zero-norm
+    branches contribute zero blocks.  Raises ``UndefinedNode`` when the
+    node itself carries no amplitude.
     """
     if f < 0 or f >= tree.num_nodes:
         raise UndefinedNode(f"node index {f} out of range")
@@ -180,25 +174,19 @@ def state_or_ground(tree: AmplitudeTree, f: int) -> np.ndarray:
     Zero-norm wires are physically left in the ground state, so this is
     the state actually sitting in those registers.
     """
-    if tree.defined[f]:
-        return subtree_state(tree, f)
-    out = np.zeros(2 ** (tree.n - level_of(f)))
-    out[0] = 1.0
-    return out
+    level = level_of(f)
+    return grounded_states(tree, level)[f + 1 - 2**level]
 
 
 def grounded_states(tree: AmplitudeTree, level: int) -> np.ndarray:
     """``state_or_ground`` of every node at ``level``, one row each."""
     out = tree.states[level].copy()
-    dead = ~tree.defined[2**level - 1 : 2 ** (level + 1) - 1]
-    out[dead] = 0.0
-    out[dead, 0] = 1.0
+    out[~tree.defined[2**level - 1 : 2 ** (level + 1) - 1], 0] = 1.0
     return out
 
 
 def states_equal(a: np.ndarray, b: np.ndarray, tol: float = STATE_EQ_TOL):
-    """Whether ``a`` and ``b`` agree up to a global sign, row by row for
-    stacked states."""
+    """Whether ``a`` and ``b`` agree up to a global sign, row by row."""
     return np.max(np.abs(_sign_fixed(a) - _sign_fixed(b)), axis=-1) <= tol
 
 
