@@ -290,6 +290,12 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = {
     "dc_dense_n6": ("dense_n6", ["--method", "dc"]),
     "dc_parallel_dense_n6": ("dense_n6", ["--method", "dc", "--parallelize"]),
+    "dc_parallel_nodis_dense_n6": (
+        "dense_n6",
+        ["--method", "dc", "--parallelize", "--no-disentangle"],
+    ),
+    "dc_parallel_prune_sparse_n5": ("sparse_n5", ["--method", "dc", "--parallelize", "--prune"]),
+    "dc_parallel_prune_w_n5": ("w_n5", ["--method", "dc", "--parallelize", "--prune"]),
     "hybrid2_prune_dense_n6": ("dense_n6", ["--method", "hybrid", "--lambda", "2", "--prune"]),
     "dc_prune_w_n5": ("w_n5", ["--method", "dc", "--prune"]),
     "dc_sparse_n5": ("sparse_n5", ["--method", "dc"]),
@@ -299,9 +305,10 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_documents(name, tmp_path, capsys):
     # ``golden_<name>.json`` and its ``_stages.json`` sidecar were written by
-    # the per-stage recursive synthesis; the level-batched one must emit the
-    # same circuit.  Documents keep 12 significant digits, hence the angle
-    # tolerance.
+    # earlier versions of the synthesis: the per-stage recursion, and for the
+    # ``parallel`` cases other than dense n=6 the swap-scheduling post-pass.
+    # The engine must emit the same circuit.  Documents keep 12 significant
+    # digits, hence the angle tolerance.
     vector, flags = GOLDEN[name]
     out, report = tmp_path / "c.json", tmp_path / "r.json"
     argv = ["compile", str(DATA / f"golden_{vector}_vector.json"), *flags]
