@@ -21,7 +21,6 @@ from .discrimination import AdaptiveMeasPlan, OrthPair, decompose, evaluate_plan
 from .divide_conquer import (
     DcOptions,
     compile_disentangler,
-    parallelize_cswaps,
     synthesize_dc,
     synthesize_hybrid,
     synthesize_time,
@@ -67,7 +66,6 @@ __all__ = [
     "metrics",
     "midreset_formulas",
     "pad_to_power_of_two",
-    "parallelize_cswaps",
     "preorder",
     "reuse_schedule",
     "run",

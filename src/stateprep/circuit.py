@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import InvalidCircuit, ParseError
 
@@ -353,7 +353,3 @@ def deserialize(text: str) -> Circuit:
         return Circuit(n_qubits=n_qubits, n_clbits=n_clbits, ops=ops, data_qubits=data_qubits)
     except InvalidCircuit as exc:
         raise ParseError(str(exc), "$.ops") from exc
-
-
-def with_ops(circuit: Circuit, ops) -> Circuit:
-    return replace(circuit, ops=tuple(ops))

@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .circuit import deserialize, metrics, serialize
-from .discrimination import OrthPair, PlanLeaf, decompose, evaluate_plan
+from .discrimination import OrthPair, decompose, evaluate_plan, plan_document
 from .divide_conquer import DcOptions, synthesize_dc, synthesize_hybrid, synthesize_time
 from .errors import NotOrthogonal, StatePrepError
 from .resources import dc_formulas, hybrid_formulas
@@ -53,18 +54,6 @@ def _load_vector(path: str) -> np.ndarray:
     return np.asarray(amps, dtype=float)
 
 
-def _metrics_line(circuit) -> str:
-    m = metrics(circuit)
-    return json.dumps(
-        {
-            "qubits": m.qubits,
-            "unit_cswaps": m.unit_cswaps,
-            "depth_gates": m.depth_gates,
-            "depth_full": m.depth_full,
-        }
-    )
-
-
 def cmd_compile(args) -> int:
     if args.method != "hybrid" and args.lambda_ is not None:
         return _fail("--lambda is only valid with --method hybrid", EXIT_FLAG_CONFLICT)
@@ -96,22 +85,10 @@ def cmd_compile(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(serialize(circuit))
     if args.report:
-        stages = [
-            {
-                "level": r.level,
-                "node": r.node,
-                "control_wire": r.control_wire,
-                "ancilla_wires": list(r.ancilla_wires),
-                "clbits": list(r.clbits),
-                "computational": r.computational,
-                "correction_values": list(r.correction_values),
-            }
-            for r in circuit.stage_reports
-        ]
         with open(args.report, "w") as fh:
-            json.dump({"stages": stages}, fh, indent=2)
+            json.dump({"stages": [asdict(r) for r in circuit.stage_reports]}, fh, indent=2)
             fh.write("\n")
-    print(_metrics_line(circuit))
+    print(json.dumps(asdict(metrics(circuit))))
     return EXIT_OK
 
 
@@ -195,19 +172,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _plan_to_dict(node) -> dict:
-    if isinstance(node, PlanLeaf):
-        return {"label": node.label}
-    doc: dict = {}
-    if node.angle is not None:
-        doc["angle"] = float(f"{node.angle:.12g}")
-    else:
-        doc["basis"] = [[[c.real, c.imag] for c in row] for row in node.basis]
-    doc["on0"] = _plan_to_dict(node.on0)
-    doc["on1"] = _plan_to_dict(node.on1)
-    return doc
-
-
 def cmd_distinguish(args) -> int:
     try:
         plus = _load_vector(args.plus)
@@ -220,7 +184,7 @@ def cmd_distinguish(args) -> int:
     p_minus = sum(p for _, label, p in evaluate_plan(plan, pair.minus) if label == "-")
     if args.plan_out:
         with open(args.plan_out, "w") as fh:
-            json.dump({"m": plan.m, "root": _plan_to_dict(plan.root)}, fh, indent=2)
+            json.dump(plan_document(plan), fh, indent=2)
             fh.write("\n")
     print(json.dumps({"p_correct_plus": p_plus, "p_correct_minus": p_minus}))
     ok = p_plus >= 1.0 - PLAN_MISS_TOL and p_minus >= 1.0 - PLAN_MISS_TOL

@@ -22,7 +22,6 @@ computational axes; complex bases store ``NaN`` there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -68,22 +67,6 @@ class OrthPair:
 
 
 @dataclass(frozen=True)
-class PlanLeaf:
-    label: str  # "+" or "-"
-
-
-@dataclass(frozen=True)
-class PlanNode:
-    """Measure the next qubit in the basis given by the rows of ``basis``;
-    continue with ``on0``/``on1`` according to the outcome."""
-
-    basis: np.ndarray
-    angle: float | None
-    on0: Union["PlanNode", PlanLeaf]
-    on1: Union["PlanNode", PlanLeaf]
-
-
-@dataclass(frozen=True)
 class AdaptiveMeasPlan:
     """Plan nodes in heap order (children of ``i`` at ``2i + 1``, ``2i + 2``):
     ``angles`` has shape ``(..., 2**m - 1)`` and ``bases`` ``(..., 2**m - 1,
@@ -92,18 +75,6 @@ class AdaptiveMeasPlan:
     m: int
     angles: np.ndarray
     bases: np.ndarray
-
-    @property
-    def root(self) -> PlanNode:
-        """The plan of a single pair as a linked tree."""
-
-        def node(i: int) -> Union[PlanNode, PlanLeaf]:
-            if i >= len(self.angles):
-                return PlanLeaf("-+"[i % 2])
-            angle = None if np.isnan(self.angles[i]) else float(self.angles[i])
-            return PlanNode(self.bases[i], angle, node(2 * i + 1), node(2 * i + 2))
-
-        return node(0)
 
     def paths(self) -> list[tuple[tuple[int, ...], str]]:
         """All (outcome path, leaf label) pairs in lexicographic order."""
@@ -285,6 +256,24 @@ def decompose(pair: OrthPair) -> AdaptiveMeasPlan:
         bases[:, 2**d - 1 : 2 ** (d + 1) - 1] = basis.reshape(count, 2**d, 2, 2)
     lead = pair.plus.shape[:-1] + (size - 1,)
     return AdaptiveMeasPlan(pair.m, angles.reshape(lead), bases.reshape(lead + (2, 2)))
+
+
+def plan_document(plan: AdaptiveMeasPlan) -> dict:
+    """JSON-ready nested form of a single-pair ``plan``: each node holds
+    its ``angle`` (a complex basis: its ``basis`` rows as [re, im] pairs)
+    and its ``on0``/``on1`` subplans; leaves hold their ``label``."""
+
+    def node(i: int) -> dict:
+        if i >= len(plan.angles):
+            return {"label": "-+"[i % 2]}
+        angle = float(plan.angles[i])
+        if np.isnan(angle):
+            doc = {"basis": [[[c.real, c.imag] for c in row] for row in plan.bases[i].tolist()]}
+        else:
+            doc = {"angle": float(f"{angle:.12g}")}
+        return {**doc, "on0": node(2 * i + 1), "on1": node(2 * i + 2)}
+
+    return {"m": plan.m, "root": node(0)}
 
 
 def evaluate_plan(plan: AdaptiveMeasPlan, state) -> list[tuple[tuple[int, ...], str, float]]:

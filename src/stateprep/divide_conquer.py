@@ -20,11 +20,13 @@ the tree's level arrays (``tree.grounded_states``), and one
 ``compile_disentangler`` call builds all of the level's measurement plans
 together and emits the level's ops in stage order.
 
-``parallelize_cswaps`` repositions the interior swaps of every combining
-run into earlier layers.  In a run of ``c`` swaps (its enclosing block
-calls it stage ``m = c + 1``) the first and last swaps are rigid; the
-``j``-th movable swap is placed alongside rigid slot ``2(m-3) - j``,
-which compresses the gate depth of the dense circuit to ``2n - 2``.
+With ``parallelize`` the engine also schedules the combining swaps: it
+gives every op a slot as it emits it and returns the ops sorted by slot.
+In a run of ``c`` swaps (stage ``m = c + 1``) the first and last swaps
+are rigid and the ``j``-th movable swap joins rigid slot ``2(m-3) - j``;
+a level's measurement machinery follows its last swap layer.  All runs
+of a level have the same length, so one layer list per level serves
+them all, and the gate depth of the dense circuit becomes ``2n - 2``.
 """
 
 from __future__ import annotations
@@ -48,10 +50,9 @@ from .circuit import (
     pauli_x,
     pauli_z,
     roty,
-    with_ops,
 )
 from .discrimination import OrthPair, decompose
-from .errors import LambdaOutOfRange, NonUnitInput, UnrecognizedStructure
+from .errors import LambdaOutOfRange, NonUnitInput
 from .time_encoding import rotation_ops
 from .tree import ANGLE_TOL, AmplitudeTree, ZERO_NORM_TOL, children_of
 
@@ -248,11 +249,14 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         wire = plan.wire[f] if f in plan.wire else plan.block_wires[f][0]
         ops.append(_loading_gate(wire, angle))
 
+    # Each op's slot in the parallel schedule: (layer, after the level's swaps).
+    slots = [(0, 0)] * len(ops)
     next_bit = 0
     reports: list[StageReport] = []
     for level in range(block_level - 1, -1, -1):
         base = 2**level - 1
         combiners = [base + p for p in range(2**level) if plan.mode.get(base + p) == "combine"]
+        run_layers = _run_layers(tree.n - level - 1)
         controls, right_lives = [], []
         for f in combiners:
             left, right = children_of(f)
@@ -260,6 +264,7 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
             right_live = _live_wires(plan, right, block_level)
             for a, b in zip(left_live, right_live):
                 ops.append(cswap(plan.wire[f], a, b, role=ROLE_COMBINE))
+            slots.extend((layer, 0) for layer in run_layers)
             controls.append(plan.wire[f])
             right_lives.append(right_live)
         if not opts.disentangle or not combiners:
@@ -270,6 +275,7 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
             states[pos], states[pos + 1], right_lives, controls, first_clbit=next_bit
         )
         ops.extend(stage_ops)
+        slots.extend([(run_layers[-1], 1)] * len(stage_ops))
         fired = {op.qubits[0]: op.condition.values for op in stage_ops if op.role == ROLE_CORRECT}
         m = len(right_lives[0])
         for f, control, wires in zip(combiners, controls, right_lives):
@@ -278,18 +284,18 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
             reports.append(StageReport(level, f, control, tuple(wires), clbits, not values, values))
             next_bit += m
 
+    if opts.parallelize:
+        # Stable, so ops sharing a slot keep their emission order.
+        ops = [ops[i] for i in sorted(range(len(ops)), key=slots.__getitem__)]
     n_qubits = len(plan.wire) + lam * len(plan.block_wires)
     data = tuple(_live_wires(plan, 0, block_level))
-    circuit = Circuit(
+    return Circuit(
         n_qubits=n_qubits,
         n_clbits=next_bit,
         ops=tuple(ops),
         data_qubits=data,
         stage_reports=tuple(reports),
     )
-    if opts.parallelize:
-        circuit = parallelize_cswaps(circuit)
-    return circuit
 
 
 def synthesize_dc(tree: AmplitudeTree, opts: DcOptions | None = None) -> Circuit:
@@ -310,92 +316,10 @@ def synthesize_time(tree: AmplitudeTree) -> Circuit:
 
 
 def _run_layers(length: int) -> list[int]:
-    """Post-parallelization layer (loading layer excluded) of each swap in
-    a combining run of ``length`` swaps."""
-    m = length + 1
+    """Parallel-schedule layer (loading layer excluded) of each swap in a
+    combining run of ``length`` swaps."""
     if length == 1:
         return [1]
-    if length == 2:
-        return [2, 3]
+    m = length + 1
     movable = [2 * m - 5 - j for j in range(length - 2)]
     return [2 * m - 4] + movable + [2 * m - 3]
-
-
-def parallelize_cswaps(circuit: Circuit) -> Circuit:
-    """Reposition movable swaps so every combining stage beyond the first
-    two contributes only its two rigid layers.
-
-    Expects the op layout produced by ``synthesize_dc``: loading ops,
-    then per level a group of swap runs followed by that level's
-    measurement machinery.  The simulated state is unchanged; the gate
-    depth of the dense circuit becomes ``2n - 2``.
-    """
-    ops = circuit.ops
-    first_cswap = next((i for i, op in enumerate(ops) if op.kind == "cswap"), None)
-    if first_cswap is None:
-        return circuit
-    loads = ops[:first_cswap]
-    if any(not op.is_unitary or op.condition is not None for op in loads):
-        raise UnrecognizedStructure("unexpected ops before the first swap run")
-
-    # Split the remainder into swap runs (one per control) and machinery.
-    segments: list[tuple[str, list[tuple[int, Gate]]]] = []
-    for idx in range(first_cswap, len(ops)):
-        op = ops[idx]
-        if op.kind == "cswap":
-            if (
-                segments
-                and segments[-1][0] == "run"
-                and segments[-1][1][-1][1].qubits[0] == op.qubits[0]
-            ):
-                segments[-1][1].append((idx, op))
-            else:
-                segments.append(("run", [(idx, op)]))
-        else:
-            if segments and segments[-1][0] == "mach":
-                segments[-1][1].append((idx, op))
-            else:
-                segments.append(("mach", [(idx, op)]))
-
-    # Validate the level structure so an already-parallelized circuit is
-    # rejected instead of silently scrambled.  With measurement machinery
-    # present, the runs between two machinery blocks form one level and
-    # must share a length, and lengths must grow level over level; with
-    # no machinery, the run lengths must be non-decreasing.
-    has_machinery = any(kind == "mach" for kind, _ in segments)
-    prev_level_len: int | None = None
-    group: list[int] = []
-    for kind, entries in segments + [("mach", [])]:
-        if kind == "run":
-            group.append(len(entries))
-            continue
-        if has_machinery:
-            if len(set(group)) > 1:
-                raise UnrecognizedStructure("swap runs of mixed length within one level")
-            if group:
-                if prev_level_len is not None and group[0] <= prev_level_len:
-                    raise UnrecognizedStructure("swap runs fail to grow between levels")
-                prev_level_len = group[0]
-        elif group != sorted(group):
-            raise UnrecognizedStructure("swap runs shrink between levels")
-        group = []
-
-    keyed: list[tuple[tuple[int, int, int], Gate]] = []
-    for i, op in enumerate(loads):
-        keyed.append(((0, 0, i), op))
-    last_run_len: int | None = None
-    for kind, entries in segments:
-        if kind == "run":
-            last_run_len = len(entries)
-            layers = _run_layers(last_run_len)
-            for (idx, op), layer in zip(entries, layers):
-                keyed.append(((layer, 0, idx), op))
-        else:
-            if last_run_len is None:
-                raise UnrecognizedStructure("measurement machinery before any swap run")
-            mach_layer = _run_layers(last_run_len)[-1]
-            for idx, op in entries:
-                keyed.append(((mach_layer, 1, idx), op))
-
-    keyed.sort(key=lambda item: item[0])
-    return with_ops(circuit, (op for _, op in keyed))

@@ -53,10 +53,6 @@ class NonUnitInput(StatePrepError):
     pass
 
 
-class UnrecognizedStructure(StatePrepError):
-    pass
-
-
 class LambdaOutOfRange(StatePrepError):
     pass
 

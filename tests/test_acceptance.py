@@ -16,8 +16,8 @@ import numpy as np
 
 import stateprep as sp
 from stateprep.circuit import layers
-from stateprep.discrimination import OrthPair, PlanLeaf, decompose, evaluate_plan
-from stateprep.divide_conquer import DcOptions, parallelize_cswaps
+from stateprep.discrimination import OrthPair, decompose, evaluate_plan
+from stateprep.divide_conquer import DcOptions
 
 from conftest import DENSE_SQUARES, random_orthogonal_pair, random_unit
 
@@ -47,7 +47,8 @@ def test_criterion_1_formula_reproduction():
         f = sp.dc_formulas(n)
         ok &= (m.qubits, m.unit_cswaps, m.depth_gates) == (f.qubits, f.cswaps, f.depth)
         if n >= 2:
-            ok &= sp.metrics(parallelize_cswaps(c)).depth_gates == 2 * n - 2
+            parallel = sp.synthesize_dc(sp.build_tree(x), DcOptions(parallelize=True))
+            ok &= sp.metrics(parallel).depth_gates == 2 * n - 2
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     assert report(1, ok, f"dense formulas n=1..8, {elapsed:.2f}s")
@@ -172,14 +173,8 @@ def test_criterion_6_discrimination_properties():
         mis_minus = sum(p for _, label, p in evaluate_plan(plan, pair.minus) if label == "+")
         ok &= mis_plus <= 1e-10 and mis_minus <= 1e-10
         if real:
-            stack = [plan.root]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, PlanLeaf):
-                    continue
-                ok &= node.angle is not None
-                ok &= float(np.max(np.abs(node.basis.imag))) < 1e-12
-                stack.extend([node.on0, node.on1])
+            ok &= not np.isnan(plan.angles).any()
+            ok &= float(np.max(np.abs(plan.bases.imag))) < 1e-12
     assert report(6, ok, "500 pairs, m in 1..3")
 
 
@@ -261,7 +256,7 @@ def test_criterion_10_swap_scheduling():
     for n in range(4, 9):
         x = random_unit(rng, 2**n)
         c = sp.synthesize_dc(sp.build_tree(x))
-        cp = parallelize_cswaps(c)
+        cp = sp.synthesize_dc(sp.build_tree(x), DcOptions(parallelize=True))
 
         layer_idx = layers(cp, full=False)
         by_layer = {}

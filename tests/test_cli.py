@@ -305,8 +305,8 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_documents(name, tmp_path, capsys):
     # ``golden_<name>.json`` and its ``_stages.json`` sidecar were written by
-    # earlier versions of the synthesis: the per-stage recursion, and for the
-    # ``parallel`` cases other than dense n=6 the swap-scheduling post-pass.
+    # earlier versions of the synthesis (the per-stage recursion; for the
+    # ``parallel`` cases, a swap-scheduling pass over the finished circuit).
     # The engine must emit the same circuit.  Documents keep 12 significant
     # digits, hence the angle tolerance.
     vector, flags = GOLDEN[name]

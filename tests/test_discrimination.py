@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stateprep.discrimination import OrthPair, PlanLeaf, decompose, evaluate_plan, solve_ua
+from stateprep.discrimination import OrthPair, decompose, evaluate_plan, solve_ua
 from stateprep.errors import DimensionMismatch, NotOrthogonal, TraceNotZero
 
 from conftest import random_orthogonal_pair
@@ -25,12 +25,8 @@ def label_mass(plan, state):
 
 
 def plan_depth(plan):
-    def depth(node):
-        if isinstance(node, PlanLeaf):
-            return 0
-        return 1 + max(depth(node.on0), depth(node.on1))
-
-    return depth(plan.root)
+    # A complete heap of depth d has 2**d - 1 nodes.
+    return (plan.angles.shape[-1] + 1).bit_length() - 1
 
 
 def apply_ua(theta, omega, eta0, eta1, nu0, nu1):
@@ -84,7 +80,7 @@ class TestDecompose:
         psi1 = dense_vector[:4] / np.linalg.norm(dense_vector[:4])
         psi2 = dense_vector[4:] / np.linalg.norm(dense_vector[4:])
         plan = decompose(pm_pair(psi1, psi2))
-        basis = np.real(plan.root.basis)
+        basis = np.real(plan.bases[0])
         got = {tuple(np.round(np.abs(row), 2)) for row in basis}
         assert got == {(0.55, 0.83), (0.83, 0.55)}
         expected = [np.array([0.83, -0.55]), np.array([-0.55, -0.83])]
@@ -110,16 +106,8 @@ class TestDecompose:
         for _ in range(30):
             plus, minus = random_orthogonal_pair(rng, 8, real=True)
             plan = decompose(OrthPair.from_states(plus, minus))
-
-            def check(node):
-                if isinstance(node, PlanLeaf):
-                    return
-                assert node.angle is not None
-                assert np.max(np.abs(node.basis.imag)) < 1e-12
-                check(node.on0)
-                check(node.on1)
-
-            check(plan.root)
+            assert not np.isnan(plan.angles).any()
+            assert np.max(np.abs(plan.bases.imag)) < 1e-12
 
     def test_depth_equals_qubit_count(self):
         rng = np.random.default_rng(3)

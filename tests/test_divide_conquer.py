@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import stateprep as sp
-from stateprep.circuit import Circuit, layers, roty
-from stateprep.divide_conquer import DcOptions, compile_disentangler, parallelize_cswaps
-from stateprep.errors import NonUnitInput, UnrecognizedStructure
+from stateprep.circuit import layers
+from stateprep.divide_conquer import DcOptions, compile_disentangler
+from stateprep.errors import NonUnitInput
 from stateprep.tree import state_or_ground
 
 from conftest import random_unit
@@ -284,10 +284,13 @@ class TestCompileDisentangler:
             compile_disentangler([0.5, 0.5], [1.0, 0.0], [0], 1)
 
 
+PARALLEL = DcOptions(parallelize=True)
+
+
 class TestParallelize:
     def test_n3_unchanged_depth(self, dense_vector):
         c = sp.synthesize_dc(sp.build_tree(dense_vector))
-        cp = parallelize_cswaps(c)
+        cp = sp.synthesize_dc(sp.build_tree(dense_vector), PARALLEL)
         assert sp.metrics(cp).depth_gates == 4
         assert sorted(op.qubits for op in cp.ops if op.kind == "cswap") == sorted(
             op.qubits for op in c.ops if op.kind == "cswap"
@@ -298,7 +301,7 @@ class TestParallelize:
         for n in (4, 5, 6):
             x = random_unit(rng, 2**n)
             c = sp.synthesize_dc(sp.build_tree(x))
-            cp = parallelize_cswaps(c)
+            cp = sp.synthesize_dc(sp.build_tree(x), PARALLEL)
             m, mp = sp.metrics(c), sp.metrics(cp)
             assert mp.depth_gates == 2 * n - 2
             # Everything except depth is untouched.
@@ -308,7 +311,7 @@ class TestParallelize:
         rng = np.random.default_rng(31)
         for n in (4, 5, 6, 7):
             x = random_unit(rng, 2**n)
-            cp = parallelize_cswaps(sp.synthesize_dc(sp.build_tree(x)))
+            cp = sp.synthesize_dc(sp.build_tree(x), PARALLEL)
             layer_idx = layers(cp, full=False)
             by_layer = {}
             for op, layer in zip(cp.ops, layer_idx):
@@ -322,7 +325,7 @@ class TestParallelize:
         rng = np.random.default_rng(32)
         x = random_unit(rng, 32)
         c = sp.synthesize_dc(sp.build_tree(x))
-        cp = parallelize_cswaps(c)
+        cp = sp.synthesize_dc(sp.build_tree(x), PARALLEL)
 
         def touch_orders(circ):
             orders = {}
@@ -337,41 +340,18 @@ class TestParallelize:
 
     def test_branches_preserved(self):
         rng = np.random.default_rng(33)
-        for n in (3, 4):
+        # n=1 has no swaps to schedule.
+        for n in (3, 4, 1):
             x = random_unit(rng, 2**n)
             c = sp.synthesize_dc(sp.build_tree(x))
-            cp = parallelize_cswaps(c)
+            cp = sp.synthesize_dc(sp.build_tree(x), PARALLEL)
             assert branch_sets_equal(sp.run(c), sp.run(cp))
-
-    def test_no_swaps_is_identity(self):
-        c = Circuit(1, 0, (roty(0, 0.4),), (0,)).validate()
-        assert parallelize_cswaps(c) is c
-
-    def test_rejects_malformed_structure(self):
-        from stateprep.circuit import cswap, measure
-
-        ops = (measure(0, 0), cswap(1, 2, 3))
-        c = Circuit(4, 1, ops, (0,)).validate()
-        with pytest.raises(UnrecognizedStructure):
-            parallelize_cswaps(c)
-
-    def test_rejects_already_parallelized_circuit(self):
-        rng = np.random.default_rng(35)
-        x = random_unit(rng, 16)
-        cp = parallelize_cswaps(sp.synthesize_dc(sp.build_tree(x)))
-        with pytest.raises(UnrecognizedStructure):
-            parallelize_cswaps(cp)
 
     def test_hybrid_structure_also_preserved(self):
         rng = np.random.default_rng(36)
         x = random_unit(rng, 16)
-        h = sp.synthesize_hybrid(sp.build_tree(x), 2)
-        hp = parallelize_cswaps(h)
-        assert branch_sets_equal(sp.run(h), sp.run(hp))
-
-    def test_option_flag_applies_parallelization(self):
-        rng = np.random.default_rng(34)
-        x = random_unit(rng, 32)
-        via_opts = sp.synthesize_dc(sp.build_tree(x), DcOptions(parallelize=True))
-        manual = parallelize_cswaps(sp.synthesize_dc(sp.build_tree(x)))
-        assert via_opts.ops == manual.ops
+        # lambda = n leaves no swaps to schedule.
+        for lam in (2, 4):
+            h = sp.synthesize_hybrid(sp.build_tree(x), lam)
+            hp = sp.synthesize_hybrid(sp.build_tree(x), lam, PARALLEL)
+            assert branch_sets_equal(sp.run(h), sp.run(hp))

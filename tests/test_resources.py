@@ -30,7 +30,7 @@ class TestDcFormulas:
             m = sp.metrics(c)
             f = sp.dc_formulas(n)
             assert (m.qubits, m.unit_cswaps, m.depth_gates) == (f.qubits, f.cswaps, f.depth)
-            mp = sp.metrics(sp.parallelize_cswaps(c))
+            mp = sp.metrics(sp.synthesize_dc(sp.build_tree(x), sp.DcOptions(parallelize=True)))
             assert mp.depth_gates == f.depth_parallel
             assert mp.unit_cswaps == f.cswaps
 
