@@ -41,12 +41,6 @@ class Condition:
     bits: tuple[int, ...]
     values: tuple[int, ...]
 
-    def holds(self, bits: dict[int, int]) -> bool:
-        idx = 0
-        for b in self.bits:
-            idx = (idx << 1) | bits[b]
-        return idx in self.values
-
 
 @dataclass(frozen=True)
 class Gate:

@@ -157,10 +157,10 @@ def cmd_sweep(args) -> int:
         lam_max = args.lambda_max if args.lambda_max is not None else n
         if n < 1 or not 1 <= lam_min <= lam_max <= n:
             return _fail("need 1 <= lambda-min <= lambda-max <= n", EXIT_USAGE)
-        rng = np.random.default_rng(2**20 + n)
-        x = rng.random(2**n) + 0.1
-        x /= np.linalg.norm(x)
-        tree = build_tree(x)
+        if args.measure:
+            rng = np.random.default_rng(2**20 + n)
+            x = rng.random(2**n) + 0.1
+            tree = build_tree(x / np.linalg.norm(x))
         for lam in range(lam_min, lam_max + 1):
             f = hybrid_formulas(n, lam)
             row = f"{n},{lam},{f.qubits},{f.depth}"

@@ -1,15 +1,24 @@
 """Statevector simulation with mid-circuit measurement and feed-forward.
 
-The state is kept as a tensor with one axis per *active* wire (wire 0 is
-the most significant index bit); a measured wire collapses and its axis
-is dropped.  One iterative depth-first walk serves both modes, splitting
-a weighted frame at every ``measure`` or ``reset``.  ``enumerate``
-weighs a frame by its path probability and follows every outcome of
-probability at least ``BRANCH_PROB_TOL``.  ``sample`` weighs it by its
-shot count, splits the shots between the outcomes with one binomial
-draw and follows those that receive any, so the counts are multinomial
-and no shot count makes the walk longer than enumeration.  Branches come
-back in lexicographic outcome order.
+Wire 0 is the most significant index bit.  One breadth-first walk serves
+both modes: it advances every branch together, as one row of a frontier
+tensor with an axis per *active* wire, and reads each op once.  Nothing
+conditions a measurement, so every branch has the same active wires at
+every op, and the two slices an op mixes or splits are indexed once per
+circuit (``_layout``).  A unitary replaces its two slices by a 2x2 mix of
+them; a conditioned one mixes only the rows whose bits fire it.  A
+``measure`` or ``reset`` splits each row in two, outcome 0 first, so rows
+stay in lexicographic outcome order; a measured wire's axis is dropped and
+a reset wire is put back in |0>.  ``enumerate`` weighs a row by its path
+probability and keeps every outcome of probability at least
+``BRANCH_PROB_TOL``.  ``sample`` weighs it by its shot count, splits the
+shots between the outcomes with one binomial draw per row and keeps those
+that receive any, so the counts are multinomial and no shot count makes
+the walk longer than enumeration.
+
+The frontier holds every live branch at once.  Without ``reset`` it never
+holds more amplitudes than the initial tensor, since a split halves each
+row; a reset that can give either outcome doubles it.
 """
 
 from __future__ import annotations
@@ -30,17 +39,21 @@ EMPTY_COLUMN_TOL = 1e-24
 FIDELITY_TOL = 1e-9
 # Allowed |sum of probabilities - 1|: rounding plus mass pruned by BRANCH_PROB_TOL.
 PROB_SUM_TOL = 1e-10
+# The largest shot count a binomial draw takes: numpy's int64.
+MAX_SHOTS = 2**63 - 1
 
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _FIXED_MATRICES = {
     "z": np.diag([1.0, -1.0]).astype(complex),
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "x": _X,
+    "cswap": _X,  # exchanges its slices 01 and 10
     "h": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
 }
 
 
-def _single_qubit_matrix(op) -> np.ndarray | None:
-    """The matrix ``op`` applies to its last wire; None for ``cswap``,
-    ``measure`` and ``reset``."""
+def _matrix(op) -> np.ndarray | None:
+    """The 2x2 matrix that mixes ``op``'s two slices; None for ``measure``
+    and ``reset``."""
     if op.kind in ("roty", "mcroty"):
         c, s = np.cos(op.angle / 2.0), np.sin(op.angle / 2.0)
         return np.array([[c, -s], [s, c]], dtype=complex)
@@ -81,154 +94,127 @@ class VerificationReport:
         }
 
 
-@dataclass(slots=True)
-class _Frame:
-    """Mutable simulation frame: active tensor, classical records and the
-    frame's weight (path probability, or shot count when sampling)."""
-
-    state: np.ndarray
-    active: list[int]
-    bits: dict[int, int]
-    outcomes: list[int]
-    fixed: dict[int, int]
-    weight: float
-
-    def copy(self) -> "_Frame":
-        return _Frame(
-            self.state,
-            list(self.active),
-            dict(self.bits),
-            list(self.outcomes),
-            dict(self.fixed),
-            self.weight,
-        )
-
-
-def _split_view(state: np.ndarray, ax: int):
-    """View of a contiguous tensor as (pre, 2, post) around axis ``ax``.
-
-    The caller mutates the result in place, so a silent reshape copy
-    would corrupt the simulation; frames keep their buffers contiguous.
+def _layout(circuit: Circuit):
+    """Per op, the index tuples of the two frontier slices that it mixes
+    or splits, axis 0 running over branches; and the wires active at the
+    end.  A ``mcroty`` fixes its controls to their polarities and a
+    ``cswap`` its control to 1 and its targets to 01 and 10.  A tuple ends
+    at its last fixed axis, so a split's wire is the last axis it names.
     """
-    if not state.flags.c_contiguous:
-        raise AssertionError("simulation state buffer lost contiguity")
-    return state.reshape(2**ax, 2, -1)
+    active = list(range(circuit.n_qubits))
+    out = []
+    for op in circuit.ops:
+        *controls, target = op.qubits
+        fixed = dict(zip(controls, op.polarities or ()))
+        ends = ({target: 0}, {target: 1})
+        if op.kind == "cswap":
+            fixed = {controls[0]: 1}
+            ends = ({controls[1]: 0, target: 1}, {controls[1]: 1, target: 0})
+        stop = 1 + max(map(active.index, op.qubits))
+        out.append(
+            tuple(
+                (slice(None),) + tuple({**fixed, **end}.get(q, slice(None)) for q in active[:stop])
+                for end in ends
+            )
+        )
+        if op.kind == "measure":
+            active.remove(target)
+    return out, active
 
 
-def _apply_unitary(frame: _Frame, op, mat: np.ndarray | None) -> None:
-    """Apply unitary ``op``, whose ``_single_qubit_matrix`` is ``mat``."""
-    active = frame.active
-    state = frame.state
-    if op.kind == "cswap":
-        c, a, b = (active.index(q) for q in op.qubits)
-        idx = [slice(None)] * state.ndim
-        idx[c] = 1
-        sub = state[tuple(idx)]
-        adj = lambda ax: ax - (1 if ax > c else 0)
-        state[tuple(idx)] = np.swapaxes(sub, adj(a), adj(b)).copy()
-        return
-    if op.kind == "mcroty" and len(op.qubits) > 1:
-        controls = op.qubits[:-1]
-        target = op.qubits[-1]
-        caxes = [active.index(q) for q in controls]
-        idx = [slice(None)] * state.ndim
-        for ax, pol in zip(caxes, op.polarities):
-            idx[ax] = pol
-        sub = state[tuple(idx)]
-        t_full = active.index(target)
-        t_ax = t_full - sum(1 for ax in caxes if ax < t_full)
-        sub = np.tensordot(mat, sub, axes=([1], [t_ax]))
-        state[tuple(idx)] = np.moveaxis(sub, 0, t_ax)
-        return
+def _mix(state: np.ndarray, i0, i1, mat: np.ndarray, fires) -> None:
+    """Replace the slices ``a = state[i0]`` and ``b = state[i1]`` by
+    ``mat @ (a, b)``, on the rows where ``fires`` (all if None)."""
     (m00, m01), (m10, m11) = mat.tolist()
-    v = _split_view(state, active.index(op.qubits[-1]))
-    v0, v1 = v[:, 0, :], v[:, 1, :]
     if m01 == 0 and m10 == 0:
-        # A diagonal matrix scales the halves; skipping the zero terms
-        # leaves every value unchanged and saves most of a gate's cost.
-        v0 *= m00
-        v1 *= m11
+        # A diagonal matrix scales the slices in place, each row by its own
+        # factor: 1 where the condition does not fire.
+        a, b = state[i0], state[i1]
+        if fires is not None:
+            shape = (-1,) + (1,) * (a.ndim - 1)
+            m00, m11 = (np.where(fires, m, 1).reshape(shape) for m in (m00, m11))
+        a *= m00
+        b *= m11
         return
-    tmp = v0.copy()
-    v0 *= m00
-    v0 += m01 * v1
-    v1 *= m11
-    v1 += m10 * tmp
+    if fires is not None:
+        rows = np.flatnonzero(fires)
+        i0, i1 = (rows,) + i0[1:], (rows,) + i1[1:]
+    a, b = state[i0], state[i1]  # views, or copies of the rows that fire
+    tmp = a.copy()
+    a *= m00
+    a += m01 * b
+    b *= m11
+    b += m10 * tmp
+    if fires is not None:
+        state[i0], state[i1] = a, b
 
 
-def _norm_sq(a: np.ndarray) -> float:
-    flat = a.reshape(-1)
-    return float(np.vdot(flat, flat).real)
+def _fires(cond, outcomes: np.ndarray, column: dict[int, int]) -> np.ndarray:
+    """Whether ``cond`` holds on each row of ``outcomes``; ``column`` maps
+    a clbit to the outcome column that wrote it.  ``values`` ascend, so a
+    binary search finds each row's integer; past 62 bits (repeated bits)
+    it is spelled in Python integers."""
+    dtype = np.int64 if len(cond.bits) < 63 else object
+    place = np.array([1 << k for k in reversed(range(len(cond.bits)))], dtype=dtype)
+    idx = outcomes[:, [column[b] for b in cond.bits]] @ place
+    values = np.array((*cond.values, -1), dtype=dtype)
+    return values[np.searchsorted(values[:-1], idx)] == idx
 
 
-def _collapse(frame: _Frame, op, outcome: int, slc: np.ndarray, p: float) -> None:
-    """Project ``op``'s wire onto ``outcome``, whose slice of the state is
-    ``slc`` with squared norm ``p``.  A measured wire leaves the tensor; a
-    reset wire is put back in |0>."""
-    q = op.qubits[0]
-    ax = frame.active.index(q)
-    shape = (2,) * len(frame.active)
-    collapsed = (slc / np.sqrt(p)).reshape(shape[:ax] + shape[ax + 1 :])
-    frame.outcomes.append(outcome)
-    if op.kind == "measure":
-        del frame.active[ax]
-        frame.state = collapsed
-        frame.fixed[q] = outcome
-        frame.bits[op.clbit] = outcome
-        return
-    frame.state = np.zeros(shape, dtype=complex)
-    frame.state[(slice(None),) * ax + (0,)] = collapsed
-
-
-def _split(weight, p0: float, p1: float, rng):
-    """The two outcomes' weights; an outcome of weight 0 is not followed."""
-    if rng is None:
-        return tuple(w if w >= BRANCH_PROB_TOL else 0.0 for w in (weight * p0, weight * p1))
-    k1 = int(rng.binomial(weight, p1 / (p0 + p1)))
-    return weight - k1, k1
+def _norm_sq(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each row (axis 0) of ``a``."""
+    sq = a.real**2 + a.imag**2
+    return sq.reshape(len(sq), -1).sum(axis=1)
 
 
 def _walk(circuit: Circuit, rng, total) -> list[Branch]:
-    """Depth-first over the outcome tree with an explicit stack.  Without
-    ``rng`` every outcome above ``BRANCH_PROB_TOL`` is followed; with it,
+    """Breadth-first over the outcome tree, reading each op once.  Without
+    ``rng`` every outcome above ``BRANCH_PROB_TOL`` is kept; with it,
     ``total`` shots are split binomially at each measurement."""
-    ops = circuit.ops
-    mats = [_single_qubit_matrix(op) for op in ops]  # shared by every branch
-    state = np.zeros((2,) * circuit.n_qubits, dtype=complex)
-    state[(0,) * circuit.n_qubits] = 1.0
-    stack = [(0, _Frame(state, list(range(circuit.n_qubits)), {}, [], {}, total))]
-    out: list[Branch] = []
-    while stack:
-        start, frame = stack.pop()
-        for i in range(start, len(ops)):
-            op = ops[i]
-            if op.kind not in ("measure", "reset"):
-                if op.condition is None or op.condition.holds(frame.bits):
-                    _apply_unitary(frame, op, mats[i])
-                continue
-            v = _split_view(frame.state, frame.active.index(op.qubits[0]))
-            slices = (v[:, 0, :], v[:, 1, :])
-            probs = (_norm_sq(slices[0]), _norm_sq(slices[1]))
-            weights = _split(frame.weight, probs[0], probs[1], rng)
-            # Outcome 0 is pushed last, so walked first: lexicographic order.
-            kept = [o for o in (1, 0) if weights[o]]
-            for o in kept:
-                child = frame if o == kept[-1] else frame.copy()
-                _collapse(child, op, o, slices[o], probs[o])
-                child.weight = weights[o]
-                stack.append((i + 1, child))
-            break
+    slices, active = _layout(circuit)
+    state = np.zeros((1,) + (2,) * circuit.n_qubits, dtype=complex)
+    state.flat[0] = 1.0
+    outcomes = np.zeros((1, 0), dtype=np.int8)
+    weight = np.array([total])
+    column: dict[int, int] = {}  # clbit -> the outcome column it holds
+    measured: dict[int, int] = {}  # measured wire -> its outcome column
+    for op, (i0, i1) in zip(circuit.ops, slices):
+        if op.kind not in ("measure", "reset"):
+            fires = None if op.condition is None else _fires(op.condition, outcomes, column)
+            _mix(state, i0, i1, _matrix(op), fires)
+            continue
+        probs = np.stack((_norm_sq(state[i0]), _norm_sq(state[i1])), axis=1)
+        if rng is None:
+            split = weight[:, None] * probs
+            split[split < BRANCH_PROB_TOL] = 0.0
         else:
-            out.append(
-                Branch(
-                    outcomes=tuple(frame.outcomes),
-                    probability=frame.weight / total,
-                    data_state=_extract_data_state(frame, circuit.data_qubits),
-                    residual_wires=tuple(frame.active),
-                    residual_state=frame.state.reshape(-1),
-                    fixed_outcomes=dict(frame.fixed),
-                )
+            k1 = rng.binomial(weight, probs[:, 1] / probs.sum(axis=1))
+            split = np.stack((weight - k1, k1), axis=1)
+        # Row-major order puts each row's outcome 0 first: lexicographic.
+        rows, outs = np.nonzero(split)
+        kept = state[(rows,) + i0[1:-1] + (outs,)]
+        kept /= np.sqrt(probs[rows, outs]).reshape((-1,) + (1,) * (kept.ndim - 1))
+        if op.kind == "measure":
+            state = kept
+            column[op.clbit] = measured[op.qubits[0]] = outcomes.shape[1]
+        else:
+            state = np.zeros((len(rows),) + state.shape[1:], dtype=complex)
+            state[i0] = kept
+        outcomes = np.column_stack((outcomes[rows], outs.astype(np.int8)))
+        weight = split[rows, outs]
+    out = []
+    for row, outs, w in zip(state, outcomes.tolist(), weight.tolist()):
+        fixed = {q: outs[k] for q, k in measured.items()}
+        out.append(
+            Branch(
+                outcomes=tuple(outs),
+                probability=w / total,
+                data_state=_extract_data_state(row, active, circuit.data_qubits, fixed),
+                residual_wires=tuple(active),
+                residual_state=row.reshape(-1),
+                fixed_outcomes=fixed,
             )
+        )
     return out
 
 
@@ -255,18 +241,19 @@ def _embed_measured(vec: np.ndarray, active_data, data_qubits, fixed) -> np.ndar
     return full.reshape(-1)
 
 
-def _extract_data_state(frame: _Frame, data_qubits) -> np.ndarray:
-    """Best pure state on the data register.
+def _extract_data_state(state: np.ndarray, active, data_qubits, fixed) -> np.ndarray:
+    """Best pure state on the data register, from one branch's ``state``
+    over ``active`` and its measured wires' outcomes ``fixed``.
 
     When the remaining wires factor out (the usual case after the
     disentangling measurements) this is exact; otherwise the principal
     eigenvector of the reduced density matrix is returned, so entangled
     residue shows up as fidelity loss.
     """
-    if list(data_qubits) == frame.active:
-        vec = frame.state.reshape(-1)
-        return vec / np.sqrt(_norm_sq(vec))
-    active_data, mat = _data_rows(frame.state, frame.active, data_qubits)
+    if list(data_qubits) == active:
+        vec = state.reshape(-1)
+        return vec / np.linalg.norm(vec)
+    active_data, mat = _data_rows(state, active, data_qubits)
     col_norms = np.sum(np.abs(mat) ** 2, axis=0)
     nonzero = np.flatnonzero(col_norms > EMPTY_COLUMN_TOL)
     if len(nonzero) == 1:
@@ -275,7 +262,7 @@ def _extract_data_state(frame: _Frame, data_qubits) -> np.ndarray:
         _, vecs = np.linalg.eigh(mat @ mat.conj().T)
         vec = vecs[:, -1]
     vec = vec / np.linalg.norm(vec)
-    return _embed_measured(vec, active_data, data_qubits, frame.fixed)
+    return _embed_measured(vec, active_data, data_qubits, fixed)
 
 
 def run(
@@ -299,6 +286,8 @@ def run(
     if mode == "sample":
         if not shots or shots <= 0:
             raise ValueError("sample mode needs a positive shot count")
+        if shots > MAX_SHOTS:
+            raise ValueError(f"shot count {shots} exceeds {MAX_SHOTS}")
         return _walk(circuit, np.random.default_rng(seed), shots)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -21,8 +21,7 @@ def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> l
     ops: list[Gate] = []
     for k in range(depth):
         for p in range(2**k):
-            f = _descend(base_node, k, p)
-            angle = tree.alpha[f]
+            angle = tree.alpha[(base_node + 1) * 2**k - 1 + p]
             if abs(angle) <= ANGLE_TOL:
                 continue
             if k == 0:
@@ -32,9 +31,3 @@ def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> l
                 ops.append(mcroty(angle, controls, wires[k], role=ROLE_LOAD))
     return ops
 
-
-def _descend(base: int, depth: int, position: int) -> int:
-    f = base
-    for step in range(depth - 1, -1, -1):
-        f = 2 * f + 1 + ((position >> step) & 1)
-    return f

@@ -3,10 +3,9 @@
 A length-``2**n`` vector is represented by a tree with ``2**n - 1`` nodes.
 The node at level ``l`` (root is level 0) and position ``p`` has flat index
 ``f = 2**l - 1 + p``.  Each node stores the pair of edge weights to its
-children, the y-rotation angle that prepares the corresponding single-qubit
-state, and the norm of the amplitude block covered by its subtree.  The
-product of edge weights along the path from the root to leaf ``i`` equals
-amplitude ``x_i``.
+children and the y-rotation angle that prepares the corresponding
+single-qubit state.  The product of edge weights along the path from the
+root to leaf ``i`` equals amplitude ``x_i``.
 
 The states below all nodes are formed bottom up, one level per array
 step (``AmplitudeTree.states``); nothing recurses.
@@ -39,15 +38,14 @@ class AmplitudeTree:
 
     All node arrays have length ``2**n - 1`` and are indexed by the flat
     node index ``f``.  Zero-norm nodes (no amplitude anywhere below them)
-    have both weights, the angle and the norm set to zero and are flagged
-    undefined in ``defined``.
+    have both weights and the angle set to zero and are flagged undefined
+    in ``defined``.
     """
 
     n: int
     omega0: np.ndarray
     omega1: np.ndarray
     alpha: np.ndarray
-    norm: np.ndarray
     defined: np.ndarray
 
     @property
@@ -117,7 +115,6 @@ def build_tree(amplitudes) -> AmplitudeTree:
     n = size.bit_length() - 1
     omega0 = np.zeros(size - 1)
     omega1 = np.zeros(size - 1)
-    norm = np.zeros(size - 1)
     defined = np.zeros(size - 1, dtype=bool)
 
     cur = x
@@ -125,7 +122,6 @@ def build_tree(amplitudes) -> AmplitudeTree:
         parent = np.sqrt(cur[0::2] ** 2 + cur[1::2] ** 2)
         base = 2**level - 1
         ok = parent > ZERO_NORM_TOL
-        norm[base : base + 2**level] = np.where(ok, parent, 0.0)
         defined[base : base + 2**level] = ok
         with np.errstate(invalid="ignore", divide="ignore"):
             w0 = np.where(ok, cur[0::2] / np.where(ok, parent, 1.0), 0.0)
@@ -135,7 +131,7 @@ def build_tree(amplitudes) -> AmplitudeTree:
         cur = np.where(ok, parent, 0.0)
 
     alpha = 2.0 * np.arcsin(np.clip(omega1, 0.0, 1.0))
-    return AmplitudeTree(n=n, omega0=omega0, omega1=omega1, alpha=alpha, norm=norm, defined=defined)
+    return AmplitudeTree(n=n, omega0=omega0, omega1=omega1, alpha=alpha, defined=defined)
 
 
 def preorder(tree: AmplitudeTree) -> list[int]:

@@ -147,6 +147,16 @@ class TestVerify:
         main(["verify", out, dense_file, "--mode", "sample", "--shots", "500", "--seed", "9"])
         assert capsys.readouterr().out == first
 
+    def test_oversized_shot_count_exits_two(self, dense_file, tmp_path, capsys):
+        out = str(tmp_path / "c.json")
+        main(["compile", dense_file, "--method", "dc", "--out", out])
+        capsys.readouterr()
+        args = ["verify", out, dense_file, "--mode", "sample", "--shots"]
+        assert main(args + [str(10**20)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert main(args + [str(2**63 - 1)]) == 0
+
     def test_non_finite_or_bool_document_fields_exit_two(self, tmp_path, capsys):
         vec = write_vector(tmp_path, "v.json", [0.6, 0.8])
         out = tmp_path / "c.json"
@@ -227,6 +237,14 @@ class TestAnalyzeSweep:
         first = capsys.readouterr().out
         main(["sweep", "--n", "5", "--measure"])
         assert capsys.readouterr().out == first
+
+    def test_formula_sweep_builds_no_tree(self, monkeypatch, capsys):
+        def refuse(_):
+            raise AssertionError("a formula-only sweep built a tree")
+
+        monkeypatch.setattr("stateprep.cli.build_tree", refuse)
+        assert main(["sweep", "--n", "3", "4"]) == 0
+        assert "4,2,11,8" in capsys.readouterr().out
 
 
 class TestDistinguish:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -122,6 +124,51 @@ class TestEnumerate:
         for b in branches:
             assert b.outcomes[-1] == 0
             assert b.probability == pytest.approx(0.5, abs=1e-12)
+
+
+class TestConditions:
+    def test_out_of_order_bits_match_oracle(self):
+        # Clbits are written out of wire order, and each condition reads
+        # non-adjacent bits with the higher clbit as the more significant.
+        ops = (
+            hadamard(0),
+            roty(1, 1.1),
+            roty(2, 0.7),
+            roty(3, 0.4),
+            roty(4, 1.3),
+            hadamard(5),
+            cswap(0, 3, 4),
+            mcroty(0.9, [(1, 1)], 5),
+            mcroty(-0.6, [(2, 0), (0, 1)], 3),
+            measure(2, 0),
+            measure(0, 2),
+            measure(1, 1),
+            roty(3, 0.9, condition=Condition((2, 0), (1, 2))),
+            replace(cswap(3, 4, 5), condition=Condition((2, 0), (0, 3))),
+            replace(mcroty(0.8, [(3, 0), (5, 1)], 4), condition=Condition((2, 1, 0), (1, 4, 6))),
+            rotz(5, 0.5, condition=Condition((1, 2), (1,))),
+            pauli_x(4, condition=Condition((2, 0), (2,))),
+        )
+        c = Circuit(6, 3, ops, (3, 4, 5))
+        got = sp.run(c)
+        expected = oracle_branches(c)
+        assert len(got) == len(expected) == 8
+        for b, (outcomes, prob, data) in zip(got, expected):
+            assert b.outcomes == outcomes
+            assert b.probability == pytest.approx(prob, abs=1e-12)
+            assert np.allclose(b.data_state, data, atol=1e-10)
+        sampled = sp.run(c, mode="sample", shots=20_000, seed=3)
+        assert [b.outcomes for b in sampled] == [b.outcomes for b in got]
+        for s_branch, e_branch in zip(sampled, got):
+            assert np.array_equal(s_branch.data_state, e_branch.data_state)
+
+    def test_condition_wider_than_int64(self):
+        # 70 copies of bit 0 spell 2**70 - 1 exactly when bit 0 is 1.
+        wide = Condition((0,) * 70, (2**70 - 1,))
+        ops = (hadamard(0), measure(0, 0), pauli_x(1, condition=wide))
+        unfired, fired = sp.run(Circuit(2, 1, ops, (1,)))
+        assert np.allclose(unfired.data_state, [1, 0])
+        assert np.allclose(fired.data_state, [0, 1])
 
 
 class TestSample:

@@ -86,7 +86,7 @@ class TestBuildTree:
         x = np.array([1e300, 1e300, 1.0, 1.0])
         big = sp.build_tree(x)
         small = sp.build_tree(np.ldexp(x, -1000))
-        for name in ("omega0", "omega1", "alpha", "norm", "defined"):
+        for name in ("omega0", "omega1", "alpha", "defined"):
             assert np.array_equal(getattr(big, name), getattr(small, name)), name
         assert big.alpha[0] == pytest.approx(0.0, abs=1e-12)
         assert big.alpha[1] == pytest.approx(np.pi / 2, abs=1e-12)
