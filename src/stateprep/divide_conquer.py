@@ -16,7 +16,8 @@ With ``prune``, ``_plan_tree`` alone decides which nodes keep one child.
 
 Synthesis works one tree level at a time and nothing recurses over the
 plans: the sibling states of every combining stage of a level are rows of
-the tree's level arrays (``tree.grounded_states``), and one
+the tree's level arrays (``AmplitudeTree.states``, where a zero-norm
+subtree's row is the ground state its wires are left in), and one
 ``compile_disentangler`` call builds all of the level's measurement plans
 together and emits the level's ops in stage order.
 
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tree as tree_mod
 from .circuit import (
     ROLE_COMBINE,
     ROLE_CORRECT,
@@ -54,7 +54,7 @@ from .circuit import (
 from .discrimination import OrthPair, decompose
 from .errors import LambdaOutOfRange, NonUnitInput
 from .time_encoding import rotation_ops
-from .tree import ANGLE_TOL, AmplitudeTree, ZERO_NORM_TOL, children_of
+from .tree import ANGLE_TOL, AmplitudeTree, ZERO_NORM_TOL, children_of, states_equal
 
 # States are treated as equal only at machine-level overlap deficit.
 # The +/- basis construction stays numerically sound for any larger
@@ -170,66 +170,50 @@ def compile_disentangler(
 
 @dataclass
 class _Plan:
-    """Planned synthesis: which nodes exist and how each one combines."""
+    """Planned synthesis: which nodes exist, their wires and how each one combines."""
 
     mode: dict[int, str]  # "combine" | "left" | "right" for control nodes
-    wire: dict[int, int]  # control node -> wire
-    block_wires: dict[int, list[int]]  # block root -> wires
-    order: list[int]  # included nodes in pre-order
+    wires: dict[int, list[int]]  # included node -> its own wires, in pre-order
+    live: dict[int, list[int]]  # included node -> the register holding its state
 
 
 def _plan_tree(tree: AmplitudeTree, block_level: int, prune: bool) -> _Plan:
-    mode: dict[int, str] = {}
-    included: list[int] = []
+    plan = _Plan({}, {}, {})
     # Whether the two children of each node hold the same state, by level.
     same: list[np.ndarray] = []
     if prune:
         for level in range(block_level):
-            states = tree_mod.grounded_states(tree, level + 1)
-            same.append(tree_mod.states_equal(states[0::2], states[1::2]))
+            states = tree.states[level + 1]
+            same.append(states_equal(states[0::2], states[1::2]))
 
-    def visit(f: int, level: int) -> None:
-        included.append(f)
+    def visit(f: int, level: int, cursor: int) -> int:
+        """Plan the subtree at ``f`` from wire ``cursor``; the next free wire."""
         if level == block_level:
-            return
+            plan.wires[f] = plan.live[f] = list(range(cursor, cursor + tree.n - level))
+            return cursor + tree.n - level
+        plan.wires[f] = [cursor]
         left, right = children_of(f)
         if not prune:
-            mode[f] = "combine"
+            mode = "combine"
         elif tree.omega1[f] <= ZERO_NORM_TOL:
-            mode[f] = "left"
+            mode = "left"
         elif tree.omega0[f] <= ZERO_NORM_TOL:
-            mode[f] = "right"
+            mode = "right"
         elif same[level][f + 1 - 2**level]:
-            mode[f] = "left"
+            mode = "left"
         else:
-            mode[f] = "combine"
-        if mode[f] != "right":
-            visit(left, level + 1)
-        if mode[f] != "left":
-            visit(right, level + 1)
+            mode = "combine"
+        plan.mode[f] = mode
+        cursor += 1
+        if mode != "right":
+            cursor = visit(left, level + 1, cursor)
+        if mode != "left":
+            cursor = visit(right, level + 1, cursor)
+        plan.live[f] = [plan.wires[f][0]] + plan.live[right if mode == "right" else left]
+        return cursor
 
-    visit(0, 0)
-
-    lam = tree.n - block_level
-    wire: dict[int, int] = {}
-    block_wires: dict[int, list[int]] = {}
-    cursor = 0
-    for f in included:
-        if tree_mod.level_of(f) == block_level:
-            block_wires[f] = list(range(cursor, cursor + lam))
-            cursor += lam
-        else:
-            wire[f] = cursor
-            cursor += 1
-    return _Plan(mode=mode, wire=wire, block_wires=block_wires, order=included)
-
-
-def _live_wires(plan: _Plan, f: int, block_level: int) -> list[int]:
-    if tree_mod.level_of(f) == block_level:
-        return plan.block_wires[f]
-    left, right = children_of(f)
-    child = right if plan.mode[f] == "right" else left
-    return [plan.wire[f]] + _live_wires(plan, child, block_level)
+    visit(0, 0, 0)
+    return plan
 
 
 def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circuit:
@@ -239,15 +223,14 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
     plan = _plan_tree(tree, block_level, opts.prune)
 
     ops: list[Gate] = []
-    for f in plan.order:
-        if f in plan.block_wires and lam > 1:
-            ops.extend(rotation_ops(tree, plan.block_wires[f], base_node=f))
+    for f, wires in plan.wires.items():
+        if len(wires) > 1:
+            ops.extend(rotation_ops(tree, wires, base_node=f))
             continue
         angle = tree.alpha[f]
         if opts.prune and abs(angle) <= ANGLE_TOL:
             continue
-        wire = plan.wire[f] if f in plan.wire else plan.block_wires[f][0]
-        ops.append(_loading_gate(wire, angle))
+        ops.append(_loading_gate(wires[0], angle))
 
     # Each op's slot in the parallel schedule: (layer, after the level's swaps).
     slots = [(0, 0)] * len(ops)
@@ -259,17 +242,15 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         run_layers = _run_layers(tree.n - level - 1)
         controls, right_lives = [], []
         for f in combiners:
-            left, right = children_of(f)
-            left_live = _live_wires(plan, left, block_level)
-            right_live = _live_wires(plan, right, block_level)
-            for a, b in zip(left_live, right_live):
-                ops.append(cswap(plan.wire[f], a, b, role=ROLE_COMBINE))
+            control, (left, right) = plan.wires[f][0], children_of(f)
+            for a, b in zip(plan.live[left], plan.live[right]):
+                ops.append(cswap(control, a, b, role=ROLE_COMBINE))
             slots.extend((layer, 0) for layer in run_layers)
-            controls.append(plan.wire[f])
-            right_lives.append(right_live)
+            controls.append(control)
+            right_lives.append(plan.live[right])
         if not opts.disentangle or not combiners:
             continue
-        states = tree_mod.grounded_states(tree, level + 1)
+        states = tree.states[level + 1]
         pos = 2 * (np.array(combiners) - base)
         stage_ops = compile_disentangler(
             states[pos], states[pos + 1], right_lives, controls, first_clbit=next_bit
@@ -287,13 +268,11 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
     if opts.parallelize:
         # Stable, so ops sharing a slot keep their emission order.
         ops = [ops[i] for i in sorted(range(len(ops)), key=slots.__getitem__)]
-    n_qubits = len(plan.wire) + lam * len(plan.block_wires)
-    data = tuple(_live_wires(plan, 0, block_level))
     return Circuit(
-        n_qubits=n_qubits,
+        n_qubits=sum(map(len, plan.wires.values())),
         n_clbits=next_bit,
         ops=tuple(ops),
-        data_qubits=data,
+        data_qubits=tuple(plan.live[0]),
         stage_reports=tuple(reports),
     )
 

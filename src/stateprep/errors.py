@@ -21,10 +21,6 @@ class ZeroVector(StatePrepError):
     pass
 
 
-class UndefinedNode(StatePrepError):
-    pass
-
-
 class InvalidCircuit(StatePrepError):
     pass
 

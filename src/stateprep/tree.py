@@ -5,7 +5,10 @@ The node at level ``l`` (root is level 0) and position ``p`` has flat index
 ``f = 2**l - 1 + p``.  Each node stores the pair of edge weights to its
 children and the y-rotation angle that prepares the corresponding
 single-qubit state.  The product of edge weights along the path from the
-root to leaf ``i`` equals amplitude ``x_i``.
+root to leaf ``i`` equals amplitude ``x_i``.  A zero-norm node (no
+amplitude anywhere below it) gets the unit weights ``(1, 0)`` and angle 0,
+so every node's weights form a unit vector and the state below a
+zero-norm node is ``|0...0>``, which is what the circuit leaves there.
 
 The states below all nodes are formed bottom up, one level per array
 step (``AmplitudeTree.states``); nothing recurses.
@@ -22,7 +25,6 @@ from .errors import (
     NegativeAmplitude,
     NonFiniteAmplitude,
     NonPowerOfTwoLength,
-    UndefinedNode,
     ZeroVector,
 )
 
@@ -37,16 +39,13 @@ class AmplitudeTree:
     """Immutable angle tree for one input vector.
 
     All node arrays have length ``2**n - 1`` and are indexed by the flat
-    node index ``f``.  Zero-norm nodes (no amplitude anywhere below them)
-    have both weights and the angle set to zero and are flagged undefined
-    in ``defined``.
+    node index ``f``.  Zero-norm nodes have weights ``(1, 0)`` and angle 0.
     """
 
     n: int
     omega0: np.ndarray
     omega1: np.ndarray
     alpha: np.ndarray
-    defined: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -55,7 +54,7 @@ class AmplitudeTree:
     @cached_property
     def states(self) -> tuple[np.ndarray, ...]:
         """``states[l]`` has shape ``(2**l, 2**(n - l))``; row ``p`` is the
-        state below node ``2**l - 1 + p``, a zero row for zero-norm nodes."""
+        state below node ``2**l - 1 + p``, ``|0...0>`` for zero-norm nodes."""
         level, out = np.ones((2**self.n, 1)), []
         for lvl in range(self.n - 1, -1, -1):
             w0, w1 = (w[2**lvl - 1 : 2 ** (lvl + 1) - 1, None] for w in (self.omega0, self.omega1))
@@ -115,23 +114,19 @@ def build_tree(amplitudes) -> AmplitudeTree:
     n = size.bit_length() - 1
     omega0 = np.zeros(size - 1)
     omega1 = np.zeros(size - 1)
-    defined = np.zeros(size - 1, dtype=bool)
 
     cur = x
     for level in range(n - 1, -1, -1):
         parent = np.sqrt(cur[0::2] ** 2 + cur[1::2] ** 2)
         base = 2**level - 1
         ok = parent > ZERO_NORM_TOL
-        defined[base : base + 2**level] = ok
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w0 = np.where(ok, cur[0::2] / np.where(ok, parent, 1.0), 0.0)
-            w1 = np.where(ok, cur[1::2] / np.where(ok, parent, 1.0), 0.0)
-        omega0[base : base + 2**level] = w0
-        omega1[base : base + 2**level] = w1
+        safe = np.where(ok, parent, 1.0)
+        omega0[base : base + 2**level] = np.where(ok, cur[0::2] / safe, 1.0)
+        omega1[base : base + 2**level] = np.where(ok, cur[1::2] / safe, 0.0)
         cur = np.where(ok, parent, 0.0)
 
     alpha = 2.0 * np.arcsin(np.clip(omega1, 0.0, 1.0))
-    return AmplitudeTree(n=n, omega0=omega0, omega1=omega1, alpha=alpha, defined=defined)
+    return AmplitudeTree(n=n, omega0=omega0, omega1=omega1, alpha=alpha)
 
 
 def preorder(tree: AmplitudeTree) -> list[int]:
@@ -150,35 +145,12 @@ def preorder(tree: AmplitudeTree) -> list[int]:
 
 
 def subtree_state(tree: AmplitudeTree, f: int) -> np.ndarray:
-    """Normalized state of the ``n - level(f)`` qubits below node ``f``.
-
-    Obtained by multiplying edge weights down the subtree; zero-norm
-    branches contribute zero blocks.  Raises ``UndefinedNode`` when the
-    node itself carries no amplitude.
-    """
-    if f < 0 or f >= tree.num_nodes:
-        raise UndefinedNode(f"node index {f} out of range")
-    if not tree.defined[f]:
-        raise UndefinedNode(f"node {f} has zero norm")
+    """Normalized state of the ``n - level(f)`` qubits below node ``f``;
+    ``|0...0>`` when no amplitude lies below it."""
+    if not 0 <= f < tree.num_nodes:
+        raise IndexError(f"node index {f} out of range")
     level = level_of(f)
     return tree.states[level][f + 1 - 2**level].copy()
-
-
-def state_or_ground(tree: AmplitudeTree, f: int) -> np.ndarray:
-    """Like ``subtree_state`` but maps zero-norm subtrees to ``|0...0>``.
-
-    Zero-norm wires are physically left in the ground state, so this is
-    the state actually sitting in those registers.
-    """
-    level = level_of(f)
-    return grounded_states(tree, level)[f + 1 - 2**level]
-
-
-def grounded_states(tree: AmplitudeTree, level: int) -> np.ndarray:
-    """``state_or_ground`` of every node at ``level``, one row each."""
-    out = tree.states[level].copy()
-    out[~tree.defined[2**level - 1 : 2 ** (level + 1) - 1], 0] = 1.0
-    return out
 
 
 def states_equal(a: np.ndarray, b: np.ndarray, tol: float = STATE_EQ_TOL):

@@ -5,7 +5,6 @@ import stateprep as sp
 from stateprep.circuit import layers
 from stateprep.divide_conquer import DcOptions, compile_disentangler
 from stateprep.errors import NonUnitInput
-from stateprep.tree import state_or_ground
 
 from conftest import random_unit
 
@@ -160,8 +159,8 @@ class TestSynthesizeDc:
         for rep in c.stage_reports:
             left, right = 2 * rep.node + 1, 2 * rep.node + 2
             alone = compile_disentangler(
-                state_or_ground(tree, left),
-                state_or_ground(tree, right),
+                sp.subtree_state(tree, left),
+                sp.subtree_state(tree, right),
                 rep.ancilla_wires,
                 rep.control_wire,
                 first_clbit=rep.clbits[0],

@@ -11,10 +11,9 @@ from stateprep.errors import (
     NonFiniteAmplitude,
     NonPowerOfTwoLength,
     StatePrepError,
-    UndefinedNode,
     ZeroVector,
 )
-from stateprep.tree import children_of, level_of, state_or_ground
+from stateprep.tree import children_of, level_of
 
 from conftest import random_unit
 
@@ -49,10 +48,9 @@ class TestBuildTree:
         for i in range(16):
             assert path_product(tree, i) == pytest.approx(x[i], abs=1e-12)
 
-    def test_weights_normalized_per_node(self, dense_vector):
-        tree = sp.build_tree(dense_vector)
-        for f in range(tree.num_nodes):
-            if tree.defined[f]:
+    def test_weights_normalized_per_node(self, dense_vector, w_vector):
+        for tree in map(sp.build_tree, (dense_vector, w_vector)):
+            for f in range(tree.num_nodes):
                 assert tree.omega0[f] ** 2 + tree.omega1[f] ** 2 == pytest.approx(1, abs=1e-12)
                 assert 0.0 <= tree.alpha[f] <= np.pi
 
@@ -63,8 +61,7 @@ class TestBuildTree:
 
     def test_zero_norm_nodes_flagged(self, w_vector):
         tree = sp.build_tree(w_vector)
-        assert not tree.defined[6]
-        assert tree.omega0[6] == tree.omega1[6] == tree.alpha[6] == 0.0
+        assert (tree.omega0[6], tree.omega1[6], tree.alpha[6]) == (1.0, 0.0, 0.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(NonPowerOfTwoLength):
@@ -86,7 +83,7 @@ class TestBuildTree:
         x = np.array([1e300, 1e300, 1.0, 1.0])
         big = sp.build_tree(x)
         small = sp.build_tree(np.ldexp(x, -1000))
-        for name in ("omega0", "omega1", "alpha", "defined"):
+        for name in ("omega0", "omega1", "alpha"):
             assert np.array_equal(getattr(big, name), getattr(small, name)), name
         assert big.alpha[0] == pytest.approx(0.0, abs=1e-12)
         assert big.alpha[1] == pytest.approx(np.pi / 2, abs=1e-12)
@@ -159,10 +156,11 @@ class TestSubtreeState:
             seg = x[(f - (2**level - 1)) * width : (f - (2**level - 1)) * width + width]
             assert np.allclose(sp.subtree_state(tree, f), seg / np.linalg.norm(seg), atol=1e-12)
 
-    def test_undefined_node_raises(self, w_vector):
+    def test_zero_norm_node_is_ground_state(self, w_vector):
         tree = sp.build_tree(w_vector)
-        with pytest.raises(UndefinedNode):
-            sp.subtree_state(tree, 6)
+        assert np.array_equal(sp.subtree_state(tree, 6), [1.0, 0.0])
+        with pytest.raises(IndexError):
+            sp.subtree_state(tree, 7)
 
     def test_rebuild_idempotence(self, dense_vector):
         tree = sp.build_tree(dense_vector)
@@ -185,8 +183,8 @@ class TestPrune:
     def test_w_state_plan(self, w_vector):
         plan, _, loads = self.pruned(w_vector)
         assert plan.mode == {0: "combine", 1: "combine", 2: "left"}
-        assert not loads & {plan.wire[2], plan.block_wires[4][0], plan.block_wires[5][0]}
-        assert loads == {plan.wire[0], plan.wire[1], plan.block_wires[3][0]}
+        assert not loads & {plan.wires[f][0] for f in (2, 4, 5)}
+        assert loads == {plan.wires[f][0] for f in (0, 1, 3)}
 
     def test_basis_state_plan(self):
         e0 = np.zeros(8)
@@ -200,10 +198,6 @@ class TestPrune:
         x = np.array([1.0, 2.0, 1.0, 2.0])
         plan, _, _ = self.pruned(x / np.linalg.norm(x))
         assert plan.mode == {0: "left"}
-
-    def test_state_or_ground_for_zero_norm(self, w_vector):
-        tree = sp.build_tree(w_vector)
-        assert np.allclose(state_or_ground(tree, 6), [1.0, 0.0])
 
     def test_levels_and_children_helpers(self):
         assert [level_of(f) for f in (0, 1, 2, 3, 6, 7, 14)] == [0, 1, 1, 2, 2, 3, 3]
