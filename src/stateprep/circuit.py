@@ -159,6 +159,8 @@ class Circuit:
                     raise InvalidCircuit(f"op {i}: condition values must ascend strictly")
                 if vals and not (vals[0] >= 0 and vals[-1] < 2 ** len(cond.bits)):
                     raise InvalidCircuit(f"op {i}: condition value out of range")
+                if len(set(cond.bits)) != len(cond.bits):
+                    raise InvalidCircuit(f"op {i}: repeated clbit in {cond.bits}")
                 for b in cond.bits:
                     if b not in written:
                         raise InvalidCircuit(f"op {i}: condition reads unmeasured bit {b}")

@@ -6,13 +6,16 @@ disentangling.  ``lam = 1`` is the divide-and-conquer circuit
 (``synthesize_dc``), ``lam = n`` plain time encoding (``synthesize_time``)
 and the values between are the hybrid family (``synthesize_hybrid``).
 
-Wires are assigned by pre-order traversal of the angle tree so that the
-data register always occupies the first wires.  Levels are combined from
-the bottom up; the combine at a node swaps the live registers of its two
-children under its control wire, then the right register is measured in
-an adaptive basis and a conditioned Z on the control wire undoes the
-relative sign, leaving the ancilla wires in computational states.
-With ``prune``, ``_plan_tree`` alone decides which nodes keep one child.
+The planner (``_plan_tree``) makes one pre-order pass over the angle
+tree: it decides each node's mode, gives the node its own wires on the
+way down (so the data register occupies the first wires) and its live
+register, the wires holding its subtree's state, on the way back up.
+Levels are combined from the bottom up; the combine at a node swaps the
+live registers of its two children under its control wire, then the
+right register is measured in an adaptive basis and a conditioned Z on
+the control wire undoes the relative sign, leaving the ancilla wires in
+computational states.  With ``prune``, the planner alone decides which
+nodes keep one child.
 
 Synthesis works one tree level at a time and nothing recurses over the
 plans: the sibling states of every combining stage of a level are rows of
@@ -56,10 +59,11 @@ from .errors import LambdaOutOfRange, NonUnitInput
 from .time_encoding import rotation_ops
 from .tree import ANGLE_TOL, AmplitudeTree, ZERO_NORM_TOL, children_of, states_equal
 
-# States are treated as equal only at machine-level overlap deficit.
-# The +/- basis construction stays numerically sound for any larger
-# deficit, while a computational shortcut there can distort the rare
-# outcomes' amplitude ratios on wide-dynamic-range inputs.
+# States are treated as equal only at machine-level overlap deficit.  A
+# computational shortcut above it can distort the rare outcomes' amplitude
+# ratios on wide-dynamic-range inputs.  Below a deficit ``d`` the +/- basis
+# keeps a component of about 1e-16/sqrt(d) along ``plus`` in ``minus``, more
+# than ``ORTH_TOL`` allows near this edge, so ``minus`` is re-orthogonalized.
 OVERLAP_EQUAL_TOL = 1e-12
 # Stage states are products of unit weights: a larger norm error is no rounding.
 UNIT_NORM_TOL = 1e-9
@@ -140,6 +144,8 @@ def compile_disentangler(
     ov = overlap[live, None]
     plus = (left[live] + right[live]) / np.sqrt(2.0 * (1.0 + ov))
     minus = (left[live] - right[live]) / np.sqrt(2.0 * (1.0 - ov))
+    minus -= np.einsum("ij,ij->i", minus, plus)[:, None] * plus
+    minus /= np.linalg.norm(minus, axis=1, keepdims=True)
     angles = decompose(OrthPair.from_states(plus, minus)).angles
     if np.isnan(angles).any():
         raise NonUnitInput("plan basis is not a real rotation")

@@ -152,12 +152,12 @@ def _mix(state: np.ndarray, i0, i1, mat: np.ndarray, fires) -> None:
 def _fires(cond, outcomes: np.ndarray, column: dict[int, int]) -> np.ndarray:
     """Whether ``cond`` holds on each row of ``outcomes``; ``column`` maps
     a clbit to the outcome column that wrote it.  ``values`` ascend, so a
-    binary search finds each row's integer; past 62 bits (repeated bits)
-    it is spelled in Python integers."""
-    dtype = np.int64 if len(cond.bits) < 63 else object
-    place = np.array([1 << k for k in reversed(range(len(cond.bits)))], dtype=dtype)
+    binary search finds each row's integer.  The bits are distinct, each
+    from its own measured wire, so a state that allocates has fewer than
+    63 of them and the integers fit in int64."""
+    place = 1 << np.arange(len(cond.bits) - 1, -1, -1, dtype=np.int64)
     idx = outcomes[:, [column[b] for b in cond.bits]] @ place
-    values = np.array((*cond.values, -1), dtype=dtype)
+    values = np.array((*cond.values, -1), dtype=np.int64)
     return values[np.searchsorted(values[:-1], idx)] == idx
 
 

@@ -77,6 +77,13 @@ class TestValidation:
             with pytest.raises(ParseError):
                 deserialize(json.dumps(doc))
 
+    def test_rejects_repeated_condition_bit(self):
+        ops = (measure(0, 0), measure(1, 1))
+        for bits in ((0, 0), (0, 1, 0), (1,) * 70):
+            cond = Condition(bits, (0,))
+            with pytest.raises(InvalidCircuit):
+                Circuit(3, 2, ops + (pauli_z(2, condition=cond),), (2,))
+
     def test_rejects_negative_register_sizes(self):
         for n_qubits, n_clbits in ((-1, 0), (0, -1), (-1, -2)):
             with pytest.raises(InvalidCircuit):

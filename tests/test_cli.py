@@ -194,6 +194,28 @@ class TestVerify:
             assert captured.out == "" and captured.err.startswith("error: ")
         assert "40 wires" in captured.err
 
+    def test_repeated_or_overwide_condition_documents_exit_two(self, tmp_path, capsys):
+        # A condition names each clbit once; 63 distinct bits need 63
+        # measured wires, a state that never allocates even when the
+        # branch cap admits it.
+        vec = write_vector(tmp_path, "v.json", [1.0, 0.0])
+        measures = [{"kind": "measure", "qubits": [k], "clbit": k} for k in range(63)]
+        docs = (
+            (2, [0] * 70, 2**70 - 1),
+            (64, list(range(63)), 2**63 - 1),
+        )
+        for n_qubits, bits, value in docs:
+            flip = {"kind": "x", "qubits": [n_qubits - 1],
+                    "condition": {"bits": bits, "values": [value]}}
+            doc = {"n_qubits": n_qubits, "n_clbits": n_qubits - 1,
+                   "data_qubits": [n_qubits - 1],
+                   "ops": [{"kind": "h", "qubits": [0]}, *measures[: n_qubits - 1], flip]}
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert main(["verify", str(bad), vec, "--branch-cap", "64"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestAnalyzeSweep:
     def test_analyze_n3_row(self, capsys):

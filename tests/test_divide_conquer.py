@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stateprep as sp
 from stateprep.circuit import layers
 from stateprep.divide_conquer import DcOptions, compile_disentangler
 from stateprep.errors import NonUnitInput
+from stateprep.tree import ANGLE_TOL
 
 from conftest import random_unit
 
@@ -135,6 +138,49 @@ class TestSynthesizeDc:
             x /= np.linalg.norm(x)
             rep = sp.verify_preparation(sp.synthesize_dc(sp.build_tree(x)), x)
             assert rep.passed, eps
+
+    @given(
+        st.sampled_from([2, 4, 8]),
+        st.integers(0, 2**32 - 1),
+        st.floats(1.42e-6, 2.5e-6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_near_equal_siblings_compile_and_verify(self, m, seed, eps):
+        # Halves rotated from each other by eps have an overlap deficit
+        # 1 - cos(eps) of 1.0e-12 to 3.1e-12, just above OVERLAP_EQUAL_TOL,
+        # so the root combines them in the +/- basis.  Only the root
+        # combines with lambda = n - 1, which keeps the register small.
+        rng = np.random.default_rng(seed)
+        left = rng.random(m) + 0.1
+        left /= np.linalg.norm(left)
+        turn = rng.normal(size=m)
+        turn -= (turn @ left) * left
+        right = np.cos(eps) * left + np.sin(eps) * turn / np.linalg.norm(turn)
+        x = np.concatenate([left, right]) / np.sqrt(2.0)
+        tree = sp.build_tree(x)
+        assert sp.verify_preparation(sp.synthesize_hybrid(tree, tree.n - 1), x).passed
+
+    @given(
+        st.sampled_from([np.pi / 2, np.pi]),
+        st.floats(-3e-12, 3e-12) | st.sampled_from([-1e-7, -1e-9, 1e-9, 1e-7]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_loading_angles_at_angle_tol_edges(self, base, delta):
+        # One qubit loaded at theta = base + delta: h (x at pi) within
+        # ANGLE_TOL of the base, roty beyond it.  Rounding moves alpha
+        # across the edge, so the expected spelling reads tree.alpha.
+        # Near pi, alpha = 2 asin(omega1) rounds to pi until |delta| is
+        # about 3e-8, so only the 1e-7 offsets spell a roty there.
+        half = (base + delta) / 2
+        x = np.array([abs(np.cos(half)), np.sin(half)])
+        tree = sp.build_tree(x)
+        if abs(tree.alpha[0] - base) > ANGLE_TOL:
+            kind = "roty"
+        else:
+            kind = "h" if base < 2 else "x"
+        for c in (sp.synthesize_dc(tree), sp.synthesize_time(tree)):
+            assert c.ops[0].kind == kind
+            assert sp.verify_preparation(c, x / np.linalg.norm(x)).passed
 
     def test_stage_reports_cover_measured_wires(self, dense_vector):
         c = sp.synthesize_dc(sp.build_tree(dense_vector))

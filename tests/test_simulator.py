@@ -162,14 +162,6 @@ class TestConditions:
         for s_branch, e_branch in zip(sampled, got):
             assert np.array_equal(s_branch.data_state, e_branch.data_state)
 
-    def test_condition_wider_than_int64(self):
-        # 70 copies of bit 0 spell 2**70 - 1 exactly when bit 0 is 1.
-        wide = Condition((0,) * 70, (2**70 - 1,))
-        ops = (hadamard(0), measure(0, 0), pauli_x(1, condition=wide))
-        unfired, fired = sp.run(Circuit(2, 1, ops, (1,)))
-        assert np.allclose(unfired.data_state, [1, 0])
-        assert np.allclose(fired.data_state, [0, 1])
-
 
 class TestSample:
     def test_deterministic_given_seed(self, dense_vector):
