@@ -156,11 +156,11 @@ class TestSubtreeState:
             seg = x[(f - (2**level - 1)) * width : (f - (2**level - 1)) * width + width]
             assert np.allclose(sp.subtree_state(tree, f), seg / np.linalg.norm(seg), atol=1e-12)
 
-    def test_zero_norm_node_is_ground_state(self, w_vector):
+    def test_undefined_node_raises(self, w_vector):
         tree = sp.build_tree(w_vector)
-        assert np.array_equal(sp.subtree_state(tree, 6), [1.0, 0.0])
-        with pytest.raises(IndexError):
-            sp.subtree_state(tree, 7)
+        for f in (-1, 7):
+            with pytest.raises(IndexError):
+                sp.subtree_state(tree, f)
 
     def test_rebuild_idempotence(self, dense_vector):
         tree = sp.build_tree(dense_vector)
@@ -198,6 +198,10 @@ class TestPrune:
         x = np.array([1.0, 2.0, 1.0, 2.0])
         plan, _, _ = self.pruned(x / np.linalg.norm(x))
         assert plan.mode == {0: "left"}
+
+    def test_state_or_ground_for_zero_norm(self, w_vector):
+        tree = sp.build_tree(w_vector)
+        assert np.array_equal(sp.subtree_state(tree, 6), [1.0, 0.0])
 
     def test_levels_and_children_helpers(self):
         assert [level_of(f) for f in (0, 1, 2, 3, 6, 7, 14)] == [0, 1, 1, 2, 2, 3, 3]
