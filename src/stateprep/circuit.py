@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import InvalidCircuit, ParseError
@@ -180,51 +181,50 @@ class ResourceReport:
     depth_full: int
 
 
-def _asap_layers(ops, keep) -> list[int | None]:
-    """ASAP layer per op (None for ops not kept).
+def _asap_layers(ops) -> tuple[list[int | None], list[int]]:
+    """ASAP layer per op for gate depth (None for ops it leaves out) and
+    for full depth, in one pass.
 
     An op starts one layer after the latest op sharing a wire or, for
     conditioned ops, after the measurement writing any bit it reads.
     """
-    wire_free: dict[int, int] = {}
-    bit_ready: dict[int, int] = {}
-    out: list[int | None] = []
+    gate_free, full_free, bit_ready = defaultdict(int), defaultdict(int), defaultdict(int)
+    gate_out: list[int | None] = []
+    full_out: list[int] = []
     for op in ops:
-        if not keep(op):
-            out.append(None)
-            continue
-        layer = 0
-        for q in op.qubits:
-            layer = max(layer, wire_free.get(q, 0))
+        # A valid op touches at least one wire.
+        layer = max(map(full_free.__getitem__, op.qubits))
         if op.condition is not None:
             for b in op.condition.bits:
-                layer = max(layer, bit_ready.get(b, 0))
-        out.append(layer)
+                layer = max(layer, bit_ready[b])
+        full_out.append(layer)
         for q in op.qubits:
-            wire_free[q] = layer + 1
+            full_free[q] = layer + 1
         if op.kind == "measure":
             bit_ready[op.clbit] = layer + 1
-    return out
-
-
-def _counts_for_gates(op: Gate) -> bool:
-    return op.is_unitary and op.condition is None and op.role != ROLE_MEAS_BASIS
+        if op.is_unitary and op.condition is None and op.role != ROLE_MEAS_BASIS:
+            layer = max(map(gate_free.__getitem__, op.qubits))
+            gate_out.append(layer)
+            for q in op.qubits:
+                gate_free[q] = layer + 1
+        else:
+            gate_out.append(None)
+    return gate_out, full_out
 
 
 def layers(circuit: Circuit, full: bool = True) -> list[int | None]:
     """Layer index per op; with ``full=False`` only the gate-depth ops."""
-    keep = (lambda op: True) if full else _counts_for_gates
-    return _asap_layers(circuit.ops, keep)
+    gate_layers, full_layers = _asap_layers(circuit.ops)
+    return full_layers if full else gate_layers
 
 
 def metrics(circuit: Circuit) -> ResourceReport:
-    gate_layers = [v for v in _asap_layers(circuit.ops, _counts_for_gates) if v is not None]
-    full_layers = [v for v in _asap_layers(circuit.ops, lambda op: True) if v is not None]
+    gate_layers, full_layers = _asap_layers(circuit.ops)
     return ResourceReport(
         qubits=circuit.n_qubits,
         unit_cswaps=sum(1 for op in circuit.ops if op.kind == "cswap"),
-        depth_gates=1 + max(gate_layers) if gate_layers else 0,
-        depth_full=1 + max(full_layers) if full_layers else 0,
+        depth_gates=1 + max((v for v in gate_layers if v is not None), default=-1),
+        depth_full=1 + max(full_layers, default=-1),
     )
 
 
@@ -257,7 +257,7 @@ def serialize(circuit: Circuit) -> str:
         "data_qubits": list(circuit.data_qubits),
         "ops": [_op_to_dict(op) for op in circuit.ops],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 # ``type`` rather than ``isinstance`` refuses JSON booleans as numbers.

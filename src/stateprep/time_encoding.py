@@ -10,24 +10,23 @@ plain time encoding (``synthesize_time``).
 
 from __future__ import annotations
 
-from .circuit import ROLE_LOAD, Gate, mcroty, roty
+from itertools import product
+
+from .circuit import ROLE_LOAD, Gate, roty
 from .tree import ANGLE_TOL, AmplitudeTree
 
 
 def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> list[Gate]:
     """Multiplexed-rotation ops preparing the subtree at ``base_node`` on
     ``wires``."""
-    depth = len(wires)
-    ops: list[Gate] = []
-    for k in range(depth):
-        for p in range(2**k):
-            angle = tree.alpha[(base_node + 1) * 2**k - 1 + p]
-            if abs(angle) <= ANGLE_TOL:
-                continue
-            if k == 0:
-                ops.append(roty(wires[0], angle, role=ROLE_LOAD))
-            else:
-                controls = [(wires[j], (p >> (k - 1 - j)) & 1) for j in range(k)]
-                ops.append(mcroty(angle, controls, wires[k], role=ROLE_LOAD))
+    root = float(tree.alpha[base_node])
+    ops = [roty(wires[0], root, role=ROLE_LOAD)] if abs(root) > ANGLE_TOL else []
+    for k in range(1, len(wires)):
+        first = (base_node + 1) * 2**k - 1
+        angles = tree.alpha[first : first + 2**k].tolist()
+        qubits = tuple(wires[: k + 1])
+        # ``product`` spells each position ``p`` in binary, most significant first.
+        for angle, pols in zip(angles, product((0, 1), repeat=k)):
+            if abs(angle) > ANGLE_TOL:
+                ops.append(Gate("mcroty", qubits, angle=angle, polarities=pols, role=ROLE_LOAD))
     return ops
-

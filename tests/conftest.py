@@ -159,3 +159,40 @@ def oracle_branches(circuit, prob_floor=1e-14):
         data = tensor[tuple(idx)].reshape(-1)
         out.append((tuple(int(v) for v in assignment), prob, data))
     return out
+
+
+def oracle_layers(circuit, full=True):
+    """Reference ASAP schedule: one pass per depth figure.
+
+    Gate depth keeps only unconditioned unitaries that are not
+    measurement-basis rotations; every other op gets ``None``.
+    """
+    def keep(op):
+        if full:
+            return True
+        return op.is_unitary and op.condition is None and op.role != "meas_basis"
+
+    wire_free, bit_ready, out = {}, {}, []
+    for op in circuit.ops:
+        if not keep(op):
+            out.append(None)
+            continue
+        layer = max([wire_free.get(q, 0) for q in op.qubits], default=0)
+        if op.condition is not None:
+            layer = max([layer] + [bit_ready.get(b, 0) for b in op.condition.bits])
+        out.append(layer)
+        for q in op.qubits:
+            wire_free[q] = layer + 1
+        if op.kind == "measure":
+            bit_ready[op.clbit] = layer + 1
+    return out
+
+
+def oracle_metrics(circuit):
+    """(qubits, unit_cswaps, depth_gates, depth_full) from ``oracle_layers``."""
+    def depth(full):
+        kept = [v for v in oracle_layers(circuit, full) if v is not None]
+        return 1 + max(kept) if kept else 0
+
+    cswaps = sum(1 for op in circuit.ops if op.kind == "cswap")
+    return circuit.n_qubits, cswaps, depth(False), depth(True)

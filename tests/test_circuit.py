@@ -24,7 +24,7 @@ from stateprep.circuit import (
 )
 from stateprep.errors import InvalidCircuit, ParseError
 
-from conftest import random_unit
+from conftest import oracle_layers, oracle_metrics, random_unit
 
 DATA = Path(__file__).parent / "data"
 
@@ -149,6 +149,36 @@ class TestMetrics:
         ops = (cswap(0, 1, 2), cswap(3, 4, 5), cswap(0, 3, 4))
         m = sp.metrics(Circuit(6, 0, ops, (0,)))
         assert m.depth_gates == 2
+
+    def test_matches_two_pass_oracle(self):
+        rng = np.random.default_rng(21)
+        option_sets = (
+            sp.DcOptions(),
+            sp.DcOptions(prune=True),
+            sp.DcOptions(parallelize=True),
+            sp.DcOptions(parallelize=True, prune=True),
+            sp.DcOptions(disentangle=False),
+        )
+        checked = 0
+        for n in range(1, 8):
+            w = np.zeros(2**n)
+            w[[2**j for j in range(n)]] = 1.0
+            sparse = np.where(rng.random(2**n) < 0.4, rng.random(2**n), 0.0)
+            sparse[0] += 0.1
+            for x in (random_unit(rng, 2**n), w, sparse):
+                tree = sp.build_tree(x / np.linalg.norm(x))
+                circuits = [sp.synthesize_time(tree)]
+                for lam in range(1, n + 1):
+                    circuits += [sp.synthesize_hybrid(tree, lam, o) for o in option_sets]
+                for c in circuits:
+                    m = sp.metrics(c)
+                    assert (m.qubits, m.unit_cswaps, m.depth_gates, m.depth_full) == (
+                        oracle_metrics(c)
+                    )
+                    assert layers(c, full=True) == oracle_layers(c, full=True)
+                    assert layers(c, full=False) == oracle_layers(c, full=False)
+                    checked += 1
+        assert checked > 300
 
 
 class TestLayerReplay:
@@ -282,6 +312,31 @@ class TestSerialization:
         for op in back.ops:
             kinds[op.kind] = kinds.get(op.kind, 0) + 1
         assert kinds == {"h": 1, "x": 1, "roty": 5, "cswap": 3, "measure": 3, "z": 2}
+
+    def test_document_is_one_line(self, w_vector):
+        text = serialize(sp.synthesize_dc(sp.build_tree(w_vector), sp.DcOptions(prune=True)))
+        assert text.endswith("\n")
+        assert text.count("\n") == 1
+
+    def test_dense_n10_document_at_most_45_percent_of_indented(self):
+        x = random_unit(np.random.default_rng(10), 2**10)
+        text = serialize(sp.synthesize_dc(sp.build_tree(x)))
+        indented = json.dumps(json.loads(text), indent=2) + "\n"
+        assert len(text.encode()) <= 0.45 * len(indented.encode())
+
+    def test_indented_golden_documents_still_read(self):
+        names = sorted(
+            p for p in DATA.glob("golden_*.json")
+            if not p.name.endswith(("_stages.json", "_vector.json"))
+        )
+        assert len(names) == 8
+        for path in names:
+            text = path.read_text()
+            assert text.count("\n") > 1, path.name  # the older, indented form
+            circuit = deserialize(text)
+            once = serialize(circuit)
+            assert deserialize(once) == circuit
+            assert serialize(deserialize(once)) == once
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import stateprep as sp
+from stateprep.divide_conquer import _plan_tree
+from stateprep.time_encoding import rotation_ops
+from stateprep.tree import ANGLE_TOL
 
 from conftest import oracle_statevector, random_unit
 
@@ -67,3 +70,39 @@ def test_depth_equals_gate_count(dense_vector):
         x = random_unit(rng, size)
         c = sp.synthesize_time(sp.build_tree(x))
         assert sp.metrics(c).depth_gates == len(c.ops)
+
+
+def test_rotation_ops_polarities_spell_positions():
+    rng = np.random.default_rng(16)
+    checked = 0
+    for n in range(1, 7):
+        w = np.zeros(2**n)
+        w[[2**j for j in range(n)]] = 1.0
+        sparse = np.where(rng.random(2**n) < 0.5, rng.random(2**n), 0.0)
+        sparse[-1] += 0.1
+        for x in (random_unit(rng, 2**n), w, sparse):
+            tree = sp.build_tree(x / np.linalg.norm(x))
+            for lam in range(2, n + 1):
+                for prune in (False, True):
+                    plan = _plan_tree(tree, n - lam, prune)
+                    for f, wires in plan.wires.items():
+                        if len(wires) == 1:
+                            continue
+                        want = [
+                            (k, p, tree.alpha[(f + 1) * 2**k - 1 + p])
+                            for k in range(len(wires))
+                            for p in range(2**k)
+                            if abs(tree.alpha[(f + 1) * 2**k - 1 + p]) > ANGLE_TOL
+                        ]
+                        ops = rotation_ops(tree, wires, base_node=f)
+                        assert len(ops) == len(want)
+                        for op, (k, p, angle) in zip(ops, want):
+                            assert op.kind == ("roty" if k == 0 else "mcroty")
+                            assert op.qubits == tuple(wires[: k + 1])
+                            if k > 0:
+                                assert op.polarities == tuple(
+                                    (p >> (k - 1 - j)) & 1 for j in range(k)
+                                )
+                            assert type(op.angle) is float and op.angle == angle
+                            checked += 1
+    assert checked > 1000
