@@ -5,7 +5,7 @@ summary line), ``verify`` (circuit against a target vector), ``analyze``
 (closed-form table per n), ``sweep`` (width/depth tradeoff per lambda
 for one or more n) and ``distinguish`` (adaptive measurement plan for
 two orthogonal states).  Exit codes: 0 success, 1 verification failure,
-2 usage or bad input, 3 conflicting flags.
+2 usage, bad input or an unusable path, 3 conflicting flags.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ from . import __version__
 from .circuit import deserialize, metrics, serialize
 from .discrimination import OrthPair, decompose, evaluate_plan, plan_document
 from .divide_conquer import DcOptions, synthesize_dc, synthesize_hybrid, synthesize_time
-from .errors import NotOrthogonal, StatePrepError
+from .errors import StatePrepError
 from .resources import dc_formulas, hybrid_formulas
 from .simulator import DEFAULT_BRANCH_CAP, verify_preparation
+from .tolerances import PLAN_MISS_TOL
 from .tree import build_tree, pad_to_power_of_two
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_FLAG_CONFLICT = 3
-# Probability a ``distinguish`` plan may misroute: rounding in its bases.
-PLAN_MISS_TOL = 1e-10
 
 
 def _fail(message: str, code: int) -> int:
@@ -65,23 +64,19 @@ def cmd_compile(args) -> int:
         return _fail("--parallelize is only valid with --method dc", EXIT_FLAG_CONFLICT)
     if args.method == "time" and args.prune:
         return _fail("--prune is implicit for --method time", EXIT_FLAG_CONFLICT)
-    try:
-        raw = _load_vector(args.input)
-        tree = build_tree(pad_to_power_of_two(raw))
-        if args.method == "time":
-            circuit = synthesize_time(tree)
+    tree = build_tree(pad_to_power_of_two(_load_vector(args.input)))
+    if args.method == "time":
+        circuit = synthesize_time(tree)
+    else:
+        opts = DcOptions(
+            disentangle=not args.no_disentangle,
+            parallelize=args.parallelize,
+            prune=args.prune,
+        )
+        if args.method == "dc":
+            circuit = synthesize_dc(tree, opts)
         else:
-            opts = DcOptions(
-                disentangle=not args.no_disentangle,
-                parallelize=args.parallelize,
-                prune=args.prune,
-            )
-            if args.method == "dc":
-                circuit = synthesize_dc(tree, opts)
-            else:
-                circuit = synthesize_hybrid(tree, args.lambda_, opts)
-    except (OSError, ValueError, json.JSONDecodeError, StatePrepError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+            circuit = synthesize_hybrid(tree, args.lambda_, opts)
     with open(args.out, "w") as fh:
         fh.write(serialize(circuit))
     if args.report:
@@ -93,29 +88,24 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    with open(args.circuit) as fh:
+        circuit = deserialize(fh.read())
+    target = _load_vector(args.target)
+    target = np.ldexp(target, -np.frexp(np.max(np.abs(target)))[1])  # exact; no overflow
+    norm = np.linalg.norm(target)
+    if norm == 0.0:
+        raise ValueError("target vector has zero norm")
     try:
-        with open(args.circuit) as fh:
-            circuit = deserialize(fh.read())
-        target = _load_vector(args.target)
-        target = np.ldexp(target, -np.frexp(np.max(np.abs(target)))[1])  # exact; no overflow
-        norm = np.linalg.norm(target)
-        if norm == 0.0:
-            raise ValueError("target vector has zero norm")
-        try:
-            report = verify_preparation(
-                circuit,
-                target / norm,
-                mode=args.mode,
-                shots=args.shots,
-                seed=args.seed,
-                branch_cap=args.branch_cap,
-            )
-        except MemoryError:
-            raise ValueError(
-                f"the state of {circuit.n_qubits} wires does not fit in memory"
-            ) from None
-    except (OSError, ValueError, json.JSONDecodeError, StatePrepError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        report = verify_preparation(
+            circuit,
+            target / norm,
+            mode=args.mode,
+            shots=args.shots,
+            seed=args.seed,
+            branch_cap=args.branch_cap,
+        )
+    except MemoryError:
+        raise ValueError(f"the state of {circuit.n_qubits} wires does not fit in memory") from None
     print(json.dumps(report.to_json_dict()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -173,13 +163,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    try:
-        plus = _load_vector(args.plus)
-        minus = _load_vector(args.minus)
-        pair = OrthPair.from_states(plus, minus)
-        plan = decompose(pair)
-    except (OSError, ValueError, json.JSONDecodeError, NotOrthogonal, StatePrepError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    pair = OrthPair.from_states(_load_vector(args.plus), _load_vector(args.minus))
+    plan = decompose(pair)
     p_plus = sum(p for _, label, p in evaluate_plan(plan, pair.plus) if label == "+")
     p_minus = sum(p for _, label, p in evaluate_plan(plan, pair.minus) if label == "-")
     if args.plan_out:
@@ -247,7 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, StatePrepError) as exc:
+        return _fail(str(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

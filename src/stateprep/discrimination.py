@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthogonal, TraceNotZero
-
-ORTH_TOL = 1e-10
-DEGENERATE_TOL = 1e-12
-# Residual overlap beyond cancellation noise: the input pair was not orthogonal.
-DRIFT_TOL = 1e-5
-# Imaginary parts below this are rounding noise: the pair gets real bases.
-REAL_TOL = 1e-12
+from .tolerances import DEGENERATE_TOL, DRIFT_TOL, ORTH_TOL, REAL_TOL
 
 
 @dataclass(frozen=True)

@@ -57,16 +57,8 @@ from .circuit import (
 from .discrimination import OrthPair, decompose
 from .errors import LambdaOutOfRange, NonUnitInput
 from .time_encoding import rotation_ops
-from .tree import ANGLE_TOL, AmplitudeTree, ZERO_NORM_TOL, children_of, states_equal
-
-# States are treated as equal only at machine-level overlap deficit.  A
-# computational shortcut above it can distort the rare outcomes' amplitude
-# ratios on wide-dynamic-range inputs.  Below a deficit ``d`` the +/- basis
-# keeps a component of about 1e-16/sqrt(d) along ``plus`` in ``minus``, more
-# than ``ORTH_TOL`` allows near this edge, so ``minus`` is re-orthogonalized.
-OVERLAP_EQUAL_TOL = 1e-12
-# Stage states are products of unit weights: a larger norm error is no rounding.
-UNIT_NORM_TOL = 1e-9
+from .tolerances import ANGLE_TOL, OVERLAP_EQUAL_TOL, UNIT_NORM_TOL, ZERO_NORM_TOL
+from .tree import AmplitudeTree, children_of, states_equal
 
 
 @dataclass(frozen=True)

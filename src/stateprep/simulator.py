@@ -29,16 +29,9 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import DimensionMismatch, TooManyBranches
+from .tolerances import BRANCH_PROB_TOL, EMPTY_COLUMN_TOL, FIDELITY_TOL, PROB_SUM_TOL
 
-# A branch below this path probability is dropped: no verdict can see it.
-BRANCH_PROB_TOL = 1e-14
 DEFAULT_BRANCH_CAP = 14
-# A residual column below this squared norm (amplitudes 1e-12) is rounding.
-EMPTY_COLUMN_TOL = 1e-24
-# Passing fidelity shortfall: far above rounding, below a 1e-4 rad angle error.
-FIDELITY_TOL = 1e-9
-# Allowed |sum of probabilities - 1|: rounding plus mass pruned by BRANCH_PROB_TOL.
-PROB_SUM_TOL = 1e-10
 # The largest shot count a binomial draw takes: numpy's int64.
 MAX_SHOTS = 2**63 - 1
 

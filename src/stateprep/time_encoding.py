@@ -13,7 +13,8 @@ from __future__ import annotations
 from itertools import product
 
 from .circuit import ROLE_LOAD, Gate, roty
-from .tree import ANGLE_TOL, AmplitudeTree
+from .tolerances import ANGLE_TOL
+from .tree import AmplitudeTree
 
 
 def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> list[Gate]:

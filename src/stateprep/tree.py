@@ -27,11 +27,7 @@ from .errors import (
     NonPowerOfTwoLength,
     ZeroVector,
 )
-
-ZERO_NORM_TOL = 1e-12
-STATE_EQ_TOL = 1e-12
-# A y-rotation this close to zero is emitted as the identity (skipped).
-ANGLE_TOL = 1e-12
+from .tolerances import REAL_TOL, STATE_EQ_TOL, ZERO_NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ def build_tree(amplitudes) -> AmplitudeTree:
     """
     arr = np.asarray(amplitudes)
     if np.iscomplexobj(arr):
-        if np.max(np.abs(arr.imag)) > ZERO_NORM_TOL:
+        if np.max(np.abs(arr.imag)) > REAL_TOL:
             raise NegativeAmplitude("complex amplitudes are not supported")
         arr = arr.real
     x = np.asarray(arr, dtype=float)
@@ -153,13 +149,6 @@ def subtree_state(tree: AmplitudeTree, f: int) -> np.ndarray:
     return tree.states[level][f + 1 - 2**level].copy()
 
 
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = STATE_EQ_TOL):
-    """Whether ``a`` and ``b`` agree up to a global sign, row by row."""
-    return np.max(np.abs(_sign_fixed(a) - _sign_fixed(b)), axis=-1) <= tol
-
-
-def _sign_fixed(v: np.ndarray) -> np.ndarray:
-    """``v`` with each row's first non-negligible entry made positive."""
-    live = np.abs(v) > ZERO_NORM_TOL
-    first = np.take_along_axis(v, live.argmax(axis=-1)[..., None], -1)
-    return np.where(live.any(axis=-1, keepdims=True) & (first < 0), -v, v)
+def states_equal(a: np.ndarray, b: np.ndarray):
+    """Whether rows of ``a`` and ``b`` agree entry by entry, within ``STATE_EQ_TOL``."""
+    return np.max(np.abs(a - b), axis=-1) <= STATE_EQ_TOL

@@ -27,6 +27,13 @@ from stateprep.errors import InvalidCircuit, ParseError
 from conftest import oracle_layers, oracle_metrics, random_unit
 
 DATA = Path(__file__).parent / "data"
+# A valid document that the parser tests break one field at a time.
+GOOD_DOC = (
+    '{"n_qubits": 2, "n_clbits": 1, "data_qubits": [0], "ops": ['
+    '{"kind": "roty", "qubits": [0], "angle": 0.5},'
+    ' {"kind": "measure", "qubits": [1], "clbit": 0},'
+    ' {"kind": "z", "qubits": [0], "condition": {"bits": [0], "values": [1]}}]}'
+)
 
 
 def simple_circuit():
@@ -106,6 +113,25 @@ class TestValidation:
         for angle in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InvalidCircuit):
                 Circuit(1, 0, (roty(0, angle),), (0,))
+
+    @pytest.mark.parametrize("ops, data_qubits, message", [
+        ((Gate("swap", (0,)),), (0,), "unknown kind"),
+        ((Gate("z", (0,), angle=0.1),), (0,), "angle mismatch"),
+        ((Gate("mcroty", (0, 1), angle=0.1, polarities=(0, 1)),), (0,), "bad mcroty polarities"),
+        ((Gate("mcroty", (0, 1), angle=0.1, polarities=(2,)),), (0,), "polarities must be 0/1"),
+        ((Gate("roty", (0,), angle=0.1, polarities=(1,)),), (0,), "only valid on mcroty"),
+        ((measure(0, 1),), (1,), "bad clbit"),
+        ((Gate("z", (0,), clbit=0),), (0,), "clbit only valid on measure"),
+        ((Gate("measure", (0,), clbit=0, condition=Condition((0,), (1,))),), (1,),
+         "conditions on measure"),
+        ((measure(0, 0), Gate("reset", (1,), condition=Condition((0,), (1,)))), (1,),
+         "conditions on reset"),
+        ((), (2,), "data qubit 2 out of range"),
+        ((), (0, 0), "repeated data qubit"),
+    ])
+    def test_rejects_malformed_op_or_register(self, ops, data_qubits, message):
+        with pytest.raises(InvalidCircuit, match=message):
+            Circuit(2, 1, ops, data_qubits)
 
 
 class TestMetrics:
@@ -255,12 +281,7 @@ class TestSerialization:
             deserialize(text)
 
     def test_rejects_non_finite_and_boolean_fields(self):
-        good = (
-            '{"n_qubits": 2, "n_clbits": 1, "data_qubits": [0], "ops": ['
-            '{"kind": "roty", "qubits": [0], "angle": 0.5},'
-            ' {"kind": "measure", "qubits": [1], "clbit": 0},'
-            ' {"kind": "z", "qubits": [0], "condition": {"bits": [0], "values": [1]}}]}'
-        )
+        good = GOOD_DOC
         deserialize(good)
         for old, new in (
             ('"angle": 0.5', '"angle": NaN'),
@@ -291,6 +312,21 @@ class TestSerialization:
         assert legacy == deserialize(serialize(sp.synthesize_dc(sp.build_tree(x))))
         assert any(op.condition and len(op.condition.bits) == 2 for op in legacy.ops)
         assert sp.verify_preparation(legacy, x).passed
+
+    @pytest.mark.parametrize("old, new, location", [
+        ('"n_clbits": 1, ', "", "$"),
+        ('"values": [1]}', '"values": [1]}, "x": 1', "ops[2].x"),
+        ('"kind": "z"', '"kind": "swap"', "ops[2].kind"),
+        ('"angle": 0.5}', '"angle": 0.5, "role": 3}', "ops[0].role"),
+        ('{"bits": [0], "values": [1]}', "[0, 1]", "ops[2].condition"),
+        (GOOD_DOC, f"[{GOOD_DOC}]", "$"),
+    ])
+    def test_rejects_malformed_field_at_location(self, old, new, location):
+        bad = GOOD_DOC.replace(old, new)
+        assert bad != GOOD_DOC
+        with pytest.raises(ParseError) as err:
+            deserialize(bad)
+        assert err.value.location == location
 
     def test_malformed_json_reports_location(self):
         with pytest.raises(ParseError):

@@ -26,6 +26,18 @@ def write_vector(tmp_path, name, amps):
     return str(path)
 
 
+def run_module(*argv):
+    """``python -m stateprep *argv`` in a child that imports the same package
+    as this process, installed or not."""
+    path = [str(Path(sp.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "stateprep", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+
+
 class TestCompile:
     def test_dc_summary(self, dense_file, tmp_path, capsys):
         out = str(tmp_path / "c.json")
@@ -58,12 +70,15 @@ class TestCompile:
         assert main(["compile", dense_file, "--method", "dc", "--lambda", "2", "--out", out]) == 3
         assert main(["compile", dense_file, "--method", "hybrid", "--out", out]) == 3
         assert main(["compile", dense_file, "--method", "time", "--no-disentangle", "--out", out]) == 3
+        assert main(["compile", dense_file, "--method", "time", "--parallelize", "--out", out]) == 3
+        assert main(["compile", dense_file, "--method", "time", "--prune", "--out", out]) == 3
 
     def test_bad_input_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"amplitudes": [0.5, -0.5]}')
         out = str(tmp_path / "c.json")
-        assert main(["compile", str(bad), "--method", "dc", "--out", out]) == 2
+        for text in ('{"amplitudes": [0.5, -0.5]}', '{"values": [0.5, 0.5]}'):
+            bad.write_text(text)
+            assert main(["compile", str(bad), "--method", "dc", "--out", out]) == 2, text
 
     def test_non_finite_or_bool_amplitudes_exit_two(self, tmp_path, dense_file):
         out = str(tmp_path / "c.json")
@@ -130,6 +145,13 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", out, vec]) == 1
         assert not json.loads(capsys.readouterr().out)["pass"]
+
+    def test_zero_norm_target_exits_two(self, dense_file, tmp_path, capsys):
+        out = str(tmp_path / "c.json")
+        assert main(["compile", dense_file, "--method", "dc", "--out", out]) == 0
+        zero = write_vector(tmp_path, "zero.json", [0.0] * 8)
+        assert main(["verify", out, zero]) == 2
+        assert "zero norm" in capsys.readouterr().err
 
     def test_time_single_branch(self, dense_file, tmp_path, capsys):
         out = str(tmp_path / "c.json")
@@ -224,6 +246,10 @@ class TestAnalyzeSweep:
         assert lines[0] == "n,qubits,cswaps,depth,depth_parallel"
         assert lines[1] == "3,7,4,4,4"
 
+    def test_analyze_bad_range_exits_two(self, capsys):
+        assert main(["analyze", "--n-min", "0", "--n-max", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: need 1 <= n-min")
+
     def test_analyze_measured_columns_match(self, capsys):
         assert main(["analyze", "--n-min", "1", "--n-max", "6", "--measure"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -314,16 +340,28 @@ def test_compile_verify_round_trip_every_method(tmp_path, capsys):
 
 def test_module_entry_point(dense_file, tmp_path):
     out = str(tmp_path / "c.json")
-    # The child imports the same package as this process, installed or not.
-    path = [str(Path(sp.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "stateprep", "compile", dense_file, "--method", "dc", "--out", out],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-    )
+    proc = run_module("compile", dense_file, "--method", "dc", "--out", out)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["qubits"] == 7
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report", "--plan-out"])
+def test_unwritable_output_path_exits_two(flag, dense_file, tmp_path):
+    # Exit 1 is a failed verification; a path that cannot be written is bad input.
+    missing = str(tmp_path / "missing" / "out.json")
+    compile_dc = ["compile", dense_file, "--method", "dc", "--out"]
+    p = write_vector(tmp_path, "p.json", [1, 0])
+    m = write_vector(tmp_path, "m.json", [0, 1])
+    argv = {
+        "--out": compile_dc + [missing],
+        "--report": compile_dc + [str(tmp_path / "c.json"), "--report", missing],
+        "--plan-out": ["distinguish", p, m, "--plan-out", missing],
+    }[flag]
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 DATA = Path(__file__).parent / "data"

@@ -7,7 +7,7 @@ import stateprep as sp
 from stateprep.circuit import layers
 from stateprep.divide_conquer import DcOptions, compile_disentangler
 from stateprep.errors import NonUnitInput
-from stateprep.tree import ANGLE_TOL
+from stateprep.tolerances import ANGLE_TOL
 
 from conftest import random_unit
 

@@ -4,7 +4,7 @@ import pytest
 import stateprep as sp
 from stateprep.divide_conquer import _plan_tree
 from stateprep.time_encoding import rotation_ops
-from stateprep.tree import ANGLE_TOL
+from stateprep.tolerances import ANGLE_TOL
 
 from conftest import oracle_statevector, random_unit
 
