@@ -23,7 +23,7 @@ from .discrimination import OrthPair, decompose, evaluate_plan, plan_document
 from .divide_conquer import DcOptions, synthesize_dc, synthesize_hybrid, synthesize_time
 from .errors import StatePrepError
 from .resources import dc_formulas, hybrid_formulas
-from .simulator import DEFAULT_BRANCH_CAP, verify_preparation
+from .simulator import DEFAULT_BRANCH_CAP, verify_preparation, widest_cluster
 from .tolerances import PLAN_MISS_TOL
 from .tree import build_tree, pad_to_power_of_two
 
@@ -105,7 +105,9 @@ def cmd_verify(args) -> int:
             branch_cap=args.branch_cap,
         )
     except MemoryError:
-        raise ValueError(f"the state of {circuit.n_qubits} wires does not fit in memory") from None
+        raise ValueError(
+            f"a cluster of {widest_cluster(circuit)} wires does not fit in memory"
+        ) from None
     print(json.dumps(report.to_json_dict()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 

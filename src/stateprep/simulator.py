@@ -1,24 +1,30 @@
 """Statevector simulation with mid-circuit measurement and feed-forward.
 
 Wire 0 is the most significant index bit.  One breadth-first walk serves
-both modes: it advances every branch together, as one row of a frontier
-tensor with an axis per *active* wire, and reads each op once.  Nothing
-conditions a measurement, so every branch has the same active wires at
-every op, and the two slices an op mixes or splits are indexed once per
-circuit (``_layout``).  A unitary replaces its two slices by a 2x2 mix of
-them; a conditioned one mixes only the rows whose bits fire it.  A
-``measure`` or ``reset`` splits each row in two, outcome 0 first, so rows
-stay in lexicographic outcome order; a measured wire's axis is dropped and
-a reset wire is put back in |0>.  ``enumerate`` weighs a row by its path
-probability and keeps every outcome of probability at least
-``BRANCH_PROB_TOL``.  ``sample`` weighs it by its shot count, splits the
-shots between the outcomes with one binomial draw per row and keeps those
-that receive any, so the counts are multinomial and no shot count makes
-the walk longer than enumeration.
+both modes: it reads each op once and advances every branch together.
+Wires that no op has yet joined are independent, so the state is kept as
+*clusters*, each a tensor of rows with an axis per wire, and a branch
+names one row of every cluster.  An op joins the clusters of its wires
+into the distinct row tuples that the branches use; a conditioned op
+also splits its rows by whether it fires.  Nothing conditions a
+measurement, so the clusters, and the two slices that each op mixes or
+splits, are planned once per circuit (``_plan``).  A ``measure`` or
+``reset`` splits each branch in two, outcome 0 first, so branches stay
+in lexicographic outcome order; the wire leaves its cluster, and a reset
+wire starts a new one in |0>.  ``enumerate`` keeps every outcome of path
+probability at least ``BRANCH_PROB_TOL``.  ``sample`` splits a branch's
+shots between the outcomes with one binomial draw and keeps those that
+receive any, so the counts are multinomial and no shot count makes the
+walk longer than enumeration.
 
-The frontier holds every live branch at once.  Without ``reset`` it never
-holds more amplitudes than the initial tensor, since a split halves each
-row; a reset that can give either outcome doubles it.
+``verify_preparation`` in enumerate mode also merges.  After the last
+reader of some outcomes, the rows of each cluster touched since the last
+merge join the heaviest row that agrees with them up to phase
+(``_merge_rows``), and branches that then agree on every row and every
+outcome still to be read become one row, with their summed weight and
+the count of logical branches.  A deterministic disentangling stage so
+leaves one row however many wires it measures; rows that do not merge
+stay separate, and the walk stays exact.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import DimensionMismatch, TooManyBranches
-from .tolerances import BRANCH_PROB_TOL, EMPTY_COLUMN_TOL, FIDELITY_TOL, PROB_SUM_TOL
+from .tolerances import BRANCH_PROB_TOL, EMPTY_COLUMN_TOL, FIDELITY_TOL, MERGE_TOL, PROB_SUM_TOL
 
+# ``2**DEFAULT_BRANCH_CAP`` rows at most, checked at each split.
 DEFAULT_BRANCH_CAP = 14
 # The largest shot count a binomial draw takes: numpy's int64.
 MAX_SHOTS = 2**63 - 1
@@ -42,6 +49,7 @@ _FIXED_MATRICES = {
     "cswap": _X,  # exchanges its slices 01 and 10
     "h": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
 }
+_GROUND = np.array([[1.0, 0.0]], dtype=complex)  # one row: a wire in |0>
 
 
 def _matrix(op) -> np.ndarray | None:
@@ -87,32 +95,69 @@ class VerificationReport:
         }
 
 
-def _layout(circuit: Circuit):
-    """Per op, the index tuples of the two frontier slices that it mixes
-    or splits, axis 0 running over branches; and the wires active at the
-    end.  A ``mcroty`` fixes its controls to their polarities and a
-    ``cswap`` its control to 1 and its targets to 01 and 10.  A tuple ends
-    at its last fixed axis, so a split's wire is the last axis it names.
-    """
-    active = list(range(circuit.n_qubits))
-    out = []
-    for op in circuit.ops:
-        *controls, target = op.qubits
-        fixed = dict(zip(controls, op.polarities or ()))
-        ends = ({target: 0}, {target: 1})
-        if op.kind == "cswap":
-            fixed = {controls[0]: 1}
-            ends = ({controls[1]: 0, target: 1}, {controls[1]: 1, target: 0})
-        stop = 1 + max(map(active.index, op.qubits))
-        out.append(
-            tuple(
-                (slice(None),) + tuple({**fixed, **end}.get(q, slice(None)) for q in active[:stop])
-                for end in ends
-            )
-        )
-        if op.kind == "measure":
-            active.remove(target)
-    return out, active
+def _slices(op, wires: list[int]):
+    """The index tuples of the two slices of a cluster tensor over
+    ``wires`` (axis 0 running over rows) that ``op`` mixes or splits.  A
+    ``mcroty`` fixes its controls to their polarities and a ``cswap`` its
+    control to 1 and its targets to 01 and 10.  A tuple ends at its last
+    fixed axis, so a split's wire is the last axis it names."""
+    *controls, target = op.qubits
+    fixed = dict(zip(controls, op.polarities or ()))
+    ends = ({target: 0}, {target: 1})
+    if op.kind == "cswap":
+        fixed = {controls[0]: 1}
+        ends = ({controls[1]: 0, target: 1}, {controls[1]: 1, target: 0})
+    stop = 1 + max(map(wires.index, op.qubits))
+    return tuple(
+        (slice(None),) + tuple({**fixed, **end}.get(q, slice(None)) for q in wires[:stop])
+        for end in ends
+    )
+
+
+def _plan(circuit: Circuit):
+    """The walk's clusters.  Per op: (the clusters it joins, the one it
+    acts on, its two slices there, the splitting ops whose bits its
+    condition reads, the new cluster of a reset wire).  Per splitting op,
+    the last op that needs its outcome; a measured data wire's outcome
+    places the data state, so it is needed to the end.  The clusters left
+    at the end, and the widest cluster, their join included."""
+    n = circuit.n_qubits
+    wires = {q: [q] for q in range(n)}  # cluster -> its wires, one axis each
+    owner = list(range(n))
+    writer: dict[int, int] = {}  # clbit -> the op that measured it
+    last: dict[int, int] = {}  # splitting op -> the last op that needs its outcome
+    steps, widest, new = [], min(n, 1), n
+    for i, op in enumerate(circuit.ops):
+        joined = tuple(dict.fromkeys(owner[q] for q in op.qubits))
+        c, fresh, reads = joined[0], None, ()
+        if len(joined) > 1:
+            c, new = new, new + 1
+            wires[c] = [w for j in joined for w in wires.pop(j)]
+            for w in wires[c]:
+                owner[w] = c
+        widest = max(widest, len(wires[c]))
+        if op.condition is not None:
+            reads = tuple(writer[b] for b in op.condition.bits)
+            last.update(dict.fromkeys(reads, i))
+        slices = _slices(op, wires[c])
+        if op.kind in ("measure", "reset"):
+            q = op.qubits[0]
+            wires[c].remove(q)
+            if not wires[c]:
+                del wires[c]
+            last[i] = len(circuit.ops) if op.kind == "measure" and q in circuit.data_qubits else i
+            if op.kind == "measure":
+                writer[op.clbit] = i
+            else:
+                fresh, new = new, new + 1
+                wires[fresh], owner[q] = [q], fresh
+        steps.append((joined, c, slices, reads, fresh))
+    return steps, last, wires, max(widest, sum(map(len, wires.values())))
+
+
+def widest_cluster(circuit: Circuit) -> int:
+    """The most wires that one cluster of ``circuit``'s walk holds."""
+    return _plan(circuit)[3]
 
 
 def _mix(state: np.ndarray, i0, i1, mat: np.ndarray, fires) -> None:
@@ -142,15 +187,16 @@ def _mix(state: np.ndarray, i0, i1, mat: np.ndarray, fires) -> None:
         state[i0], state[i1] = a, b
 
 
-def _fires(cond, outcomes: np.ndarray, column: dict[int, int]) -> np.ndarray:
-    """Whether ``cond`` holds on each row of ``outcomes``; ``column`` maps
-    a clbit to the outcome column that wrote it.  ``values`` ascend, so a
-    binary search finds each row's integer.  The bits are distinct, each
-    from its own measured wire, so a state that allocates has fewer than
-    63 of them and the integers fit in int64."""
-    place = 1 << np.arange(len(cond.bits) - 1, -1, -1, dtype=np.int64)
-    idx = outcomes[:, [column[b] for b in cond.bits]] @ place
-    values = np.array((*cond.values, -1), dtype=np.int64)
+def _fires(values, bits: np.ndarray) -> np.ndarray:
+    """Whether the integer each row of ``bits`` spells (first column most
+    significant) is one of ``values``, which ascend.  Up to 63 bits the
+    integers fit in int64 and a binary search finds them."""
+    if bits.shape[1] > 63:
+        place = np.array([1 << k for k in range(bits.shape[1] - 1, -1, -1)], dtype=object)
+        return np.isin(bits.astype(object) @ place, list(values))
+    place = 1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64)
+    idx = bits @ place
+    values = np.array((*values, -1), dtype=np.int64)
     return values[np.searchsorted(values[:-1], idx)] == idx
 
 
@@ -160,55 +206,159 @@ def _norm_sq(a: np.ndarray) -> np.ndarray:
     return sq.reshape(len(sq), -1).sum(axis=1)
 
 
-def _walk(circuit: Circuit, rng, total) -> list[Branch]:
-    """Breadth-first over the outcome tree, reading each op once.  Without
-    ``rng`` every outcome above ``BRANCH_PROB_TOL`` is kept; with it,
-    ``total`` shots are split binomially at each measurement."""
-    slices, active = _layout(circuit)
-    state = np.zeros((1,) + (2,) * circuit.n_qubits, dtype=complex)
-    state.flat[0] = 1.0
-    outcomes = np.zeros((1, 0), dtype=np.int8)
-    weight = np.array([total])
-    column: dict[int, int] = {}  # clbit -> the outcome column it holds
-    measured: dict[int, int] = {}  # measured wire -> its outcome column
-    for op, (i0, i1) in zip(circuit.ops, slices):
-        if op.kind not in ("measure", "reset"):
-            fires = None if op.condition is None else _fires(op.condition, outcomes, column)
-            _mix(state, i0, i1, _matrix(op), fires)
+def _distinct(keys, n: int):
+    """The first of ``n`` branches with each distinct tuple of ``keys``
+    (int arrays over the branches), and every branch's tuple number."""
+    key = np.zeros(n, dtype=np.intp)
+    for k in keys:
+        _, key = np.unique(key * (int(k.max(initial=0)) + 1) + k, return_inverse=True)
+    return np.unique(key, return_index=True)[1], key.reshape(-1)
+
+
+def _product(parts, n_rows: int) -> np.ndarray:
+    """Row-wise tensor product of cluster tensors of ``n_rows`` rows each,
+    allocated whole first: one too large for memory raises before any work."""
+    wires = sum(p.ndim - 1 for p in parts)
+    out, before = np.ones((n_rows, 2**wires), dtype=complex), 1
+    for p in parts:
+        view = out.reshape(n_rows, before, p[0].size, -1)
+        view *= p.reshape(n_rows, 1, -1, 1)
+        before *= p[0].size
+    return out.reshape((n_rows,) + (2,) * wires)
+
+
+def _merge_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """For each row of ``rows`` (axis 0), the row it merges into.  The
+    heaviest row not yet placed takes every unplaced row ``b`` whose
+    phase-aligned distance ``min_phi |a - e^(i phi) b|`` to it is at most
+    ``MERGE_TOL``.  The distance resolves that tolerance where
+    ``1 - |<a|b>|`` would be rounding."""
+    flat = rows.reshape(len(rows), -1)
+    into = np.full(len(rows), -1)
+    for i in np.argsort(-weights, kind="stable"):
+        if into[i] >= 0:
             continue
-        probs = np.stack((_norm_sq(state[i0]), _norm_sq(state[i1])), axis=1)
-        if rng is None:
-            split = weight[:, None] * probs
-            split[split < BRANCH_PROB_TOL] = 0.0
+        rest = np.flatnonzero(into < 0)
+        overlap = flat[rest].conj() @ flat[i]
+        size = np.abs(overlap)
+        aligned = overlap / np.where(size > 0.0, size, 1.0)
+        dist = np.linalg.norm(flat[i] - aligned[:, None] * flat[rest], axis=1)
+        into[rest[dist <= MERGE_TOL]] = i
+    return into
+
+
+def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
+    """Breadth-first over the outcome tree, reading each op once.
+    ``enumerate`` keeps every outcome above ``BRANCH_PROB_TOL`` in at most
+    ``2**cap`` rows, and ``merge`` merges them; ``sample`` splits ``shots``
+    binomially at each measurement.  Returns per row (outcomes, measured
+    wires' outcomes, state over the active wires, data state), and the
+    rows' probabilities, counts and the active wires."""
+    rng, total = None, 1.0
+    if mode == "sample":
+        if not shots or shots <= 0:
+            raise ValueError("sample mode needs a positive shot count")
+        if shots > MAX_SHOTS:
+            raise ValueError(f"shot count {shots} exceeds {MAX_SHOTS}")
+        rng, total, merge = np.random.default_rng(seed), shots, False
+    elif mode != "enumerate":
+        raise ValueError(f"unknown mode {mode!r}")
+    steps, last, final, _ = _plan(circuit)
+    ends = set(last.values()) if merge else set()
+    tensors = {q: _GROUND.copy() for q in range(circuit.n_qubits)}
+    rows: dict[int, np.ndarray] = {}  # cluster -> each branch's row, if it has several
+    outcomes = np.zeros((1, 0), dtype=np.int8)
+    column: dict[int, int] = {}  # splitting op -> its outcome column
+    weight, phase = np.array([total]), np.ones(1, dtype=complex)
+    count = np.ones(1, dtype=object)  # Python ints: the logical branches of a row
+    touched: set[int] = set()
+
+    def take_rows(c):
+        return rows.pop(c) if c in rows else np.zeros(len(weight), dtype=np.intp)
+
+    def join(c, clusters, keys):
+        first, inverse = _distinct(keys, len(keys[0]))
+        parts = [tensors.pop(j) for j in clusters]
+        # A cluster's rows are all in use, so only a split or a join reorders them.
+        parts = [t if np.array_equal(k[first], np.arange(len(t))) else t[k[first]]
+                 for t, k in zip(parts, keys)]
+        tensors[c] = parts[0] if len(parts) == 1 else _product(parts, len(first))
+        if len(first) > 1:
+            rows[c] = inverse
+        return first
+
+    for i, (op, (joined, c, (i0, i1), reads, fresh)) in enumerate(zip(circuit.ops, steps)):
+        touched.add(c)
+        if op.kind not in ("measure", "reset"):
+            mat, fires = _matrix(op), None
+            if reads:
+                fires = _fires(op.condition.values, outcomes[:, [column[w] for w in reads]])
+            if len(joined) > 1 or reads:
+                first = join(c, joined, [take_rows(j) for j in joined] + [fires] * bool(reads))
+                fires = None if fires is None or fires[first].all() else fires[first]
+            if fires is None or fires.any():
+                _mix(tensors[c], i0, i1, mat, fires)
         else:
-            k1 = rng.binomial(weight, probs[:, 1] / probs.sum(axis=1))
-            split = np.stack((weight - k1, k1), axis=1)
-        # Row-major order puts each row's outcome 0 first: lexicographic.
-        rows, outs = np.nonzero(split)
-        kept = state[(rows,) + i0[1:-1] + (outs,)]
-        kept /= np.sqrt(probs[rows, outs]).reshape((-1,) + (1,) * (kept.ndim - 1))
-        if op.kind == "measure":
-            state = kept
-            column[op.clbit] = measured[op.qubits[0]] = outcomes.shape[1]
-        else:
-            state = np.zeros((len(rows),) + state.shape[1:], dtype=complex)
-            state[i0] = kept
-        outcomes = np.column_stack((outcomes[rows], outs.astype(np.int8)))
-        weight = split[rows, outs]
+            t, r = tensors.pop(c), take_rows(c)
+            probs = np.stack((_norm_sq(t[i0]), _norm_sq(t[i1])), axis=1)
+            if rng is None:
+                split = weight[:, None] * probs[r]
+                split[split < BRANCH_PROB_TOL] = 0.0
+            else:
+                k1 = rng.binomial(weight, probs[r, 1] / probs[r].sum(axis=1))
+                split = np.stack((weight - k1, k1), axis=1)
+            # Row-major order puts each branch's outcome 0 first: lexicographic.
+            keep, outs = np.nonzero(split)
+            if rng is None and len(keep) > 2**cap:
+                raise TooManyBranches(f"{len(keep)} rows exceed the cap of 2**{cap}")
+            rows = {d: k[keep] for d, k in rows.items()}
+            weight, phase, count = split[keep, outs], phase[keep], count[keep]
+            outcomes = np.column_stack((outcomes[keep], outs.astype(np.int8)))
+            column[i] = outcomes.shape[1] - 1
+            first, inverse = _distinct([r[keep], outs], len(keep))
+            src, o = r[keep][first], outs[first]
+            kept = t[(src,) + i0[1:-1] + (o,)]
+            kept /= np.sqrt(probs[src, o]).reshape((-1,) + (1,) * (kept.ndim - 1))
+            if kept.ndim == 1:  # its last wire: the cluster's row is a phase of the branch
+                phase = phase * kept[inverse]
+            else:
+                tensors[c] = kept
+                if len(first) > 1:
+                    rows[c] = inverse
+            if fresh is not None:
+                tensors[fresh] = _GROUND.copy()
+        if i not in ends:
+            continue
+        live = [w for w in column if last[w] > i]
+        outcomes = outcomes[:, [column[w] for w in live]]
+        column = {w: k for k, w in enumerate(live)}
+        for d in touched & rows.keys():
+            into = _merge_rows(tensors[d], np.bincount(rows[d], weight, len(tensors[d])))
+            heaviest, renumber = np.unique(into, return_inverse=True)
+            tensors[d], rows[d] = tensors[d][heaviest], renumber.reshape(-1)[rows[d]]
+            if len(heaviest) == 1:
+                del rows[d]
+        touched.clear()
+        first, inverse = _distinct([*rows.values(), *outcomes.T], len(weight))
+        if len(first) < len(weight):
+            weight, merged = np.bincount(inverse, weight), np.zeros(len(first), dtype=object)
+            np.add.at(merged, inverse, count)
+            rows = {d: k[first] for d, k in rows.items()}
+            outcomes, phase, count = outcomes[first], phase[first], merged
+
+    if final:
+        join(-1, list(final), [take_rows(d) for d in final])
+    order = [w for d in final for w in final[d]]
+    active = sorted(order)
+    state = tensors.pop(-1, np.ones(1, dtype=complex))
+    state = state.transpose([0] + [1 + order.index(w) for w in active])
+    measured = {op.qubits[0]: i for i, op in enumerate(circuit.ops) if op.kind == "measure"}
     out = []
-    for row, outs, w in zip(state, outcomes.tolist(), weight.tolist()):
-        fixed = {q: outs[k] for q, k in measured.items()}
-        out.append(
-            Branch(
-                outcomes=tuple(outs),
-                probability=w / total,
-                data_state=_extract_data_state(row, active, circuit.data_qubits, fixed),
-                residual_wires=tuple(active),
-                residual_state=row.reshape(-1),
-                fixed_outcomes=fixed,
-            )
-        )
-    return out
+    for r, outs, ph in zip(take_rows(-1).tolist(), outcomes.tolist(), phase.tolist()):
+        fixed = {q: outs[column[w]] for q, w in measured.items() if w in column}
+        row = ph * state[r]
+        out.append((outs, fixed, row, _extract_data_state(row, active, circuit.data_qubits, fixed)))
+    return out, weight / total, count, active
 
 
 def _data_rows(state: np.ndarray, active, data_qubits):
@@ -265,24 +415,19 @@ def run(
     seed: int | None = None,
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> list[Branch]:
-    """Simulate ``circuit`` and return its measurement branches.
+    """Simulate ``circuit`` and return its measurement branches, one per
+    outcome string.
 
-    ``enumerate`` explores every outcome assignment (requires at most
-    ``branch_cap`` measured wires); ``sample`` splits ``shots`` seeded
-    shots over the branches and reports frequencies as probabilities.
+    ``enumerate`` explores every outcome assignment (at most
+    ``2**branch_cap`` branches at a time); ``sample`` splits ``shots``
+    seeded shots over the branches and reports frequencies as
+    probabilities.
     """
-    if mode == "enumerate":
-        n_meas = sum(1 for op in circuit.ops if op.kind == "measure")
-        if n_meas > branch_cap:
-            raise TooManyBranches(f"{n_meas} measured wires exceed cap {branch_cap}")
-        return _walk(circuit, None, 1.0)
-    if mode == "sample":
-        if not shots or shots <= 0:
-            raise ValueError("sample mode needs a positive shot count")
-        if shots > MAX_SHOTS:
-            raise ValueError(f"shot count {shots} exceeds {MAX_SHOTS}")
-        return _walk(circuit, np.random.default_rng(seed), shots)
-    raise ValueError(f"unknown mode {mode!r}")
+    rows, probability, _, active = _walk(circuit, mode, shots, seed, branch_cap, False)
+    return [
+        Branch(tuple(outs), p, data, tuple(active), state.reshape(-1), fixed)
+        for (outs, fixed, state, data), p in zip(rows, probability.tolist())
+    ]
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
@@ -322,17 +467,19 @@ def verify_preparation(
     seed: int | None = None,
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> VerificationReport:
-    """Check that every branch leaves the data register in ``target``."""
+    """Check that every branch leaves the data register in ``target``.
+    Enumeration merges branches that leave the same state (see the module
+    notes), and ``branches`` counts the logical branches they stand for."""
     target = np.asarray(target, dtype=complex).reshape(-1)
     if 2 ** len(circuit.data_qubits) != target.size:
         raise DimensionMismatch(
             f"target dimension {target.size} vs data register {len(circuit.data_qubits)}"
         )
-    branches = run(circuit, mode=mode, shots=shots, seed=seed, branch_cap=branch_cap)
-    stacked = np.stack([b.data_state for b in branches])
+    rows, probability, count, _ = _walk(circuit, mode, shots, seed, branch_cap, True)
+    stacked = np.stack([data for *_, data in rows])
     min_fid = float(np.min(np.abs(stacked.conj() @ (target / np.linalg.norm(target)))))
-    total = float(sum(b.probability for b in branches))
+    total = float(probability.sum())
     passed = min_fid >= 1.0 - FIDELITY_TOL and abs(total - 1.0) <= PROB_SUM_TOL
     return VerificationReport(
-        branches=len(branches), sum_prob=total, min_fidelity=min_fid, passed=passed
+        branches=int(count.sum()), sum_prob=total, min_fidelity=min_fid, passed=passed
     )

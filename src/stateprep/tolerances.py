@@ -1,8 +1,8 @@
 """Every numerical threshold that decides what is emitted or what ``verify`` accepts."""
 
-# A norm at or below this is zero.  ``build_tree``: absolute, for the input's norm and most
-# negative entry and a node's norm in the unit vector.  ``_plan_tree``: a child's weight,
-# relative to its parent, so ``prune`` drops that child.
+# A norm at or below this is zero.  ``build_tree``: relative to the input's largest entry, a
+# negative entry's size that is rounding, not sign; and a node's norm in the unit vector.
+# ``_plan_tree``: a child's weight, relative to its parent, so ``prune`` drops that child.
 ZERO_NORM_TOL = 1e-12
 # ``states_equal``: siblings whose entries differ by at most this are one state to
 # ``prune``.  Rows are products of unit weights; equal subtrees agree to about 1e-16.
@@ -41,3 +41,8 @@ EMPTY_COLUMN_TOL = 1e-24
 FIDELITY_TOL = 1e-9
 # Allowed |sum of probabilities - 1|: rounding plus mass pruned by BRANCH_PROB_TOL.
 PROB_SUM_TOL = 1e-10
+# ``simulator`` merges rows of a cluster whose phase-aligned distance min_phi |a - e^(i phi) b|
+# is at most this.  Moving a state by d moves a fidelity F by at most d * sqrt(2 (1 - F)), so
+# at the pass edge F = 1 - FIDELITY_TOL one merge moves a verdict by at most 1e-12 (n merges
+# on one branch's path, n * 1e-12).  Rows of deterministic stages agree to about 5e-10.
+MERGE_TOL = 1e-12 / (2.0 * FIDELITY_TOL) ** 0.5

@@ -95,17 +95,15 @@ def build_tree(amplitudes) -> AmplitudeTree:
         raise NonPowerOfTwoLength(f"length {size} is not a power of two >= 2")
     if not np.isfinite(x).all():
         raise NonFiniteAmplitude("amplitudes must be finite")
-    if np.min(x) < -ZERO_NORM_TOL:
-        raise NegativeAmplitude(f"negative amplitude {np.min(x)}")
-    x = np.clip(x, 0.0, None)
-    # Scaling by a power of two is exact and keeps the squares in the
-    # norm from overflowing; the zero test still applies to the input.
-    _, exp = np.frexp(np.max(x))
-    x = np.ldexp(x, -exp)
-    total = float(np.linalg.norm(x))
-    if total < np.ldexp(ZERO_NORM_TOL, -exp):
+    scale = np.max(np.abs(x))
+    if scale == 0.0:
         raise ZeroVector("input vector has zero norm")
-    x = x / total
+    # Both tests are relative to the largest entry.  Scaling by a power of
+    # two is exact and keeps the squares in the norm from overflowing.
+    if np.min(x) < -ZERO_NORM_TOL * scale:
+        raise NegativeAmplitude(f"negative amplitude {np.min(x)}")
+    x = np.ldexp(np.clip(x, 0.0, None), -np.frexp(scale)[1])
+    x = x / np.linalg.norm(x)
 
     n = size.bit_length() - 1
     omega0 = np.zeros(size - 1)

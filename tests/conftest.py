@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import stateprep as sp
+from stateprep.tolerances import FIDELITY_TOL, PROB_SUM_TOL
+
 DENSE_SQUARES = (0.04, 0.13, 0.16, 0.2, 0.07, 0.09, 0.2, 0.11)
 
 
@@ -159,6 +162,18 @@ def oracle_branches(circuit, prob_floor=1e-14):
         data = tensor[tuple(idx)].reshape(-1)
         out.append((tuple(int(v) for v in assignment), prob, data))
     return out
+
+
+def reference_report(circuit, target, **run_kwargs):
+    """``verify_preparation``'s report, computed branch by branch from
+    ``sp.run``, which never merges branches: the reference for the merged
+    walk of enumerate mode."""
+    branches = sp.run(circuit, **run_kwargs)
+    target = np.asarray(target, dtype=complex) / np.linalg.norm(target)
+    min_fid = min(abs(np.vdot(b.data_state, target)) for b in branches)
+    total = sum(b.probability for b in branches)
+    passed = min_fid >= 1.0 - FIDELITY_TOL and abs(total - 1.0) <= PROB_SUM_TOL
+    return sp.VerificationReport(len(branches), total, float(min_fid), passed)
 
 
 def oracle_layers(circuit, full=True):

@@ -98,6 +98,16 @@ class TestCompile:
         assert main(["verify", out, vec]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]
 
+    def test_tiny_and_negative_entries_judged_against_largest(self, tmp_path, capsys):
+        tiny = write_vector(tmp_path, "tiny.json", [1e-13, 1e-13])
+        out = str(tmp_path / "c.json")
+        assert main(["compile", tiny, "--method", "dc", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["verify", out, tiny]) == 0
+        signed = write_vector(tmp_path, "signed.json", [3e-12, -9e-13])
+        assert main(["compile", signed, "--method", "dc", "--out", out]) == 2
+        assert "negative amplitude" in capsys.readouterr().err
+
     def test_short_vector_padded(self, tmp_path, capsys):
         vec = write_vector(tmp_path, "v.json", [3.0, 4.0, 5.0])
         out = str(tmp_path / "c.json")
@@ -217,26 +227,35 @@ class TestVerify:
         assert "40 wires" in captured.err
 
     def test_repeated_or_overwide_condition_documents_exit_two(self, tmp_path, capsys):
-        # A condition names each clbit once; 63 distinct bits need 63
-        # measured wires, a state that never allocates even when the
-        # branch cap admits it.
+        # A condition names each clbit once: 70 bits that repeat bit 0
+        # are refused however wide the branch cap.
+        vec = write_vector(tmp_path, "v.json", [1.0, 0.0])
+        flip = {"kind": "x", "qubits": [1], "condition": {"bits": [0] * 70, "values": [2**70 - 1]}}
+        doc = {"n_qubits": 2, "n_clbits": 1, "data_qubits": [1],
+               "ops": [{"kind": "h", "qubits": [0]},
+                       {"kind": "measure", "qubits": [0], "clbit": 0}, flip]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad), vec, "--branch-cap", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_wide_condition_document_verifies(self, tmp_path, capsys):
+        # 64 wires never form one state: each is its own cluster, so a
+        # condition on 63 measured bits is read, and fires on the one
+        # branch whose bits spell its value.
         vec = write_vector(tmp_path, "v.json", [1.0, 0.0])
         measures = [{"kind": "measure", "qubits": [k], "clbit": k} for k in range(63)]
-        docs = (
-            (2, [0] * 70, 2**70 - 1),
-            (64, list(range(63)), 2**63 - 1),
-        )
-        for n_qubits, bits, value in docs:
-            flip = {"kind": "x", "qubits": [n_qubits - 1],
-                    "condition": {"bits": bits, "values": [value]}}
-            doc = {"n_qubits": n_qubits, "n_clbits": n_qubits - 1,
-                   "data_qubits": [n_qubits - 1],
-                   "ops": [{"kind": "h", "qubits": [0]}, *measures[: n_qubits - 1], flip]}
-            bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps(doc))
-            assert main(["verify", str(bad), vec, "--branch-cap", "64"]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and captured.err.startswith("error: ")
+        for value, code in ((2**63 - 1, 0), (2**62, 1)):
+            flip = {"kind": "x", "qubits": [63],
+                    "condition": {"bits": list(range(63)), "values": [value]}}
+            doc = {"n_qubits": 64, "n_clbits": 63, "data_qubits": [63],
+                   "ops": [{"kind": "h", "qubits": [0]}, *measures, flip]}
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps(doc))
+            assert main(["verify", str(path), vec]) == code
+            report = json.loads(capsys.readouterr().out)
+            assert report["branches"] == 2 and report["min_fidelity"] == 1.0 - code
 
 
 class TestAnalyzeSweep:

@@ -9,7 +9,7 @@ from stateprep.circuit import Circuit, Condition, cswap, hadamard, measure, paul
 from stateprep.errors import DimensionMismatch, TooManyBranches
 from stateprep.simulator import data_probabilities, statevector
 
-from conftest import oracle_branches, oracle_statevector, random_unit
+from conftest import oracle_branches, oracle_statevector, random_unit, reference_report
 
 
 class TestGateApplication:
@@ -291,3 +291,84 @@ class TestVerifyPreparation:
         c = sp.synthesize_dc(sp.build_tree(dense_vector))
         with pytest.raises(DimensionMismatch):
             sp.verify_preparation(c, dense_vector[:4])
+
+
+class TestMergedVerify:
+    """Enumerate-mode verification merges branches that leave the same
+    state; ``conftest.reference_report`` builds the report branch by branch."""
+
+    @staticmethod
+    def assert_matches_reference(c, target):
+        got = sp.verify_preparation(c, target)
+        ref = reference_report(c, target)
+        assert got.passed == ref.passed
+        assert got.sum_prob == pytest.approx(ref.sum_prob, abs=1e-12)
+        assert got.min_fidelity == pytest.approx(ref.min_fidelity, abs=1e-12)
+        # A merged row is pruned only when its summed weight is below
+        # BRANCH_PROB_TOL, so it may count branches that run() drops one by one.
+        assert got.branches >= ref.branches
+        return got
+
+    def test_late_condition_on_an_early_bit(self):
+        # A correction on bit 0 returns wire 1 to |0>, so both rows of its
+        # cluster agree when bit 1's measurement ends.  Bit 0 is still to be
+        # read, so the branches stay apart: the late flip fires on one only.
+        ops = (
+            roty(0, 1.0),
+            mcroty(0.9, [(0, 1)], 1),
+            measure(0, 0),
+            roty(1, -0.9, condition=Condition((0,), (1,))),
+            hadamard(2),
+            measure(2, 1),
+            pauli_x(1, condition=Condition((0,), (1,))),
+        )
+        c = Circuit(3, 2, ops, (1,))
+        rep = self.assert_matches_reference(c, [1.0, 0.0])
+        assert rep.branches == 4 and not rep.passed
+        assert rep.min_fidelity == pytest.approx(0.0, abs=1e-12)
+
+    def test_entangled_baseline_still_fails(self):
+        rng = np.random.default_rng(9)
+        x = random_unit(rng, 16)
+        c = sp.synthesize_dc(sp.build_tree(x), sp.DcOptions(disentangle=False))
+        assert not self.assert_matches_reference(c, x).passed
+
+    def test_erratum_angle_still_fails(self, dense_vector):
+        # Criterion 2: the paper's printed wire-6 angle, in place of the
+        # synthesized one, leaves a stage whose rows never merge.
+        c = sp.synthesize_dc(sp.build_tree(dense_vector))
+        wire6 = next(op for op in c.ops if op.role == "meas_basis" and op.qubits == (6,))
+        for angle in (1.24, -1.24):
+            ops = tuple(replace(op, angle=angle) if op is wire6 else op for op in c.ops)
+            rep = self.assert_matches_reference(replace(c, ops=ops), dense_vector)
+            assert not rep.passed and rep.branches == 16
+
+    def test_merged_walk_matches_reference(self, dense_vector, w_vector):
+        rng = np.random.default_rng(31)
+        sparse = np.zeros(16)
+        sparse[[2, 7, 11]] = rng.random(3) + 0.1
+        for x in (dense_vector, w_vector, random_unit(rng, 16), sparse / np.linalg.norm(sparse)):
+            tree = sp.build_tree(x)
+            for opts in (sp.DcOptions(), sp.DcOptions(prune=True), sp.DcOptions(parallelize=True)):
+                self.assert_matches_reference(sp.synthesize_dc(tree, opts), x)
+            self.assert_matches_reference(sp.synthesize_hybrid(tree, 2), x)
+            wrong = np.roll(x, 1)
+            self.assert_matches_reference(sp.synthesize_dc(tree), wrong / np.linalg.norm(wrong))
+
+    def test_wide_condition_reads_python_integers(self):
+        # 64 condition bits overflow int64; the flip fires when only the
+        # first one is 1.
+        ops = (hadamard(0),) + tuple(measure(k, k) for k in range(64))
+        ops += (pauli_x(64, condition=Condition(tuple(range(64)), (2**63,))),)
+        c = Circuit(65, 64, ops, (64,))
+        branches = sp.run(c)
+        assert [b.outcomes[0] for b in branches] == [0, 1]
+        assert np.allclose([b.data_state for b in branches], [[1, 0], [0, 1]])
+
+    def test_cap_bounds_rows_not_measured_wires(self):
+        # 20 measured wires, all but one certain: two branches fit a cap of 1.
+        ops = (hadamard(0),) + tuple(measure(k, k) for k in range(20))
+        c = Circuit(20, 20, ops, (0,))
+        assert len(sp.run(c, branch_cap=1)) == 2
+        with pytest.raises(TooManyBranches):
+            sp.run(c, branch_cap=0)

@@ -1,7 +1,8 @@
 """Each tolerance of ``stateprep.tolerances`` decides at its edge: an input
 that misses by half the tolerance is on one side, by twice it on the other.
 ``OVERLAP_EQUAL_TOL`` and ``ANGLE_TOL`` have their edges in
-``test_divide_conquer.py``."""
+``test_divide_conquer.py``; ``ZERO_NORM_TOL``'s negative-entry edge is in
+``test_tree.py``."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ import stateprep as sp
 from stateprep.circuit import Circuit, measure, roty
 from stateprep.discrimination import OrthPair
 from stateprep.errors import NonUnitInput, NotOrthogonal
+from stateprep.simulator import _extract_data_state, _merge_rows
 from stateprep.tolerances import (
     BRANCH_PROB_TOL,
+    EMPTY_COLUMN_TOL,
     FIDELITY_TOL,
+    MERGE_TOL,
     ORTH_TOL,
     STATE_EQ_TOL,
     UNIT_NORM_TOL,
@@ -68,3 +72,27 @@ def test_state_eq_tol(scale, inside):
     a = np.array([[0.6, 0.8, 0.0, 0.0]])
     b = a + [[0.0, 0.0, scale * STATE_EQ_TOL, 0.0]]
     assert states_equal(a, b).tolist() == [inside]
+
+
+@pytest.mark.parametrize("scale, inside", EDGES)
+def test_merge_tol(scale, inside):
+    # Row 1 is row 0 turned by eps and multiplied by a global phase; their
+    # phase-aligned distance is 2 sin(eps / 2).  Inside the tolerance the
+    # lighter row merges into the heavier one.
+    eps = 2.0 * np.arcsin(scale * MERGE_TOL / 2.0)
+    rows = np.array([[1.0, 0.0], np.exp(0.7j) * np.array([np.cos(eps), np.sin(eps)])])
+    into = _merge_rows(rows, np.array([0.6, 0.4]))
+    assert into.tolist() == ([0, 0] if inside else [0, 1])
+
+
+@pytest.mark.parametrize("scale, inside", EDGES)
+def test_empty_column_tol(scale, inside):
+    # Data wire 0 and one more active wire, whose column 1 holds squared norm
+    # scale * EMPTY_COLUMN_TOL.  Inside the tolerance the data state is column
+    # 0 as it stands, phase i included; past it, the principal eigenvector of
+    # the reduced density matrix, which has no reason to carry that phase.
+    eps = np.sqrt(scale * EMPTY_COLUMN_TOL)
+    state = np.array([[1j * np.sqrt(1.0 - eps**2), 0.0], [0.0, eps]])
+    vec = _extract_data_state(state, [0, 1], (0,), {})
+    assert abs(vec[0]) == pytest.approx(1.0)
+    assert (vec[0] == 1j) == inside

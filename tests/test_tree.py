@@ -13,6 +13,7 @@ from stateprep.errors import (
     StatePrepError,
     ZeroVector,
 )
+from stateprep.tolerances import ZERO_NORM_TOL
 from stateprep.tree import children_of, level_of
 
 from conftest import random_unit
@@ -72,6 +73,22 @@ class TestBuildTree:
             sp.build_tree([0.8 + 0.1j, 0.6])
         with pytest.raises(ZeroVector):
             sp.build_tree([0.0, 0.0, 0.0, 0.0])
+
+    def test_tiny_vector_is_valid(self):
+        # The zero test is relative to the largest entry, not absolute.
+        tree = sp.build_tree([1e-13, 1e-13])
+        assert tree.alpha[0] == pytest.approx(np.pi / 2)
+
+    def test_negative_entry_judged_against_largest(self):
+        # -9e-13 is 30% of the largest entry: a sign, not rounding.
+        with pytest.raises(NegativeAmplitude):
+            sp.build_tree([3e-12, -9e-13])
+        # Within ZERO_NORM_TOL of the largest entry it is rounding, cleared
+        # to 0; at twice that, a sign.
+        tree = sp.build_tree([4.0, -2.0 * ZERO_NORM_TOL])
+        assert (tree.omega0[0], tree.omega1[0]) == (1.0, 0.0)
+        with pytest.raises(NegativeAmplitude):
+            sp.build_tree([4.0, -8.0 * ZERO_NORM_TOL])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
