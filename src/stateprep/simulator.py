@@ -1,30 +1,27 @@
 """Statevector simulation with mid-circuit measurement and feed-forward.
 
 Wire 0 is the most significant index bit.  One breadth-first walk serves
-both modes: it reads each op once and advances every branch together.
+both modes, reading each op once and advancing every branch together.
 Wires that no op has yet joined are independent, so the state is kept as
-*clusters*, each a tensor of rows with an axis per wire, and a branch
-names one row of every cluster.  An op joins the clusters of its wires
-into the distinct row tuples that the branches use; a conditioned op
-also splits its rows by whether it fires.  Nothing conditions a
-measurement, so the clusters, and the two slices that each op mixes or
-splits, are planned once per circuit (``_plan``).  A ``measure`` or
-``reset`` splits each branch in two, outcome 0 first, so branches stay
-in lexicographic outcome order; the wire leaves its cluster, and a reset
-wire starts a new one in |0>.  ``enumerate`` keeps every outcome of path
-probability at least ``BRANCH_PROB_TOL``.  ``sample`` splits a branch's
-shots between the outcomes with one binomial draw and keeps those that
-receive any, so the counts are multinomial and no shot count makes the
-walk longer than enumeration.
+*clusters*, each a tensor of rows with an axis per wire; a branch names
+one row of every cluster.  An op joins the clusters of its wires into the
+distinct row tuples that the branches use, and a conditioned op splits
+its rows by whether it fires.  Nothing conditions a measurement, so the
+clusters and each op's two slices are planned once per circuit
+(``_plan``).  A ``measure`` or ``reset`` splits each branch in two,
+outcome 0 first, so branches stay in lexicographic outcome order; the
+wire leaves its cluster, and a reset wire starts a new one in |0>.
+``enumerate`` keeps every outcome of path probability at least
+``BRANCH_PROB_TOL``.  ``sample`` splits a branch's shots between the
+outcomes with one binomial draw, so the counts are multinomial.
 
 ``verify_preparation`` in enumerate mode also merges.  After the last
-reader of some outcomes, the rows of each cluster touched since the last
-merge join the heaviest row that agrees with them up to phase
-(``_merge_rows``), and branches that then agree on every row and every
-outcome still to be read become one row, with their summed weight and
-the count of logical branches.  A deterministic disentangling stage so
-leaves one row however many wires it measures; rows that do not merge
-stay separate, and the walk stays exact.
+reader of some outcomes, the rows of a cluster within ``MERGE_TOL`` of
+its heaviest row, up to phase, become that row (``_merge_rows``), and
+branches that then agree on every row and every outcome still to be read
+become one row that counts them.  A deterministic disentangling stage so
+leaves one row.  The walk bounds how far merging moved each branch, and
+where that leaves the verdict open the walk is repeated without merging.
 """
 
 from __future__ import annotations
@@ -35,7 +32,8 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import DimensionMismatch, TooManyBranches
-from .tolerances import BRANCH_PROB_TOL, EMPTY_COLUMN_TOL, FIDELITY_TOL, MERGE_TOL, PROB_SUM_TOL
+from .tolerances import BRANCH_PROB_TOL, EMPTY_COLUMN_TOL, FIDELITY_TOL, MERGE_BOUND_TOL
+from .tolerances import MERGE_TOL, PROB_SUM_TOL
 
 # ``2**DEFAULT_BRANCH_CAP`` rows at most, checked at each split.
 DEFAULT_BRANCH_CAP = 14
@@ -137,6 +135,8 @@ def _plan(circuit: Circuit):
                 owner[w] = c
         widest = max(widest, len(wires[c]))
         if op.condition is not None:
+            if len(op.condition.bits) > 63:
+                raise ValueError(f"op {i}: {len(op.condition.bits)} condition bits, over 63")
             reads = tuple(writer[b] for b in op.condition.bits)
             last.update(dict.fromkeys(reads, i))
         slices = _slices(op, wires[c])
@@ -189,11 +189,7 @@ def _mix(state: np.ndarray, i0, i1, mat: np.ndarray, fires) -> None:
 
 def _fires(values, bits: np.ndarray) -> np.ndarray:
     """Whether the integer each row of ``bits`` spells (first column most
-    significant) is one of ``values``, which ascend.  Up to 63 bits the
-    integers fit in int64 and a binary search finds them."""
-    if bits.shape[1] > 63:
-        place = np.array([1 << k for k in range(bits.shape[1] - 1, -1, -1)], dtype=object)
-        return np.isin(bits.astype(object) @ place, list(values))
+    significant, at most 63 columns) is one of ``values``, which ascend."""
     place = 1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64)
     idx = bits @ place
     values = np.array((*values, -1), dtype=np.int64)
@@ -227,14 +223,22 @@ def _product(parts, n_rows: int) -> np.ndarray:
     return out.reshape((n_rows,) + (2,) * wires)
 
 
-def _merge_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """For each row of ``rows`` (axis 0), the row it merges into.  The
-    heaviest row not yet placed takes every unplaced row ``b`` whose
-    phase-aligned distance ``min_phi |a - e^(i phi) b|`` to it is at most
-    ``MERGE_TOL``.  The distance resolves that tolerance where
-    ``1 - |<a|b>|`` would be rounding."""
+def _merge_rows(rows: np.ndarray, weights: np.ndarray, limit: np.ndarray):
+    """For each row of ``rows`` (axis 0), the row it merges into and their
+    distance.  The heaviest row not yet placed takes every unplaced row
+    ``b`` whose phase-aligned distance ``min_phi |a - e^(i phi) b|`` to it
+    is at most ``limit[b]``.  The distance resolves ``MERGE_TOL`` where
+    ``1 - |<a|b>|`` would be rounding.  The distance also bounds the
+    change of the key ``<v, |a|>`` for a unit ``v``, so a row whose key has
+    no other within twice the tolerance stays alone, unexamined."""
     flat = rows.reshape(len(rows), -1)
-    into = np.full(len(rows), -1)
+    into, dist = np.full(len(rows), -1), np.zeros(len(rows))
+    v = np.linspace(1.0, 2.0, flat.shape[1])
+    key = np.abs(flat) @ (v / np.linalg.norm(v))
+    order = np.argsort(key)
+    pair = np.diff(key[order]) <= 2.0 * limit.max()
+    alone = np.setdiff1d(order, np.concatenate((order[:-1][pair], order[1:][pair])))
+    into[alone] = alone
     for i in np.argsort(-weights, kind="stable"):
         if into[i] >= 0:
             continue
@@ -242,9 +246,10 @@ def _merge_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         overlap = flat[rest].conj() @ flat[i]
         size = np.abs(overlap)
         aligned = overlap / np.where(size > 0.0, size, 1.0)
-        dist = np.linalg.norm(flat[i] - aligned[:, None] * flat[rest], axis=1)
-        into[rest[dist <= MERGE_TOL]] = i
-    return into
+        d = np.linalg.norm(flat[i] - aligned[:, None] * flat[rest], axis=1)
+        near = d <= limit[rest]
+        into[rest[near]], dist[rest[near]] = i, d[near]
+    return into, dist
 
 
 def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
@@ -253,7 +258,15 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     ``2**cap`` rows, and ``merge`` merges them; ``sample`` splits ``shots``
     binomially at each measurement.  Returns per row (outcomes, measured
     wires' outcomes, state over the active wires, data state), and the
-    rows' probabilities, counts and the active wires."""
+    rows' probabilities, counts, the active wires and, per row, a bound on
+    the distance up to phase of its data state from that of each branch it
+    stands for that the unmerged walk keeps.
+
+    A merge moves a branch's state, of norm sqrt(weight), by sqrt(weight)
+    times the merge distance, and a split, a projection, moves it no
+    further: ``error`` bounds that move, and a merge that would take it
+    past ``MERGE_BOUND_TOL`` is refused.  ``doubt`` is set if a pruned
+    outcome's norm is within ``error`` of sqrt(BRANCH_PROB_TOL)."""
     rng, total = None, 1.0
     if mode == "sample":
         if not shots or shots <= 0:
@@ -271,6 +284,7 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     column: dict[int, int] = {}  # splitting op -> its outcome column
     weight, phase = np.array([total]), np.ones(1, dtype=complex)
     count = np.ones(1, dtype=object)  # Python ints: the logical branches of a row
+    error, doubt = np.zeros(1), False
     touched: set[int] = set()
 
     def take_rows(c):
@@ -303,7 +317,10 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
             probs = np.stack((_norm_sq(t[i0]), _norm_sq(t[i1])), axis=1)
             if rng is None:
                 split = weight[:, None] * probs[r]
-                split[split < BRANCH_PROB_TOL] = 0.0
+                gone = split < BRANCH_PROB_TOL
+                reach = (np.sqrt(split) + error[:, None]) ** 2
+                doubt |= bool(np.any(reach[gone] >= BRANCH_PROB_TOL))
+                split[gone] = 0.0
             else:
                 k1 = rng.binomial(weight, probs[r, 1] / probs[r].sum(axis=1))
                 split = np.stack((weight - k1, k1), axis=1)
@@ -312,7 +329,7 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
             if rng is None and len(keep) > 2**cap:
                 raise TooManyBranches(f"{len(keep)} rows exceed the cap of 2**{cap}")
             rows = {d: k[keep] for d, k in rows.items()}
-            weight, phase, count = split[keep, outs], phase[keep], count[keep]
+            weight, phase, count, error = split[keep, outs], phase[keep], count[keep], error[keep]
             outcomes = np.column_stack((outcomes[keep], outs.astype(np.int8)))
             column[i] = outcomes.shape[1] - 1
             first, inverse = _distinct([r[keep], outs], len(keep))
@@ -333,7 +350,10 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
         outcomes = outcomes[:, [column[w] for w in live]]
         column = {w: k for k, w in enumerate(live)}
         for d in touched & rows.keys():
-            into = _merge_rows(tensors[d], np.bincount(rows[d], weight, len(tensors[d])))
+            limit = np.full(len(tensors[d]), MERGE_TOL)
+            np.minimum.at(limit, rows[d], (MERGE_BOUND_TOL - error) / np.sqrt(weight))
+            into, dist = _merge_rows(tensors[d], np.bincount(rows[d], weight, len(limit)), limit)
+            error = error + np.sqrt(weight) * dist[rows[d]]
             heaviest, renumber = np.unique(into, return_inverse=True)
             tensors[d], rows[d] = tensors[d][heaviest], renumber.reshape(-1)[rows[d]]
             if len(heaviest) == 1:
@@ -342,9 +362,11 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
         first, inverse = _distinct([*rows.values(), *outcomes.T], len(weight))
         if len(first) < len(weight):
             weight, merged = np.bincount(inverse, weight), np.zeros(len(first), dtype=object)
+            worst = np.zeros(len(first))
             np.add.at(merged, inverse, count)
+            np.maximum.at(worst, inverse, error)
             rows = {d: k[first] for d, k in rows.items()}
-            outcomes, phase, count = outcomes[first], phase[first], merged
+            outcomes, phase, count, error = outcomes[first], phase[first], merged, worst
 
     if final:
         join(-1, list(final), [take_rows(d) for d in final])
@@ -353,12 +375,21 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     state = tensors.pop(-1, np.ones(1, dtype=complex))
     state = state.transpose([0] + [1 + order.index(w) for w in active])
     measured = {op.qubits[0]: i for i, op in enumerate(circuit.ops) if op.kind == "measure"}
-    out = []
-    for r, outs, ph in zip(take_rows(-1).tolist(), outcomes.tolist(), phase.tolist()):
+    out, norms = [], np.zeros(len(weight))
+    branches = zip(take_rows(-1).tolist(), outcomes.tolist(), phase.tolist())
+    for k, (r, outs, ph) in enumerate(branches):
         fixed = {q: outs[column[w]] for q, w in measured.items() if w in column}
         row = ph * state[r]
-        out.append((outs, fixed, row, _extract_data_state(row, active, circuit.data_qubits, fixed)))
-    return out, weight / total, count, active
+        data, norms[k] = _extract_data_state(row, active, circuit.data_qubits, fixed)
+        out.append((outs, fixed, row, data))
+    # A kept branch's data slice has a norm of at least (sqrt(BRANCH_PROB_TOL) -
+    # error) |v| here, and normalizing a vector of norm m moves it by 2 error / m.
+    norms *= np.sqrt(BRANCH_PROB_TOL) - error
+    spread = np.divide(2.0 * error, norms, out=np.full(len(error), np.inf), where=norms > 0.0)
+    spread[error == 0.0] = 0.0
+    if doubt:  # an outcome it may have pruned could hold any state
+        spread[:] = np.inf
+    return out, weight / total, count, active, spread
 
 
 def _data_rows(state: np.ndarray, active, data_qubits):
@@ -386,7 +417,8 @@ def _embed_measured(vec: np.ndarray, active_data, data_qubits, fixed) -> np.ndar
 
 def _extract_data_state(state: np.ndarray, active, data_qubits, fixed) -> np.ndarray:
     """Best pure state on the data register, from one branch's ``state``
-    over ``active`` and its measured wires' outcomes ``fixed``.
+    over ``active`` and its measured wires' outcomes ``fixed``, and the
+    norm of the slice of ``state`` it normalizes (0 for an eigenvector).
 
     When the remaining wires factor out (the usual case after the
     disentangling measurements) this is exact; otherwise the principal
@@ -395,7 +427,7 @@ def _extract_data_state(state: np.ndarray, active, data_qubits, fixed) -> np.nda
     """
     if list(data_qubits) == active:
         vec = state.reshape(-1)
-        return vec / np.linalg.norm(vec)
+        return vec / np.linalg.norm(vec), np.linalg.norm(vec)
     active_data, mat = _data_rows(state, active, data_qubits)
     col_norms = np.sum(np.abs(mat) ** 2, axis=0)
     nonzero = np.flatnonzero(col_norms > EMPTY_COLUMN_TOL)
@@ -404,8 +436,8 @@ def _extract_data_state(state: np.ndarray, active, data_qubits, fixed) -> np.nda
     else:
         _, vecs = np.linalg.eigh(mat @ mat.conj().T)
         vec = vecs[:, -1]
-    vec = vec / np.linalg.norm(vec)
-    return _embed_measured(vec, active_data, data_qubits, fixed)
+    norm = np.linalg.norm(vec)
+    return _embed_measured(vec / norm, active_data, data_qubits, fixed), norm * (len(nonzero) == 1)
 
 
 def run(
@@ -423,7 +455,7 @@ def run(
     seeded shots over the branches and reports frequencies as
     probabilities.
     """
-    rows, probability, _, active = _walk(circuit, mode, shots, seed, branch_cap, False)
+    rows, probability, _, active, _ = _walk(circuit, mode, shots, seed, branch_cap, False)
     return [
         Branch(tuple(outs), p, data, tuple(active), state.reshape(-1), fixed)
         for (outs, fixed, state, data), p in zip(rows, probability.tolist())
@@ -469,17 +501,25 @@ def verify_preparation(
 ) -> VerificationReport:
     """Check that every branch leaves the data register in ``target``.
     Enumeration merges branches that leave the same state (see the module
-    notes), and ``branches`` counts the logical branches they stand for."""
+    notes), and ``branches`` counts the logical branches they stand for.
+    A merged data state within d of the exact one, up to phase, has a
+    fidelity F within d of it in sqrt(2 (1 - F)).  Where that leaves the
+    verdict open, the walk is repeated without merging."""
     target = np.asarray(target, dtype=complex).reshape(-1)
     if 2 ** len(circuit.data_qubits) != target.size:
         raise DimensionMismatch(
             f"target dimension {target.size} vs data register {len(circuit.data_qubits)}"
         )
-    rows, probability, count, _ = _walk(circuit, mode, shots, seed, branch_cap, True)
-    stacked = np.stack([data for *_, data in rows])
-    min_fid = float(np.min(np.abs(stacked.conj() @ (target / np.linalg.norm(target)))))
+    target, edge = target / np.linalg.norm(target), 1.0 - FIDELITY_TOL
+    for merge in (True, False):
+        rows, probability, count, _, spread = _walk(circuit, mode, shots, seed, branch_cap, merge)
+        fid = np.abs(np.stack([data for *_, data in rows]).conj() @ target)
+        s = np.sqrt(np.maximum(2.0 * (1.0 - fid), 0.0))
+        low, near = fid - spread * (s + spread / 2.0), np.minimum(spread, s)
+        if not low.min() < edge <= np.min(fid + near * (s - near / 2.0)):
+            break
     total = float(probability.sum())
-    passed = min_fid >= 1.0 - FIDELITY_TOL and abs(total - 1.0) <= PROB_SUM_TOL
+    passed = bool(low.min() >= edge) and abs(total - 1.0) <= PROB_SUM_TOL
     return VerificationReport(
-        branches=int(count.sum()), sum_prob=total, min_fidelity=min_fid, passed=passed
+        branches=int(count.sum()), sum_prob=total, min_fidelity=float(fid.min()), passed=passed
     )

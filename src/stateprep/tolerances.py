@@ -42,7 +42,18 @@ FIDELITY_TOL = 1e-9
 # Allowed |sum of probabilities - 1|: rounding plus mass pruned by BRANCH_PROB_TOL.
 PROB_SUM_TOL = 1e-10
 # ``simulator`` merges rows of a cluster whose phase-aligned distance min_phi |a - e^(i phi) b|
-# is at most this.  Moving a state by d moves a fidelity F by at most d * sqrt(2 (1 - F)), so
-# at the pass edge F = 1 - FIDELITY_TOL one merge moves a verdict by at most 1e-12 (n merges
-# on one branch's path, n * 1e-12).  Rows of deterministic stages agree to about 5e-10.
+# is at most this.  Moving a unit state by d moves a fidelity F by about d * sqrt(2 (1 - F)),
+# 1e-12 at the pass edge F = 1 - FIDELITY_TOL.  Rows of deterministic stages agree to about
+# 5e-10.
 MERGE_TOL = 1e-12 / (2.0 * FIDELITY_TOL) ** 0.5
+# Merging moves a branch of probability w by sqrt(w) times the rows' distance, and a later
+# outcome of probability p magnifies the move by 1/sqrt(p) once renormalized, so ``MERGE_TOL``
+# alone bounds no verdict.  ``simulator`` refuses a merge that would move some branch by more
+# than this in all.  A branch that the unmerged walk keeps has norm sqrt(BRANCH_PROB_TOL) or
+# more, so its data state moves by d = 4e-5 at most, just under sqrt(2 FIDELITY_TOL), the
+# most that lets an exact state still pass; its fidelity F moves by d sqrt(2 (1 - F)) + d^2/2
+# at most.  A verdict so stays decided unless 1 - F lies between 1.1e-11 and 3.6e-9, where
+# ``verify_preparation`` walks again without merging.  At 1e-12 the merged walk of the
+# benchmark's hybrid n=6 documents, whose stages leave rows up to 5e-10 apart, takes about
+# 1.7 times as long.
+MERGE_BOUND_TOL = 2e-12

@@ -227,18 +227,24 @@ class TestVerify:
         assert "40 wires" in captured.err
 
     def test_repeated_or_overwide_condition_documents_exit_two(self, tmp_path, capsys):
-        # A condition names each clbit once: 70 bits that repeat bit 0
-        # are refused however wide the branch cap.
+        # A condition names each clbit once, and reads at most 63 of them:
+        # 70 bits that repeat bit 0, and 64 distinct bits, are refused
+        # however wide the branch cap.
         vec = write_vector(tmp_path, "v.json", [1.0, 0.0])
-        flip = {"kind": "x", "qubits": [1], "condition": {"bits": [0] * 70, "values": [2**70 - 1]}}
-        doc = {"n_qubits": 2, "n_clbits": 1, "data_qubits": [1],
-               "ops": [{"kind": "h", "qubits": [0]},
-                       {"kind": "measure", "qubits": [0], "clbit": 0}, flip]}
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["verify", str(bad), vec, "--branch-cap", "64"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        measures = [{"kind": "measure", "qubits": [k], "clbit": k} for k in range(64)]
+        docs = ((2, [0] * 70, 2**70 - 1), (65, list(range(64)), 2**64 - 1))
+        for n_qubits, bits, value in docs:
+            flip = {"kind": "x", "qubits": [n_qubits - 1],
+                    "condition": {"bits": bits, "values": [value]}}
+            doc = {"n_qubits": n_qubits, "n_clbits": n_qubits - 1,
+                   "data_qubits": [n_qubits - 1],
+                   "ops": [{"kind": "h", "qubits": [0]}, *measures[: n_qubits - 1], flip]}
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert main(["verify", str(bad), vec, "--branch-cap", "64"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+        assert "64 condition bits" in captured.err
 
     def test_wide_condition_document_verifies(self, tmp_path, capsys):
         # 64 wires never form one state: each is its own cluster, so a

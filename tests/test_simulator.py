@@ -7,7 +7,8 @@ from scipy import stats
 import stateprep as sp
 from stateprep.circuit import Circuit, Condition, cswap, hadamard, measure, pauli_x, pauli_z, reset, roty, rotz, mcroty
 from stateprep.errors import DimensionMismatch, TooManyBranches
-from stateprep.simulator import data_probabilities, statevector
+from stateprep.tolerances import BRANCH_PROB_TOL, FIDELITY_TOL
+from stateprep.simulator import _walk, data_probabilities, statevector
 
 from conftest import oracle_branches, oracle_statevector, random_unit, reference_report
 
@@ -327,6 +328,54 @@ class TestMergedVerify:
         assert rep.branches == 4 and not rep.passed
         assert rep.min_fidelity == pytest.approx(0.0, abs=1e-12)
 
+    def test_merge_that_moves_a_rare_outcome_is_refused(self):
+        # Bit 0 turns the data wire 2 by 2t on the part of wire 1 that has
+        # probability p, so the two rows of cluster {1, 2} are
+        # sqrt(p) 2 sin(t/2) ~ 2.2e-8 apart, within MERGE_TOL.  Wire 1's
+        # outcome 1 then keeps that part alone: its data state is |0> for
+        # bit 0 = 0 but cos t|0> + sin t|1> for bit 0 = 1.  Merged, both
+        # would read |0>; the merge would move a branch of probability 1/2
+        # by 1.6e-8, past MERGE_BOUND_TOL, so the rows stay apart.
+        p, t = 1e-13, 0.07
+        turn = replace(mcroty(2 * t, [(1, 1)], 2), condition=Condition((0,), (1,)))
+        ops = (hadamard(0), measure(0, 0), roty(1, 2 * np.arcsin(np.sqrt(p))), turn, measure(1, 1))
+        c = Circuit(3, 2, ops, (2,))
+        rep = self.assert_matches_reference(c, [1.0, 0.0])
+        assert not rep.passed and rep.branches == 4
+        assert rep.min_fidelity == pytest.approx(np.cos(t), abs=1e-12)
+
+    def test_verdict_within_the_bound_walks_again(self):
+        # As above with t = 4e-6: the rows lie 1.3e-12 apart and merge, the
+        # merged walk's bound lets wire 1's outcome 1 move by 1.8e-5.  The
+        # target is turned by -tau, tau^2 / 2 = 0.95 FIDELITY_TOL: merged, every
+        # branch passes, but the branch the merge moved has fidelity
+        # cos(tau + t) and fails.  The bound leaves the verdict open, so
+        # verify walks again without merging and fails.
+        p, t = 1e-13, 4e-6
+        turn = replace(mcroty(2 * t, [(1, 1)], 2), condition=Condition((0,), (1,)))
+        ops = (hadamard(0), measure(0, 0), roty(1, 2 * np.arcsin(np.sqrt(p))), turn, measure(1, 1))
+        c = Circuit(3, 2, ops, (2,))
+        rows, *_, spread = _walk(c, "enumerate", None, None, 14, True)
+        assert len(rows) == 1 and 0.0 < spread.max() < 2e-5
+        tau = np.sqrt(2.0 * 0.95 * FIDELITY_TOL)
+        rep = self.assert_matches_reference(c, [np.cos(tau), -np.sin(tau)])
+        assert not rep.passed
+        assert rep.min_fidelity == pytest.approx(np.cos(tau + t), abs=1e-15)
+
+    def test_pruned_outcome_within_the_bound_walks_again(self):
+        # A coin turns data wire 0 by 1.2e-12 (a 2.4e-12 rotation), merged
+        # away: the bound on the row's error is sqrt(1/2) 1.2e-12.  Wire 2's
+        # outcome 1 then has probability 1e-14 (1 - 1e-5), pruned, but within
+        # that bound of BRANCH_PROB_TOL, so the merged walk gives no bound
+        # and verify walks again without merging.
+        p = BRANCH_PROB_TOL * (1.0 - 1e-5)
+        ops = (hadamard(1), measure(1, 0), roty(0, 2.4e-12, condition=Condition((0,), (1,))),
+               roty(2, 2.0 * np.arcsin(np.sqrt(p))), measure(2, 1))
+        c = Circuit(3, 2, ops, (0,))
+        rows, *_, spread = _walk(c, "enumerate", None, None, 14, True)
+        assert len(rows) == 1 and np.isinf(spread).all()
+        assert self.assert_matches_reference(c, [1.0, 0.0]).branches == 2
+
     def test_entangled_baseline_still_fails(self):
         rng = np.random.default_rng(9)
         x = random_unit(rng, 16)
@@ -354,16 +403,6 @@ class TestMergedVerify:
             self.assert_matches_reference(sp.synthesize_hybrid(tree, 2), x)
             wrong = np.roll(x, 1)
             self.assert_matches_reference(sp.synthesize_dc(tree), wrong / np.linalg.norm(wrong))
-
-    def test_wide_condition_reads_python_integers(self):
-        # 64 condition bits overflow int64; the flip fires when only the
-        # first one is 1.
-        ops = (hadamard(0),) + tuple(measure(k, k) for k in range(64))
-        ops += (pauli_x(64, condition=Condition(tuple(range(64)), (2**63,))),)
-        c = Circuit(65, 64, ops, (64,))
-        branches = sp.run(c)
-        assert [b.outcomes[0] for b in branches] == [0, 1]
-        assert np.allclose([b.data_state for b in branches], [[1, 0], [0, 1]])
 
     def test_cap_bounds_rows_not_measured_wires(self):
         # 20 measured wires, all but one certain: two branches fit a cap of 1.

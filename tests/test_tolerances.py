@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 import stateprep as sp
-from stateprep.circuit import Circuit, measure, roty
+from stateprep.circuit import Circuit, Condition, hadamard, measure, roty
 from stateprep.discrimination import OrthPair
 from stateprep.errors import NonUnitInput, NotOrthogonal
-from stateprep.simulator import _extract_data_state, _merge_rows
+from stateprep.simulator import _extract_data_state, _merge_rows, _walk
 from stateprep.tolerances import (
     BRANCH_PROB_TOL,
     EMPTY_COLUMN_TOL,
     FIDELITY_TOL,
+    MERGE_BOUND_TOL,
     MERGE_TOL,
     ORTH_TOL,
     STATE_EQ_TOL,
@@ -81,8 +82,21 @@ def test_merge_tol(scale, inside):
     # lighter row merges into the heavier one.
     eps = 2.0 * np.arcsin(scale * MERGE_TOL / 2.0)
     rows = np.array([[1.0, 0.0], np.exp(0.7j) * np.array([np.cos(eps), np.sin(eps)])])
-    into = _merge_rows(rows, np.array([0.6, 0.4]))
+    into, dist = _merge_rows(rows, np.array([0.6, 0.4]), np.full(2, MERGE_TOL))
     assert into.tolist() == ([0, 0] if inside else [0, 1])
+    assert dist[1] == (pytest.approx(scale * MERGE_TOL) if inside else 0.0)
+
+
+@pytest.mark.parametrize("scale, inside", EDGES)
+def test_merge_bound_tol(scale, inside):
+    # A coin turns wire 0 by an angle whose rows lie d apart, d = 4 sin(angle / 4) / 2;
+    # each row has probability 1/2, so merging moves a branch by sqrt(1/2) d.  Inside
+    # the tolerance the two rows merge into one at the end of the walk.
+    d = scale * MERGE_BOUND_TOL * np.sqrt(2.0)
+    ops = (hadamard(1), measure(1, 0),
+           roty(0, 4.0 * np.arcsin(d / 2.0), condition=Condition((0,), (1,))))
+    rows = _walk(Circuit(2, 1, ops, (0,)), "enumerate", None, None, 14, True)[0]
+    assert len(rows) == (1 if inside else 2)
 
 
 @pytest.mark.parametrize("scale, inside", EDGES)
@@ -93,6 +107,9 @@ def test_empty_column_tol(scale, inside):
     # the reduced density matrix, which has no reason to carry that phase.
     eps = np.sqrt(scale * EMPTY_COLUMN_TOL)
     state = np.array([[1j * np.sqrt(1.0 - eps**2), 0.0], [0.0, eps]])
-    vec = _extract_data_state(state, [0, 1], (0,), {})
+    vec, norm = _extract_data_state(state, [0, 1], (0,), {})
     assert abs(vec[0]) == pytest.approx(1.0)
     assert (vec[0] == 1j) == inside
+    # The normalized column's norm bounds a merged row's error there; an
+    # eigenvector has no such bound.
+    assert norm == (pytest.approx(1.0) if inside else 0.0)
