@@ -90,15 +90,10 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.circuit) as fh:
         circuit = deserialize(fh.read())
-    target = _load_vector(args.target)
-    target = np.ldexp(target, -np.frexp(np.max(np.abs(target)))[1])  # exact; no overflow
-    norm = np.linalg.norm(target)
-    if norm == 0.0:
-        raise ValueError("target vector has zero norm")
     try:
         report = verify_preparation(
             circuit,
-            target / norm,
+            pad_to_power_of_two(_load_vector(args.target)),
             mode=args.mode,
             shots=args.shots,
             seed=args.seed,

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOrthogonal, TraceNotZero
 from .tolerances import DEGENERATE_TOL, DRIFT_TOL, ORTH_TOL, REAL_TOL
+from .tree import normalize
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,7 @@ class OrthPair:
         dim = plus.shape[-1]
         if dim < 2 or dim & (dim - 1):
             raise DimensionMismatch(f"dimension {dim} is not a power of two >= 2")
-        np_ = np.linalg.norm(plus, axis=-1, keepdims=True)
-        nm = np.linalg.norm(minus, axis=-1, keepdims=True)
-        if np.any(np_ < ORTH_TOL) or np.any(nm < ORTH_TOL):
-            raise NotOrthogonal("zero-norm input state")
-        plus, minus = plus / np_, minus / nm
+        plus, minus = normalize(plus), normalize(minus)
         overlap = np.abs(_dot(plus, minus))
         if np.any(overlap > ORTH_TOL):
             raise NotOrthogonal(f"overlap {np.max(overlap):.3e} exceeds tolerance")
@@ -281,11 +278,8 @@ def evaluate_plan(plan: AdaptiveMeasPlan, state) -> list[tuple[tuple[int, ...], 
         raise DimensionMismatch("evaluate_plan takes the plan of a single pair")
     if state.size != 2**plan.m:
         raise DimensionMismatch(f"state dimension {state.size}, plan expects {2 ** plan.m}")
-    norm = np.linalg.norm(state)
-    if norm == 0.0:
-        raise DimensionMismatch("zero-norm state")
     # Probability bookkeeping via unnormalized residuals, one row per path.
-    rows = (state / norm)[None, :]
+    rows = normalize(state)[None, :]
     for d in range(plan.m):
         rows = _split(plan.bases[2**d - 1 : 2 ** (d + 1) - 1], rows)
     probs = _norm(rows) ** 2

@@ -32,8 +32,8 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import DimensionMismatch, TooManyBranches
-from .tolerances import BRANCH_PROB_TOL, EMPTY_COLUMN_TOL, FIDELITY_TOL, MERGE_BOUND_TOL
-from .tolerances import MERGE_TOL, PROB_SUM_TOL
+from .tolerances import BRANCH_PROB_TOL, FIDELITY_TOL, MERGE_BOUND_TOL, MERGE_TOL, PROB_SUM_TOL
+from .tree import normalize
 
 # ``2**DEFAULT_BRANCH_CAP`` rows at most, checked at each split.
 DEFAULT_BRANCH_CAP = 14
@@ -257,10 +257,10 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     ``enumerate`` keeps every outcome above ``BRANCH_PROB_TOL`` in at most
     ``2**cap`` rows, and ``merge`` merges them; ``sample`` splits ``shots``
     binomially at each measurement.  Returns per row (outcomes, measured
-    wires' outcomes, state over the active wires, data state), and the
-    rows' probabilities, counts, the active wires and, per row, a bound on
-    the distance up to phase of its data state from that of each branch it
-    stands for that the unmerged walk keeps.
+    wires' outcomes, unit state over the active wires), and the rows'
+    probabilities, counts, the active wires and, per row, a bound on the
+    distance up to phase of its state from that of each branch it stands
+    for that the unmerged walk keeps.
 
     A merge moves a branch's state, of norm sqrt(weight), by sqrt(weight)
     times the merge distance, and a split, a projection, moves it no
@@ -326,7 +326,7 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
                 split = np.stack((weight - k1, k1), axis=1)
             # Row-major order puts each branch's outcome 0 first: lexicographic.
             keep, outs = np.nonzero(split)
-            if rng is None and len(keep) > 2**cap:
+            if rng is None and (len(keep) - 1).bit_length() > cap:  # len(keep) > 2**cap
                 raise TooManyBranches(f"{len(keep)} rows exceed the cap of 2**{cap}")
             rows = {d: k[keep] for d, k in rows.items()}
             weight, phase, count, error = split[keep, outs], phase[keep], count[keep], error[keep]
@@ -375,18 +375,13 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     state = tensors.pop(-1, np.ones(1, dtype=complex))
     state = state.transpose([0] + [1 + order.index(w) for w in active])
     measured = {op.qubits[0]: i for i, op in enumerate(circuit.ops) if op.kind == "measure"}
-    out, norms = [], np.zeros(len(weight))
-    branches = zip(take_rows(-1).tolist(), outcomes.tolist(), phase.tolist())
-    for k, (r, outs, ph) in enumerate(branches):
+    out = []
+    for r, outs, ph in zip(take_rows(-1).tolist(), outcomes.tolist(), phase.tolist()):
         fixed = {q: outs[column[w]] for q, w in measured.items() if w in column}
-        row = ph * state[r]
-        data, norms[k] = _extract_data_state(row, active, circuit.data_qubits, fixed)
-        out.append((outs, fixed, row, data))
-    # A kept branch's data slice has a norm of at least (sqrt(BRANCH_PROB_TOL) -
-    # error) |v| here, and normalizing a vector of norm m moves it by 2 error / m.
-    norms *= np.sqrt(BRANCH_PROB_TOL) - error
-    spread = np.divide(2.0 * error, norms, out=np.full(len(error), np.inf), where=norms > 0.0)
-    spread[error == 0.0] = 0.0
+        out.append((outs, fixed, ph * state[r]))
+    # A kept branch has a norm of at least sqrt(BRANCH_PROB_TOL) - error here, and
+    # normalizing a vector of norm m moves it by 2 error / m.
+    spread = 2.0 * error / (np.sqrt(BRANCH_PROB_TOL) - error)
     if doubt:  # an outcome it may have pruned could hold any state
         spread[:] = np.inf
     return out, weight / total, count, active, spread
@@ -405,39 +400,36 @@ def _data_rows(state: np.ndarray, active, data_qubits):
 
 
 def _embed_measured(vec: np.ndarray, active_data, data_qubits, fixed) -> np.ndarray:
-    """Widen ``vec``, over ``active_data``, to all of ``data_qubits`` by
-    fixing each measured data wire to its outcome in ``fixed``."""
+    """Widen ``vec``, whose rows run over ``active_data``, to rows over all
+    of ``data_qubits`` by fixing each measured data wire to its outcome in
+    ``fixed``."""
     if len(active_data) == len(data_qubits):
         return vec
-    full = np.zeros((2,) * len(data_qubits), dtype=vec.dtype)
+    full = np.zeros((2,) * len(data_qubits) + vec.shape[1:], dtype=vec.dtype)
     idx = tuple(slice(None) if q in active_data else fixed[q] for q in data_qubits)
-    full[idx] = vec.reshape((2,) * len(active_data))
-    return full.reshape(-1)
+    full[idx] = vec.reshape((2,) * len(active_data) + vec.shape[1:])
+    return full.reshape((-1,) + vec.shape[1:])
 
 
 def _extract_data_state(state: np.ndarray, active, data_qubits, fixed) -> np.ndarray:
-    """Best pure state on the data register, from one branch's ``state``
-    over ``active`` and its measured wires' outcomes ``fixed``, and the
-    norm of the slice of ``state`` it normalizes (0 for an eigenvector).
-
-    When the remaining wires factor out (the usual case after the
-    disentangling measurements) this is exact; otherwise the principal
-    eigenvector of the reduced density matrix is returned, so entangled
-    residue shows up as fidelity loss.
-    """
-    if list(data_qubits) == active:
-        vec = state.reshape(-1)
-        return vec / np.linalg.norm(vec), np.linalg.norm(vec)
+    """The data register's state in one branch, from its ``state`` over
+    ``active`` and its measured wires' outcomes ``fixed``: the normalized
+    data slice of the heaviest column.  Exact when the other active wires
+    factor out; otherwise a representative, which no verdict reads."""
     active_data, mat = _data_rows(state, active, data_qubits)
-    col_norms = np.sum(np.abs(mat) ** 2, axis=0)
-    nonzero = np.flatnonzero(col_norms > EMPTY_COLUMN_TOL)
-    if len(nonzero) == 1:
-        vec = mat[:, nonzero[0]]
-    else:
-        _, vecs = np.linalg.eigh(mat @ mat.conj().T)
-        vec = vecs[:, -1]
-    norm = np.linalg.norm(vec)
-    return _embed_measured(vec / norm, active_data, data_qubits, fixed), norm * (len(nonzero) == 1)
+    vec = mat[:, np.argmax(_norm_sq(mat.T))]
+    return _embed_measured(vec / np.linalg.norm(vec), active_data, data_qubits, fixed)
+
+
+def _branch_fidelity(state: np.ndarray, active, data_qubits, fixed, target: np.ndarray) -> float:
+    """sqrt(<t|rho|t>) for the unit ``target`` t and one branch's reduced
+    state rho on the data register.  With ``state`` as a matrix M of data
+    wires, measured ones fixed at their outcomes ``fixed``, by other active
+    wires, that is |M^dagger t| / |M|: |<v|t>| for a pure data state v, and
+    exact for entangled residue too."""
+    active_data, mat = _data_rows(state, active, data_qubits)
+    mat = _embed_measured(mat, active_data, data_qubits, fixed)
+    return float(np.linalg.norm(target.conj() @ mat) / np.linalg.norm(mat))
 
 
 def run(
@@ -457,8 +449,9 @@ def run(
     """
     rows, probability, _, active, _ = _walk(circuit, mode, shots, seed, branch_cap, False)
     return [
-        Branch(tuple(outs), p, data, tuple(active), state.reshape(-1), fixed)
-        for (outs, fixed, state, data), p in zip(rows, probability.tolist())
+        Branch(tuple(outs), p, _extract_data_state(state, active, circuit.data_qubits, fixed),
+               tuple(active), state.reshape(-1), fixed)
+        for (outs, fixed, state), p in zip(rows, probability.tolist())
     ]
 
 
@@ -471,15 +464,13 @@ def statevector(circuit: Circuit) -> np.ndarray:
 
 
 def fidelity(a, b) -> float:
-    """Global-phase-insensitive overlap magnitude of two unit vectors."""
+    """Global-phase-insensitive overlap magnitude of two vectors, each
+    normalized."""
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DimensionMismatch("zero-norm input")
-    return float(np.abs(np.vdot(a, b)) / (na * nb))
+    return float(np.abs(np.vdot(normalize(a), normalize(b))))
 
 
 def data_probabilities(branch: Branch, data_qubits) -> np.ndarray:
@@ -500,26 +491,31 @@ def verify_preparation(
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> VerificationReport:
     """Check that every branch leaves the data register in ``target``.
-    Enumeration merges branches that leave the same state (see the module
-    notes), and ``branches`` counts the logical branches they stand for.
-    A merged data state within d of the exact one, up to phase, has a
-    fidelity F within d of it in sqrt(2 (1 - F)).  Where that leaves the
-    verdict open, the walk is repeated without merging."""
+    A branch scores F = sqrt(<t|rho|t>), with ``rho`` its reduced state on
+    the data register and t the normalized target; it passes if F is at
+    least 1 - ``FIDELITY_TOL``.  Enumeration merges branches that leave
+    the same state (see the module notes), and ``branches`` counts the
+    logical branches they stand for.  Merging moves a branch's unit state
+    by at most d, and so moves u = sqrt(1 - F^2), the norm of the part of
+    that state off t, by at most d.  So the verdict passes if u + d is
+    within the edge for every row, fails if u - d is past it for some row,
+    and otherwise the walk is repeated without merging."""
     target = np.asarray(target, dtype=complex).reshape(-1)
     if 2 ** len(circuit.data_qubits) != target.size:
         raise DimensionMismatch(
             f"target dimension {target.size} vs data register {len(circuit.data_qubits)}"
         )
-    target, edge = target / np.linalg.norm(target), 1.0 - FIDELITY_TOL
+    target, edge = normalize(target), np.sqrt(FIDELITY_TOL * (2.0 - FIDELITY_TOL))
     for merge in (True, False):
-        rows, probability, count, _, spread = _walk(circuit, mode, shots, seed, branch_cap, merge)
-        fid = np.abs(np.stack([data for *_, data in rows]).conj() @ target)
-        s = np.sqrt(np.maximum(2.0 * (1.0 - fid), 0.0))
-        low, near = fid - spread * (s + spread / 2.0), np.minimum(spread, s)
-        if not low.min() < edge <= np.min(fid + near * (s - near / 2.0)):
+        rows, prob, count, active, spread = _walk(circuit, mode, shots, seed, branch_cap, merge)
+        fid = np.array([_branch_fidelity(state, active, circuit.data_qubits, fixed, target)
+                        for _, fixed, state in rows])
+        off = np.sqrt(np.maximum(1.0 - fid**2, 0.0))
+        passed = bool(np.max(off + spread) <= edge)
+        if passed or np.max(off - spread) > edge:
             break
-    total = float(probability.sum())
-    passed = bool(low.min() >= edge) and abs(total - 1.0) <= PROB_SUM_TOL
+    total = float(prob.sum())
+    passed &= abs(total - 1.0) <= PROB_SUM_TOL
     return VerificationReport(
         branches=int(count.sum()), sum_prob=total, min_fidelity=float(fid.min()), passed=passed
     )

@@ -18,9 +18,9 @@ ANGLE_TOL = 1e-12
 OVERLAP_EQUAL_TOL = 1e-12
 # Stage states are products of unit weights: a larger norm error is no rounding.
 UNIT_NORM_TOL = 1e-9
-# ``OrthPair.from_states``: a normalized pair's overlap above this is not orthogonal, and a
-# norm below it is zero.  ``solve_ua``: a sum of same-index overlaps above it is
-# ``TraceNotZero``.  Six decades above the rounding of a unit overlap.
+# ``OrthPair.from_states``: a normalized pair's overlap above this is not orthogonal.
+# ``solve_ua``: a sum of same-index overlaps above it is ``TraceNotZero``.  Six decades above
+# the rounding of a unit overlap.
 ORTH_TOL = 1e-10
 # Plan kernel (``discrimination``): rounding of unit-scale values, four decades up.  A
 # residual norm below it is a dead outcome; vanishing overlaps or arctangent terms give
@@ -35,8 +35,6 @@ REAL_TOL = 1e-12
 PLAN_MISS_TOL = 1e-10
 # A branch below this path probability is dropped: no verdict can see it.
 BRANCH_PROB_TOL = 1e-14
-# A residual column below this squared norm (amplitudes 1e-12) is rounding.
-EMPTY_COLUMN_TOL = 1e-24
 # Passing fidelity shortfall: far above rounding, below a 1e-4 rad angle error.
 FIDELITY_TOL = 1e-9
 # Allowed |sum of probabilities - 1|: rounding plus mass pruned by BRANCH_PROB_TOL.
@@ -50,10 +48,10 @@ MERGE_TOL = 1e-12 / (2.0 * FIDELITY_TOL) ** 0.5
 # outcome of probability p magnifies the move by 1/sqrt(p) once renormalized, so ``MERGE_TOL``
 # alone bounds no verdict.  ``simulator`` refuses a merge that would move some branch by more
 # than this in all.  A branch that the unmerged walk keeps has norm sqrt(BRANCH_PROB_TOL) or
-# more, so its data state moves by d = 4e-5 at most, just under sqrt(2 FIDELITY_TOL), the
-# most that lets an exact state still pass; its fidelity F moves by d sqrt(2 (1 - F)) + d^2/2
-# at most.  A verdict so stays decided unless 1 - F lies between 1.1e-11 and 3.6e-9, where
-# ``verify_preparation`` walks again without merging.  At 1e-12 the merged walk of the
-# benchmark's hybrid n=6 documents, whose stages leave rows up to 5e-10 apart, takes about
-# 1.7 times as long.
+# more, so its unit state moves by d = 2e / (sqrt(BRANCH_PROB_TOL) - e) = 4e-5 at most, just
+# under sqrt(2 FIDELITY_TOL), the most that lets an exact state still pass.  The part of that
+# state off the target, u = sqrt(1 - F^2), moves by d at most, entangled or not.  A verdict so
+# stays decided unless 1 - F lies between 1.1e-11 and 3.6e-9, where ``verify_preparation``
+# walks again without merging.  At 1e-12 the merged walk of the benchmark's hybrid n=6
+# documents, whose stages leave rows up to 5e-10 apart, takes about 1.7 times as long.
 MERGE_BOUND_TOL = 2e-12

@@ -76,6 +76,20 @@ def pad_to_power_of_two(amplitudes) -> np.ndarray:
     return np.concatenate([x, np.zeros(size - len(x))])
 
 
+def normalize(x) -> np.ndarray:
+    """``x`` over its norm, along the last axis.  Each row is first scaled
+    by a power of two, which is exact and keeps its squares from
+    overflowing or underflowing.  Raises ``ZeroVector`` for a zero row."""
+    x = np.asarray(x)
+    parts = np.stack((x.real, x.imag))
+    top = np.max(np.abs(parts), axis=(0, -1), keepdims=True)
+    if np.any(top == 0.0):
+        raise ZeroVector("vector has zero norm")
+    parts = np.ldexp(parts, -np.frexp(top)[1])
+    x = parts[0] + 1j * parts[1] if np.iscomplexobj(x) else parts[0]
+    return x / (np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1, keepdims=True))
+
+
 def build_tree(amplitudes) -> AmplitudeTree:
     """Build the weighted tree for a non-negative vector of length ``2**n``.
 
@@ -95,15 +109,10 @@ def build_tree(amplitudes) -> AmplitudeTree:
         raise NonPowerOfTwoLength(f"length {size} is not a power of two >= 2")
     if not np.isfinite(x).all():
         raise NonFiniteAmplitude("amplitudes must be finite")
-    scale = np.max(np.abs(x))
-    if scale == 0.0:
-        raise ZeroVector("input vector has zero norm")
-    # Both tests are relative to the largest entry.  Scaling by a power of
-    # two is exact and keeps the squares in the norm from overflowing.
-    if np.min(x) < -ZERO_NORM_TOL * scale:
+    # A negative entry this small beside the largest one is rounding, not sign.
+    if np.min(x) < -ZERO_NORM_TOL * np.max(np.abs(x)):
         raise NegativeAmplitude(f"negative amplitude {np.min(x)}")
-    x = np.ldexp(np.clip(x, 0.0, None), -np.frexp(scale)[1])
-    x = x / np.linalg.norm(x)
+    x = normalize(np.clip(x, 0.0, None))
 
     n = size.bit_length() - 1
     omega0 = np.zeros(size - 1)

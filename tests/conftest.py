@@ -164,13 +164,38 @@ def oracle_branches(circuit, prob_floor=1e-14):
     return out
 
 
+def reduced_fidelity(state, wires, data_qubits, fixed, target):
+    """sqrt(<t|rho|t>): ``rho`` the data register's reduced state of a
+    branch whose joint state over ``wires`` is ``state``, with measured data
+    wires fixed at ``fixed``; ``t`` the normalized ``target``.  Built as an
+    explicit density matrix over the active data wires."""
+    wires = list(wires)
+    target = np.asarray(target, dtype=complex).reshape((2,) * len(data_qubits))
+    target = target / np.linalg.norm(target)
+    active_data = [q for q in data_qubits if q in wires]
+    # The target's amplitudes on the slice that the measured data wires fix.
+    t = target[tuple(slice(None) if q in active_data else fixed[q] for q in data_qubits)]
+    tensor = np.moveaxis(
+        np.asarray(state).reshape((2,) * len(wires)),
+        [wires.index(q) for q in active_data],
+        list(range(len(active_data))),
+    )
+    m = tensor.reshape(2 ** len(active_data), -1)
+    rho = m @ m.conj().T / np.vdot(m, m).real
+    t = t.reshape(-1)
+    return float(np.sqrt(max(np.vdot(t, rho @ t).real, 0.0)))
+
+
 def reference_report(circuit, target, **run_kwargs):
     """``verify_preparation``'s report, computed branch by branch from
     ``sp.run``, which never merges branches: the reference for the merged
     walk of enumerate mode."""
     branches = sp.run(circuit, **run_kwargs)
-    target = np.asarray(target, dtype=complex) / np.linalg.norm(target)
-    min_fid = min(abs(np.vdot(b.data_state, target)) for b in branches)
+    min_fid = min(
+        reduced_fidelity(b.residual_state, b.residual_wires, circuit.data_qubits,
+                         b.fixed_outcomes, target)
+        for b in branches
+    )
     total = sum(b.probability for b in branches)
     passed = min_fid >= 1.0 - FIDELITY_TOL and abs(total - 1.0) <= PROB_SUM_TOL
     return sp.VerificationReport(len(branches), total, float(min_fid), passed)

@@ -156,6 +156,24 @@ class TestVerify:
         assert main(["verify", out, vec]) == 1
         assert not json.loads(capsys.readouterr().out)["pass"]
 
+    def test_near_uniform_entangled_baseline_fails(self, tmp_path, capsys):
+        # Without the disentangling measurements the ancillas stay entangled
+        # with the data.  The principal data state is close to the target,
+        # but the reduced state is mixed: sqrt(<t|rho|t>) = 0.99969.
+        vec = write_vector(tmp_path, "v.json", [1.0, 1.05, 1.0, 0.95])
+        out = str(tmp_path / "c.json")
+        main(["compile", vec, "--method", "dc", "--no-disentangle", "--out", out])
+        capsys.readouterr()
+        assert main(["verify", out, vec]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["min_fidelity"] == pytest.approx(0.999688, abs=1e-6)
+
+    def test_short_vector_round_trip(self, tmp_path, capsys):
+        vec = write_vector(tmp_path, "v.json", [0.3, 0.5, 0.8])
+        out = str(tmp_path / "c.json")
+        assert main(["compile", vec, "--method", "dc", "--out", out]) == 0
+        assert main(["verify", out, vec]) == 0
+
     def test_zero_norm_target_exits_two(self, dense_file, tmp_path, capsys):
         out = str(tmp_path / "c.json")
         assert main(["compile", dense_file, "--method", "dc", "--out", out]) == 0
@@ -342,6 +360,14 @@ class TestDistinguish:
         p = write_vector(tmp_path, "p.json", a)
         m = write_vector(tmp_path, "m.json", b)
         assert main(["distinguish", p, m]) == 0
+
+    def test_huge_entries(self, tmp_path, capsys):
+        p = write_vector(tmp_path, "p.json", [1e308, 1e308])
+        m = write_vector(tmp_path, "m.json", [1e308, -1e308])
+        assert main(["distinguish", p, m]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["p_correct_plus"] >= 1 - 1e-10
+        assert report["p_correct_minus"] >= 1 - 1e-10
 
     def test_not_orthogonal_exits_two(self, tmp_path):
         p = write_vector(tmp_path, "p.json", [1, 0])

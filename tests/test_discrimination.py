@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stateprep.discrimination import OrthPair, decompose, evaluate_plan, solve_ua
-from stateprep.errors import DimensionMismatch, NotOrthogonal, TraceNotZero
+from stateprep.errors import DimensionMismatch, NotOrthogonal, TraceNotZero, ZeroVector
 
 from conftest import random_orthogonal_pair
 
@@ -134,6 +134,13 @@ class TestDecompose:
         with pytest.raises(NotOrthogonal):
             OrthPair.from_states([1, 0], [np.sqrt(0.5), np.sqrt(0.5)])
 
+    def test_huge_entries_normalized(self):
+        pair = OrthPair.from_states([1e308, 1e308], [1e308, -1e308])
+        assert np.allclose(pair.plus, [np.sqrt(0.5)] * 2, atol=1e-15)
+        assert np.allclose(pair.minus, [np.sqrt(0.5), -np.sqrt(0.5)], atol=1e-15)
+        with pytest.raises(ZeroVector):
+            OrthPair.from_states([0, 0], [1, 0])
+
 
 class TestEvaluatePlan:
     def test_plus_state_all_plus(self):
@@ -170,6 +177,12 @@ class TestEvaluatePlan:
         plan = decompose(pair)
         with pytest.raises(DimensionMismatch):
             evaluate_plan(plan, [1, 0])
+
+    def test_huge_and_zero_states(self):
+        plan = decompose(OrthPair.from_states([1, 1], [1, -1]))
+        assert label_mass(plan, [1e308, 1e308])["+"] == pytest.approx(1, abs=1e-12)
+        with pytest.raises(ZeroVector):
+            evaluate_plan(plan, [0, 0])
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)

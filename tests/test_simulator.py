@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,18 @@ from scipy import stats
 
 import stateprep as sp
 from stateprep.circuit import Circuit, Condition, cswap, hadamard, measure, pauli_x, pauli_z, reset, roty, rotz, mcroty
-from stateprep.errors import DimensionMismatch, TooManyBranches
+from stateprep.errors import DimensionMismatch, TooManyBranches, ZeroVector
 from stateprep.tolerances import BRANCH_PROB_TOL, FIDELITY_TOL
 from stateprep.simulator import _walk, data_probabilities, statevector
 
-from conftest import oracle_branches, oracle_statevector, random_unit, reference_report
+from conftest import (
+    oracle_branches,
+    oracle_statevector,
+    random_complex_unit,
+    random_unit,
+    reduced_fidelity,
+    reference_report,
+)
 
 
 class TestGateApplication:
@@ -260,6 +268,11 @@ class TestFidelity:
         with pytest.raises(DimensionMismatch):
             sp.fidelity([1, 0], [1, 0, 0, 0])
 
+    def test_huge_and_zero_entries(self):
+        assert sp.fidelity([1e308, 1e308], [1e308, 1e308]) == pytest.approx(1, abs=1e-15)
+        with pytest.raises(ZeroVector):
+            sp.fidelity([0, 0], [1, 0])
+
 
 class TestVerifyPreparation:
     def test_time_encoding_single_branch(self, dense_vector):
@@ -292,6 +305,60 @@ class TestVerifyPreparation:
         c = sp.synthesize_dc(sp.build_tree(dense_vector))
         with pytest.raises(DimensionMismatch):
             sp.verify_preparation(c, dense_vector[:4])
+
+    def test_target_scale_is_free_and_zero_raises(self, dense_vector):
+        c = sp.synthesize_dc(sp.build_tree(dense_vector))
+        unit = sp.verify_preparation(c, dense_vector)
+        huge = sp.verify_preparation(c, 1e308 * dense_vector)
+        assert huge.passed and huge.min_fidelity == pytest.approx(unit.min_fidelity, abs=1e-15)
+        with pytest.raises(ZeroVector):
+            sp.verify_preparation(c, np.zeros(8))
+
+    def test_entangled_residue_scores_its_reduced_state(self):
+        # Wire 1 holds cos(0.1)|0> + sin(0.1)|1> and flips data wire 0 where it is 1:
+        # cos(0.1)|00> + sin(0.1)|11>.  Both columns are heavy, and the data
+        # register's reduced state is diag(cos^2, sin^2), so sqrt(<0|rho|0>) = cos(0.1).
+        c = Circuit(2, 0, (roty(1, 0.2), mcroty(np.pi, [(1, 1)], 0)), (0,))
+        rep = sp.verify_preparation(c, [1.0, 0.0])
+        assert not rep.passed
+        assert rep.min_fidelity == pytest.approx(np.cos(0.1), abs=1e-12)
+
+    @staticmethod
+    def random_entangling_circuit(rng):
+        """Unitary ops on 3 or 4 wires, at least one of which couples a data
+        wire to a wire outside the data register."""
+        n = int(rng.integers(3, 5))
+        data = tuple(int(q) for q in rng.permutation(n)[: rng.integers(1, n)])
+        other = [q for q in range(n) if q not in data]
+        ops = [hadamard(int(q)) for q in rng.permutation(n)[:2]]
+        for _ in range(int(rng.integers(3, 8))):
+            a, b, d = (int(q) for q in rng.permutation(n)[:3])
+            angle, kind = rng.normal(), int(rng.integers(4))
+            ops.append((roty(a, angle), rotz(a, angle), mcroty(angle, [(b, int(angle > 0))], a),
+                        cswap(d, a, b))[kind])
+        ops.append(mcroty(rng.normal(), [(int(rng.choice(other)), 1)], data[0]))
+        return Circuit(n, 0, tuple(ops), data)
+
+    def test_matches_oracle_reduced_state(self):
+        # Measurement-free circuits leave one branch; its score is sqrt(<t|rho|t>),
+        # with rho the partial trace of the dense-matrix oracle's final state.
+        rng = np.random.default_rng(47)
+        circuits = [
+            (sp.synthesize_dc(sp.build_tree(x), sp.DcOptions(disentangle=False)), x)
+            for n in (1, 2, 3)
+            for x in (random_unit(rng, 2**n), random_unit(rng, 2**n, floor=10.0))
+        ]
+        circuits += [(self.random_entangling_circuit(rng), None) for _ in range(30)]
+        for c, x in circuits:
+            psi = oracle_statevector(c)
+            dim = 2 ** len(c.data_qubits)
+            for t in (x, random_complex_unit(rng, dim), random_unit(rng, dim)):
+                if t is None:
+                    continue
+                expect = reduced_fidelity(psi, range(c.n_qubits), c.data_qubits, {}, t)
+                rep = sp.verify_preparation(c, t)
+                assert rep.min_fidelity == pytest.approx(expect, abs=1e-12)
+                assert rep.passed == (expect >= 1.0 - FIDELITY_TOL)
 
 
 class TestMergedVerify:
@@ -403,6 +470,18 @@ class TestMergedVerify:
             self.assert_matches_reference(sp.synthesize_hybrid(tree, 2), x)
             wrong = np.roll(x, 1)
             self.assert_matches_reference(sp.synthesize_dc(tree), wrong / np.linalg.norm(wrong))
+
+    def test_large_cap_costs_nothing(self):
+        # The cap is compared by bit length: 2**cap is never built.
+        ops = (hadamard(0),) + tuple(measure(k, k) for k in range(20))
+        c = Circuit(20, 20, ops, (0,))
+        tracemalloc.start()
+        try:
+            assert len(sp.run(c, branch_cap=10**8)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_cap_bounds_rows_not_measured_wires(self):
         # 20 measured wires, all but one certain: two branches fit a cap of 1.

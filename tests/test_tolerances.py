@@ -10,15 +10,15 @@ import pytest
 import stateprep as sp
 from stateprep.circuit import Circuit, Condition, hadamard, measure, roty
 from stateprep.discrimination import OrthPair
-from stateprep.errors import NonUnitInput, NotOrthogonal
-from stateprep.simulator import _extract_data_state, _merge_rows, _walk
+from stateprep.errors import NegativeAmplitude, NonUnitInput, NotOrthogonal
+from stateprep.simulator import _merge_rows, _walk
 from stateprep.tolerances import (
     BRANCH_PROB_TOL,
-    EMPTY_COLUMN_TOL,
     FIDELITY_TOL,
     MERGE_BOUND_TOL,
     MERGE_TOL,
     ORTH_TOL,
+    REAL_TOL,
     STATE_EQ_TOL,
     UNIT_NORM_TOL,
 )
@@ -100,16 +100,11 @@ def test_merge_bound_tol(scale, inside):
 
 
 @pytest.mark.parametrize("scale, inside", EDGES)
-def test_empty_column_tol(scale, inside):
-    # Data wire 0 and one more active wire, whose column 1 holds squared norm
-    # scale * EMPTY_COLUMN_TOL.  Inside the tolerance the data state is column
-    # 0 as it stands, phase i included; past it, the principal eigenvector of
-    # the reduced density matrix, which has no reason to carry that phase.
-    eps = np.sqrt(scale * EMPTY_COLUMN_TOL)
-    state = np.array([[1j * np.sqrt(1.0 - eps**2), 0.0], [0.0, eps]])
-    vec, norm = _extract_data_state(state, [0, 1], (0,), {})
-    assert abs(vec[0]) == pytest.approx(1.0)
-    assert (vec[0] == 1j) == inside
-    # The normalized column's norm bounds a merged row's error there; an
-    # eigenvector has no such bound.
-    assert norm == (pytest.approx(1.0) if inside else 0.0)
+def test_real_tol(scale, inside):
+    # Imaginary parts within the tolerance are rounding: the tree takes the real part.
+    x = np.array([0.6, 0.8]) + 1j * scale * REAL_TOL
+    if inside:
+        assert sp.build_tree(x).alpha[0] == sp.build_tree(x.real).alpha[0]
+    else:
+        with pytest.raises(NegativeAmplitude):
+            sp.build_tree(x)
