@@ -466,3 +466,25 @@ def test_golden_documents(name, tmp_path, capsys):
     assert json.loads(report.read_text()) == json.loads(
         (DATA / f"golden_{name}_stages.json").read_text()
     )
+
+
+EXACT = {
+    "time_dense_n6": ("dense_n6", ["--method", "time"]),
+    "hybrid4_dense_n6": ("dense_n6", ["--method", "hybrid", "--lambda", "4"]),
+    "dc_parallel_dense_n6": ("dense_n6", ["--method", "dc", "--parallelize"]),
+    "dc_prune_sparse_n5": ("sparse_n5", ["--method", "dc", "--prune"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_exact_documents(name, tmp_path, capsys):
+    # ``exact/<name>.json`` holds the compact document, byte for byte, so a
+    # writer that changes one digit, a key's place or a separator fails here.
+    vector, flags = EXACT[name]
+    out = tmp_path / "c.json"
+    argv = ["compile", str(DATA / f"golden_{vector}_vector.json"), *flags, "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    want = (DATA / "exact" / f"{name}.json").read_text()
+    assert out.read_text() == want
+    assert sp.serialize(sp.deserialize(want)) == want
