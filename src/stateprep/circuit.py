@@ -1,11 +1,15 @@
 """Circuit intermediate representation.
 
 Gates, mid-circuit measurements and classically conditioned operations are
-stored as one flat op list.  A condition fires when the integer that
-previously written classical ``bits`` spell (``bits[0]`` most significant)
-is one of ``values``, OpenQASM 3's ``if (c == v)`` widened to a set.  A
-``Circuit`` validates itself when constructed.  ``deserialize`` also reads
-the older ``{"bits", "table"}`` truth-table form.
+stored as one op table (``OpTable``), an array per field, which synthesis
+emits level by level and ``validate``, ``metrics`` and ``serialize`` read
+as arrays.  ``Circuit.ops`` is that table; read as a sequence it yields one
+``Gate`` record per op, made when first read.  A sequence of ``Gate``
+records is accepted as ``ops`` and converted once.  A condition fires when
+the integer that previously written classical ``bits`` spell (``bits[0]``
+most significant) is one of ``values``, OpenQASM 3's ``if (c == v)``
+widened to a set.  A ``Circuit`` validates itself when constructed.
+``deserialize`` also reads the older ``{"bits", "table"}`` truth-table form.
 
 Two depth figures are reported.  ``depth_gates`` layers only the loading
 and combining unitaries (ops whose ``role`` is not measurement machinery
@@ -16,22 +20,31 @@ basis-change rotations, measurements and conditioned corrections.
 
 from __future__ import annotations
 
+import gc
 import json
-import math
 import sys
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import chain, compress, repeat
+
+import numpy as np
 
 from .errors import InvalidCircuit, ParseError
 
 KINDS = ("roty", "rotz", "z", "x", "h", "cswap", "mcroty", "measure", "reset")
-UNITARY_KINDS = ("roty", "rotz", "z", "x", "h", "cswap", "mcroty")
+UNITARY_KINDS = KINDS[:7]
 ANGLE_KINDS = ("roty", "rotz", "mcroty")
+KIND = {k: code for code, k in enumerate(KINDS)}
 
 ROLE_MEAS_BASIS = "meas_basis"
 ROLE_CORRECT = "correct"
 ROLE_LOAD = "load"
 ROLE_COMBINE = "combine"
+ROLES = (None, ROLE_MEAS_BASIS, ROLE_CORRECT, ROLE_LOAD, ROLE_COMBINE)
+ROLE = {r: code for code, r in enumerate(ROLES)}
+
+# The ragged fields, in the order of the columns of ``OpTable.counts``.
+RAGGED = ("qubits", "polarities", "bits", "values")
 
 
 @dataclass(frozen=True)
@@ -97,15 +110,141 @@ def reset(q: int) -> Gate:
     return Gate("reset", (q,))
 
 
+@dataclass(frozen=True, eq=False)
+class OpTable:
+    """Ops as columns.  Per op: ``kind`` and ``role`` codes (indices into
+    ``KINDS`` and ``ROLES``, -1 for a name neither holds), ``angle`` (NaN
+    where the kind has none) and ``clbit`` (-1 where none).  Each field of
+    ``RAGGED`` is one flat array of every op's entries in op order, and
+    ``counts[i, j]`` is how many entries of ``RAGGED[j]`` op ``i`` has:
+    ``polarities`` one per control qubit of an ``mcroty``, ``bits`` and
+    ``values`` those of its condition, none if it has no condition.
+
+    Read as a sequence, the table yields ``Gate`` records, made on first read."""
+
+    kind: np.ndarray
+    role: np.ndarray
+    angle: np.ndarray
+    clbit: np.ndarray
+    qubits: np.ndarray
+    polarities: np.ndarray
+    bits: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        return self.gates[i]
+
+    def __iter__(self):
+        return iter(self.gates)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OpTable) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name), f.name == "angle")
+            for f in fields(self)
+        )
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        qubits, pols, bits, values = (map(tuple, self.rows(j)) for j in range(len(RAGGED)))
+        return tuple(
+            Gate(KINDS[k], q, None if a != a else a, None if c < 0 else c,
+                 p if k == KIND["mcroty"] else None, Condition(b, v) if b else None, ROLES[r])
+            for k, r, a, c, q, p, b, v in zip(
+                self.kind.tolist(), self.role.tolist(), self.angle.tolist(),
+                self.clbit.tolist(), qubits, pols, bits, values,
+            )
+        )
+
+    def offsets(self, j: int) -> np.ndarray:
+        """Where each op's entries of ``RAGGED[j]`` start, then where the last ends."""
+        return np.concatenate(([0], np.cumsum(self.counts[:, j])))
+
+    def rows(self, j: int) -> list[list[int]]:
+        """Each op's entries of ``RAGGED[j]``."""
+        flat, off = getattr(self, RAGGED[j]).tolist(), self.offsets(j).tolist()
+        return [flat[a:b] for a, b in zip(off, off[1:])]
+
+    def owner(self, j: int) -> np.ndarray:
+        """The op holding each entry of ``RAGGED[j]``."""
+        return np.repeat(np.arange(len(self)), self.counts[:, j])
+
+    def take(self, order) -> OpTable:
+        """The ops at the indices ``order``, in that order."""
+        counts, flats = self.counts[order], []
+        for j, name in enumerate(RAGGED):
+            c = counts[:, j]
+            shift = self.offsets(j)[:-1][order] - (np.cumsum(c) - c)
+            flats.append(getattr(self, name)[np.repeat(shift, c) + np.arange(c.sum())])
+        columns = (self.kind, self.role, self.angle, self.clbit)
+        return OpTable(*(col[order] for col in columns), *flats, counts)
+
+    @staticmethod
+    def concat(tables) -> OpTable:
+        return OpTable(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(OpTable)))
+
+    @staticmethod
+    def from_gates(gates) -> OpTable:
+        """The table of ``Gate`` records, which it keeps as its sequence."""
+        gates = tuple(gates)
+        for i, g in enumerate(gates):
+            if g.condition is not None and not 0 < len(g.condition.bits) <= 63:
+                raise InvalidCircuit(f"op {i}: {len(g.condition.bits)} condition bits, not 1 to 63")
+        conds = [g.condition or Condition((), ()) for g in gates]
+        ragged = ([g.qubits for g in gates], [g.polarities or () for g in gates],
+                  [c.bits for c in conds], [c.values for c in conds])
+        try:
+            table = op_table(
+                [KIND.get(g.kind, -1) for g in gates],
+                *[(list(chain.from_iterable(r)), list(map(len, r))) for r in ragged],
+                role=[ROLE.get(g.role, -1) for g in gates],
+                angle=[g.angle for g in gates],
+                clbit=[-1 if g.clbit is None else g.clbit for g in gates],
+            )
+        except OverflowError:
+            raise InvalidCircuit("an integer field does not fit in 64 bits") from None
+        table.__dict__["gates"] = gates
+        return table
+
+
+def op_table(kind, qubits, polarities=None, bits=None, values=None, *, role=0, angle=np.nan,
+             clbit=-1) -> OpTable:
+    """A table from columns.  ``kind``, ``role``, ``angle`` and ``clbit``
+    hold a value per op or one for all (codes for ``kind`` and ``role``).
+    Each ragged field is a 2-d array with a row per op, a pair (flat
+    entries, count per op), or None for no entries."""
+    n = len(qubits[1]) if isinstance(qubits, tuple) else len(qubits)
+    counts, flats = np.zeros((n, len(RAGGED)), dtype=np.int64), []
+    for j, x in enumerate((qubits, polarities, bits, values)):
+        if x is None:
+            x = ((), 0)
+        elif not isinstance(x, tuple):
+            x = np.asarray(x, dtype=np.int64)
+            x = (x.reshape(-1), x.shape[1])
+        flats.append(np.array(x[0], dtype=np.int64))
+        counts[:, j] = x[1]
+
+    def column(value, dtype):
+        return np.array(np.broadcast_to(np.array(value, dtype=dtype), (n,)))
+
+    return OpTable(column(kind, np.int8), column(role, np.int8), column(angle, float),
+                   column(clbit, np.int64), *flats, counts)
+
+
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
     n_clbits: int
-    ops: tuple[Gate, ...]
+    ops: OpTable  # a sequence of ``Gate`` records is converted
     data_qubits: tuple[int, ...]
     stage_reports: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.ops, OpTable):
+            object.__setattr__(self, "ops", OpTable.from_gates(self.ops))
         self.validate()
 
     def validate(self) -> "Circuit":
@@ -113,64 +252,92 @@ class Circuit:
 
         Besides the document's own consistency this fixes what the
         simulator relies on: no op touches a wire after its ``measure``.
+        Of several malformed ops the message names the first.
         """
         if self.n_qubits < 0 or self.n_clbits < 0:
             raise InvalidCircuit(f"negative register size {self.n_qubits}, {self.n_clbits}")
-        written: set[int] = set()
-        measured: set[int] = set()
-        for i, op in enumerate(self.ops):
-            if op.kind not in KINDS:
-                raise InvalidCircuit(f"op {i}: unknown kind {op.kind!r}")
-            if len(set(op.qubits)) != len(op.qubits):
-                raise InvalidCircuit(f"op {i}: repeated qubit in {op.qubits}")
-            for q in op.qubits:
-                if not 0 <= q < self.n_qubits:
-                    raise InvalidCircuit(f"op {i}: qubit {q} out of range")
-                if q in measured:
-                    raise InvalidCircuit(f"op {i}: qubit {q} used after its measurement")
-            if (op.angle is not None) != (op.kind in ANGLE_KINDS):
-                raise InvalidCircuit(f"op {i}: angle mismatch for kind {op.kind!r}")
-            if op.angle is not None and not math.isfinite(op.angle):
-                raise InvalidCircuit(f"op {i}: angle {op.angle} is not finite")
-            arity = 3 if op.kind == "cswap" else 1
-            if op.kind != "mcroty" and len(op.qubits) != arity:
-                raise InvalidCircuit(f"op {i}: {op.kind} needs {arity} qubit(s)")
-            if op.kind == "mcroty":
-                if op.polarities is None or len(op.polarities) != len(op.qubits) - 1:
-                    raise InvalidCircuit(f"op {i}: bad mcroty polarities")
-                if any(p not in (0, 1) for p in op.polarities):
-                    raise InvalidCircuit(f"op {i}: polarities must be 0/1")
-            elif op.polarities is not None:
-                raise InvalidCircuit(f"op {i}: polarities only valid on mcroty")
-            if op.kind == "measure":
-                if op.clbit is None or not 0 <= op.clbit < self.n_clbits:
-                    raise InvalidCircuit(f"op {i}: bad clbit {op.clbit}")
-                if op.clbit in written:
-                    raise InvalidCircuit(f"op {i}: clbit {op.clbit} written twice")
-                written.add(op.clbit)
-                measured.add(op.qubits[0])
-            elif op.clbit is not None:
-                raise InvalidCircuit(f"op {i}: clbit only valid on measure")
-            if op.condition is not None:
-                if op.kind in ("measure", "reset"):
-                    raise InvalidCircuit(f"op {i}: conditions on {op.kind} unsupported")
-                cond = op.condition
-                vals = cond.values
-                if any(a >= b for a, b in zip(vals, vals[1:])):
-                    raise InvalidCircuit(f"op {i}: condition values must ascend strictly")
-                if vals and not (vals[0] >= 0 and vals[-1] < 2 ** len(cond.bits)):
-                    raise InvalidCircuit(f"op {i}: condition value out of range")
-                if len(set(cond.bits)) != len(cond.bits):
-                    raise InvalidCircuit(f"op {i}: repeated clbit in {cond.bits}")
-                for b in cond.bits:
-                    if b not in written:
-                        raise InvalidCircuit(f"op {i}: condition reads unmeasured bit {b}")
-        for q in self.data_qubits:
-            if not 0 <= q < self.n_qubits:
-                raise InvalidCircuit(f"data qubit {q} out of range")
+        t, errors = self.ops, []  # (op, message), in the order one op's checks run
+        kind, c, v, (nq, npol, nb, _) = t.kind, t.clbit, t.values, t.counts.T
+        q, qown, b, bown, vown = t.qubits, t.owner(0), t.bits, t.owner(2), t.owner(3)
+
+        def check(bad, message, owner=None):
+            """Note ``message(i)`` for the first op ``i`` where ``bad`` holds,
+            or, given the entries' ``owner``, that holds the first bad entry."""
+            if bad.any():
+                j = int(np.argmax(bad))
+                errors.append((j if owner is None else int(owner[j]), message(j)))
+
+        def any_entry(bad, owner):
+            out = np.zeros(len(t), dtype=bool)
+            out[owner[bad]] = True
+            return out
+
+        measure, mcroty = kind == KIND["measure"], kind == KIND["mcroty"]
+        check(kind < 0, lambda i: f"unknown kind {t[i].kind!r}")
+        check(_repeats(q, qown, len(t)), lambda i: f"repeated qubit in {t[i].qubits}")
+        measured = measure & (nq > 0)
+        out = (q < 0) | (q >= self.n_qubits)
+        after = _after(q[t.offsets(0)[:-1][measured]], np.flatnonzero(measured), q, qown)
+        check(out | after, lambda j: f"qubit {q[j]} " + (
+            "out of range" if out[j] else "used after its measurement"), qown)
+        angled = np.isin(kind, [KIND[k] for k in ANGLE_KINDS])
+        check(np.isnan(t.angle) == angled, lambda i: f"angle mismatch for kind {KINDS[kind[i]]!r}")
+        check(np.isinf(t.angle), lambda i: f"angle {t.angle[i]} is not finite")
+        arity = np.where(kind == KIND["cswap"], 3, 1)
+        check(~mcroty & (nq != arity), lambda i: f"{KINDS[kind[i]]} needs {arity[i]} qubit(s)")
+        check(mcroty & (npol != nq - 1), lambda i: "bad mcroty polarities")
+        pol_bad = any_entry((t.polarities != 0) & (t.polarities != 1), t.owner(1))
+        check(mcroty & pol_bad, lambda i: "polarities must be 0/1")
+        check(~mcroty & (npol > 0), lambda i: "polarities only valid on mcroty")
+        check(measure & ((c < 0) | (c >= self.n_clbits)),
+              lambda i: f"bad clbit {None if c[i] == -1 else c[i]}")
+        written = np.flatnonzero(measure)
+        twice = _after(c[written], written, c, np.arange(len(t)))
+        check(measure & twice, lambda i: f"clbit {c[i]} written twice")
+        check(~measure & (c >= 0), lambda i: "clbit only valid on measure")
+        fixed = (nb > 0) & (measure | (kind == KIND["reset"]))
+        check(fixed, lambda i: f"conditions on {KINDS[kind[i]]} unsupported")
+        descends = (vown[1:] == vown[:-1]) & (v[1:] <= v[:-1])
+        check(any_entry(descends, vown[1:]), lambda i: "condition values must ascend strictly")
+        big = np.right_shift(v, nb[vown]) != 0  # a condition reads 1 to 63 bits
+        check(any_entry(big, vown), lambda i: "condition value out of range")
+        check(_repeats(b, bown, len(t)), lambda i: f"repeated clbit in {t[i].condition.bits}")
+        unwritten = ~_after(c[written], written, b, bown)
+        check(unwritten, lambda j: f"condition reads unmeasured bit {b[j]}", bown)
+        check(t.role < 0, lambda i: f"unknown role {t[i].role!r}")
+        if errors:
+            i, message = min(errors, key=lambda e: e[0])
+            raise InvalidCircuit(f"op {i}: {message}")
+        for dq in self.data_qubits:
+            if not 0 <= dq < self.n_qubits:
+                raise InvalidCircuit(f"data qubit {dq} out of range")
         if len(set(self.data_qubits)) != len(self.data_qubits):
             raise InvalidCircuit("repeated data qubit")
         return self
+
+
+def _repeats(flat: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """Whether each of ``n`` ops holds one of its ``flat`` entries twice."""
+    if not np.any((owner[1:] == owner[:-1]) & (flat[1:] <= flat[:-1])):
+        return np.zeros(n, dtype=bool)  # every op's entries ascend
+    order = np.lexsort((flat, owner))
+    flat, owner = flat[order], owner[order]
+    bad = np.zeros(n, dtype=bool)
+    bad[owner[1:][(flat[1:] == flat[:-1]) & (owner[1:] == owner[:-1])]] = True
+    return bad
+
+
+def _after(keys: np.ndarray, at: np.ndarray, queries: np.ndarray, when: np.ndarray) -> np.ndarray:
+    """Whether each of ``queries`` is one of ``keys`` at some index ``at``
+    before the query's ``when``."""
+    if not len(keys):
+        return np.zeros(len(queries), dtype=bool)
+    order = np.lexsort((at, keys))
+    keys, at = keys[order], at[order]
+    firsts = np.append(True, keys[1:] != keys[:-1])
+    keys, at = keys[firsts], at[firsts]
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return (keys[pos] == queries) & (at[pos] < when)
 
 
 @dataclass(frozen=True)
@@ -181,83 +348,117 @@ class ResourceReport:
     depth_full: int
 
 
-def _asap_layers(ops) -> tuple[list[int | None], list[int]]:
-    """ASAP layer per op for gate depth (None for ops it leaves out) and
-    for full depth, in one pass.
+def _gate_ops(t: OpTable) -> np.ndarray:
+    """The ops gate depth counts: unitaries that are no measurement-basis
+    rotations and carry no condition."""
+    unitary = (t.kind >= 0) & (t.kind < len(UNITARY_KINDS))
+    return unitary & (t.counts[:, 2] == 0) & (t.role != ROLE[ROLE_MEAS_BASIS])
 
-    An op starts one layer after the latest op sharing a wire or, for
-    conditioned ops, after the measurement writing any bit it reads.
+
+def _asap(t: OpTable, counted: np.ndarray) -> list[int | None]:
+    """ASAP layer of each op that ``counted`` selects, None for the others.
+
+    An op starts one layer after the latest counted op sharing a wire or,
+    for conditioned ops, after the measurement writing any bit it reads.
     """
-    gate_free, full_free, bit_ready = defaultdict(int), defaultdict(int), defaultdict(int)
-    gate_out: list[int | None] = []
-    full_out: list[int] = []
-    for op in ops:
+    sub = t.take(np.flatnonzero(counted))
+    out = np.full(len(t), None)
+    # Ops that all touch the first one's first wire run one per layer.
+    if np.bincount(sub.owner(0)[sub.qubits == sub.qubits[:1]], minlength=len(sub)).all():
+        out[counted] = range(len(sub))
+        return out.tolist()
+    # Wires and classical bits numbered from 0, so plain lists hold the layer
+    # each is next free in; an op without a clbit writes the slot of -1.
+    wire = np.unique(sub.qubits, return_inverse=True)[1].reshape(-1)
+    bit = np.unique(np.append(sub.bits, sub.clbit), return_inverse=True)[1].reshape(-1)
+    free, ready, found = [0] * len(wire), [0] * len(bit), []
+    qs, bs = wire.tolist(), bit[: len(sub.bits)].tolist()
+    q_off, b_off = sub.offsets(0).tolist(), sub.offsets(2).tolist()
+    for a, b, c, d, clbit in zip(q_off, q_off[1:], b_off, b_off[1:], bit[len(sub.bits):].tolist()):
         # A valid op touches at least one wire.
-        layer = max(map(full_free.__getitem__, op.qubits))
-        if op.condition is not None:
-            for b in op.condition.bits:
-                layer = max(layer, bit_ready[b])
-        full_out.append(layer)
-        for q in op.qubits:
-            full_free[q] = layer + 1
-        if op.kind == "measure":
-            bit_ready[op.clbit] = layer + 1
-        if op.is_unitary and op.condition is None and op.role != ROLE_MEAS_BASIS:
-            layer = max(map(gate_free.__getitem__, op.qubits))
-            gate_out.append(layer)
-            for q in op.qubits:
-                gate_free[q] = layer + 1
-        else:
-            gate_out.append(None)
-    return gate_out, full_out
+        layer = max(map(free.__getitem__, qs[a:b]))
+        if c < d:
+            layer = max(layer, max(map(ready.__getitem__, bs[c:d])))
+        found.append(layer)
+        for q in qs[a:b]:
+            free[q] = layer + 1
+        ready[clbit] = layer + 1
+    out[counted] = found
+    return out.tolist()
 
 
 def layers(circuit: Circuit, full: bool = True) -> list[int | None]:
     """Layer index per op; with ``full=False`` only the gate-depth ops."""
-    gate_layers, full_layers = _asap_layers(circuit.ops)
-    return full_layers if full else gate_layers
+    t = circuit.ops
+    return _asap(t, np.ones(len(t), dtype=bool) if full else _gate_ops(t))
 
 
 def metrics(circuit: Circuit) -> ResourceReport:
-    gate_layers, full_layers = _asap_layers(circuit.ops)
+    t = circuit.ops
+    gate = _gate_ops(t)
+    full_layers = _asap(t, np.ones(len(t), dtype=bool))
+    # Counting every op, gate depth layers them as full depth does.
+    gate_layers = full_layers if gate.all() else _asap(t, gate)
     return ResourceReport(
         qubits=circuit.n_qubits,
-        unit_cswaps=sum(1 for op in circuit.ops if op.kind == "cswap"),
+        unit_cswaps=int(np.count_nonzero(t.kind == KIND["cswap"])),
         depth_gates=1 + max((v for v in gate_layers if v is not None), default=-1),
         depth_full=1 + max(full_layers, default=-1),
     )
 
 
-def _format_angle(a: float) -> float:
-    return float(f"{a:.12g}")
+_KIND_TEXT = [f'{{"kind":"{k}","qubits":[' for k in KINDS]
+_ROLE_TEXT = ["}" if r is None else f',"role":"{r}"}}' for r in ROLES]
 
 
-def _op_to_dict(op: Gate) -> dict:
-    doc: dict = {"kind": op.kind, "qubits": list(op.qubits)}
-    if op.angle is not None:
-        doc["angle"] = _format_angle(op.angle)
-    if op.clbit is not None:
-        doc["clbit"] = op.clbit
-    if op.polarities is not None:
-        doc["polarities"] = list(op.polarities)
-    if op.condition is not None:
-        doc["condition"] = {
-            "bits": list(op.condition.bits),
-            "values": list(op.condition.values),
-        }
-    if op.role is not None:
-        doc["role"] = op.role
-    return doc
+def _joined(t: OpTable, j: int) -> list[str]:
+    """Each op's entries of ``RAGGED[j]``, comma-separated; the entries of a
+    valid table are non-negative.  The digits are written with numpy."""
+    flat = getattr(t, RAGGED[j])
+    digits = np.ones(len(flat), dtype=np.int64)
+    while np.any(flat >= 10 ** digits):
+        digits += flat >= 10 ** digits
+    end = np.cumsum(digits + 1)  # just past each entry's comma
+    text = np.full(end[-1] if len(end) else 0, ord(","), dtype=np.uint8)
+    rest = flat.copy()
+    for k in range(int(digits.max(initial=0))):
+        on = digits > k
+        text[(end - 2 - k)[on]] = ord("0") + rest[on] % 10
+        rest //= 10
+    text, starts = text.tobytes().decode(), np.append(end - digits - 1, len(text))
+    off = t.offsets(j)
+    first = starts[off[:-1]]
+    return list(map(text.__getitem__, map(slice, first.tolist(),
+                                          np.maximum(starts[off[1:]] - 1, first).tolist())))
+
+
+def _number(a: float) -> str:
+    """``json.dumps(float(f"{a:.12g}"))``: 12 significant digits, then the
+    shortest repr of that float.  A fixed-point text of at most 12 digits
+    is that repr already."""
+    text = f"{a:.12g}"
+    return text if "." in text and "e" not in text else repr(float(text))
 
 
 def serialize(circuit: Circuit) -> str:
-    doc = {
-        "n_qubits": circuit.n_qubits,
-        "n_clbits": circuit.n_clbits,
-        "data_qubits": list(circuit.data_qubits),
-        "ops": [_op_to_dict(op) for op in circuit.ops],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    """One line of JSON, as ``json.dumps`` with compact separators spells
+    it; angles keep 12 significant digits."""
+    t = circuit.ops
+    head = json.dumps(
+        {"n_qubits": circuit.n_qubits, "n_clbits": circuit.n_clbits,
+         "data_qubits": list(circuit.data_qubits)},
+        separators=(",", ":"),
+    )
+    kinds = t.kind.tolist()
+    angles = [f'],"angle":{_number(a)}' if a == a else "]" for a in t.angle.tolist()]
+    clbits = [f',"clbit":{c}' if c >= 0 else "" for c in t.clbit.tolist()]
+    pols = [f',"polarities":[{p}]' if k == KIND["mcroty"] else ""
+            for k, p in zip(kinds, _joined(t, 1))]
+    conds = [f',"condition":{{"bits":[{b}],"values":[{v}]}}' if b else ""
+             for b, v in zip(_joined(t, 2), _joined(t, 3))]
+    texts = map("".join, zip(map(_KIND_TEXT.__getitem__, kinds), _joined(t, 0), angles, clbits,
+                             pols, conds, map(_ROLE_TEXT.__getitem__, t.role.tolist())))
+    return f'{head[:-1]},"ops":[{",".join(texts)}]}}\n'
 
 
 # ``type`` rather than ``isinstance`` refuses JSON booleans as numbers.
@@ -280,6 +481,8 @@ def _parse_condition(cond, where: str) -> Condition:
     if not isinstance(cond, dict):
         raise ParseError("condition is not an object", where)
     bits = tuple(_parse_int_list(_expect(cond, "bits", list, where), f"{where}.bits"))
+    if not 0 < len(bits) <= 63:
+        raise ParseError(f"{len(bits)} condition bits, not 1 to 63", f"{where}.bits")
     if "table" in cond:
         # Older documents spell the condition as a truth table with one 0/1
         # entry per assignment of ``bits``.
@@ -291,47 +494,106 @@ def _parse_condition(cond, where: str) -> Condition:
     return Condition(bits=bits, values=tuple(values))
 
 
-def _parse_op(doc, i: int) -> Gate:
+_FIELDS = {"kind", "qubits", "angle", "clbit", "polarities", "condition", "role"}
+
+
+def _check_op(doc, i: int) -> None:
+    """Raise ``ParseError`` at the first malformed field of op ``i``."""
     where = f"ops[{i}]"
     if not isinstance(doc, dict):
         raise ParseError("op is not an object", where)
-    known = {"kind", "qubits", "angle", "clbit", "polarities", "condition", "role"}
     for key in doc:
-        if key not in known:
+        if key not in _FIELDS:
             raise ParseError(f"unknown field {key!r}", f"{where}.{key}")
-    kind = _expect(doc, "kind", str, where)
-    if kind not in KINDS:
-        raise ParseError(f"unknown op kind {kind!r}", f"{where}.kind")
-    qubits = tuple(_parse_int_list(_expect(doc, "qubits", list, where), f"{where}.qubits"))
+    if _expect(doc, "kind", str, where) not in KINDS:
+        raise ParseError(f"unknown op kind {doc['kind']!r}", f"{where}.kind")
+    _parse_int_list(_expect(doc, "qubits", list, where), f"{where}.qubits")
     angle = doc.get("angle")
     # The bound refuses NaN, infinities and integers no float can hold.
     finite = type(angle) in (int, float) and abs(angle) <= sys.float_info.max
     if angle is not None and not finite:
         raise ParseError("angle must be a finite number", f"{where}.angle")
-    clbit = doc.get("clbit")
-    if clbit is not None and type(clbit) is not int:
+    if doc.get("clbit") is not None and type(doc["clbit"]) is not int:
         raise ParseError("clbit must be an integer", f"{where}.clbit")
-    pols = doc.get("polarities")
-    if pols is not None:
-        pols = tuple(_parse_int_list(pols, f"{where}.polarities"))
-    condition = None
+    if doc.get("polarities") is not None:
+        _parse_int_list(doc["polarities"], f"{where}.polarities")
     if "condition" in doc:
-        condition = _parse_condition(doc["condition"], f"{where}.condition")
+        _parse_condition(doc["condition"], f"{where}.condition")
     role = doc.get("role")
     if role is not None and not isinstance(role, str):
         raise ParseError("role must be a string", f"{where}.role")
-    return Gate(
-        kind=kind,
-        qubits=qubits,
-        angle=float(angle) if angle is not None else None,
-        clbit=clbit,
-        polarities=pols,
-        condition=condition,
-        role=role,
+    if role not in ROLE:
+        raise ParseError(f"unknown role {role!r}", f"{where}.role")
+
+
+def _ints(lists: list, optional: bool = False) -> tuple[list[int], list[int]]:
+    """Entries and lengths of integer lists, None reading as empty if
+    ``optional``; ``ValueError`` if one is anything else."""
+    if not set(map(type, lists)) <= ({list, type(None)} if optional else {list}):
+        raise ValueError
+    lists = [x or () for x in lists] if optional else lists
+    flat = list(chain.from_iterable(lists))
+    if not set(map(type, flat)) <= {int}:
+        raise ValueError
+    return flat, list(map(len, lists))
+
+
+def _columns(docs: list) -> OpTable:
+    """The table of a document's ``ops``, each field read and checked as a
+    column; ``ValueError`` if some op is malformed."""
+    if not set(map(type, docs)) <= {dict} or not _FIELDS.issuperset(set().union(*docs)):
+        raise ValueError
+
+    def column(key, rows=docs):
+        return list(map(dict.get, rows, repeat(key)))
+
+    none = type(None)
+    kinds, roles, clbits, angles = column("kind"), column("role"), column("clbit"), column("angle")
+    if not set(map(type, kinds)) <= {str} or not set(map(type, roles)) <= {none, str}:
+        raise ValueError
+    kind, role = list(map(KIND.get, kinds)), list(map(ROLE.get, roles, repeat(-1)))
+    if None in kind or -1 in role or not set(map(type, clbits)) <= {none, int}:
+        raise ValueError
+    if not set(map(type, angles)) <= {none, int, float}:
+        raise ValueError
+    angle = np.array(angles, dtype=float)  # None reads as NaN
+    if np.isinf(angle).any() or np.count_nonzero(np.isnan(angle)) != angles.count(None):
+        raise ValueError
+    has = np.array(list(map(dict.__contains__, docs, repeat("condition"))), dtype=bool)
+    conds = column("condition", compress(docs, has))
+    if not set(map(type, conds)) <= {dict}:
+        raise ValueError
+    if "table" in set().union(*conds):
+        conds = [_parse_condition(cond, "") for cond in conds]
+        conds = [{"bits": list(cond.bits), "values": list(cond.values)} for cond in conds]
+    bits, values = (_ints(column(key, conds)) for key in ("bits", "values"))
+    if not 0 < min(bits[1], default=1) <= max(bits[1], default=1) <= 63:
+        raise ValueError
+    ragged = []
+    for flat, lengths in bits, values:
+        counts = np.zeros(len(docs), dtype=np.int64)
+        counts[has] = lengths
+        ragged.append((flat, counts))
+    return op_table(
+        kind, _ints(column("qubits")), _ints(column("polarities"), optional=True), *ragged,
+        role=role, angle=angle, clbit=[-1 if x is None else x for x in clbits],
     )
 
 
 def deserialize(text: str) -> Circuit:
+    # The parsed document is acyclic and freed by reference counting; a
+    # collection while it is built would only rescan it, and took half of
+    # ``json.loads``'s time on a dense n=14 document.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _deserialize(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _deserialize(text: str) -> Circuit:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -344,7 +606,12 @@ def deserialize(text: str) -> Circuit:
         _parse_int_list(_expect(doc, "data_qubits", list, "$"), "$.data_qubits")
     )
     ops_doc = _expect(doc, "ops", list, "$")
-    ops = tuple(_parse_op(op, i) for i, op in enumerate(ops_doc))
+    try:
+        ops = _columns(ops_doc)
+    except (ValueError, OverflowError, ParseError):
+        for i, op in enumerate(ops_doc):
+            _check_op(op, i)
+        raise ParseError("an integer field does not fit in 64 bits", "$.ops") from None
     try:
         return Circuit(n_qubits=n_qubits, n_clbits=n_clbits, ops=ops, data_qubits=data_qubits)
     except InvalidCircuit as exc:

@@ -23,7 +23,7 @@ from .discrimination import OrthPair, decompose, evaluate_plan, plan_document
 from .divide_conquer import DcOptions, synthesize_dc, synthesize_hybrid, synthesize_time
 from .errors import StatePrepError
 from .resources import dc_formulas, hybrid_formulas
-from .simulator import DEFAULT_BRANCH_CAP, verify_preparation, widest_cluster
+from .simulator import DEFAULT_BRANCH_CAP, final_width, verify_preparation
 from .tolerances import PLAN_MISS_TOL
 from .tree import build_tree, pad_to_power_of_two
 
@@ -101,7 +101,7 @@ def cmd_verify(args) -> int:
         )
     except MemoryError:
         raise ValueError(
-            f"a cluster of {widest_cluster(circuit)} wires does not fit in memory"
+            f"a final register of {final_width(circuit)} wires does not fit in memory"
         ) from None
     print(json.dumps(report.to_json_dict()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL

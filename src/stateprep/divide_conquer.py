@@ -40,19 +40,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (
+    KIND,
+    ROLE,
     ROLE_COMBINE,
     ROLE_CORRECT,
     ROLE_LOAD,
     ROLE_MEAS_BASIS,
     Circuit,
-    Condition,
-    Gate,
-    cswap,
-    hadamard,
-    measure,
-    pauli_x,
-    pauli_z,
-    roty,
+    OpTable,
+    op_table,
 )
 from .discrimination import OrthPair, decompose
 from .errors import LambdaOutOfRange, NonUnitInput
@@ -81,12 +77,19 @@ class StageReport:
     correction_values: tuple[int, ...]
 
 
-def _loading_gate(wire: int, angle: float) -> Gate:
-    if abs(angle - np.pi / 2.0) <= ANGLE_TOL:
-        return hadamard(wire, role=ROLE_LOAD)
-    if abs(angle - np.pi) <= ANGLE_TOL:
-        return pauli_x(wire, role=ROLE_LOAD)
-    return roty(wire, angle, role=ROLE_LOAD)
+def _loads(tree: AmplitudeTree, nodes: list[tuple[int, int]], prune: bool) -> OpTable:
+    """One-wire loads of ``(node, wire)`` pairs: ``h`` or ``x`` for an angle
+    within ``ANGLE_TOL`` of pi/2 or pi, else a y-rotation; with ``prune``,
+    none for an angle within it of 0."""
+    f, wires = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
+    angle = tree.alpha[f]
+    if prune:
+        kept = np.abs(angle) > ANGLE_TOL
+        angle, wires = angle[kept], wires[kept]
+    kind = np.select([np.abs(angle - np.pi / 2.0) <= ANGLE_TOL, np.abs(angle - np.pi) <= ANGLE_TOL],
+                     [KIND["h"], KIND["x"]], KIND["roty"])
+    return op_table(kind, wires[:, None], role=ROLE[ROLE_LOAD],
+                    angle=np.where(kind == KIND["roty"], angle, np.nan))
 
 
 def compile_disentangler(
@@ -95,7 +98,7 @@ def compile_disentangler(
     ancilla_wires,
     control_wire,
     first_clbit: int = 0,
-) -> list[Gate]:
+) -> OpTable:
     """Ops that measure out an ancilla register holding one of two known
     real states and restore the controlled superposition's relative sign.
 
@@ -141,29 +144,44 @@ def compile_disentangler(
     angles = decompose(OrthPair.from_states(plus, minus)).angles
     if np.isnan(angles).any():
         raise NonUnitInput("plan basis is not a real rotation")
-    plans = zip(angles.tolist(), (np.abs(angles) > ANGLE_TOL).tolist())
 
     # Plan node ``2**k - 1 + path`` measures wire ``k`` after the outcomes
     # that spell ``path``, first outcome most significant, which is how a
-    # ``Condition`` reads bits.  Every leaf pair is labelled (+, -), so the
+    # condition reads bits.  Every leaf pair is labelled (+, -), so the
     # antisymmetric outcomes are the odd paths (even ones when flipped).
-    ops: list[Gate] = []
-    for stage, (stage_wires, control) in enumerate(zip(wires, control_wire)):
-        clbits = tuple(range(first_clbit + stage * m, first_clbit + (stage + 1) * m))
-        if equal[stage]:
-            ops.extend(measure(w, b) for w, b in zip(stage_wires, clbits))
-            continue
-        stage_angles, keep = next(plans)
-        for k, wire in enumerate(stage_wires):
-            for path in range(2**k):
-                node = 2**k - 1 + path
-                if keep[node]:
-                    condition = Condition(clbits[:k], (path,)) if k else None
-                    ops.append(roty(wire, stage_angles[node], condition, ROLE_MEAS_BASIS))
-            ops.append(measure(wire, clbits[k]))
-        values = tuple(range(1 - int(flipped[stage]), 2**m, 2))
-        ops.append(pauli_z(control, condition=Condition(clbits, values), role=ROLE_CORRECT))
-    return ops
+    # Each stage follows one template: per wire ``k`` its ``2**k`` basis
+    # rotations (slot ``node`` >= 0) then its measurement (-1); then the
+    # correction (-2), on the control wire, column ``m`` of ``targets``.
+    size = 2**m - 1
+    node = np.concatenate([np.append(np.arange(2**k - 1, 2**(k + 1) - 1), -1) for k in range(m)] + [[-2]])
+    depth = np.repeat(np.arange(m + 1), [2**k + 1 for k in range(m)] + [1])
+    stage_angles, keep = np.zeros((len(wires), size)), np.zeros((len(wires), size), dtype=bool)
+    stage_angles[live], keep[live] = angles, np.abs(angles) > ANGLE_TOL
+    emit = np.where(node >= 0, keep[:, np.maximum(node, 0)], (node == -1) | ~equal[:, None])
+    stage, slot = np.nonzero(emit)
+    node, k = node[slot], depth[slot]
+    rotation, measured = node >= 0, node == -1
+    first = first_clbit + m * stage  # each stage's first classical bit
+    n_bits = np.where(rotation, k, np.where(measured, 0, m))
+    n_values = np.where(rotation, k > 0, np.where(measured, 0, 2 ** (m - 1)))
+    correct_from = 1 - flipped[stage].astype(np.int64)
+    targets = np.column_stack((np.array(wires, dtype=np.int64).reshape(len(wires), m), control_wire))
+    return op_table(
+        np.select([rotation, measured], [KIND["roty"], KIND["measure"]], KIND["z"]),
+        targets[stage, k][:, None],
+        None,
+        (np.repeat(first, n_bits) + _ranges(n_bits), n_bits),
+        (np.repeat(np.where(rotation, node + 1 - 2**k, correct_from), n_values)
+         + 2 * _ranges(n_values), n_values),
+        role=np.select([rotation, measured], [ROLE[ROLE_MEAS_BASIS], 0], ROLE[ROLE_CORRECT]),
+        angle=np.where(rotation, stage_angles[stage, np.maximum(node, 0)], np.nan),
+        clbit=np.where(measured, first + k, -1),
+    )
+
+
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """``0, 1, ..., c - 1`` for each ``c`` of ``counts``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 @dataclass
@@ -220,56 +238,61 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
     block_level = tree.n - lam
     plan = _plan_tree(tree, block_level, opts.prune)
 
-    ops: list[Gate] = []
+    # Loads in the plan's pre-order: one op per node above the blocks and a
+    # multiplexed-rotation block at each block root.
+    parts, singles = [], []
     for f, wires in plan.wires.items():
-        if len(wires) > 1:
-            ops.extend(rotation_ops(tree, wires, base_node=f))
+        if len(wires) == 1:
+            singles.append((f, wires[0]))
             continue
-        angle = tree.alpha[f]
-        if opts.prune and abs(angle) <= ANGLE_TOL:
-            continue
-        ops.append(_loading_gate(wires[0], angle))
+        parts += [_loads(tree, singles, opts.prune), rotation_ops(tree, wires, base_node=f)]
+        singles = []
+    parts.append(_loads(tree, singles, opts.prune))
 
-    # Each op's slot in the parallel schedule: (layer, after the level's swaps).
-    slots = [(0, 0)] * len(ops)
+    # Each op's slot in the parallel schedule: twice its layer, plus one
+    # after the level's swaps.
+    slots = [np.zeros(sum(map(len, parts)), dtype=np.int64)]
     next_bit = 0
     reports: list[StageReport] = []
     for level in range(block_level - 1, -1, -1):
         base = 2**level - 1
         combiners = [base + p for p in range(2**level) if plan.mode.get(base + p) == "combine"]
-        run_layers = _run_layers(tree.n - level - 1)
-        controls, right_lives = [], []
-        for f in combiners:
-            control, (left, right) = plan.wires[f][0], children_of(f)
-            for a, b in zip(plan.live[left], plan.live[right]):
-                ops.append(cswap(control, a, b, role=ROLE_COMBINE))
-            slots.extend((layer, 0) for layer in run_layers)
-            controls.append(control)
-            right_lives.append(plan.live[right])
-        if not opts.disentangle or not combiners:
+        if not combiners:
+            continue
+        run_layers = np.array(_run_layers(tree.n - level - 1))
+        controls = np.array([plan.wires[f][0] for f in combiners])
+        lefts, rights = (np.array([plan.live[children_of(f)[side]] for f in combiners])
+                         for side in (0, 1))
+        swaps = np.stack(np.broadcast_arrays(controls[:, None], lefts, rights), axis=2)
+        parts.append(op_table(KIND["cswap"], swaps.reshape(-1, 3), role=ROLE[ROLE_COMBINE]))
+        slots.append(np.tile(2 * run_layers, len(combiners)))
+        if not opts.disentangle:
             continue
         states = tree.states[level + 1]
         pos = 2 * (np.array(combiners) - base)
         stage_ops = compile_disentangler(
-            states[pos], states[pos + 1], right_lives, controls, first_clbit=next_bit
+            states[pos], states[pos + 1], rights.tolist(), controls.tolist(), first_clbit=next_bit
         )
-        ops.extend(stage_ops)
-        slots.extend([(run_layers[-1], 1)] * len(stage_ops))
-        fired = {op.qubits[0]: op.condition.values for op in stage_ops if op.role == ROLE_CORRECT}
-        m = len(right_lives[0])
-        for f, control, wires in zip(combiners, controls, right_lives):
+        parts.append(stage_ops)
+        slots.append(np.full(len(stage_ops), 2 * run_layers[-1] + 1))
+        # Each of these ops has one wire, so its index is that of its qubit.
+        fixes = np.flatnonzero(stage_ops.role == ROLE[ROLE_CORRECT])
+        fired = dict(zip(stage_ops.qubits[fixes].tolist(), stage_ops.take(fixes).rows(3)))
+        m = rights.shape[1]
+        for f, control, wires in zip(combiners, controls.tolist(), rights.tolist()):
             clbits = tuple(range(next_bit, next_bit + m))
-            values = fired.get(control, ())
+            values = tuple(fired.get(control, ()))
             reports.append(StageReport(level, f, control, tuple(wires), clbits, not values, values))
             next_bit += m
 
+    ops = OpTable.concat(parts)
     if opts.parallelize:
         # Stable, so ops sharing a slot keep their emission order.
-        ops = [ops[i] for i in sorted(range(len(ops)), key=slots.__getitem__)]
+        ops = ops.take(np.argsort(np.concatenate(slots), kind="stable"))
     return Circuit(
         n_qubits=sum(map(len, plan.wires.values())),
         n_clbits=next_bit,
-        ops=tuple(ops),
+        ops=ops,
         data_qubits=tuple(plan.live[0]),
         stage_reports=tuple(reports),
     )

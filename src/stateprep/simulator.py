@@ -26,11 +26,12 @@ where that leaves the verdict open the walk is repeated without merging.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import KIND, Circuit
 from .errors import DimensionMismatch, TooManyBranches
 from .tolerances import BRANCH_PROB_TOL, FIDELITY_TOL, MERGE_BOUND_TOL, MERGE_TOL, PROB_SUM_TOL
 from .tree import normalize
@@ -117,14 +118,14 @@ def _plan(circuit: Circuit):
     acts on, its two slices there, the splitting ops whose bits its
     condition reads, the new cluster of a reset wire).  Per splitting op,
     the last op that needs its outcome; a measured data wire's outcome
-    places the data state, so it is needed to the end.  The clusters left
-    at the end, and the widest cluster, their join included."""
+    places the data state, so it is needed to the end.  And the clusters
+    left at the end."""
     n = circuit.n_qubits
     wires = {q: [q] for q in range(n)}  # cluster -> its wires, one axis each
     owner = list(range(n))
     writer: dict[int, int] = {}  # clbit -> the op that measured it
     last: dict[int, int] = {}  # splitting op -> the last op that needs its outcome
-    steps, widest, new = [], min(n, 1), n
+    steps, new = [], n
     for i, op in enumerate(circuit.ops):
         joined = tuple(dict.fromkeys(owner[q] for q in op.qubits))
         c, fresh, reads = joined[0], None, ()
@@ -133,10 +134,7 @@ def _plan(circuit: Circuit):
             wires[c] = [w for j in joined for w in wires.pop(j)]
             for w in wires[c]:
                 owner[w] = c
-        widest = max(widest, len(wires[c]))
         if op.condition is not None:
-            if len(op.condition.bits) > 63:
-                raise ValueError(f"op {i}: {len(op.condition.bits)} condition bits, over 63")
             reads = tuple(writer[b] for b in op.condition.bits)
             last.update(dict.fromkeys(reads, i))
         slices = _slices(op, wires[c])
@@ -152,12 +150,12 @@ def _plan(circuit: Circuit):
                 fresh, new = new, new + 1
                 wires[fresh], owner[q] = [q], fresh
         steps.append((joined, c, slices, reads, fresh))
-    return steps, last, wires, max(widest, sum(map(len, wires.values())))
+    return steps, last, wires
 
 
-def widest_cluster(circuit: Circuit) -> int:
-    """The most wires that one cluster of ``circuit``'s walk holds."""
-    return _plan(circuit)[3]
+def final_width(circuit: Circuit) -> int:
+    """The wires no op measures: the register that a walk ends with."""
+    return circuit.n_qubits - int(np.count_nonzero(circuit.ops.kind == KIND["measure"]))
 
 
 def _mix(state: np.ndarray, i0, i1, mat: np.ndarray, fires) -> None:
@@ -276,7 +274,11 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
         rng, total, merge = np.random.default_rng(seed), shots, False
     elif mode != "enumerate":
         raise ValueError(f"unknown mode {mode!r}")
-    steps, last, final, _ = _plan(circuit)
+    # Planning takes O(n_qubits) and the final join fails only after it, so a
+    # final register of more than sys.maxsize bytes is refused first, in O(ops).
+    if 16 * 2 ** min(final_width(circuit), 64) > sys.maxsize:
+        raise MemoryError
+    steps, last, final = _plan(circuit)
     ends = set(last.values()) if merge else set()
     tensors = {q: _GROUND.copy() for q in range(circuit.n_qubits)}
     rows: dict[int, np.ndarray] = {}  # cluster -> each branch's row, if it has several

@@ -10,24 +10,25 @@ plain time encoding (``synthesize_time``).
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
-from .circuit import ROLE_LOAD, Gate, roty
+from .circuit import KIND, ROLE, ROLE_LOAD, OpTable, op_table
 from .tolerances import ANGLE_TOL
 from .tree import AmplitudeTree
 
 
-def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> list[Gate]:
+def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> OpTable:
     """Multiplexed-rotation ops preparing the subtree at ``base_node`` on
-    ``wires``."""
-    root = float(tree.alpha[base_node])
-    ops = [roty(wires[0], root, role=ROLE_LOAD)] if abs(root) > ANGLE_TOL else []
-    for k in range(1, len(wires)):
+    ``wires``, emitted a level at a time."""
+    levels = []
+    for k in range(len(wires)):
         first = (base_node + 1) * 2**k - 1
-        angles = tree.alpha[first : first + 2**k].tolist()
-        qubits = tuple(wires[: k + 1])
-        # ``product`` spells each position ``p`` in binary, most significant first.
-        for angle, pols in zip(angles, product((0, 1), repeat=k)):
-            if abs(angle) > ANGLE_TOL:
-                ops.append(Gate("mcroty", qubits, angle=angle, polarities=pols, role=ROLE_LOAD))
-    return ops
+        angles = tree.alpha[first : first + 2**k]
+        kept = np.flatnonzero(np.abs(angles) > ANGLE_TOL)
+        # Position ``p``'s polarities spell it in binary, most significant first.
+        pols = (kept[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        qubits = np.broadcast_to(wires[: k + 1], (len(kept), k + 1))
+        kind = KIND["mcroty"] if k else KIND["roty"]
+        levels.append(op_table(kind, qubits, pols if k else None, role=ROLE[ROLE_LOAD],
+                               angle=angles[kept]))
+    return OpTable.concat(levels)

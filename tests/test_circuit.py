@@ -133,6 +133,22 @@ class TestValidation:
         with pytest.raises(InvalidCircuit, match=message):
             Circuit(2, 1, ops, data_qubits)
 
+    @pytest.mark.parametrize("first, second, message", [
+        (roty(0, float("inf")), Gate("swap", (0,)), "angle inf is not finite"),
+        (Gate("z", (0,), clbit=0), cswap(1, 1, 0), "clbit only valid on measure"),
+        (pauli_z(0, condition=Condition((0,), (3,))), roty(5, 0.1), "condition value out of range"),
+        (Gate("mcroty", (0, 1), angle=0.1, polarities=(2,)), Gate("z", (0,), angle=0.3),
+         "polarities must be 0/1"),
+        (pauli_z(1, condition=Condition((1,), (1,))), measure(2, 2),
+         "condition reads unmeasured bit 1"),
+    ])
+    def test_names_the_first_of_two_invalid_ops(self, first, second, message):
+        # The second op fails a check that a single op runs earlier; the
+        # first op in circuit order is still the one named.
+        ops = (measure(2, 0), first, second)
+        with pytest.raises(InvalidCircuit, match=f"^op 1: {message}"):
+            Circuit(3, 2, ops, (0,))
+
 
 class TestMetrics:
     def test_empty_circuit(self):
@@ -327,6 +343,29 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             deserialize(bad)
         assert err.value.location == location
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "swap"), ("qubits", [0.5]), ("clbit", "0"), ("role", "loud"), ("extra", 1),
+    ])
+    def test_parse_error_names_the_first_malformed_op(self, field, value):
+        x = random_unit(np.random.default_rng(8), 2**8)
+        doc = json.loads(serialize(sp.synthesize_dc(sp.build_tree(x))))
+        assert len(doc["ops"]) > 1500
+        doc["ops"][1000][field] = value
+        doc["ops"][1500] = [1]  # a later op, malformed in a field checked earlier
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.location == f"ops[1000].{field}"
+
+    def test_angle_text_matches_the_json_encoder(self):
+        rng = np.random.default_rng(12)
+        special = [0.0, -0.0, 1.0, 100.0, 1e12, 1e15, 1e16, 123456789012.0, 1e-5, 1e-4, 5e-324]
+        angles = np.concatenate([rng.normal(size=2000) * 10.0 ** rng.integers(-30, 30, 2000),
+                                 special])
+        c = Circuit(1, 0, tuple(roty(0, a) for a in angles), (0,))
+        ops = [{"kind": "roty", "qubits": [0], "angle": float(f"{a:.12g}")} for a in angles]
+        doc = {"n_qubits": 1, "n_clbits": 0, "data_qubits": [0], "ops": ops}
+        assert serialize(c) == json.dumps(doc, separators=(",", ":")) + "\n"
 
     def test_malformed_json_reports_location(self):
         with pytest.raises(ParseError):

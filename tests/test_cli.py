@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +225,24 @@ class TestVerify:
             captured = capsys.readouterr()
             assert captured.out == "" and "NaN" not in captured.err
             doc = json.loads(out.read_text())
+
+    @pytest.mark.parametrize("n_qubits", [50_000, 10**9])
+    def test_unallocatable_final_register_exits_two_at_once(self, n_qubits, tmp_path, capsys):
+        # One ``h`` and no measurement: the final register holds every wire.
+        # It is refused before the walk plans a cluster per wire.
+        vec = write_vector(tmp_path, "v.json", [1.0, 0.0])
+        doc = tmp_path / "wide.json"
+        doc.write_text(json.dumps({"n_qubits": n_qubits, "n_clbits": 0, "data_qubits": [0],
+                                   "ops": [{"kind": "h", "qubits": [0]}]}))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rc = main(["verify", str(doc), vec])
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and elapsed < 1.0 and peak < 2**20
+        assert f"{n_qubits} wires" in capsys.readouterr().err
 
     def test_malformed_or_oversized_documents_exit_two(self, tmp_path, capsys):
         vec = write_vector(tmp_path, "v.json", [1.0, 0.0])
