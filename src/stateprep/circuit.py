@@ -184,15 +184,17 @@ class OpTable:
 
     @staticmethod
     def concat(tables) -> OpTable:
-        return OpTable(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(OpTable)))
+        columns = (f.name for f in fields(OpTable))
+        return OpTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in columns))
 
     @staticmethod
     def from_gates(gates) -> OpTable:
         """The table of ``Gate`` records, which it keeps as its sequence."""
         gates = tuple(gates)
         for i, g in enumerate(gates):
-            if g.condition is not None and not 0 < len(g.condition.bits) <= 63:
-                raise InvalidCircuit(f"op {i}: {len(g.condition.bits)} condition bits, not 1 to 63")
+            width = len(g.condition.bits) if g.condition is not None else 1
+            if not 0 < width <= 63:
+                raise InvalidCircuit(f"op {i}: {width} condition bits, not 1 to 63")
         conds = [g.condition or Condition((), ()) for g in gates]
         ragged = ([g.qubits for g in gates], [g.polarities or () for g in gates],
                   [c.bits for c in conds], [c.values for c in conds])
@@ -228,10 +230,17 @@ def op_table(kind, qubits, polarities=None, bits=None, values=None, *, role=0, a
         counts[:, j] = x[1]
 
     def column(value, dtype):
-        return np.array(np.broadcast_to(np.array(value, dtype=dtype), (n,)))
+        out = np.empty(n, dtype=dtype)
+        out[...] = value
+        return out
 
     return OpTable(column(kind, np.int8), column(role, np.int8), column(angle, float),
                    column(clbit, np.int64), *flats, counts)
+
+
+def ranges(counts: np.ndarray) -> np.ndarray:
+    """``0, 1, ..., c - 1`` for each ``c`` of ``counts``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 @dataclass(frozen=True)
@@ -348,60 +357,53 @@ class ResourceReport:
     depth_full: int
 
 
-def _gate_ops(t: OpTable) -> np.ndarray:
-    """The ops gate depth counts: unitaries that are no measurement-basis
-    rotations and carry no condition."""
-    unitary = (t.kind >= 0) & (t.kind < len(UNITARY_KINDS))
-    return unitary & (t.counts[:, 2] == 0) & (t.role != ROLE[ROLE_MEAS_BASIS])
+def _asap(t: OpTable) -> tuple[list[int | None], list[int]]:
+    """ASAP layer of each op for gate depth (None for the ops it leaves out)
+    and for full depth, in one pass.
 
-
-def _asap(t: OpTable, counted: np.ndarray) -> list[int | None]:
-    """ASAP layer of each op that ``counted`` selects, None for the others.
-
-    An op starts one layer after the latest counted op sharing a wire or,
-    for conditioned ops, after the measurement writing any bit it reads.
+    An op starts one layer after the latest op sharing a wire or, for
+    conditioned ops, after the measurement writing any bit it reads.
     """
-    sub = t.take(np.flatnonzero(counted))
-    out = np.full(len(t), None)
-    # Ops that all touch the first one's first wire run one per layer.
-    if np.bincount(sub.owner(0)[sub.qubits == sub.qubits[:1]], minlength=len(sub)).all():
-        out[counted] = range(len(sub))
-        return out.tolist()
+    gate = (t.kind < len(UNITARY_KINDS)) & (t.counts[:, 2] == 0)
+    gate &= t.role != ROLE[ROLE_MEAS_BASIS]
+    # Ops that all count and all touch the first one's first wire run one per layer.
+    if gate.all() and np.bincount(t.owner(0)[t.qubits == t.qubits[:1]], minlength=len(t)).all():
+        return list(range(len(t))), list(range(len(t)))
     # Wires and classical bits numbered from 0, so plain lists hold the layer
     # each is next free in; an op without a clbit writes the slot of -1.
-    wire = np.unique(sub.qubits, return_inverse=True)[1].reshape(-1)
-    bit = np.unique(np.append(sub.bits, sub.clbit), return_inverse=True)[1].reshape(-1)
-    free, ready, found = [0] * len(wire), [0] * len(bit), []
-    qs, bs = wire.tolist(), bit[: len(sub.bits)].tolist()
-    q_off, b_off = sub.offsets(0).tolist(), sub.offsets(2).tolist()
-    for a, b, c, d, clbit in zip(q_off, q_off[1:], b_off, b_off[1:], bit[len(sub.bits):].tolist()):
-        # A valid op touches at least one wire.
-        layer = max(map(free.__getitem__, qs[a:b]))
+    wire = np.unique(t.qubits, return_inverse=True)[1].reshape(-1).tolist()
+    bit = np.unique(np.append(t.bits, t.clbit), return_inverse=True)[1].reshape(-1).tolist()
+    free, gate_free, ready = [0] * len(wire), [0] * len(wire), [0] * len(bit)
+    q_off, b_off = t.offsets(0).tolist(), t.offsets(2).tolist()
+    gate_out, full_out = [], []
+    for a, b, c, d, clbit, counted in zip(q_off, q_off[1:], b_off, b_off[1:],
+                                          bit[len(t.bits):], gate.tolist()):
+        qubits = wire[a:b]  # a valid op touches at least one wire
+        layer = max(map(free.__getitem__, qubits))
         if c < d:
-            layer = max(layer, max(map(ready.__getitem__, bs[c:d])))
-        found.append(layer)
-        for q in qs[a:b]:
+            layer = max(layer, max(map(ready.__getitem__, bit[c:d])))
+        full_out.append(layer)
+        for q in qubits:
             free[q] = layer + 1
         ready[clbit] = layer + 1
-    out[counted] = found
-    return out.tolist()
+        if counted:
+            layer = max(map(gate_free.__getitem__, qubits))
+            for q in qubits:
+                gate_free[q] = layer + 1
+        gate_out.append(layer if counted else None)
+    return gate_out, full_out
 
 
 def layers(circuit: Circuit, full: bool = True) -> list[int | None]:
     """Layer index per op; with ``full=False`` only the gate-depth ops."""
-    t = circuit.ops
-    return _asap(t, np.ones(len(t), dtype=bool) if full else _gate_ops(t))
+    return _asap(circuit.ops)[full]
 
 
 def metrics(circuit: Circuit) -> ResourceReport:
-    t = circuit.ops
-    gate = _gate_ops(t)
-    full_layers = _asap(t, np.ones(len(t), dtype=bool))
-    # Counting every op, gate depth layers them as full depth does.
-    gate_layers = full_layers if gate.all() else _asap(t, gate)
+    gate_layers, full_layers = _asap(circuit.ops)
     return ResourceReport(
         qubits=circuit.n_qubits,
-        unit_cswaps=int(np.count_nonzero(t.kind == KIND["cswap"])),
+        unit_cswaps=int(np.count_nonzero(circuit.ops.kind == KIND["cswap"])),
         depth_gates=1 + max((v for v in gate_layers if v is not None), default=-1),
         depth_full=1 + max(full_layers, default=-1),
     )
@@ -416,8 +418,8 @@ def _joined(t: OpTable, j: int) -> list[str]:
     valid table are non-negative.  The digits are written with numpy."""
     flat = getattr(t, RAGGED[j])
     digits = np.ones(len(flat), dtype=np.int64)
-    while np.any(flat >= 10 ** digits):
-        digits += flat >= 10 ** digits
+    for k in range(1, len(str(flat.max(initial=0)))):
+        digits += flat >= 10**k
     end = np.cumsum(digits + 1)  # just past each entry's comma
     text = np.full(end[-1] if len(end) else 0, ord(","), dtype=np.uint8)
     rest = flat.copy()

@@ -36,6 +36,7 @@ them all, and the gate depth of the dense circuit becomes ``2n - 2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .circuit import (
     Circuit,
     OpTable,
     op_table,
+    ranges,
 )
 from .discrimination import OrthPair, decompose
 from .errors import LambdaOutOfRange, NonUnitInput
@@ -81,13 +83,13 @@ def _loads(tree: AmplitudeTree, nodes: list[tuple[int, int]], prune: bool) -> Op
     """One-wire loads of ``(node, wire)`` pairs: ``h`` or ``x`` for an angle
     within ``ANGLE_TOL`` of pi/2 or pi, else a y-rotation; with ``prune``,
     none for an angle within it of 0."""
-    f, wires = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
+    f, wires = np.array(nodes, dtype=np.int64).T
     angle = tree.alpha[f]
     if prune:
         kept = np.abs(angle) > ANGLE_TOL
         angle, wires = angle[kept], wires[kept]
-    kind = np.select([np.abs(angle - np.pi / 2.0) <= ANGLE_TOL, np.abs(angle - np.pi) <= ANGLE_TOL],
-                     [KIND["h"], KIND["x"]], KIND["roty"])
+    near = [np.abs(angle - np.pi / 2.0) <= ANGLE_TOL, np.abs(angle - np.pi) <= ANGLE_TOL]
+    kind = np.select(near, [KIND["h"], KIND["x"]], KIND["roty"])
     return op_table(kind, wires[:, None], role=ROLE[ROLE_LOAD],
                     angle=np.where(kind == KIND["roty"], angle, np.nan))
 
@@ -153,7 +155,8 @@ def compile_disentangler(
     # rotations (slot ``node`` >= 0) then its measurement (-1); then the
     # correction (-2), on the control wire, column ``m`` of ``targets``.
     size = 2**m - 1
-    node = np.concatenate([np.append(np.arange(2**k - 1, 2**(k + 1) - 1), -1) for k in range(m)] + [[-2]])
+    node = np.concatenate([np.append(np.arange(2**k - 1, 2 ** (k + 1) - 1), -1) for k in range(m)]
+                          + [[-2]])
     depth = np.repeat(np.arange(m + 1), [2**k + 1 for k in range(m)] + [1])
     stage_angles, keep = np.zeros((len(wires), size)), np.zeros((len(wires), size), dtype=bool)
     stage_angles[live], keep[live] = angles, np.abs(angles) > ANGLE_TOL
@@ -165,23 +168,19 @@ def compile_disentangler(
     n_bits = np.where(rotation, k, np.where(measured, 0, m))
     n_values = np.where(rotation, k > 0, np.where(measured, 0, 2 ** (m - 1)))
     correct_from = 1 - flipped[stage].astype(np.int64)
-    targets = np.column_stack((np.array(wires, dtype=np.int64).reshape(len(wires), m), control_wire))
+    targets = np.column_stack((np.reshape(np.array(wires, dtype=np.int64), (len(wires), m)),
+                               control_wire))
     return op_table(
         np.select([rotation, measured], [KIND["roty"], KIND["measure"]], KIND["z"]),
         targets[stage, k][:, None],
         None,
-        (np.repeat(first, n_bits) + _ranges(n_bits), n_bits),
+        (np.repeat(first, n_bits) + ranges(n_bits), n_bits),
         (np.repeat(np.where(rotation, node + 1 - 2**k, correct_from), n_values)
-         + 2 * _ranges(n_values), n_values),
+         + 2 * ranges(n_values), n_values),
         role=np.select([rotation, measured], [ROLE[ROLE_MEAS_BASIS], 0], ROLE[ROLE_CORRECT]),
         angle=np.where(rotation, stage_angles[stage, np.maximum(node, 0)], np.nan),
         clbit=np.where(measured, first + k, -1),
     )
-
-
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    """``0, 1, ..., c - 1`` for each ``c`` of ``counts``, concatenated."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 @dataclass
@@ -240,14 +239,12 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
 
     # Loads in the plan's pre-order: one op per node above the blocks and a
     # multiplexed-rotation block at each block root.
-    parts, singles = [], []
-    for f, wires in plan.wires.items():
-        if len(wires) == 1:
-            singles.append((f, wires[0]))
-            continue
-        parts += [_loads(tree, singles, opts.prune), rotation_ops(tree, wires, base_node=f)]
-        singles = []
-    parts.append(_loads(tree, singles, opts.prune))
+    parts = []
+    for single, run in groupby(plan.wires.items(), key=lambda item: len(item[1]) == 1):
+        if single:
+            parts.append(_loads(tree, [(f, wires[0]) for f, wires in run], opts.prune))
+        else:
+            parts += [rotation_ops(tree, wires, base_node=f) for f, wires in run]
 
     # Each op's slot in the parallel schedule: twice its layer, plus one
     # after the level's swaps.
@@ -276,8 +273,9 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         parts.append(stage_ops)
         slots.append(np.full(len(stage_ops), 2 * run_layers[-1] + 1))
         # Each of these ops has one wire, so its index is that of its qubit.
-        fixes = np.flatnonzero(stage_ops.role == ROLE[ROLE_CORRECT])
-        fired = dict(zip(stage_ops.qubits[fixes].tolist(), stage_ops.take(fixes).rows(3)))
+        fixes = np.flatnonzero(stage_ops.role == ROLE[ROLE_CORRECT]).tolist()
+        values = stage_ops.rows(3)
+        fired = {stage_ops.qubits[i]: values[i] for i in fixes}
         m = rights.shape[1]
         for f, control, wires in zip(combiners, controls.tolist(), rights.tolist()):
             clbits = tuple(range(next_bit, next_bit + m))

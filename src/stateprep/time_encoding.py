@@ -12,23 +12,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import KIND, ROLE, ROLE_LOAD, OpTable, op_table
+from .circuit import KIND, ROLE, ROLE_LOAD, OpTable, op_table, ranges
 from .tolerances import ANGLE_TOL
 from .tree import AmplitudeTree
 
 
 def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> OpTable:
     """Multiplexed-rotation ops preparing the subtree at ``base_node`` on
-    ``wires``, emitted a level at a time."""
-    levels = []
-    for k in range(len(wires)):
-        first = (base_node + 1) * 2**k - 1
-        angles = tree.alpha[first : first + 2**k]
-        kept = np.flatnonzero(np.abs(angles) > ANGLE_TOL)
-        # Position ``p``'s polarities spell it in binary, most significant first.
-        pols = (kept[:, None] >> np.arange(k - 1, -1, -1)) & 1
-        qubits = np.broadcast_to(wires[: k + 1], (len(kept), k + 1))
-        kind = KIND["mcroty"] if k else KIND["roty"]
-        levels.append(op_table(kind, qubits, pols if k else None, role=ROLE[ROLE_LOAD],
-                               angle=angles[kept]))
-    return OpTable.concat(levels)
+    ``wires``, every level at once."""
+    k = np.repeat(np.arange(len(wires)), 2 ** np.arange(len(wires)))  # each node's depth
+    p = np.arange(len(k)) - (2**k - 1)  # and its position in its level
+    angle = tree.alpha[(base_node + 1) * 2**k - 1 + p]
+    kept = np.abs(angle) > ANGLE_TOL
+    k, p, angle = k[kept], p[kept], angle[kept]
+    # Position ``p``'s polarities spell it in binary, most significant first.
+    pols = (np.repeat(p, k) >> (np.repeat(k, k) - 1 - ranges(k))) & 1
+    qubits = np.asarray(wires, dtype=np.int64)[ranges(k + 1)]
+    kind = np.where(k > 0, KIND["mcroty"], KIND["roty"])
+    return op_table(kind, (qubits, k + 1), (pols, k), role=ROLE[ROLE_LOAD], angle=angle)
