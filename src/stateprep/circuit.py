@@ -177,8 +177,7 @@ class OpTable:
         counts, flats = self.counts[order], []
         for j, name in enumerate(RAGGED):
             c = counts[:, j]
-            shift = self.offsets(j)[:-1][order] - (np.cumsum(c) - c)
-            flats.append(getattr(self, name)[np.repeat(shift, c) + np.arange(c.sum())])
+            flats.append(getattr(self, name)[np.repeat(self.offsets(j)[order], c) + ranges(c)])
         columns = (self.kind, self.role, self.angle, self.clbit)
         return OpTable(*(col[order] for col in columns), *flats, counts)
 

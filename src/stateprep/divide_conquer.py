@@ -88,8 +88,8 @@ def _loads(tree: AmplitudeTree, nodes: list[tuple[int, int]], prune: bool) -> Op
     if prune:
         kept = np.abs(angle) > ANGLE_TOL
         angle, wires = angle[kept], wires[kept]
-    near = [np.abs(angle - np.pi / 2.0) <= ANGLE_TOL, np.abs(angle - np.pi) <= ANGLE_TOL]
-    kind = np.select(near, [KIND["h"], KIND["x"]], KIND["roty"])
+    kind = np.where(np.abs(angle - np.pi) <= ANGLE_TOL, KIND["x"], KIND["roty"])
+    kind[np.abs(angle - np.pi / 2.0) <= ANGLE_TOL] = KIND["h"]
     return op_table(kind, wires[:, None], role=ROLE[ROLE_LOAD],
                     angle=np.where(kind == KIND["roty"], angle, np.nan))
 
@@ -155,9 +155,8 @@ def compile_disentangler(
     # rotations (slot ``node`` >= 0) then its measurement (-1); then the
     # correction (-2), on the control wire, column ``m`` of ``targets``.
     size = 2**m - 1
-    node = np.concatenate([np.append(np.arange(2**k - 1, 2 ** (k + 1) - 1), -1) for k in range(m)]
-                          + [[-2]])
-    depth = np.repeat(np.arange(m + 1), [2**k + 1 for k in range(m)] + [1])
+    node = np.array([v for k in range(m) for v in (*range(2**k - 1, 2 ** (k + 1) - 1), -1)] + [-2])
+    depth = np.array([k for k in range(m) for _ in range(2**k + 1)] + [m])
     stage_angles, keep = np.zeros((len(wires), size)), np.zeros((len(wires), size), dtype=bool)
     stage_angles[live], keep[live] = angles, np.abs(angles) > ANGLE_TOL
     emit = np.where(node >= 0, keep[:, np.maximum(node, 0)], (node == -1) | ~equal[:, None])
@@ -171,13 +170,13 @@ def compile_disentangler(
     targets = np.column_stack((np.reshape(np.array(wires, dtype=np.int64), (len(wires), m)),
                                control_wire))
     return op_table(
-        np.select([rotation, measured], [KIND["roty"], KIND["measure"]], KIND["z"]),
+        np.where(rotation, KIND["roty"], np.where(measured, KIND["measure"], KIND["z"])),
         targets[stage, k][:, None],
         None,
         (np.repeat(first, n_bits) + ranges(n_bits), n_bits),
         (np.repeat(np.where(rotation, node + 1 - 2**k, correct_from), n_values)
          + 2 * ranges(n_values), n_values),
-        role=np.select([rotation, measured], [ROLE[ROLE_MEAS_BASIS], 0], ROLE[ROLE_CORRECT]),
+        role=np.where(rotation, ROLE[ROLE_MEAS_BASIS], np.where(measured, 0, ROLE[ROLE_CORRECT])),
         angle=np.where(rotation, stage_angles[stage, np.maximum(node, 0)], np.nan),
         clbit=np.where(measured, first + k, -1),
     )
@@ -260,8 +259,8 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         controls = np.array([plan.wires[f][0] for f in combiners])
         lefts, rights = (np.array([plan.live[children_of(f)[side]] for f in combiners])
                          for side in (0, 1))
-        swaps = np.stack(np.broadcast_arrays(controls[:, None], lefts, rights), axis=2)
-        parts.append(op_table(KIND["cswap"], swaps.reshape(-1, 3), role=ROLE[ROLE_COMBINE]))
+        swaps = np.column_stack((np.repeat(controls, lefts.shape[1]), lefts.ravel(), rights.ravel()))
+        parts.append(op_table(KIND["cswap"], swaps, role=ROLE[ROLE_COMBINE]))
         slots.append(np.tile(2 * run_layers, len(combiners)))
         if not opts.disentangle:
             continue

@@ -135,6 +135,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("first, second, message", [
         (roty(0, float("inf")), Gate("swap", (0,)), "angle inf is not finite"),
+        (Gate("swap", (0,)), roty(0, float("inf")), "unknown kind 'swap'"),
         (Gate("z", (0,), clbit=0), cswap(1, 1, 0), "clbit only valid on measure"),
         (pauli_z(0, condition=Condition((0,), (3,))), roty(5, 0.1), "condition value out of range"),
         (Gate("mcroty", (0, 1), angle=0.1, polarities=(2,)), Gate("z", (0,), angle=0.3),
@@ -143,11 +144,114 @@ class TestValidation:
          "condition reads unmeasured bit 1"),
     ])
     def test_names_the_first_of_two_invalid_ops(self, first, second, message):
-        # The second op fails a check that a single op runs earlier; the
-        # first op in circuit order is still the one named.
+        # Mostly the second op fails a check that a single op runs earlier;
+        # the first op in circuit order is still the one named.
         ops = (measure(2, 0), first, second)
         with pytest.raises(InvalidCircuit, match=f"^op 1: {message}"):
             Circuit(3, 2, ops, (0,))
+
+
+def reference_validate(n_qubits, n_clbits, ops, data_qubits):
+    """The per-op loop that ``Circuit.validate`` replaced: its message for
+    the first malformed op, or None."""
+    written, measured = set(), set()
+    for i, op in enumerate(ops):
+        if op.kind not in sp.circuit.KINDS:
+            return f"op {i}: unknown kind {op.kind!r}"
+        if len(set(op.qubits)) != len(op.qubits):
+            return f"op {i}: repeated qubit in {op.qubits}"
+        for q in op.qubits:
+            if not 0 <= q < n_qubits:
+                return f"op {i}: qubit {q} out of range"
+            if q in measured:
+                return f"op {i}: qubit {q} used after its measurement"
+        if (op.angle is not None) != (op.kind in sp.circuit.ANGLE_KINDS):
+            return f"op {i}: angle mismatch for kind {op.kind!r}"
+        if op.angle is not None and not np.isfinite(op.angle):
+            return f"op {i}: angle {op.angle} is not finite"
+        arity = 3 if op.kind == "cswap" else 1
+        if op.kind != "mcroty" and len(op.qubits) != arity:
+            return f"op {i}: {op.kind} needs {arity} qubit(s)"
+        if op.kind == "mcroty":
+            if op.polarities is None or len(op.polarities) != len(op.qubits) - 1:
+                return f"op {i}: bad mcroty polarities"
+            if any(p not in (0, 1) for p in op.polarities):
+                return f"op {i}: polarities must be 0/1"
+        elif op.polarities is not None:
+            return f"op {i}: polarities only valid on mcroty"
+        if op.kind == "measure":
+            if op.clbit is None or not 0 <= op.clbit < n_clbits:
+                return f"op {i}: bad clbit {op.clbit}"
+            if op.clbit in written:
+                return f"op {i}: clbit {op.clbit} written twice"
+            written.add(op.clbit)
+            measured.add(op.qubits[0])
+        elif op.clbit is not None:
+            return f"op {i}: clbit only valid on measure"
+        if op.condition is not None:
+            if op.kind in ("measure", "reset"):
+                return f"op {i}: conditions on {op.kind} unsupported"
+            bits, vals = op.condition.bits, op.condition.values
+            if any(a >= b for a, b in zip(vals, vals[1:])):
+                return f"op {i}: condition values must ascend strictly"
+            if vals and not (vals[0] >= 0 and vals[-1] < 2 ** len(bits)):
+                return f"op {i}: condition value out of range"
+            if len(set(bits)) != len(bits):
+                return f"op {i}: repeated clbit in {bits}"
+            for b in bits:
+                if b not in written:
+                    return f"op {i}: condition reads unmeasured bit {b}"
+    if any(not 0 <= q < n_qubits for q in data_qubits) or len(set(data_qubits)) != len(
+        data_qubits
+    ):
+        return "data register"
+    return None
+
+
+def random_ops(rng, count):
+    """Ops on 4 wires and 3 clbits, each drawn valid and then, with
+    probability 0.15, given one malformed field."""
+    ops = []
+    for _ in range(count):
+        q = [int(v) for v in rng.permutation(4)[:3]]
+        cond = None
+        if rng.random() < 0.4:
+            bits = tuple(int(b) for b in rng.permutation(3)[: rng.integers(1, 3)])
+            cond = Condition(bits, tuple(sorted({int(v) for v in rng.integers(0, 4, 2)})))
+        op = [
+            roty(q[0], rng.normal(), cond), pauli_z(q[0], cond), hadamard(q[0], cond),
+            cswap(*q), mcroty(rng.normal(), [(q[0], 1), (q[1], 0)], q[2]),
+            measure(q[0], int(rng.integers(0, 3))), reset(q[0]),
+        ][rng.integers(0, 7)]
+        if rng.random() < 0.15:
+            field, value = [
+                ("kind", "swap"), ("qubits", (q[0], q[0])), ("qubits", (7,)),
+                ("qubits", q[:2]), ("angle", float("inf")), ("angle", 0.5),
+                ("polarities", (2,)), ("clbit", 5), ("clbit", 1),
+                ("condition", Condition((0, 0), (1,))), ("condition", Condition((1,), (3,))),
+                ("condition", Condition((2,), (1, 0))),
+            ][rng.integers(0, 12)]
+            op = Gate(**{**op.__dict__, field: value})
+        ops.append(op)
+    return tuple(ops)
+
+
+class TestValidateAgainstReference:
+    def test_messages_match_the_per_op_loop(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(3000):
+            ops = random_ops(rng, int(rng.integers(1, 9)))
+            data = (int(rng.integers(0, 5)),)
+            want = reference_validate(4, 3, ops, data)
+            try:
+                Circuit(4, 3, ops, data)
+                got = None
+            except InvalidCircuit as exc:
+                got = str(exc) if str(exc).startswith("op ") else "data register"
+            assert got == want, ops
+            seen.add(want.split(":")[-1].split()[0] if want else None)
+        assert len(seen) > 10
 
 
 class TestMetrics:
