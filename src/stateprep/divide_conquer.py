@@ -259,7 +259,8 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         controls = np.array([plan.wires[f][0] for f in combiners])
         lefts, rights = (np.array([plan.live[children_of(f)[side]] for f in combiners])
                          for side in (0, 1))
-        swaps = np.column_stack((np.repeat(controls, lefts.shape[1]), lefts.ravel(), rights.ravel()))
+        m = rights.shape[1]
+        swaps = np.column_stack((np.repeat(controls, m), lefts.ravel(), rights.ravel()))
         parts.append(op_table(KIND["cswap"], swaps, role=ROLE[ROLE_COMBINE]))
         slots.append(np.tile(2 * run_layers, len(combiners)))
         if not opts.disentangle:
@@ -273,9 +274,8 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         slots.append(np.full(len(stage_ops), 2 * run_layers[-1] + 1))
         # Each of these ops has one wire, so its index is that of its qubit.
         fixes = np.flatnonzero(stage_ops.role == ROLE[ROLE_CORRECT]).tolist()
-        values = stage_ops.rows(3)
-        fired = {stage_ops.qubits[i]: values[i] for i in fixes}
-        m = rights.shape[1]
+        rows = stage_ops.rows(3)
+        fired = {int(stage_ops.qubits[i]): rows[i] for i in fixes}
         for f, control, wires in zip(combiners, controls.tolist(), rights.tolist()):
             clbits = tuple(range(next_bit, next_bit + m))
             values = tuple(fired.get(control, ()))
