@@ -2,9 +2,9 @@
 
 Gates, mid-circuit measurements and classically conditioned operations are
 stored as one op table (``OpTable``), an array per field, which synthesis
-emits level by level and ``validate``, ``metrics`` and ``serialize`` read
-as arrays.  ``Circuit.ops`` is that table; read as a sequence it yields one
-``Gate`` record per op, made when first read.  A sequence of ``Gate``
+emits level by level and ``validate``, ``metrics``, ``serialize`` and the
+simulator read.  ``Circuit.ops`` is that table; read as a sequence it yields
+one ``Gate`` record per op, made when first read.  A sequence of ``Gate``
 records is accepted as ``ops`` and converted once.  A condition fires when
 the integer that previously written classical ``bits`` spell (``bits[0]``
 most significant) is one of ``values``, OpenQASM 3's ``if (c == v)``
@@ -45,6 +45,7 @@ ROLE = {r: code for code, r in enumerate(ROLES)}
 
 # The ragged fields, in the order of the columns of ``OpTable.counts``.
 RAGGED = ("qubits", "polarities", "bits", "values")
+_INT64 = range(-(2**63), 2**63)  # the integers a table's columns hold
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class OpTable:
     ``polarities`` one per control qubit of an ``mcroty``, ``bits`` and
     ``values`` those of its condition, none if it has no condition.
 
-    Read as a sequence, the table yields ``Gate`` records, made on first read."""
+    Callers outside the package read it as a sequence of ``Gate`` records, made on first read."""
 
     kind: np.ndarray
     role: np.ndarray
@@ -282,7 +283,7 @@ class Circuit:
 
         measure, mcroty = kind == KIND["measure"], kind == KIND["mcroty"]
         check(kind < 0, lambda i: f"unknown kind {t[i].kind!r}")
-        check(_repeats(q, qown, len(t)), lambda i: f"repeated qubit in {t[i].qubits}")
+        check(_repeats(q, qown, len(t)), lambda i: f"repeated qubit in {tuple(t.rows(0)[i])}")
         measured = measure & (nq > 0)
         out = (q < 0) | (q >= self.n_qubits)
         after = _after(q[t.offsets(0)[:-1][measured]], np.flatnonzero(measured), q, qown)
@@ -309,7 +310,7 @@ class Circuit:
         check(any_entry(descends, vown[1:]), lambda i: "condition values must ascend strictly")
         big = np.right_shift(v, nb[vown]) != 0  # a condition reads 1 to 63 bits
         check(any_entry(big, vown), lambda i: "condition value out of range")
-        check(_repeats(b, bown, len(t)), lambda i: f"repeated clbit in {t[i].condition.bits}")
+        check(_repeats(b, bown, len(t)), lambda i: f"repeated clbit in {tuple(t.rows(2)[i])}")
         unwritten = ~_after(c[written], written, b, bown)
         check(unwritten, lambda j: f"condition reads unmeasured bit {b[j]}", bown)
         check(t.role < 0, lambda i: f"unknown role {t[i].role!r}")
@@ -473,8 +474,8 @@ def _expect(doc: dict, key: str, kind: type, where: str):
 
 
 def _parse_int_list(value, where: str) -> list[int]:
-    if type(value) is not list or not all(type(v) is int for v in value):
-        raise ParseError("expected a list of integers", where)
+    if type(value) is not list or not all(type(v) is int and v in _INT64 for v in value):
+        raise ParseError("expected a list of 64-bit integers", where)
     return value
 
 
@@ -514,8 +515,8 @@ def _check_op(doc, i: int) -> None:
     finite = type(angle) in (int, float) and abs(angle) <= sys.float_info.max
     if angle is not None and not finite:
         raise ParseError("angle must be a finite number", f"{where}.angle")
-    if doc.get("clbit") is not None and type(doc["clbit"]) is not int:
-        raise ParseError("clbit must be an integer", f"{where}.clbit")
+    if doc.get("clbit") is not None and not (type(doc["clbit"]) is int and doc["clbit"] in _INT64):
+        raise ParseError("clbit must be a 64-bit integer", f"{where}.clbit")
     if doc.get("polarities") is not None:
         _parse_int_list(doc["polarities"], f"{where}.polarities")
     if "condition" in doc:
@@ -612,7 +613,7 @@ def _deserialize(text: str) -> Circuit:
     except (ValueError, OverflowError, ParseError):
         for i, op in enumerate(ops_doc):
             _check_op(op, i)
-        raise ParseError("an integer field does not fit in 64 bits", "$.ops") from None
+        raise  # the per-op checks refuse every document that the columns do
     try:
         return Circuit(n_qubits=n_qubits, n_clbits=n_clbits, ops=ops, data_qubits=data_qubits)
     except InvalidCircuit as exc:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import KIND, Circuit
+from .circuit import KIND, KINDS, RAGGED, Circuit
 from .errors import DimensionMismatch, TooManyBranches
 from .tolerances import BRANCH_PROB_TOL, FIDELITY_TOL, MERGE_BOUND_TOL, MERGE_TOL, PROB_SUM_TOL
 from .tree import normalize
@@ -41,25 +41,14 @@ DEFAULT_BRANCH_CAP = 14
 # The largest shot count a binomial draw takes: numpy's int64.
 MAX_SHOTS = 2**63 - 1
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_FIXED_MATRICES = {
-    "z": np.diag([1.0, -1.0]).astype(complex),
-    "x": _X,
-    "cswap": _X,  # exchanges its slices 01 and 10
-    "h": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
-}
+_X = [[0.0, 1.0], [1.0, 0.0]]  # a cswap's too: it exchanges its slices 01 and 10
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+# Per kind code, the matrix that mixes an op's two slices: a rotation's is
+# set from its angle, and ``measure`` and ``reset`` mix none.
+_KIND_MATRICES = np.array([{"z": np.diag([1.0, -1.0]), "x": _X, "cswap": _X, "h": _H}.get(
+    k, np.eye(2)) for k in KINDS], dtype=complex)
+_SPLITS = (KIND["measure"], KIND["reset"])
 _GROUND = np.array([[1.0, 0.0]], dtype=complex)  # one row: a wire in |0>
-
-
-def _matrix(op) -> np.ndarray | None:
-    """The 2x2 matrix that mixes ``op``'s two slices; None for ``measure``
-    and ``reset``."""
-    if op.kind in ("roty", "mcroty"):
-        c, s = np.cos(op.angle / 2.0), np.sin(op.angle / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if op.kind == "rotz":
-        return np.diag([np.exp(-0.5j * op.angle), np.exp(0.5j * op.angle)])
-    return _FIXED_MATRICES.get(op.kind)
 
 
 @dataclass
@@ -94,19 +83,19 @@ class VerificationReport:
         }
 
 
-def _slices(op, wires: list[int]):
+def _slices(kind: int, qubits: list[int], polarities: list[int], wires: list[int]):
     """The index tuples of the two slices of a cluster tensor over
-    ``wires`` (axis 0 running over rows) that ``op`` mixes or splits.  A
-    ``mcroty`` fixes its controls to their polarities and a ``cswap`` its
-    control to 1 and its targets to 01 and 10.  A tuple ends at its last
-    fixed axis, so a split's wire is the last axis it names."""
-    *controls, target = op.qubits
-    fixed = dict(zip(controls, op.polarities or ()))
+    ``wires`` (axis 0 running over rows) that an op mixes or splits.  An
+    ``mcroty`` fixes its controls to their ``polarities`` and a ``cswap``
+    its control to 1 and its targets to 01 and 10.  A tuple ends at its
+    last fixed axis, so a split's wire is the last axis it names."""
+    *controls, target = qubits
+    fixed = dict(zip(controls, polarities))
     ends = ({target: 0}, {target: 1})
-    if op.kind == "cswap":
+    if kind == KIND["cswap"]:
         fixed = {controls[0]: 1}
         ends = ({controls[1]: 0, target: 1}, {controls[1]: 1, target: 0})
-    stop = 1 + max(map(wires.index, op.qubits))
+    stop = 1 + max(map(wires.index, qubits))
     return tuple(
         (slice(None),) + tuple({**fixed, **end}.get(q, slice(None)) for q in wires[:stop])
         for end in ends
@@ -114,43 +103,52 @@ def _slices(op, wires: list[int]):
 
 
 def _plan(circuit: Circuit):
-    """The walk's clusters.  Per op: (the clusters it joins, the one it
-    acts on, its two slices there, the splitting ops whose bits its
-    condition reads, the new cluster of a reset wire).  Per splitting op,
-    the last op that needs its outcome; a measured data wire's outcome
-    places the data state, so it is needed to the end.  And the clusters
-    left at the end."""
-    n = circuit.n_qubits
+    """The walk, read from the op table.  Per op: (the clusters it joins,
+    the one it acts on, its two slices there, the splitting ops whose bits
+    its condition reads, the values on which it fires, its matrix or None
+    for a split, the new cluster of a reset wire).  Per splitting op, the
+    last op that needs its outcome; a measured data wire's outcome places
+    the data state, so it is needed to the end.  The clusters left at the
+    end, and the op that measures each measured wire."""
+    t, n = circuit.ops, circuit.n_qubits
+    mats = _KIND_MATRICES[t.kind]
+    rot = np.isin(t.kind, (KIND["roty"], KIND["mcroty"]))
+    cos, sin = np.cos(t.angle[rot] / 2.0), np.sin(t.angle[rot] / 2.0)
+    mats[rot] = np.stack((cos, -sin, sin, cos), axis=1).reshape(-1, 2, 2)
+    z = t.kind == KIND["rotz"]
+    mats[z, 0, 0], mats[z, 1, 1] = np.exp(-0.5j * t.angle[z]), np.exp(0.5j * t.angle[z])
     wires = {q: [q] for q in range(n)}  # cluster -> its wires, one axis each
     owner = list(range(n))
     writer: dict[int, int] = {}  # clbit -> the op that measured it
     last: dict[int, int] = {}  # splitting op -> the last op that needs its outcome
+    measured: dict[int, int] = {}  # wire -> the op that measured it
     steps, new = [], n
-    for i, op in enumerate(circuit.ops):
-        joined = tuple(dict.fromkeys(owner[q] for q in op.qubits))
+    ops = zip(t.kind.tolist(), t.clbit.tolist(), mats.tolist(), *map(t.rows, range(len(RAGGED))))
+    for i, (kind, clbit, mat, qubits, pols, bits, values) in enumerate(ops):
+        joined = tuple(dict.fromkeys(owner[q] for q in qubits))
         c, fresh, reads = joined[0], None, ()
         if len(joined) > 1:
             c, new = new, new + 1
             wires[c] = [w for j in joined for w in wires.pop(j)]
             for w in wires[c]:
                 owner[w] = c
-        if op.condition is not None:
-            reads = tuple(writer[b] for b in op.condition.bits)
+        if bits:
+            reads = tuple(writer[b] for b in bits)
             last.update(dict.fromkeys(reads, i))
-        slices = _slices(op, wires[c])
-        if op.kind in ("measure", "reset"):
-            q = op.qubits[0]
+        slices = _slices(kind, qubits, pols, wires[c])
+        if kind in _SPLITS:
+            mat, q = None, qubits[0]
             wires[c].remove(q)
             if not wires[c]:
                 del wires[c]
-            last[i] = len(circuit.ops) if op.kind == "measure" and q in circuit.data_qubits else i
-            if op.kind == "measure":
-                writer[op.clbit] = i
+            last[i] = len(t) if kind == KIND["measure"] and q in circuit.data_qubits else i
+            if kind == KIND["measure"]:
+                writer[clbit], measured[q] = i, i
             else:
                 fresh, new = new, new + 1
                 wires[fresh], owner[q] = [q], fresh
-        steps.append((joined, c, slices, reads, fresh))
-    return steps, last, wires
+        steps.append((joined, c, slices, reads, values, mat, fresh))
+    return steps, last, wires, measured
 
 
 def final_width(circuit: Circuit) -> int:
@@ -158,10 +156,10 @@ def final_width(circuit: Circuit) -> int:
     return circuit.n_qubits - int(np.count_nonzero(circuit.ops.kind == KIND["measure"]))
 
 
-def _mix(state: np.ndarray, i0, i1, mat: np.ndarray, fires) -> None:
+def _mix(state: np.ndarray, i0, i1, mat: list, fires) -> None:
     """Replace the slices ``a = state[i0]`` and ``b = state[i1]`` by
     ``mat @ (a, b)``, on the rows where ``fires`` (all if None)."""
-    (m00, m01), (m10, m11) = mat.tolist()
+    (m00, m01), (m10, m11) = mat
     if m01 == 0 and m10 == 0:
         # A diagonal matrix scales the slices in place, each row by its own
         # factor: 1 where the condition does not fire.
@@ -278,7 +276,7 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     # final register of more than sys.maxsize bytes is refused first, in O(ops).
     if 16 * 2 ** min(final_width(circuit), 64) > sys.maxsize:
         raise MemoryError
-    steps, last, final = _plan(circuit)
+    steps, last, final, measured = _plan(circuit)
     ends = set(last.values()) if merge else set()
     tensors = {q: _GROUND.copy() for q in range(circuit.n_qubits)}
     rows: dict[int, np.ndarray] = {}  # cluster -> each branch's row, if it has several
@@ -303,12 +301,12 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
             rows[c] = inverse
         return first
 
-    for i, (op, (joined, c, (i0, i1), reads, fresh)) in enumerate(zip(circuit.ops, steps)):
+    for i, (joined, c, (i0, i1), reads, values, mat, fresh) in enumerate(steps):
         touched.add(c)
-        if op.kind not in ("measure", "reset"):
-            mat, fires = _matrix(op), None
+        if mat is not None:
+            fires = None
             if reads:
-                fires = _fires(op.condition.values, outcomes[:, [column[w] for w in reads]])
+                fires = _fires(values, outcomes[:, [column[w] for w in reads]])
             if len(joined) > 1 or reads:
                 first = join(c, joined, [take_rows(j) for j in joined] + [fires] * bool(reads))
                 fires = None if fires is None or fires[first].all() else fires[first]
@@ -376,7 +374,6 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     active = sorted(order)
     state = tensors.pop(-1, np.ones(1, dtype=complex))
     state = state.transpose([0] + [1 + order.index(w) for w in active])
-    measured = {op.qubits[0]: i for i, op in enumerate(circuit.ops) if op.kind == "measure"}
     out = []
     for r, outs, ph in zip(take_rows(-1).tolist(), outcomes.tolist(), phase.tolist()):
         fixed = {q: outs[column[w]] for q, w in measured.items() if w in column}
@@ -459,7 +456,7 @@ def run(
 
 def statevector(circuit: Circuit) -> np.ndarray:
     """Full state of a measurement-free circuit as a flat vector."""
-    if any(op.kind in ("measure", "reset") for op in circuit.ops):
+    if np.isin(circuit.ops.kind, _SPLITS).any():
         raise ValueError("statevector requires a measurement-free circuit")
     [branch] = run(circuit)
     return branch.residual_state

@@ -128,6 +128,7 @@ class TestValidation:
          "conditions on reset"),
         ((), (2,), "data qubit 2 out of range"),
         ((), (0, 0), "repeated data qubit"),
+        ((Gate("measure", (0,), clbit=2**64),), (0,), "does not fit in 64 bits"),
     ])
     def test_rejects_malformed_op_or_register(self, ops, data_qubits, message):
         with pytest.raises(InvalidCircuit, match=message):
@@ -438,7 +439,9 @@ class TestSerialization:
         ('"values": [1]}', '"values": [1]}, "x": 1', "ops[2].x"),
         ('"kind": "z"', '"kind": "swap"', "ops[2].kind"),
         ('"angle": 0.5}', '"angle": 0.5, "role": 3}', "ops[0].role"),
+        ('"angle": 0.5}', '"angle": 0.5, "polarities": 5}', "ops[0].polarities"),
         ('{"bits": [0], "values": [1]}', "[0, 1]", "ops[2].condition"),
+        ('"values": [1]', f'"values": [{2**64}]', "ops[2].condition.values"),
         (GOOD_DOC, f"[{GOOD_DOC}]", "$"),
     ])
     def test_rejects_malformed_field_at_location(self, old, new, location):
@@ -450,6 +453,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field, value", [
         ("kind", "swap"), ("qubits", [0.5]), ("clbit", "0"), ("role", "loud"), ("extra", 1),
+        ("qubits", [2**70]), ("clbit", 2**64), ("polarities", 5), ("polarities", [0.5]),
     ])
     def test_parse_error_names_the_first_malformed_op(self, field, value):
         x = random_unit(np.random.default_rng(8), 2**8)

@@ -141,6 +141,25 @@ class TestCompile:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("method, code", [
+        ("time", 0), ("dc", 0), ("dc --prune", 0), ("dc --parallelize", 0),
+        ("dc --no-disentangle", 1), ("hybrid --lambda 2", 0),
+    ])
+    def test_compile_and_verify_make_no_gate_records(
+        self, method, code, dense_file, tmp_path, monkeypatch, capsys
+    ):
+        # ``Gate`` records are for callers outside the package: compile and
+        # verify read the op table's columns in both modes.
+        def refuse(table):
+            raise AssertionError("a package path read the ops as Gate records")
+
+        monkeypatch.setattr(sp.circuit.OpTable, "gates", property(refuse))
+        out = str(tmp_path / "c.json")
+        assert main(["compile", dense_file, "--method", *method.split(), "--out", out]) == 0
+        assert main(["verify", out, dense_file]) == code
+        sample = ["--mode", "sample", "--shots", "256", "--seed", "1"]
+        assert main(["verify", out, dense_file, *sample]) == code
+
     def test_round_trip_passes(self, dense_file, tmp_path, capsys):
         out = str(tmp_path / "c.json")
         main(["compile", dense_file, "--method", "dc", "--out", out])
@@ -204,9 +223,10 @@ class TestVerify:
         main(["compile", dense_file, "--method", "dc", "--out", out])
         capsys.readouterr()
         args = ["verify", out, dense_file, "--mode", "sample", "--shots"]
-        assert main(args + [str(10**20)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        for shots in (10**20, 0):
+            assert main(args + [str(shots)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
         assert main(args + [str(2**63 - 1)]) == 0
 
     def test_non_finite_or_bool_document_fields_exit_two(self, tmp_path, capsys):
@@ -388,6 +408,13 @@ class TestDistinguish:
         report = json.loads(capsys.readouterr().out)
         assert report["p_correct_plus"] >= 1 - 1e-10
         assert report["p_correct_minus"] >= 1 - 1e-10
+
+    @pytest.mark.parametrize("plus, minus", [([1, 0], [0, 1, 0, 0]), ([1, 0, 0], [0, 1, 0])])
+    def test_mismatched_or_non_power_of_two_pair_exits_two(self, plus, minus, tmp_path, capsys):
+        p = write_vector(tmp_path, "p.json", plus)
+        m = write_vector(tmp_path, "m.json", minus)
+        assert main(["distinguish", p, m]) == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_not_orthogonal_exits_two(self, tmp_path):
         p = write_vector(tmp_path, "p.json", [1, 0])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stateprep.discrimination import OrthPair, decompose, evaluate_plan, solve_ua
+from stateprep.discrimination import OrthPair, decompose, evaluate_plan, plan_document, solve_ua
 from stateprep.errors import DimensionMismatch, NotOrthogonal, TraceNotZero, ZeroVector
 
 from conftest import random_orthogonal_pair
@@ -134,6 +134,22 @@ class TestDecompose:
         with pytest.raises(NotOrthogonal):
             OrthPair.from_states([1, 0], [np.sqrt(0.5), np.sqrt(0.5)])
 
+    @pytest.mark.parametrize("plus, minus", [
+        ([1, 0], [0, 1, 0, 0]),  # mismatched shapes
+        ([1, 0, 0], [0, 1, 0]),  # not a power of two
+        ([1], [1]),
+    ])
+    def test_malformed_pair_rejected(self, plus, minus):
+        with pytest.raises(DimensionMismatch):
+            OrthPair.from_states(plus, minus)
+
+    def test_complex_plan_document_writes_basis_rows(self):
+        plus, minus = random_orthogonal_pair(np.random.default_rng(5), 4)
+        plan = decompose(OrthPair.from_states(plus, minus))
+        root = plan_document(plan)["root"]
+        assert "angle" not in root and "angle" not in root["on1"]
+        assert np.array_equal(np.array(root["basis"]) @ [1, 1j], plan.bases[0])
+
     def test_huge_entries_normalized(self):
         pair = OrthPair.from_states([1e308, 1e308], [1e308, -1e308])
         assert np.allclose(pair.plus, [np.sqrt(0.5)] * 2, atol=1e-15)
@@ -177,6 +193,9 @@ class TestEvaluatePlan:
         plan = decompose(pair)
         with pytest.raises(DimensionMismatch):
             evaluate_plan(plan, [1, 0])
+        stacked = decompose(OrthPair.from_states([[1, 0, 0, 0]] * 2, [[0, 1, 0, 0]] * 2))
+        with pytest.raises(DimensionMismatch, match="single pair"):
+            evaluate_plan(stacked, [1, 0, 0, 0])
 
     def test_huge_and_zero_states(self):
         plan = decompose(OrthPair.from_states([1, 1], [1, -1]))

@@ -327,6 +327,10 @@ class TestCompileDisentangler:
     def test_rejects_non_unit_input(self):
         with pytest.raises(NonUnitInput):
             compile_disentangler([0.5, 0.5], [1.0, 0.0], [0], 1)
+        with pytest.raises(NonUnitInput, match="real vectors"):
+            compile_disentangler([1j, 0.0], [0.0, 1.0], [0], 1)
+        with pytest.raises(NonUnitInput, match="do not fit"):
+            compile_disentangler([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0], 1)
 
 
 PARALLEL = DcOptions(parallelize=True)

@@ -77,6 +77,14 @@ class TestMidResetFormulas:
             sp.midreset_formulas(2)
 
 
+@pytest.mark.parametrize("formula, args", [
+    (sp.dc_formulas, (0,)), (sp.hybrid_formulas, (0, 1)), (sp.reuse_schedule, (-1, 3)),
+])
+def test_n_out_of_range_rejected(formula, args):
+    with pytest.raises(NOutOfRange):
+        formula(*args)
+
+
 class TestReuseSchedule:
     def test_published_points(self):
         assert sp.reuse_schedule(7, 3).total_circuits == 1

@@ -44,6 +44,21 @@ class TestGateApplication:
         c = Circuit(3, 0, tuple(ops), (0, 1, 2)).validate()
         assert np.linalg.norm(statevector(c)) == pytest.approx(1, abs=1e-12)
 
+    def test_statevector_refuses_measuring_circuit(self):
+        for last in (measure(0, 0), reset(0)):
+            with pytest.raises(ValueError, match="measurement-free"):
+                statevector(Circuit(1, 1, (hadamard(0), last), (0,)))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "sample"}, "positive shot count"),
+    ({"mode": "sample", "shots": 0}, "positive shot count"),
+    ({"mode": "walk"}, "unknown mode"),
+])
+def test_run_refuses_bad_mode_or_shots(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        sp.run(Circuit(1, 1, (hadamard(0), measure(0, 0)), (0,)), **kwargs)
+
 
 class TestEnumerate:
     def test_single_wire_half_half(self):
