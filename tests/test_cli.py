@@ -146,7 +146,7 @@ class TestVerify:
         ("dc --no-disentangle", 1), ("hybrid --lambda 2", 0),
     ])
     def test_compile_and_verify_make_no_gate_records(
-        self, method, code, dense_file, tmp_path, monkeypatch, capsys
+        self, method, code, dense_file, tmp_path, monkeypatch
     ):
         # ``Gate`` records are for callers outside the package: compile and
         # verify read the op table's columns in both modes.
