@@ -4,11 +4,14 @@ Gates, mid-circuit measurements and classically conditioned operations are
 stored as one op table (``OpTable``), an array per field, which synthesis
 emits level by level and ``validate``, ``metrics``, ``serialize`` and the
 simulator read.  ``Circuit.ops`` is that table; read as a sequence it yields
-one ``Gate`` record per op, made when first read.  A sequence of ``Gate``
-records is accepted as ``ops`` and converted once.  A condition fires when
-the integer that previously written classical ``bits`` spell (``bits[0]``
-most significant) is one of ``values``, OpenQASM 3's ``if (c == v)``
-widened to a set.  A ``Circuit`` validates itself when constructed.
+``Gate`` records, made when first read.  A sequence of ``Gate`` records is
+accepted as ``ops`` and converted once.  A condition fires when the integer
+that previously written classical ``bits`` spell (``bits[0]`` most
+significant) is one of ``values``, OpenQASM 3's ``if (c == v)`` widened to
+a set.  A conditioned ``roty`` may hold one angle per value, OpenQASM 3's
+``ry(theta[c]) q;``: one op that the outcome selects the angle of, which
+reads as one record per value.  A ``Circuit`` validates itself when
+constructed.
 ``deserialize`` also reads the older ``{"bits", "table"}`` truth-table form.
 
 Two depth figures are reported.  ``depth_gates`` layers only the loading
@@ -23,9 +26,9 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
@@ -44,7 +47,7 @@ ROLES = (None, ROLE_MEAS_BASIS, ROLE_CORRECT, ROLE_LOAD, ROLE_COMBINE)
 ROLE = {r: code for code, r in enumerate(ROLES)}
 
 # The ragged fields, in the order of the columns of ``OpTable.counts``.
-RAGGED = ("qubits", "polarities", "bits", "values")
+RAGGED = ("qubits", "polarities", "bits", "values", "angle")
 _INT64 = range(-(2**63), 2**63)  # the integers a table's columns hold
 
 
@@ -114,27 +117,36 @@ def reset(q: int) -> Gate:
 @dataclass(frozen=True, eq=False)
 class OpTable:
     """Ops as columns.  Per op: ``kind`` and ``role`` codes (indices into
-    ``KINDS`` and ``ROLES``, -1 for a name neither holds), ``angle`` (NaN
-    where the kind has none) and ``clbit`` (-1 where none).  Each field of
-    ``RAGGED`` is one flat array of every op's entries in op order, and
-    ``counts[i, j]`` is how many entries of ``RAGGED[j]`` op ``i`` has:
-    ``polarities`` one per control qubit of an ``mcroty``, ``bits`` and
-    ``values`` those of its condition, none if it has no condition.
+    ``KINDS`` and ``ROLES``, -1 for a name neither holds) and ``clbit`` (-1
+    where none).  Each field of ``RAGGED`` is one flat array of every op's
+    entries in op order, and ``counts[i, j]`` is how many entries of
+    ``RAGGED[j]`` op ``i`` has: ``polarities`` one per control qubit of an
+    ``mcroty``, ``bits`` and ``values`` those of its condition, none if it
+    has no condition, and ``angle`` one for a rotation, none for other
+    kinds.  A conditioned ``roty`` may instead hold one angle per condition
+    value, aligned with ``values``: the outcome selects the angle, and no
+    rotation is applied if no value matches.
 
-    Callers outside the package read it as a sequence of ``Gate`` records, made on first read."""
+    Callers outside the package read it as a sequence of ``Gate`` records,
+    made on first read: one per op, or one per value of a selected rotation.
+    ``n_ops`` counts the ops and ``len`` the records."""
 
     kind: np.ndarray
     role: np.ndarray
-    angle: np.ndarray
     clbit: np.ndarray
     qubits: np.ndarray
     polarities: np.ndarray
     bits: np.ndarray
     values: np.ndarray
+    angle: np.ndarray
     counts: np.ndarray
 
-    def __len__(self) -> int:
+    @property
+    def n_ops(self) -> int:
         return len(self.kind)
+
+    def __len__(self) -> int:
+        return int(np.maximum(self.counts[:, 4], 1).sum())
 
     def __getitem__(self, i):
         return self.gates[i]
@@ -144,21 +156,22 @@ class OpTable:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OpTable) and all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name), f.name == "angle")
-            for f in fields(self)
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
-        qubits, pols, bits, values = (map(tuple, self.rows(j)) for j in range(len(RAGGED)))
-        return tuple(
-            Gate(KINDS[k], q, None if a != a else a, None if c < 0 else c,
-                 p if k == KIND["mcroty"] else None, Condition(b, v) if b else None, ROLES[r])
-            for k, r, a, c, q, p, b, v in zip(
-                self.kind.tolist(), self.role.tolist(), self.angle.tolist(),
-                self.clbit.tolist(), qubits, pols, bits, values,
-            )
-        )
+        def records(k, r, c, q, p, b, v, a):
+            gate = Gate(KINDS[k], q, a[0] if a else None, None if c < 0 else c,
+                        p if k == KIND["mcroty"] else None, Condition(b, v) if b else None, ROLES[r])
+            if len(a) < 2:
+                return (gate,)
+            return (replace(gate, angle=x, condition=Condition(b, (y,))) for x, y in zip(a, v))
+
+        return tuple(chain.from_iterable(map(
+            records, self.kind.tolist(), self.role.tolist(), self.clbit.tolist(),
+            *((map(tuple, self.rows(j))) for j in range(len(RAGGED))),
+        )))
 
     def offsets(self, j: int) -> np.ndarray:
         """Where each op's entries of ``RAGGED[j]`` start, then where the last ends."""
@@ -171,7 +184,7 @@ class OpTable:
 
     def owner(self, j: int) -> np.ndarray:
         """The op holding each entry of ``RAGGED[j]``."""
-        return np.repeat(np.arange(len(self)), self.counts[:, j])
+        return np.repeat(np.arange(self.n_ops), self.counts[:, j])
 
     def take(self, order) -> OpTable:
         """The ops at the indices ``order``, in that order."""
@@ -179,7 +192,7 @@ class OpTable:
         for j, name in enumerate(RAGGED):
             c = counts[:, j]
             flats.append(getattr(self, name)[np.repeat(self.offsets(j)[order], c) + ranges(c)])
-        columns = (self.kind, self.role, self.angle, self.clbit)
+        columns = (self.kind, self.role, self.clbit)
         return OpTable(*(col[order] for col in columns), *flats, counts)
 
     @staticmethod
@@ -197,36 +210,37 @@ class OpTable:
                 raise InvalidCircuit(f"op {i}: {width} condition bits, not 1 to 63")
         conds = [g.condition or Condition((), ()) for g in gates]
         ragged = ([g.qubits for g in gates], [g.polarities or () for g in gates],
-                  [c.bits for c in conds], [c.values for c in conds])
+                  [c.bits for c in conds], [c.values for c in conds],
+                  [() if g.angle is None else (g.angle,) for g in gates])
         try:
             table = op_table(
                 [KIND.get(g.kind, -1) for g in gates],
                 *[(list(chain.from_iterable(r)), list(map(len, r))) for r in ragged],
                 role=[ROLE.get(g.role, -1) for g in gates],
-                angle=[g.angle for g in gates],
                 clbit=[-1 if g.clbit is None else g.clbit for g in gates],
             )
         except OverflowError:
             raise InvalidCircuit("an integer field does not fit in 64 bits") from None
-        table.__dict__["gates"] = gates
+        table.__dict__["gates"] = table.__dict__["given"] = gates
         return table
 
 
-def op_table(kind, qubits, polarities=None, bits=None, values=None, *, role=0, angle=np.nan,
+def op_table(kind, qubits, polarities=None, bits=None, values=None, angle=None, *, role=0,
              clbit=-1) -> OpTable:
-    """A table from columns.  ``kind``, ``role``, ``angle`` and ``clbit``
-    hold a value per op or one for all (codes for ``kind`` and ``role``).
-    Each ragged field is a 2-d array with a row per op, a pair (flat
-    entries, count per op), or None for no entries."""
+    """A table from columns.  ``kind``, ``role`` and ``clbit`` hold a value
+    per op or one for all (codes for ``kind`` and ``role``).  Each ragged
+    field is a 2-d array with a row per op, a pair (flat entries, count per
+    op), or None for no entries."""
     n = len(qubits[1]) if isinstance(qubits, tuple) else len(qubits)
     counts, flats = np.zeros((n, len(RAGGED)), dtype=np.int64), []
-    for j, x in enumerate((qubits, polarities, bits, values)):
+    for j, x in enumerate((qubits, polarities, bits, values, angle)):
+        dtype = float if RAGGED[j] == "angle" else np.int64
         if x is None:
             x = ((), 0)
         elif not isinstance(x, tuple):
-            x = np.asarray(x, dtype=np.int64)
+            x = np.asarray(x, dtype=dtype)
             x = (x.reshape(-1), x.shape[1])
-        flats.append(np.array(x[0], dtype=np.int64))
+        flats.append(np.array(x[0], dtype=dtype))
         counts[:, j] = x[1]
 
     def column(value, dtype):
@@ -234,8 +248,8 @@ def op_table(kind, qubits, polarities=None, bits=None, values=None, *, role=0, a
         out[...] = value
         return out
 
-    return OpTable(column(kind, np.int8), column(role, np.int8), column(angle, float),
-                   column(clbit, np.int64), *flats, counts)
+    return OpTable(column(kind, np.int8), column(role, np.int8), column(clbit, np.int64),
+                   *flats, counts)
 
 
 def ranges(counts: np.ndarray) -> np.ndarray:
@@ -266,8 +280,13 @@ class Circuit:
         if self.n_qubits < 0 or self.n_clbits < 0:
             raise InvalidCircuit(f"negative register size {self.n_qubits}, {self.n_clbits}")
         t, errors = self.ops, []  # (op, message), in the order one op's checks run
-        kind, c, v, (nq, npol, nb, _) = t.kind, t.clbit, t.values, t.counts.T
+        c, v, (nq, npol, nb, nv, na) = t.clbit, t.values, t.counts.T
         q, qown, b, bown, vown = t.qubits, t.owner(0), t.bits, t.owner(2), t.owner(3)
+        given = t.__dict__.get("given", ())  # the records a table was made from, one per op
+
+        def unknown(field, codes, names):  # worded by the name its record gave, else the code
+            return (codes < 0) | (codes >= len(names)), lambda i: f"unknown {field} " + (
+                repr(getattr(given[i], field)) if given else f"code {codes[i]}")
 
         def check(bad, message, owner=None):
             """Note ``message(i)`` for the first op ``i`` where ``bad`` holds,
@@ -277,21 +296,25 @@ class Circuit:
                 errors.append((j if owner is None else int(owner[j]), message(j)))
 
         def any_entry(bad, owner):
-            out = np.zeros(len(t), dtype=bool)
+            out = np.zeros(t.n_ops, dtype=bool)
             out[owner[bad]] = True
             return out
 
+        bad_kind, message = unknown("kind", t.kind, KINDS)
+        check(bad_kind, message)
+        kind = np.where(bad_kind, -1, t.kind)  # a code that indexes ``KINDS``
         measure, mcroty = kind == KIND["measure"], kind == KIND["mcroty"]
-        check(kind < 0, lambda i: f"unknown kind {t[i].kind!r}")
-        check(_repeats(q, qown, len(t)), lambda i: f"repeated qubit in {tuple(t.rows(0)[i])}")
+        check(_repeats(q, qown, t.n_ops), lambda i: f"repeated qubit in {tuple(t.rows(0)[i])}")
         measured = measure & (nq > 0)
         out = (q < 0) | (q >= self.n_qubits)
         after = _after(q[t.offsets(0)[:-1][measured]], np.flatnonzero(measured), q, qown)
         check(out | after, lambda j: f"qubit {q[j]} " + (
             "out of range" if out[j] else "used after its measurement"), qown)
         angled = np.isin(kind, [KIND[k] for k in ANGLE_KINDS])
-        check(np.isnan(t.angle) == angled, lambda i: f"angle mismatch for kind {KINDS[kind[i]]!r}")
-        check(np.isinf(t.angle), lambda i: f"angle {t.angle[i]} is not finite")
+        check((na > 0) != angled, lambda i: f"angle mismatch for kind {KINDS[kind[i]]!r}")
+        check(~np.isfinite(t.angle), lambda j: f"angle {t.angle[j]} is not finite", t.owner(4))
+        several = (na > 1) & ((kind != KIND["roty"]) | (na != nv))
+        check(several, lambda i: f"{na[i]} angles: only a conditioned roty has one per value")
         arity = np.where(kind == KIND["cswap"], 3, 1)
         check(~mcroty & (nq != arity), lambda i: f"{KINDS[kind[i]]} needs {arity[i]} qubit(s)")
         check(mcroty & (npol != nq - 1), lambda i: "bad mcroty polarities")
@@ -301,7 +324,7 @@ class Circuit:
         check(measure & ((c < 0) | (c >= self.n_clbits)),
               lambda i: f"bad clbit {None if c[i] == -1 else c[i]}")
         written = np.flatnonzero(measure)
-        twice = _after(c[written], written, c, np.arange(len(t)))
+        twice = _after(c[written], written, c, np.arange(t.n_ops))
         check(measure & twice, lambda i: f"clbit {c[i]} written twice")
         check(~measure & (c >= 0), lambda i: "clbit only valid on measure")
         fixed = (nb > 0) & (measure | (kind == KIND["reset"]))
@@ -310,10 +333,10 @@ class Circuit:
         check(any_entry(descends, vown[1:]), lambda i: "condition values must ascend strictly")
         big = np.right_shift(v, nb[vown]) != 0  # a condition reads 1 to 63 bits
         check(any_entry(big, vown), lambda i: "condition value out of range")
-        check(_repeats(b, bown, len(t)), lambda i: f"repeated clbit in {tuple(t.rows(2)[i])}")
+        check(_repeats(b, bown, t.n_ops), lambda i: f"repeated clbit in {tuple(t.rows(2)[i])}")
         unwritten = ~_after(c[written], written, b, bown)
         check(unwritten, lambda j: f"condition reads unmeasured bit {b[j]}", bown)
-        check(t.role < 0, lambda i: f"unknown role {t[i].role!r}")
+        check(*unknown("role", t.role, ROLES))
         if errors:
             i, message = min(errors, key=lambda e: e[0])
             raise InvalidCircuit(f"op {i}: {message}")
@@ -367,8 +390,9 @@ def _asap(t: OpTable) -> tuple[list[int | None], list[int]]:
     gate = (t.kind < len(UNITARY_KINDS)) & (t.counts[:, 2] == 0)
     gate &= t.role != ROLE[ROLE_MEAS_BASIS]
     # Ops that all count and all touch the first one's first wire run one per layer.
-    if gate.all() and np.bincount(t.owner(0)[t.qubits == t.qubits[:1]], minlength=len(t)).all():
-        return list(range(len(t))), list(range(len(t)))
+    n = t.n_ops
+    if gate.all() and np.bincount(t.owner(0)[t.qubits == t.qubits[:1]], minlength=n).all():
+        return list(range(n)), list(range(n))
     # Wires and classical bits numbered from 0, so plain lists hold the layer
     # each is next free in; an op without a clbit writes the slot of -1.
     wire = np.unique(t.qubits, return_inverse=True)[1].reshape(-1).tolist()
@@ -395,8 +419,11 @@ def _asap(t: OpTable) -> tuple[list[int | None], list[int]]:
 
 
 def layers(circuit: Circuit, full: bool = True) -> list[int | None]:
-    """Layer index per op; with ``full=False`` only the gate-depth ops."""
-    return _asap(circuit.ops)[full]
+    """Layer index of each ``Gate`` record of ``circuit.ops``, the records of
+    one selected rotation sharing its layer; with ``full=False`` only the
+    gate-depth ops."""
+    per_record = np.maximum(circuit.ops.counts[:, 4], 1).tolist()
+    return list(chain.from_iterable(map(repeat, _asap(circuit.ops)[full], per_record)))
 
 
 def metrics(circuit: Circuit) -> ResourceReport:
@@ -452,7 +479,10 @@ def serialize(circuit: Circuit) -> str:
         separators=(",", ":"),
     )
     kinds = t.kind.tolist()
-    angles = [f'],"angle":{_number(a)}' if a == a else "]" for a in t.angle.tolist()]
+    numbers = map(_number, t.angle.tolist())  # read in op order, each op its count
+    angles = ["]" if k == 0 else f'],"angle":{next(numbers)}' if k == 1 else
+              f'],"angle":[{",".join(islice(numbers, k))}]' for k in t.counts[:, 4].tolist()]
+    del numbers  # and with it the list of floats, before the larger parts are built
     clbits = [f',"clbit":{c}' if c >= 0 else "" for c in t.clbit.tolist()]
     pols = [f',"polarities":[{p}]' if k == KIND["mcroty"] else ""
             for k, p in zip(kinds, _joined(t, 1))]
@@ -511,10 +541,12 @@ def _check_op(doc, i: int) -> None:
         raise ParseError(f"unknown op kind {doc['kind']!r}", f"{where}.kind")
     _parse_int_list(_expect(doc, "qubits", list, where), f"{where}.qubits")
     angle = doc.get("angle")
+    angles = angle if type(angle) is list and angle else [angle]
     # The bound refuses NaN, infinities and integers no float can hold.
-    finite = type(angle) in (int, float) and abs(angle) <= sys.float_info.max
-    if angle is not None and not finite:
-        raise ParseError("angle must be a finite number", f"{where}.angle")
+    if angle is not None and not all(
+        type(a) in (int, float) and abs(a) <= sys.float_info.max for a in angles
+    ):
+        raise ParseError("angle must be a finite number or a list of them", f"{where}.angle")
     if doc.get("clbit") is not None and not (type(doc["clbit"]) is int and doc["clbit"] in _INT64):
         raise ParseError("clbit must be a 64-bit integer", f"{where}.clbit")
     if doc.get("polarities") is not None:
@@ -556,10 +588,13 @@ def _columns(docs: list) -> OpTable:
     kind, role = list(map(KIND.get, kinds)), list(map(ROLE.get, roles, repeat(-1)))
     if None in kind or -1 in role or not set(map(type, clbits)) <= {none, int}:
         raise ValueError
-    if not set(map(type, angles)) <= {none, int, float}:
+    # An op holds no angle, one, or a list of them.
+    angles = [a if type(a) is list else () if a is None else (a,) for a in angles]
+    angle = list(chain.from_iterable(angles))
+    if [] in angles or not set(map(type, angle)) <= {int, float}:
         raise ValueError
-    angle = np.array(angles, dtype=float)  # None reads as NaN
-    if np.isinf(angle).any() or np.count_nonzero(np.isnan(angle)) != angles.count(None):
+    angle = (np.array(angle, dtype=float), list(map(len, angles)))
+    if not np.isfinite(angle[0]).all():
         raise ValueError
     has = np.array(list(map(dict.__contains__, docs, repeat("condition"))), dtype=bool)
     conds = column("condition", compress(docs, has))
@@ -578,7 +613,7 @@ def _columns(docs: list) -> OpTable:
         ragged.append((flat, counts))
     return op_table(
         kind, _ints(column("qubits")), _ints(column("polarities"), optional=True), *ragged,
-        role=role, angle=angle, clbit=[-1 if x is None else x for x in clbits],
+        angle, role=role, clbit=[-1 if x is None else x for x in clbits],
     )
 
 

@@ -43,14 +43,17 @@ def _load_vector(path: str) -> np.ndarray:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise ValueError(f"{path}: expected an object with an 'amplitudes' field")
-    amps = doc["amplitudes"]
-    # ``type`` rather than ``isinstance`` so that JSON booleans are refused;
-    # the bound refuses NaN, infinities and integers no float can hold.
-    if not isinstance(amps, list) or not all(
-        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in amps
-    ):
-        raise ValueError(f"{path}: amplitudes must be a list of finite numbers")
-    return np.asarray(amps, dtype=float)
+    amps, message = doc["amplitudes"], f"{path}: amplitudes must be a list of finite numbers"
+    # ``type`` rather than ``isinstance`` so that JSON booleans are refused.
+    if not isinstance(amps, list) or not set(map(type, amps)) <= {int, float}:
+        raise ValueError(message)
+    try:
+        vector = np.asarray(amps, dtype=float)
+    except OverflowError:  # an integer that no float can hold
+        raise ValueError(message) from None
+    if not np.isfinite(vector).all():
+        raise ValueError(message)
+    return vector
 
 
 def cmd_compile(args) -> int:

@@ -90,8 +90,8 @@ def _loads(tree: AmplitudeTree, nodes: list[tuple[int, int]], prune: bool) -> Op
         angle, wires = angle[kept], wires[kept]
     kind = np.where(np.abs(angle - np.pi) <= ANGLE_TOL, KIND["x"], KIND["roty"])
     kind[np.abs(angle - np.pi / 2.0) <= ANGLE_TOL] = KIND["h"]
-    return op_table(kind, wires[:, None], role=ROLE[ROLE_LOAD],
-                    angle=np.where(kind == KIND["roty"], angle, np.nan))
+    rotation = kind == KIND["roty"]
+    return op_table(kind, wires[:, None], angle=(angle[rotation], rotation), role=ROLE[ROLE_LOAD])
 
 
 def compile_disentangler(
@@ -151,22 +151,27 @@ def compile_disentangler(
     # that spell ``path``, first outcome most significant, which is how a
     # condition reads bits.  Every leaf pair is labelled (+, -), so the
     # antisymmetric outcomes are the odd paths (even ones when flipped).
-    # Each stage follows one template: per wire ``k`` its ``2**k`` basis
-    # rotations (slot ``node`` >= 0) then its measurement (-1); then the
-    # correction (-2), on the control wire, column ``m`` of ``targets``.
+    # Each stage follows one template: per wire ``k`` one rotation, whose
+    # angle the path selects among the ``2**k`` nodes it keeps (slot ``2k``),
+    # then its measurement (``2k + 1``); then the correction (``2m``), on
+    # the control wire, column ``m`` of ``targets``.
     size = 2**m - 1
-    node = np.array([v for k in range(m) for v in (*range(2**k - 1, 2 ** (k + 1) - 1), -1)] + [-2])
-    depth = np.array([k for k in range(m) for _ in range(2**k + 1)] + [m])
+    depth = np.repeat(np.arange(m), 2 ** np.arange(m))  # of each plan node
     stage_angles, keep = np.zeros((len(wires), size)), np.zeros((len(wires), size), dtype=bool)
     stage_angles[live], keep[live] = angles, np.abs(angles) > ANGLE_TOL
-    emit = np.where(node >= 0, keep[:, np.maximum(node, 0)], (node == -1) | ~equal[:, None])
+    kept = np.add.reduceat(keep, 2 ** np.arange(m) - 1, axis=1, dtype=np.int64)  # per wire
+    emit = np.ones((len(wires), 2 * m + 1), dtype=bool)
+    emit[:, :-1:2], emit[:, -1] = kept > 0, ~equal
     stage, slot = np.nonzero(emit)
-    node, k = node[slot], depth[slot]
-    rotation, measured = node >= 0, node == -1
+    k = slot // 2
+    rotation, measured = (slot % 2 == 0) & (k < m), slot % 2 == 1
     first = first_clbit + m * stage  # each stage's first classical bit
-    n_bits = np.where(rotation, k, np.where(measured, 0, m))
-    n_values = np.where(rotation, k > 0, np.where(measured, 0, 2 ** (m - 1)))
-    correct_from = 1 - flipped[stage].astype(np.int64)
+    n_bits = np.where(measured, 0, k)
+    n_angles = np.where(rotation, kept[stage, np.minimum(k, m - 1)], 0)
+    n_values = np.where(rotation, n_angles * (k > 0), np.where(measured, 0, 2 ** (m - 1)))
+    values = np.repeat(1 - flipped[stage].astype(np.int64), n_values) + 2 * ranges(n_values)
+    path = np.broadcast_to(np.arange(size) + 1 - 2**depth, keep.shape)
+    values[np.repeat(rotation, n_values)] = path[keep & (depth > 0)]
     targets = np.column_stack((np.reshape(np.array(wires, dtype=np.int64), (len(wires), m)),
                                control_wire))
     return op_table(
@@ -174,10 +179,9 @@ def compile_disentangler(
         targets[stage, k][:, None],
         None,
         (np.repeat(first, n_bits) + ranges(n_bits), n_bits),
-        (np.repeat(np.where(rotation, node + 1 - 2**k, correct_from), n_values)
-         + 2 * ranges(n_values), n_values),
+        (values, n_values),
+        (stage_angles[keep], n_angles),
         role=np.where(rotation, ROLE[ROLE_MEAS_BASIS], np.where(measured, 0, ROLE[ROLE_CORRECT])),
-        angle=np.where(rotation, stage_angles[stage, np.maximum(node, 0)], np.nan),
         clbit=np.where(measured, first + k, -1),
     )
 
@@ -247,7 +251,7 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
 
     # Each op's slot in the parallel schedule: twice its layer, plus one
     # after the level's swaps.
-    slots = [np.zeros(sum(map(len, parts)), dtype=np.int64)]
+    slots = [np.zeros(sum(part.n_ops for part in parts), dtype=np.int64)]
     next_bit = 0
     reports: list[StageReport] = []
     for level in range(block_level - 1, -1, -1):
@@ -271,7 +275,7 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
             states[pos], states[pos + 1], rights.tolist(), controls.tolist(), first_clbit=next_bit
         )
         parts.append(stage_ops)
-        slots.append(np.full(len(stage_ops), 2 * run_layers[-1] + 1))
+        slots.append(np.full(stage_ops.n_ops, 2 * run_layers[-1] + 1))
         # Each of these ops has one wire, so its index is that of its qubit.
         fixes = np.flatnonzero(stage_ops.role == ROLE[ROLE_CORRECT]).tolist()
         rows = stage_ops.rows(3)

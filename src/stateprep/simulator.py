@@ -6,7 +6,8 @@ Wires that no op has yet joined are independent, so the state is kept as
 *clusters*, each a tensor of rows with an axis per wire; a branch names
 one row of every cluster.  An op joins the clusters of its wires into the
 distinct row tuples that the branches use, and a conditioned op splits
-its rows by whether it fires.  Nothing conditions a measurement, so the
+its rows by the matrix that their outcomes select: one, or one per value
+of a selected rotation, or none.  Nothing conditions a measurement, so the
 clusters and each op's two slices are planned once per circuit
 (``_plan``).  A ``measure`` or ``reset`` splits each branch in two,
 outcome 0 first, so branches stay in lexicographic outcome order; the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import KIND, KINDS, RAGGED, Circuit
+from .circuit import KIND, KINDS, Circuit, ranges
 from .errors import DimensionMismatch, TooManyBranches
 from .tolerances import BRANCH_PROB_TOL, FIDELITY_TOL, MERGE_BOUND_TOL, MERGE_TOL, PROB_SUM_TOL
 from .tree import normalize
@@ -105,26 +106,33 @@ def _slices(kind: int, qubits: list[int], polarities: list[int], wires: list[int
 def _plan(circuit: Circuit):
     """The walk, read from the op table.  Per op: (the clusters it joins,
     the one it acts on, its two slices there, the splitting ops whose bits
-    its condition reads, the values on which it fires, its matrix or None
-    for a split, the new cluster of a reset wire).  Per splitting op, the
-    last op that needs its outcome; a measured data wire's outcome places
-    the data state, so it is needed to the end.  The clusters left at the
-    end, and the op that measures each measured wire."""
+    its condition reads, the values on which it fires, its matrices or None
+    for a split, the new cluster of a reset wire).  An op's matrices are
+    the identity, then its kind's matrix or one per angle, in reverse order
+    of the angles (see ``_selects``).  Per splitting op, the last op that
+    needs its outcome; a measured data wire's outcome places the data state,
+    so it is needed to the end.  The clusters left at the end, and the op
+    that measures each measured wire."""
     t, n = circuit.ops, circuit.n_qubits
-    mats = _KIND_MATRICES[t.kind]
-    rot = np.isin(t.kind, (KIND["roty"], KIND["mcroty"]))
-    cos, sin = np.cos(t.angle[rot] / 2.0), np.sin(t.angle[rot] / 2.0)
-    mats[rot] = np.stack((cos, -sin, sin, cos), axis=1).reshape(-1, 2, 2)
-    z = t.kind == KIND["rotz"]
-    mats[z, 0, 0], mats[z, 1, 1] = np.exp(-0.5j * t.angle[z]), np.exp(0.5j * t.angle[z])
+    kind, na = np.repeat(t.kind, t.counts[:, 4]), t.counts[:, 4]  # per angle; per op
+    cos, sin = np.cos(t.angle / 2.0), np.sin(t.angle / 2.0)
+    turns = np.stack((cos, -sin, sin, cos), axis=1).reshape(-1, 2, 2).astype(complex)
+    z = kind == KIND["rotz"]
+    turns[z] = 0.0
+    turns[z, 0, 0], turns[z, 1, 1] = np.exp(-0.5j * t.angle[z]), np.exp(0.5j * t.angle[z])
+    own = np.concatenate((np.eye(2, dtype=complex)[None], _KIND_MATRICES[t.kind], turns))
+    size = np.maximum(na, 1) + 1
+    j, op = ranges(size), np.repeat(np.arange(t.n_ops), size)
+    pick = np.where(na[op] > 0, 1 + t.n_ops + t.offsets(4)[op] + na[op] - j, 1 + op)
+    stacks, bounds = own[np.where(j > 0, pick, 0)], np.cumsum(size).tolist()
     wires = {q: [q] for q in range(n)}  # cluster -> its wires, one axis each
     owner = list(range(n))
     writer: dict[int, int] = {}  # clbit -> the op that measured it
     last: dict[int, int] = {}  # splitting op -> the last op that needs its outcome
     measured: dict[int, int] = {}  # wire -> the op that measured it
     steps, new = [], n
-    ops = zip(t.kind.tolist(), t.clbit.tolist(), mats.tolist(), *map(t.rows, range(len(RAGGED))))
-    for i, (kind, clbit, mat, qubits, pols, bits, values) in enumerate(ops):
+    ops = zip(t.kind.tolist(), t.clbit.tolist(), [0] + bounds, bounds, *map(t.rows, range(4)))
+    for i, (kind, clbit, start, stop, qubits, pols, bits, values) in enumerate(ops):
         joined = tuple(dict.fromkeys(owner[q] for q in qubits))
         c, fresh, reads = joined[0], None, ()
         if len(joined) > 1:
@@ -135,19 +143,19 @@ def _plan(circuit: Circuit):
         if bits:
             reads = tuple(writer[b] for b in bits)
             last.update(dict.fromkeys(reads, i))
-        slices = _slices(kind, qubits, pols, wires[c])
+        slices, mats = _slices(kind, qubits, pols, wires[c]), stacks[start:stop]
         if kind in _SPLITS:
-            mat, q = None, qubits[0]
+            mats, q = None, qubits[0]
             wires[c].remove(q)
             if not wires[c]:
                 del wires[c]
-            last[i] = len(t) if kind == KIND["measure"] and q in circuit.data_qubits else i
+            last[i] = t.n_ops if kind == KIND["measure"] and q in circuit.data_qubits else i
             if kind == KIND["measure"]:
                 writer[clbit], measured[q] = i, i
             else:
                 fresh, new = new, new + 1
                 wires[fresh], owner[q] = [q], fresh
-        steps.append((joined, c, slices, reads, values, mat, fresh))
+        steps.append((joined, c, slices, reads, values, mats, fresh))
     return steps, last, wires, measured
 
 
@@ -156,40 +164,50 @@ def final_width(circuit: Circuit) -> int:
     return circuit.n_qubits - int(np.count_nonzero(circuit.ops.kind == KIND["measure"]))
 
 
-def _mix(state: np.ndarray, i0, i1, mat: list, fires) -> None:
-    """Replace the slices ``a = state[i0]`` and ``b = state[i1]`` by
-    ``mat @ (a, b)``, on the rows where ``fires`` (all if None)."""
-    (m00, m01), (m10, m11) = mat
-    if m01 == 0 and m10 == 0:
+def _mix(state: np.ndarray, i0, i1, mats: np.ndarray, sel) -> None:
+    """Replace the slices ``a = state[i0]`` and ``b = state[i1]`` of each
+    row ``r`` by ``mats[sel[r]] @ (a, b)``.  ``mats[0]`` is the identity,
+    and ``sel`` None selects ``mats[1]`` on every row."""
+    if sel is not None and (sel == sel[0]).all():
+        if sel[0] == 0:
+            return
+        mats, sel = mats[[0, sel[0]]], None
+    if sel is None:
+        (m00, m01), (m10, m11) = mats[1].tolist()
+        diagonal = m01 == 0 and m10 == 0
+    elif not (diagonal := not mats[:, [0, 1], [1, 0]].any()):
+        rows = np.flatnonzero(sel)  # only the rows that select a rotation
+        sel, i0, i1 = sel[rows], (rows,) + i0[1:], (rows,) + i1[1:]
+    a, b = state[i0], state[i1]  # views, or copies of the selecting rows
+    if sel is not None:
+        m = mats[sel].reshape((len(sel), 4) + (1,) * (a.ndim - 1))
+        m00, m01, m10, m11 = m.swapaxes(0, 1)
+    if diagonal:
         # A diagonal matrix scales the slices in place, each row by its own
         # factor: 1 where the condition does not fire.
-        a, b = state[i0], state[i1]
-        if fires is not None:
-            shape = (-1,) + (1,) * (a.ndim - 1)
-            m00, m11 = (np.where(fires, m, 1).reshape(shape) for m in (m00, m11))
         a *= m00
         b *= m11
         return
-    if fires is not None:
-        rows = np.flatnonzero(fires)
-        i0, i1 = (rows,) + i0[1:], (rows,) + i1[1:]
-    a, b = state[i0], state[i1]  # views, or copies of the rows that fire
     tmp = a.copy()
     a *= m00
     a += m01 * b
     b *= m11
     b += m10 * tmp
-    if fires is not None:
+    if sel is not None:
         state[i0], state[i1] = a, b
 
 
-def _fires(values, bits: np.ndarray) -> np.ndarray:
-    """Whether the integer each row of ``bits`` spells (first column most
-    significant, at most 63 columns) is one of ``values``, which ascend."""
+def _selects(values, n: int, bits: np.ndarray) -> np.ndarray:
+    """Per row of ``bits``, the one of an op's ``n`` matrices it selects: 0
+    unless the integer it spells (first column most significant, at most 63
+    columns) is in ``values``, which ascend; else 1 for one matrix, or ``n``
+    minus the value's index, so that a join orders rows as one op per value
+    would, and a selected rotation walks bit for bit as its records do."""
     place = 1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64)
     idx = bits @ place
     values = np.array((*values, -1), dtype=np.int64)
-    return values[np.searchsorted(values[:-1], idx)] == idx
+    pos = np.searchsorted(values[:-1], idx)
+    return np.where(values[pos] == idx, n - pos if n > 1 else 1, 0)
 
 
 def _norm_sq(a: np.ndarray) -> np.ndarray:
@@ -301,17 +319,16 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
             rows[c] = inverse
         return first
 
-    for i, (joined, c, (i0, i1), reads, values, mat, fresh) in enumerate(steps):
+    for i, (joined, c, (i0, i1), reads, values, mats, fresh) in enumerate(steps):
         touched.add(c)
-        if mat is not None:
-            fires = None
+        if mats is not None:
+            sel = None
             if reads:
-                fires = _fires(values, outcomes[:, [column[w] for w in reads]])
+                sel = _selects(values, len(mats) - 1, outcomes[:, [column[w] for w in reads]])
             if len(joined) > 1 or reads:
-                first = join(c, joined, [take_rows(j) for j in joined] + [fires] * bool(reads))
-                fires = None if fires is None or fires[first].all() else fires[first]
-            if fires is None or fires.any():
-                _mix(tensors[c], i0, i1, mat, fires)
+                first = join(c, joined, [take_rows(j) for j in joined] + [sel] * bool(reads))
+                sel = None if sel is None else sel[first]
+            _mix(tensors[c], i0, i1, mats, sel)
         else:
             t, r = tensors.pop(c), take_rows(c)
             probs = np.stack((_norm_sq(t[i0]), _norm_sq(t[i1])), axis=1)

@@ -29,4 +29,4 @@ def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> O
     pols = (np.repeat(p, k) >> (np.repeat(k, k) - 1 - ranges(k))) & 1
     qubits = np.asarray(wires, dtype=np.int64)[ranges(k + 1)]
     kind = np.where(k > 0, KIND["mcroty"], KIND["roty"])
-    return op_table(kind, (qubits, k + 1), (pols, k), role=ROLE[ROLE_LOAD], angle=angle)
+    return op_table(kind, (qubits, k + 1), (pols, k), angle=angle[:, None], role=ROLE[ROLE_LOAD])

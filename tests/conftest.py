@@ -202,25 +202,34 @@ def reference_report(circuit, target, **run_kwargs):
 
 
 def oracle_layers(circuit, full=True):
-    """Reference ASAP schedule: one pass per depth figure.
+    """Reference ASAP schedule: one pass per depth figure, over the
+    circuit's ``Gate`` records.
 
     Gate depth keeps only unconditioned unitaries that are not
-    measurement-basis rotations; every other op gets ``None``.
+    measurement-basis rotations; every other op gets ``None``.  A selected
+    rotation (a ``roty`` holding one angle per condition value) reads as one
+    record per value, and those records take one layer together: at most
+    one of them fires in a branch.
     """
     def keep(op):
         if full:
             return True
         return op.is_unitary and op.condition is None and op.role != "meas_basis"
 
+    records = list(circuit.ops)
+    # Each op's records: one per angle of a selected rotation, else one.
+    ends = np.cumsum(np.maximum(circuit.ops.counts[:, 4], 1)).tolist()
     wire_free, bit_ready, out = {}, {}, []
-    for op in circuit.ops:
+    for start, end in zip([0] + ends, ends):
+        group = records[start:end]
+        op = group[0]
         if not keep(op):
-            out.append(None)
+            out += [None] * len(group)
             continue
         layer = max([wire_free.get(q, 0) for q in op.qubits], default=0)
         if op.condition is not None:
             layer = max([layer] + [bit_ready.get(b, 0) for b in op.condition.bits])
-        out.append(layer)
+        out += [layer] * len(group)
         for q in op.qubits:
             wire_free[q] = layer + 1
         if op.kind == "measure":

@@ -86,7 +86,8 @@ class TestCompile:
         out = str(tmp_path / "c.json")
         assert main(["compile", dense_file, "--method", "dc", "--out", out]) == 0
         bad = tmp_path / "bad.json"
-        for amps in ("[NaN, 1, 1, 1]", "[Infinity, 1, 1, 1]", "[true, false]", "[1e400, 1]"):
+        for amps in ("[NaN, 1, 1, 1]", "[Infinity, 1, 1, 1]", "[true, false]", "[1e400, 1]",
+                     "[1" + "0" * 399 + ", 1]"):
             bad.write_text('{"amplitudes": %s}' % amps)
             assert main(["compile", str(bad), "--method", "dc", "--out", out + "2"]) == 2, amps
             assert main(["verify", out, str(bad)]) == 2, amps
@@ -535,3 +536,22 @@ def test_exact_documents(name, tmp_path, capsys):
     want = (DATA / "exact" / f"{name}.json").read_text()
     assert out.read_text() == want
     assert sp.serialize(sp.deserialize(want)) == want
+
+
+@pytest.mark.parametrize("name", sorted(set(EXACT) - {"time_dense_n6"}))
+def test_per_value_documents_read_as_selected_ones(name, capsys):
+    # ``exact/per_value_<name>.json`` holds the same compile with one op per
+    # condition value, as documents were written before selected rotations.
+    older, newer = DATA / "exact" / f"per_value_{name}.json", DATA / "exact" / f"{name}.json"
+    a, b = sp.deserialize(older.read_text()), sp.deserialize(newer.read_text())
+    assert sp.serialize(a) == older.read_text()
+    assert a.ops.n_ops > b.ops.n_ops
+    assert (a.n_qubits, a.n_clbits, a.data_qubits) == (b.n_qubits, b.n_clbits, b.data_qubits)
+    assert tuple(a.ops) == tuple(b.ops)
+    vector = str(DATA / f"golden_{EXACT[name][0]}_vector.json")
+    reports = []
+    for doc in (older, newer):
+        reports.append((main(["verify", str(doc), vector]), *capsys.readouterr()))
+    assert reports[0] == reports[1]
+    # Parallelized, dense n=6 joins clusters past the default branch cap.
+    assert reports[0][0] == (2 if "parallel" in name else 0)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -185,6 +186,34 @@ class TestConditions:
         assert [b.outcomes for b in sampled] == [b.outcomes for b in got]
         for s_branch, e_branch in zip(sampled, got):
             assert np.array_equal(s_branch.data_state, e_branch.data_state)
+
+    def test_selected_rotation_walks_as_its_records(self):
+        # One roty whose angle outcomes 00, 10 and 11 select (01 applies
+        # none), on a wire that a swap has joined to two others.  Its
+        # records, one op per value, walk to the same bytes.
+        ops = [{"kind": "h", "qubits": [q]} for q in (0, 1, 3)] + [
+            {"kind": "roty", "qubits": [4], "angle": 0.8}, {"kind": "cswap", "qubits": [3, 2, 4]},
+            {"kind": "measure", "qubits": [0], "clbit": 0},
+            {"kind": "measure", "qubits": [1], "clbit": 1},
+            {"kind": "roty", "qubits": [2], "angle": [0.3, -1.1, 2.0],
+             "condition": {"bits": [0, 1], "values": [0, 2, 3]}},
+        ]
+        text = json.dumps({"n_qubits": 5, "n_clbits": 2, "data_qubits": [2, 3, 4], "ops": ops},
+                          separators=(",", ":")) + "\n"
+        selected = sp.deserialize(text)
+        assert sp.serialize(selected) == text
+        per_value = Circuit(5, 2, tuple(selected.ops), (2, 3, 4))
+        assert (selected.ops.n_ops, per_value.ops.n_ops, len(selected.ops)) == (8, 10, 10)
+        for kwargs in ({}, {"mode": "sample", "shots": 1000, "seed": 4}):
+            got, want = sp.run(selected, **kwargs), sp.run(per_value, **kwargs)
+            assert [(b.outcomes, b.probability, b.residual_state.tobytes()) for b in got] == [
+                (b.outcomes, b.probability, b.residual_state.tobytes()) for b in want]
+        expected = oracle_branches(selected)
+        assert len(expected) == 4
+        for b, (outcomes, prob, data) in zip(sp.run(selected), expected):
+            assert b.outcomes == outcomes
+            assert b.probability == pytest.approx(prob, abs=1e-12)
+            assert np.allclose(b.data_state, data, atol=1e-10)
 
 
 class TestSample:
