@@ -11,8 +11,9 @@ significant) is one of ``values``, OpenQASM 3's ``if (c == v)`` widened to
 a set.  A conditioned ``roty`` may hold one angle per value, OpenQASM 3's
 ``ry(theta[c]) q;``: one op that the outcome selects the angle of, which
 reads as one record per value.  A ``Circuit`` validates itself when
-constructed.
-``deserialize`` also reads the older ``{"bits", "table"}`` truth-table form.
+constructed.  ``deserialize`` reads a document's ``ops`` by one set of
+rules over columns, which also locate its first malformed op and field,
+and reads the older ``{"bits", "table"}`` truth-table form.
 
 Two depth figures are reported.  ``depth_gates`` layers only the loading
 and combining unitaries (ops whose ``role`` is not measurement machinery
@@ -161,6 +162,13 @@ class OpTable:
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
+        unknown_kind = (self.kind < 0) | (self.kind >= len(KINDS))
+        unknown = unknown_kind | (self.role < 0) | (self.role >= len(ROLES))
+        if unknown.any():  # no record for a code that names nothing, worded as ``validate`` does
+            i = int(np.argmax(unknown))
+            field, code = ("kind", self.kind[i]) if unknown_kind[i] else ("role", self.role[i])
+            raise InvalidCircuit(f"op {i}: unknown {field} code {code}")
+
         def records(k, r, c, q, p, b, v, a):
             gate = Gate(KINDS[k], q, a[0] if a else None, None if c < 0 else c,
                         p if k == KIND["mcroty"] else None, Condition(b, v) if b else None, ROLES[r])
@@ -493,128 +501,124 @@ def serialize(circuit: Circuit) -> str:
     return f'{head[:-1]},"ops":[{",".join(texts)}]}}\n'
 
 
-# ``type`` rather than ``isinstance`` refuses JSON booleans as numbers.
-def _expect(doc: dict, key: str, kind: type, where: str):
-    if key not in doc:
-        raise ParseError(f"missing field {key!r}", where)
-    value = doc[key]
-    if type(value) is not kind:
-        raise ParseError(f"field {key!r} has wrong type", f"{where}.{key}")
-    return value
-
-
-def _parse_int_list(value, where: str) -> list[int]:
-    if type(value) is not list or not all(type(v) is int and v in _INT64 for v in value):
-        raise ParseError("expected a list of 64-bit integers", where)
-    return value
-
-
-def _parse_condition(cond, where: str) -> Condition:
-    if not isinstance(cond, dict):
-        raise ParseError("condition is not an object", where)
-    bits = tuple(_parse_int_list(_expect(cond, "bits", list, where), f"{where}.bits"))
-    if not 0 < len(bits) <= 63:
-        raise ParseError(f"{len(bits)} condition bits, not 1 to 63", f"{where}.bits")
-    if "table" in cond:
-        # Older documents spell the condition as a truth table with one 0/1
-        # entry per assignment of ``bits``.
-        table = _parse_int_list(_expect(cond, "table", list, where), f"{where}.table")
-        if len(table) != 2 ** len(bits) or any(v not in (0, 1) for v in table):
-            raise ParseError("truth table needs 2**len(bits) 0/1 entries", f"{where}.table")
-        return Condition(bits=bits, values=tuple(i for i, v in enumerate(table) if v))
-    values = _parse_int_list(_expect(cond, "values", list, where), f"{where}.values")
-    return Condition(bits=bits, values=tuple(values))
-
-
 _FIELDS = {"kind", "qubits", "angle", "clbit", "polarities", "condition", "role"}
+_INTS = "expected a list of 64-bit integers"
 
 
-def _check_op(doc, i: int) -> None:
-    """Raise ``ParseError`` at the first malformed field of op ``i``."""
-    where = f"ops[{i}]"
-    if not isinstance(doc, dict):
-        raise ParseError("op is not an object", where)
-    for key in doc:
-        if key not in _FIELDS:
-            raise ParseError(f"unknown field {key!r}", f"{where}.{key}")
-    if _expect(doc, "kind", str, where) not in KINDS:
-        raise ParseError(f"unknown op kind {doc['kind']!r}", f"{where}.kind")
-    _parse_int_list(_expect(doc, "qubits", list, where), f"{where}.qubits")
-    angle = doc.get("angle")
-    angles = angle if type(angle) is list and angle else [angle]
-    # The bound refuses NaN, infinities and integers no float can hold.
-    if angle is not None and not all(
-        type(a) in (int, float) and abs(a) <= sys.float_info.max for a in angles
-    ):
-        raise ParseError("angle must be a finite number or a list of them", f"{where}.angle")
-    if doc.get("clbit") is not None and not (type(doc["clbit"]) is int and doc["clbit"] in _INT64):
-        raise ParseError("clbit must be a 64-bit integer", f"{where}.clbit")
-    if doc.get("polarities") is not None:
-        _parse_int_list(doc["polarities"], f"{where}.polarities")
-    if "condition" in doc:
-        _parse_condition(doc["condition"], f"{where}.condition")
-    role = doc.get("role")
-    if role is not None and not isinstance(role, str):
-        raise ParseError("role must be a string", f"{where}.role")
-    if role not in ROLE:
-        raise ParseError(f"unknown role {role!r}", f"{where}.role")
+class _Malformed(Exception):
+    """Raised with the op that breaks a rule, the message and the field."""
 
 
-def _ints(lists: list, optional: bool = False) -> tuple[list[int], list[int]]:
-    """Entries and lengths of integer lists, None reading as empty if
-    ``optional``; ``ValueError`` if one is anything else."""
-    if not set(map(type, lists)) <= ({list, type(None)} if optional else {list}):
-        raise ValueError
-    lists = [x or () for x in lists] if optional else lists
-    flat = list(chain.from_iterable(lists))
-    if not set(map(type, flat)) <= {int}:
-        raise ValueError
-    return flat, list(map(len, lists))
+def _check(entries, allowed, message: str, where: str = "", key=type, lengths=None) -> None:
+    """Check on their distinct keys that ``key(x)``, or ``x`` if ``key`` is
+    None, is in ``allowed`` for every ``x`` of ``entries``.  Else raise
+    ``_Malformed`` at the op holding the first ``x`` that is not, with
+    ``message`` and ``where`` formatted with it.  An op holds one entry, or
+    as many as its count in ``lengths``."""
+    if all(map(allowed.__contains__, set(entries if key is None else map(key, entries)))):
+        return
+    keys = entries if key is None else map(key, entries)
+    j, x = next((j, x) for j, (x, k) in enumerate(zip(entries, keys)) if k not in allowed)
+    i = j if lengths is None else int(np.searchsorted(np.cumsum(lengths), j, side="right"))
+    raise _Malformed(i, message.format(x), where.format(x))
 
 
-def _columns(docs: list) -> OpTable:
-    """The table of a document's ``ops``, each field read and checked as a
-    column; ``ValueError`` if some op is malformed."""
-    if not set(map(type, docs)) <= {dict} or not _FIELDS.issuperset(set().union(*docs)):
-        raise ValueError
+def _typed(rows: list, key: str, kind: type, where: str = "", has=None) -> list:
+    """Each row's field ``key``, which every row must hold, of type ``kind``.
+    The rows are the ops, or a row each for the ops that the mask ``has`` marks."""
+    col = list(map(dict.get, rows, repeat(key)))
+    if not set(map(type, col)) <= {kind}:
+        _check(rows, {True}, f"missing field {key!r}", where, lambda row: key in row, has)
+        _check(col, {kind}, f"field {key!r} has wrong type", f"{where}.{key}", lengths=has)
+    return col
+
+
+def _numbers(rows: list, message: str, where: str, real: bool = False, has=None):
+    """The entries of ``rows`` (as for ``_typed``) as one array, and how many
+    each op holds.  Each must be a 64-bit integer or, if ``real``, a finite
+    number; ``type`` rather than ``isinstance`` refuses JSON booleans."""
+    counts = np.zeros(len(rows) if has is None else len(has), dtype=np.int64)
+    counts[slice(None) if has is None else has] = list(map(len, rows))
+    flat = list(chain.from_iterable(rows))
+    _check(flat, {int, float} if real else {int}, message, where, lengths=counts)
+    try:
+        if np.isfinite(array := np.array(flat, dtype=float if real else np.int64)).all():
+            return array, counts
+    except OverflowError:
+        pass
+    # The bounds refuse NaN, infinities and integers too large to hold.
+    fits = (lambda a: abs(a) <= sys.float_info.max) if real else _INT64.__contains__
+    _check(flat, {True}, message, where, key=fits, lengths=counts)
+
+
+def _read(docs: list) -> OpTable:
+    """The table of a document's ``ops``.  The rules run in the order of an
+    op's fields, each over a column of every op, and the first rule that
+    some op breaks raises ``_Malformed`` at the first op that breaks it."""
+    _check(docs, {dict}, "op is not an object")
+    if not _FIELDS.issuperset(set().union(*docs)):
+        i, key = next((i, k) for i, op in enumerate(docs) for k in op if k not in _FIELDS)
+        raise _Malformed(i, f"unknown field {key!r}", f".{key}")
 
     def column(key, rows=docs):
         return list(map(dict.get, rows, repeat(key)))
 
-    none = type(None)
-    kinds, roles, clbits, angles = column("kind"), column("role"), column("clbit"), column("angle")
-    if not set(map(type, kinds)) <= {str} or not set(map(type, roles)) <= {none, str}:
-        raise ValueError
-    kind, role = list(map(KIND.get, kinds)), list(map(ROLE.get, roles, repeat(-1)))
-    if None in kind or -1 in role or not set(map(type, clbits)) <= {none, int}:
-        raise ValueError
-    # An op holds no angle, one, or a list of them.
-    angles = [a if type(a) is list else () if a is None else (a,) for a in angles]
-    angle = list(chain.from_iterable(angles))
-    if [] in angles or not set(map(type, angle)) <= {int, float}:
-        raise ValueError
-    angle = (np.array(angle, dtype=float), list(map(len, angles)))
-    if not np.isfinite(angle[0]).all():
-        raise ValueError
-    has = np.array(list(map(dict.__contains__, docs, repeat("condition"))), dtype=bool)
+    kinds = _typed(docs, "kind", str)
+    _check(kinds, KIND, "unknown op kind {!r}", ".kind", key=None)
+    qubits = _numbers(_typed(docs, "qubits", list), _INTS, ".qubits")
+    # An op holds no angle, one, or a non-empty list of them; an empty list
+    # is kept as one entry, which is not a number.
+    angles = [a if type(a) is list and a else () if a is None else (a,) for a in column("angle")]
+    angle = _numbers(angles, "angle must be a finite number or a list of them", ".angle", real=True)
+    clbit = [-1 if x is None else x for x in column("clbit")]
+    _check(clbit, {int}, "clbit must be a 64-bit integer", ".clbit")
+    try:
+        clbit = np.array(clbit, dtype=np.int64)
+    except OverflowError:
+        _check(clbit, _INT64, "clbit must be a 64-bit integer", ".clbit", key=None)
+    polarities = column("polarities")
+    _check(polarities, {list, type(None)}, _INTS, ".polarities")
+    polarities = _numbers([p or () for p in polarities], _INTS, ".polarities")
+    has = np.fromiter(map(dict.__contains__, docs, repeat("condition")), bool, len(docs))
     conds = column("condition", compress(docs, has))
-    if not set(map(type, conds)) <= {dict}:
-        raise ValueError
+    _check(conds, {dict}, "condition is not an object", ".condition", lengths=has)
+    bits = _numbers(_typed(conds, "bits", list, ".condition", has), _INTS, ".condition.bits",
+                    has=has)
+    widths = bits[1][has].tolist()
+    _check(widths, range(1, 64), "{} condition bits, not 1 to 63", ".condition.bits", key=None,
+           lengths=has)
     if "table" in set().union(*conds):
-        conds = [_parse_condition(cond, "") for cond in conds]
-        conds = [{"bits": list(cond.bits), "values": list(cond.values)} for cond in conds]
-    bits, values = (_ints(column(key, conds)) for key in ("bits", "values"))
-    if not 0 < min(bits[1], default=1) <= max(bits[1], default=1) <= 63:
-        raise ValueError
-    ragged = []
-    for flat, lengths in bits, values:
-        counts = np.zeros(len(docs), dtype=np.int64)
-        counts[has] = lengths
-        ragged.append((flat, counts))
-    return op_table(
-        kind, _ints(column("qubits")), _ints(column("polarities"), optional=True), *ragged,
-        angle, role=role, clbit=[-1 if x is None else x for x in clbits],
-    )
+        # Older documents spell a condition as a truth table, with one 0/1
+        # entry per assignment of its bits; a condition without one reads
+        # here as an empty table that no rule looks at.
+        tables = _typed([c if "table" in c else {"table": []} for c in conds], "table", list,
+                        ".condition", has)
+        _numbers(tables, _INTS, ".condition.table", has=has)
+        complete = [len(t) == 1 << w and set(t) <= {0, 1} or "table" not in c
+                    for c, t, w in zip(conds, tables, widths)]
+        _check(complete, {True}, "truth table needs 2**len(bits) 0/1 entries", ".condition.table",
+               key=None, lengths=has)
+        conds = [{"values": [v for v, bit in enumerate(t) if bit]} if "table" in c else c
+                 for c, t in zip(conds, tables)]
+    values = _numbers(_typed(conds, "values", list, ".condition", has), _INTS,
+                      ".condition.values", has=has)
+    roles = column("role")
+    _check(roles, {type(None), str}, "role must be a string", ".role")
+    _check(roles, ROLE, "unknown role {!r}", ".role", key=None)
+    return op_table(list(map(KIND.get, kinds)), qubits, polarities, bits, values, angle,
+                    role=list(map(ROLE.get, roles)), clbit=clbit)
+
+
+def _columns(docs: list) -> OpTable:
+    """The table of a document's ``ops``.  Where an op breaks a rule, the
+    same rules read the ops before it, and the error names the first of
+    those that is malformed, else that op."""
+    try:
+        return _read(docs)
+    except _Malformed as bad:
+        i, message, where = bad.args
+        _columns(docs[:i])
+        raise ParseError(message, f"ops[{i}]{where}") from None
 
 
 def deserialize(text: str) -> Circuit:
@@ -637,18 +641,14 @@ def _deserialize(text: str) -> Circuit:
         raise ParseError(f"invalid JSON: {exc.msg}", f"offset {exc.pos}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document is not an object", "$")
-    n_qubits = _expect(doc, "n_qubits", int, "$")
-    n_clbits = _expect(doc, "n_clbits", int, "$")
-    data_qubits = tuple(
-        _parse_int_list(_expect(doc, "data_qubits", list, "$"), "$.data_qubits")
-    )
-    ops_doc = _expect(doc, "ops", list, "$")
-    try:
-        ops = _columns(ops_doc)
-    except (ValueError, OverflowError, ParseError):
-        for i, op in enumerate(ops_doc):
-            _check_op(op, i)
-        raise  # the per-op checks refuse every document that the columns do
+    try:  # the document's own fields, read as a column of one row
+        n_qubits, n_clbits = (_typed([doc], key, int)[0] for key in ("n_qubits", "n_clbits"))
+        data_qubits = _numbers(_typed([doc], "data_qubits", list), _INTS, ".data_qubits")[0]
+        data_qubits = tuple(data_qubits.tolist())
+        ops_doc = _typed([doc], "ops", list)[0]
+    except _Malformed as bad:
+        raise ParseError(bad.args[1], "$" + bad.args[2]) from None
+    ops = _columns(ops_doc)
     try:
         return Circuit(n_qubits=n_qubits, n_clbits=n_clbits, ops=ops, data_qubits=data_qubits)
     except InvalidCircuit as exc:

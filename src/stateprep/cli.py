@@ -5,7 +5,8 @@ summary line), ``verify`` (circuit against a target vector), ``analyze``
 (closed-form table per n), ``sweep`` (width/depth tradeoff per lambda
 for one or more n) and ``distinguish`` (adaptive measurement plan for
 two orthogonal states).  Exit codes: 0 success, 1 verification failure,
-2 usage, bad input or an unusable path, 3 conflicting flags.
+2 usage, bad input, an unusable path or too little memory, 3 conflicting
+flags.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .discrimination import OrthPair, decompose, evaluate_plan, plan_document
 from .divide_conquer import DcOptions, synthesize_dc, synthesize_hybrid, synthesize_time
 from .errors import StatePrepError
 from .resources import dc_formulas, hybrid_formulas
-from .simulator import DEFAULT_BRANCH_CAP, final_width, verify_preparation
+from .simulator import DEFAULT_BRANCH_CAP, verify_preparation
 from .tolerances import PLAN_MISS_TOL
 from .tree import build_tree, pad_to_power_of_two
 
@@ -93,19 +94,14 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.circuit) as fh:
         circuit = deserialize(fh.read())
-    try:
-        report = verify_preparation(
-            circuit,
-            pad_to_power_of_two(_load_vector(args.target)),
-            mode=args.mode,
-            shots=args.shots,
-            seed=args.seed,
-            branch_cap=args.branch_cap,
-        )
-    except MemoryError:
-        raise ValueError(
-            f"a final register of {final_width(circuit)} wires does not fit in memory"
-        ) from None
+    report = verify_preparation(
+        circuit,
+        pad_to_power_of_two(_load_vector(args.target)),
+        mode=args.mode,
+        shots=args.shots,
+        seed=args.seed,
+        branch_cap=args.branch_cap,
+    )
     print(json.dumps(report.to_json_dict()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -234,8 +230,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, StatePrepError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    except (OSError, ValueError, MemoryError, StatePrepError) as exc:
+        # A MemoryError is worded where it is raised: numpy names the allocation.
+        return _fail(str(exc) or type(exc).__name__, EXIT_USAGE)
 
 
 if __name__ == "__main__":

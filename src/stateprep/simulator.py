@@ -159,11 +159,6 @@ def _plan(circuit: Circuit):
     return steps, last, wires, measured
 
 
-def final_width(circuit: Circuit) -> int:
-    """The wires no op measures: the register that a walk ends with."""
-    return circuit.n_qubits - int(np.count_nonzero(circuit.ops.kind == KIND["measure"]))
-
-
 def _mix(state: np.ndarray, i0, i1, mats: np.ndarray, sel) -> None:
     """Replace the slices ``a = state[i0]`` and ``b = state[i1]`` of each
     row ``r`` by ``mats[sel[r]] @ (a, b)``.  ``mats[0]`` is the identity,
@@ -290,10 +285,13 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
         rng, total, merge = np.random.default_rng(seed), shots, False
     elif mode != "enumerate":
         raise ValueError(f"unknown mode {mode!r}")
-    # Planning takes O(n_qubits) and the final join fails only after it, so a
-    # final register of more than sys.maxsize bytes is refused first, in O(ops).
-    if 16 * 2 ** min(final_width(circuit), 64) > sys.maxsize:
-        raise MemoryError
+    # The wires no op measures are the final register.  Planning takes
+    # O(n_qubits) and the final join fails only after it, so a final register
+    # of more than sys.maxsize bytes is refused first, in O(ops).
+    width = circuit.n_qubits - int(np.count_nonzero(circuit.ops.kind == KIND["measure"]))
+    too_wide = f"a final register of {width} wires does not fit in memory"
+    if 16 * 2 ** min(width, 64) > sys.maxsize:
+        raise MemoryError(too_wide)
     steps, last, final, measured = _plan(circuit)
     ends = set(last.values()) if merge else set()
     tensors = {q: _GROUND.copy() for q in range(circuit.n_qubits)}
@@ -386,7 +384,10 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
             outcomes, phase, count, error = outcomes[first], phase[first], merged, worst
 
     if final:
-        join(-1, list(final), [take_rows(d) for d in final])
+        try:
+            join(-1, list(final), [take_rows(d) for d in final])
+        except MemoryError:
+            raise MemoryError(too_wide) from None
     order = [w for d in final for w in final[d]]
     active = sorted(order)
     state = tensors.pop(-1, np.ones(1, dtype=complex))

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +164,16 @@ class TestValidation:
         with pytest.raises(InvalidCircuit, match=f"^op 0: {message}$"):
             Circuit(1, 0, op_table([kind], [[0]], role=role), (0,))
 
+    @pytest.mark.parametrize("kind, role, message", [
+        (-1, 0, "unknown kind code -1"), (9, 0, "unknown kind code 9"),
+        (KIND["x"], -1, "unknown role code -1"),
+    ])
+    def test_record_view_names_no_unknown_code(self, kind, role, message):
+        # The records of a bare table, which no ``Circuit`` has validated.
+        table = op_table([KIND["h"], kind], [[0], [1]], role=[0, role])
+        with pytest.raises(InvalidCircuit, match=f"^op 1: {message}$"):
+            table.gates
+
     @pytest.mark.parametrize("kind, bits, values, angles, message", [
         ("roty", [0], [0, 1], [0.1, 0.2], None),
         ("roty", [0], [0, 1], [0.1], None),  # one angle fires on every value
@@ -288,6 +300,159 @@ class TestValidateAgainstReference:
             assert got == want, ops
             seen.add(want.split(":")[-1].split()[0] if want else None)
         assert len(seen) > 10
+
+
+def reference_locate(ops):
+    """The per-op locator that the column rules of ``deserialize`` replaced:
+    the ``ParseError`` for the first malformed op of a document's ``ops``,
+    or None."""
+    int64 = range(-(2**63), 2**63)
+
+    def expect(doc, key, kind, where):
+        if key not in doc:
+            raise ParseError(f"missing field {key!r}", where)
+        value = doc[key]
+        if type(value) is not kind:
+            raise ParseError(f"field {key!r} has wrong type", f"{where}.{key}")
+        return value
+
+    def parse_int_list(value, where):
+        if type(value) is not list or not all(type(v) is int and v in int64 for v in value):
+            raise ParseError("expected a list of 64-bit integers", where)
+        return value
+
+    def parse_condition(cond, where):
+        if not isinstance(cond, dict):
+            raise ParseError("condition is not an object", where)
+        bits = tuple(parse_int_list(expect(cond, "bits", list, where), f"{where}.bits"))
+        if not 0 < len(bits) <= 63:
+            raise ParseError(f"{len(bits)} condition bits, not 1 to 63", f"{where}.bits")
+        if "table" in cond:
+            table = parse_int_list(expect(cond, "table", list, where), f"{where}.table")
+            if len(table) != 2 ** len(bits) or any(v not in (0, 1) for v in table):
+                raise ParseError("truth table needs 2**len(bits) 0/1 entries", f"{where}.table")
+            return
+        parse_int_list(expect(cond, "values", list, where), f"{where}.values")
+
+    def check_op(doc, i):
+        where = f"ops[{i}]"
+        if not isinstance(doc, dict):
+            raise ParseError("op is not an object", where)
+        for key in doc:
+            if key not in {"kind", "qubits", "angle", "clbit", "polarities", "condition", "role"}:
+                raise ParseError(f"unknown field {key!r}", f"{where}.{key}")
+        if expect(doc, "kind", str, where) not in sp.circuit.KINDS:
+            raise ParseError(f"unknown op kind {doc['kind']!r}", f"{where}.kind")
+        parse_int_list(expect(doc, "qubits", list, where), f"{where}.qubits")
+        angle = doc.get("angle")
+        angles = angle if type(angle) is list and angle else [angle]
+        if angle is not None and not all(
+            type(a) in (int, float) and abs(a) <= sys.float_info.max for a in angles
+        ):
+            raise ParseError("angle must be a finite number or a list of them", f"{where}.angle")
+        if doc.get("clbit") is not None and not (type(doc["clbit"]) is int
+                                                 and doc["clbit"] in int64):
+            raise ParseError("clbit must be a 64-bit integer", f"{where}.clbit")
+        if doc.get("polarities") is not None:
+            parse_int_list(doc["polarities"], f"{where}.polarities")
+        if "condition" in doc:
+            parse_condition(doc["condition"], f"{where}.condition")
+        role = doc.get("role")
+        if role is not None and not isinstance(role, str):
+            raise ParseError("role must be a string", f"{where}.role")
+        if role not in sp.circuit.ROLE:
+            raise ParseError(f"unknown role {role!r}", f"{where}.role")
+
+    try:
+        for i, op in enumerate(ops):
+            check_op(op, i)
+    except ParseError as exc:
+        return exc
+    return None
+
+
+# One malformed value per entry, put in place of (or, for None, taken out
+# of) the named field of an op; "op" replaces the whole op, None included.
+# An angle of 1e400 reads as float("inf").
+MALFORMED = [
+    ("op", 3), ("op", [1]), ("op", None), ("extra", 1), ("kind", None), ("kind", 5),
+    ("kind", "swap"), ("qubits", None), ("qubits", 0), ("qubits", [True]), ("qubits", [0.5]),
+    ("qubits", [2**64]), ("qubits", [[0]]), ("angle", float("nan")), ("angle", float("inf")),
+    ("angle", []), ("angle", [0.5, True]), ("angle", [[0.5]]), ("angle", "0.5"),
+    ("angle", 10**400), ("angle", [0.5, -(10**400)]), ("clbit", True), ("clbit", 0.5),
+    ("clbit", 2**63), ("clbit", [0]), ("polarities", 5), ("polarities", [0.5]),
+    ("polarities", [2**70]), ("polarities", [True]), ("condition", [0, 1]),
+    ("condition", None), ("condition", {"values": [1]}), ("condition", {"bits": 0, "values": []}),
+    ("condition", {"bits": [], "values": []}), ("condition", {"bits": [0] * 64, "values": []}),
+    ("condition", {"bits": [True], "values": [1]}), ("condition", {"bits": [0]}),
+    ("condition", {"bits": [0], "values": 1}), ("condition", {"bits": [0], "values": [0.5]}),
+    ("condition", {"bits": [0], "values": [2**63]}), ("condition", {"bits": [0], "table": 1}),
+    ("condition", {"bits": [0], "table": [0, 1, 1]}), ("condition", {"bits": [0], "table": [0, 2]}),
+    ("condition", {"bits": [0], "table": [False, True]}),
+    ("condition", {"bits": [0], "table": [2**64, 0]}), ("role", 3), ("role", "loud"),
+    ("role", True), ("role", ["load"]),
+]
+
+
+def random_op_docs(rng, count):
+    """Ops of a document on 4 wires and 3 clbits, each drawn valid and then,
+    with probability 0.3, given one value of ``MALFORMED`` (two, with
+    probability 0.3 of that)."""
+    ops = []
+    for _ in range(count):
+        q = [int(v) for v in rng.permutation(4)[:3]]
+        kind = ["roty", "z", "h", "cswap", "mcroty", "measure", "reset"][rng.integers(0, 7)]
+        op = {"kind": kind, "qubits": q if kind in ("cswap", "mcroty") else q[:1]}
+        if kind in ("roty", "mcroty"):
+            op["angle"] = float(rng.normal())
+        if kind == "mcroty":
+            op["polarities"] = [1, 0]
+        if kind == "measure":
+            op["clbit"] = int(rng.integers(0, 3))
+        if kind in ("roty", "z", "h") and rng.random() < 0.5:
+            bits = [int(b) for b in rng.permutation(3)[: rng.integers(1, 3)]]
+            values = sorted({int(v) for v in rng.integers(0, 2 ** len(bits), 2)})
+            if rng.random() < 0.3:  # the older truth-table form
+                op["condition"] = {"bits": bits, "table": [int(v in values) for v in
+                                                            range(2 ** len(bits))]}
+            else:
+                op["condition"] = {"bits": bits, "values": values}
+                if kind == "roty" and rng.random() < 0.5:  # an angle per value
+                    op["angle"] = [float(a) for a in rng.normal(size=len(values))]
+        if rng.random() < 0.3:
+            op["role"] = ["load", "combine", "correct", "meas_basis"][rng.integers(0, 4)]
+        # Some ops get a second malformed field, which an earlier field may hide.
+        for _ in range((rng.random() < 0.3) * (1 + (rng.random() < 0.3))):
+            field, value = MALFORMED[rng.integers(0, len(MALFORMED))]
+            if field == "op" or not isinstance(op, dict):
+                op = value
+            elif value is None:
+                op.pop(field, None)
+            else:
+                op[field] = value
+        ops.append(op)
+    return ops
+
+
+class TestDeserializeAgainstReference:
+    def test_errors_match_the_per_op_locator(self):
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(3000):
+            ops = random_op_docs(rng, int(rng.integers(1, 9)))
+            want = reference_locate(ops)
+            doc = {"n_qubits": 4, "n_clbits": 3, "data_qubits": [0], "ops": ops}
+            try:
+                deserialize(json.dumps(doc))
+                got = None
+            except ParseError as exc:
+                got = None if exc.location == "$.ops" else exc  # a ``validate`` error
+            assert (str(got), getattr(got, "location", None)) == (
+                str(want), getattr(want, "location", None)), ops
+            if want is not None:
+                rule = want.location.split("]", 1)[1], re.sub(r"'.*'|\d+", "", str(want))
+                seen.add(rule)
+        assert len(seen) > 15
 
 
 class TestMetrics:

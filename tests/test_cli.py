@@ -265,6 +265,23 @@ class TestVerify:
         assert rc == 2 and elapsed < 1.0 and peak < 2**20
         assert f"{n_qubits} wires" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("module, name", [("simulator", "_product"), ("cli", "deserialize")])
+    def test_memory_error_is_worded_where_it_is_raised(self, module, name, monkeypatch, capsys):
+        # At a cap of 18 the walk of this parallelized dense n=6 document
+        # joins a cluster of 15 wires and 94,699 rows, about 46 GiB, though
+        # its final register holds 6 wires; reading a document can run out
+        # of memory too.  A refused join or read stands in for those
+        # allocations on hosts that could make them.
+        def refuse(*args):
+            raise MemoryError("unable to allocate")
+
+        monkeypatch.setattr(getattr(sp, module), name, refuse)
+        data = Path(__file__).parent / "data"
+        rc = main(["verify", str(data / "exact" / "dc_parallel_dense_n6.json"),
+                   str(data / "golden_dense_n6_vector.json"), "--branch-cap", "18"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err == "error: unable to allocate\n"
+
     def test_malformed_or_oversized_documents_exit_two(self, tmp_path, capsys):
         vec = write_vector(tmp_path, "v.json", [1.0, 0.0])
         measure = {"kind": "measure", "qubits": [0], "clbit": 0}
