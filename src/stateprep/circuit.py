@@ -212,10 +212,6 @@ class OpTable:
     def from_gates(gates) -> OpTable:
         """The table of ``Gate`` records, which it keeps as its sequence."""
         gates = tuple(gates)
-        for i, g in enumerate(gates):
-            width = len(g.condition.bits) if g.condition is not None else 1
-            if not 0 < width <= 63:
-                raise InvalidCircuit(f"op {i}: {width} condition bits, not 1 to 63")
         conds = [g.condition or Condition((), ()) for g in gates]
         ragged = ([g.qubits for g in gates], [g.polarities or () for g in gates],
                   [c.bits for c in conds], [c.values for c in conds],
@@ -337,6 +333,11 @@ class Circuit:
         check(~measure & (c >= 0), lambda i: "clbit only valid on measure")
         fixed = (nb > 0) & (measure | (kind == KIND["reset"]))
         check(fixed, lambda i: f"conditions on {KINDS[kind[i]]} unsupported")
+        conditioned = (nb > 0) | (nv > 0)
+        if given:  # a record's condition may hold neither bits nor values
+            conditioned |= np.array([g.condition is not None for g in given])
+        check(conditioned & ((nb == 0) | (nb > 63)),
+              lambda i: f"{nb[i]} condition bits, not 1 to 63")
         descends = (vown[1:] == vown[:-1]) & (v[1:] <= v[:-1])
         check(any_entry(descends, vown[1:]), lambda i: "condition values must ascend strictly")
         big = np.right_shift(v, nb[vown]) != 0  # a condition reads 1 to 63 bits

@@ -106,12 +106,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def _measured_dc(n: int, parallel: bool):
-    rng = np.random.default_rng(2**16 + n)
-    x = rng.random(2**n) + 0.1
-    x /= np.linalg.norm(x)
-    opts = DcOptions(parallelize=parallel)
-    return metrics(synthesize_dc(build_tree(x), opts))
+def _measured(n: int, seed: int, synthesize):
+    """The metrics of ``synthesize`` on the angle tree of a dense input of
+    2**n amplitudes, uniform plus 0.1, drawn from ``seed``."""
+    x = np.random.default_rng(seed).random(2**n) + 0.1
+    return metrics(synthesize(build_tree(x / np.linalg.norm(x))))
 
 
 def cmd_analyze(args) -> int:
@@ -125,8 +124,8 @@ def cmd_analyze(args) -> int:
         f = dc_formulas(n)
         row = f"{n},{f.qubits},{f.cswaps},{f.depth},{f.depth_parallel}"
         if args.measure:
-            m = _measured_dc(n, parallel=False)
-            mp = _measured_dc(n, parallel=True)
+            m = _measured(n, 2**16 + n, synthesize_dc)
+            mp = _measured(n, 2**16 + n, lambda t: synthesize_dc(t, DcOptions(parallelize=True)))
             row += f",{m.qubits},{m.unit_cswaps},{m.depth_gates},{mp.depth_gates}"
         lines.append(row)
     print("\n".join(lines))
@@ -143,15 +142,11 @@ def cmd_sweep(args) -> int:
         lam_max = args.lambda_max if args.lambda_max is not None else n
         if n < 1 or not 1 <= lam_min <= lam_max <= n:
             return _fail("need 1 <= lambda-min <= lambda-max <= n", EXIT_USAGE)
-        if args.measure:
-            rng = np.random.default_rng(2**20 + n)
-            x = rng.random(2**n) + 0.1
-            tree = build_tree(x / np.linalg.norm(x))
         for lam in range(lam_min, lam_max + 1):
             f = hybrid_formulas(n, lam)
             row = f"{n},{lam},{f.qubits},{f.depth}"
             if args.measure:
-                m = metrics(synthesize_hybrid(tree, lam))
+                m = _measured(n, 2**20 + n, lambda t: synthesize_hybrid(t, lam))
                 row += f",{m.qubits},{m.unit_cswaps},{m.depth_gates},{m.depth_full}"
             lines.append(row)
     print("\n".join(lines))

@@ -35,13 +35,13 @@ class ReuseSchedule:
 
 
 def dc_formulas(n: int) -> DcFormulas:
-    """Qubits, unit swaps and gate depth of the dense bottom-up circuit."""
-    if n < 1:
-        raise NOutOfRange(f"n must be >= 1, got {n}")
+    """Qubits, unit swaps and gate depth of the dense bottom-up circuit:
+    its width and depth are the interpolated circuit's at ``lam`` = 1."""
+    base = hybrid_formulas(n, 1)
     return DcFormulas(
-        qubits=2**n - 1,
+        qubits=base.qubits,
         cswaps=2**n - n - 1,
-        depth=1 + n * (n - 1) // 2,
+        depth=base.depth,
         depth_parallel=max(1, 2 * n - 2),
     )
 

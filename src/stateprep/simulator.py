@@ -14,7 +14,10 @@ outcome 0 first, so branches stay in lexicographic outcome order; the
 wire leaves its cluster, and a reset wire starts a new one in |0>.
 ``enumerate`` keeps every outcome of path probability at least
 ``BRANCH_PROB_TOL``.  ``sample`` splits a branch's shots between the
-outcomes with one binomial draw, so the counts are multinomial.
+outcomes with one binomial draw, so the counts are multinomial.  The
+walk hands back arrays over its rows, and ``run``, ``verify_preparation``
+and ``data_probabilities`` read the data register from one view of them
+(``_data_matrices``).
 
 ``verify_preparation`` in enumerate mode also merges.  After the last
 reader of some outcomes, the rows of a cluster within ``MERGE_TOL`` of
@@ -108,8 +111,8 @@ def _plan(circuit: Circuit):
     the one it acts on, its two slices there, the splitting ops whose bits
     its condition reads, the values on which it fires, its matrices or None
     for a split, the new cluster of a reset wire).  An op's matrices are
-    the identity, then its kind's matrix or one per angle, in reverse order
-    of the angles (see ``_selects``).  Per splitting op, the last op that
+    the identity, then its kind's matrix or one per angle, in the order of
+    its values (see ``_selects``).  Per splitting op, the last op that
     needs its outcome; a measured data wire's outcome places the data state,
     so it is needed to the end.  The clusters left at the end, and the op
     that measures each measured wire."""
@@ -123,7 +126,7 @@ def _plan(circuit: Circuit):
     own = np.concatenate((np.eye(2, dtype=complex)[None], _KIND_MATRICES[t.kind], turns))
     size = np.maximum(na, 1) + 1
     j, op = ranges(size), np.repeat(np.arange(t.n_ops), size)
-    pick = np.where(na[op] > 0, 1 + t.n_ops + t.offsets(4)[op] + na[op] - j, 1 + op)
+    pick = np.where(na[op] > 0, t.n_ops + t.offsets(4)[op] + j, 1 + op)
     stacks, bounds = own[np.where(j > 0, pick, 0)], np.cumsum(size).tolist()
     wires = {q: [q] for q in range(n)}  # cluster -> its wires, one axis each
     owner = list(range(n))
@@ -142,7 +145,7 @@ def _plan(circuit: Circuit):
                 owner[w] = c
         if bits:
             reads = tuple(writer[b] for b in bits)
-            last.update(dict.fromkeys(reads, i))
+            last.update({w: max(last[w], i) for w in reads})
         slices, mats = _slices(kind, qubits, pols, wires[c]), stacks[start:stop]
         if kind in _SPLITS:
             mats, q = None, qubits[0]
@@ -195,14 +198,13 @@ def _mix(state: np.ndarray, i0, i1, mats: np.ndarray, sel) -> None:
 def _selects(values, n: int, bits: np.ndarray) -> np.ndarray:
     """Per row of ``bits``, the one of an op's ``n`` matrices it selects: 0
     unless the integer it spells (first column most significant, at most 63
-    columns) is in ``values``, which ascend; else 1 for one matrix, or ``n``
-    minus the value's index, so that a join orders rows as one op per value
-    would, and a selected rotation walks bit for bit as its records do."""
+    columns) is in ``values``, which ascend; else 1 for one matrix, or the
+    value's index + 1 for one per value."""
     place = 1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64)
     idx = bits @ place
     values = np.array((*values, -1), dtype=np.int64)
     pos = np.searchsorted(values[:-1], idx)
-    return np.where(values[pos] == idx, n - pos if n > 1 else 1, 0)
+    return np.where(values[pos] == idx, pos + 1 if n > 1 else 1, 0)
 
 
 def _norm_sq(a: np.ndarray) -> np.ndarray:
@@ -265,11 +267,13 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     """Breadth-first over the outcome tree, reading each op once.
     ``enumerate`` keeps every outcome above ``BRANCH_PROB_TOL`` in at most
     ``2**cap`` rows, and ``merge`` merges them; ``sample`` splits ``shots``
-    binomially at each measurement.  Returns per row (outcomes, measured
-    wires' outcomes, unit state over the active wires), and the rows'
-    probabilities, counts, the active wires and, per row, a bound on the
-    distance up to phase of its state from that of each branch it stands
-    for that the unmerged walk keeps.
+    binomially at each measurement.  Returns arrays over the rows: their
+    outcomes still read (all unless merging), each measured wire's outcome
+    column among them (the data wires' alone if merging), their unit
+    states over the active wires with their phase applied, probabilities,
+    counts, and a bound on the distance up to phase of a row's state from
+    that of each branch it stands for that the unmerged walk keeps; and
+    the active wires, ascending.
 
     A merge moves a branch's state, of norm sqrt(weight), by sqrt(weight)
     times the merge distance, and a split, a projection, moves it no
@@ -391,62 +395,36 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     order = [w for d in final for w in final[d]]
     active = sorted(order)
     state = tensors.pop(-1, np.ones(1, dtype=complex))
-    state = state.transpose([0] + [1 + order.index(w) for w in active])
-    out = []
-    for r, outs, ph in zip(take_rows(-1).tolist(), outcomes.tolist(), phase.tolist()):
-        fixed = {q: outs[column[w]] for q, w in measured.items() if w in column}
-        out.append((outs, fixed, ph * state[r]))
+    state = state.transpose([0] + [1 + order.index(w) for w in active]).reshape(len(state), -1)
+    states = state[take_rows(-1)]
+    states *= phase[:, None]
+    fixed = {q: outcomes[:, column[w]] for q, w in measured.items() if w in column}
     # A kept branch has a norm of at least sqrt(BRANCH_PROB_TOL) - error here, and
     # normalizing a vector of norm m moves it by 2 error / m.
     spread = 2.0 * error / (np.sqrt(BRANCH_PROB_TOL) - error)
     if doubt:  # an outcome it may have pruned could hold any state
         spread[:] = np.inf
-    return out, weight / total, count, active, spread
+    return outcomes, fixed, states, weight / total, count, active, spread
 
 
-def _data_rows(state: np.ndarray, active, data_qubits):
-    """The active data wires of ``data_qubits`` (in that order), and
-    ``state`` over ``active`` as a matrix with one row per assignment of
-    them and one column per assignment of the other active wires."""
-    active_data = [q for q in data_qubits if q in active]
-    perm = [active.index(q) for q in active_data] + [
-        i for i, w in enumerate(active) if w not in active_data
-    ]
-    tensor = np.transpose(state.reshape((2,) * len(active)), perm)
-    return active_data, tensor.reshape(2 ** len(active_data), -1)
-
-
-def _embed_measured(vec: np.ndarray, active_data, data_qubits, fixed) -> np.ndarray:
-    """Widen ``vec``, whose rows run over ``active_data``, to rows over all
-    of ``data_qubits`` by fixing each measured data wire to its outcome in
-    ``fixed``."""
-    if len(active_data) == len(data_qubits):
-        return vec
-    full = np.zeros((2,) * len(data_qubits) + vec.shape[1:], dtype=vec.dtype)
-    idx = tuple(slice(None) if q in active_data else fixed[q] for q in data_qubits)
-    full[idx] = vec.reshape((2,) * len(active_data) + vec.shape[1:])
-    return full.reshape((-1,) + vec.shape[1:])
-
-
-def _extract_data_state(state: np.ndarray, active, data_qubits, fixed) -> np.ndarray:
-    """The data register's state in one branch, from its ``state`` over
-    ``active`` and its measured wires' outcomes ``fixed``: the normalized
-    data slice of the heaviest column.  Exact when the other active wires
-    factor out; otherwise a representative, which no verdict reads."""
-    active_data, mat = _data_rows(state, active, data_qubits)
-    vec = mat[:, np.argmax(_norm_sq(mat.T))]
-    return _embed_measured(vec / np.linalg.norm(vec), active_data, data_qubits, fixed)
-
-
-def _branch_fidelity(state: np.ndarray, active, data_qubits, fixed, target: np.ndarray) -> float:
-    """sqrt(<t|rho|t>) for the unit ``target`` t and one branch's reduced
-    state rho on the data register.  With ``state`` as a matrix M of data
-    wires, measured ones fixed at their outcomes ``fixed``, by other active
-    wires, that is |M^dagger t| / |M|: |<v|t>| for a pure data state v, and
-    exact for entangled residue too."""
-    active_data, mat = _data_rows(state, active, data_qubits)
-    mat = _embed_measured(mat, active_data, data_qubits, fixed)
-    return float(np.linalg.norm(target.conj() @ mat) / np.linalg.norm(mat))
+def _data_matrices(states: np.ndarray, active, data_qubits, fixed) -> np.ndarray:
+    """The data register's matrix M of each row of ``states``, a state
+    over the ``active`` wires: a row per assignment of ``data_qubits``,
+    each measured one fixed at its outcome in ``fixed`` (a column over the
+    rows, or one value), by a column per assignment of the other active
+    wires.  For a unit target t, sqrt(<t|rho|t>) of the reduced data state
+    rho is |M^dagger t| / |M|, exact for entangled residue too."""
+    live = [q for q in data_qubits if q in active]
+    rest = [q for q in active if q not in live]
+    n = len(states)
+    tensor = states.reshape((n,) + (2,) * len(active))
+    tensor = tensor.transpose([0] + [1 + active.index(q) for q in live + rest])
+    if len(live) == len(data_qubits):
+        return tensor.reshape(n, 2 ** len(live), -1)
+    mats = np.zeros((n,) + (2,) * len(data_qubits) + (2 ** len(rest),), dtype=complex)
+    at = tuple(slice(None) if q in live else fixed[q] for q in data_qubits)
+    mats[(np.arange(n),) + at] = tensor.reshape((n,) + (2,) * len(live) + (-1,))
+    return mats.reshape(n, 2 ** len(data_qubits), -1)
 
 
 def run(
@@ -462,14 +440,21 @@ def run(
     ``enumerate`` explores every outcome assignment (at most
     ``2**branch_cap`` branches at a time); ``sample`` splits ``shots``
     seeded shots over the branches and reports frequencies as
-    probabilities.
+    probabilities.  A branch's ``data_state`` is the heaviest column of
+    its data-register matrix (``_data_matrices``), normalized: exact when
+    the other active wires factor out, else a representative, which no
+    verdict reads.
     """
-    rows, probability, _, active, _ = _walk(circuit, mode, shots, seed, branch_cap, False)
-    return [
-        Branch(tuple(outs), p, _extract_data_state(state, active, circuit.data_qubits, fixed),
-               tuple(active), state.reshape(-1), fixed)
-        for (outs, fixed, state), p in zip(rows, probability.tolist())
-    ]
+    outcomes, fixed, states, probability, _, active, _ = _walk(
+        circuit, mode, shots, seed, branch_cap, False)
+    mats = _data_matrices(states, active, circuit.data_qubits, fixed)
+    heaviest = (mats.real**2 + mats.imag**2).sum(axis=1).argmax(axis=1)
+    vecs = mats[np.arange(len(mats)), :, heaviest]
+    cols = {q: col.tolist() for q, col in fixed.items()}
+    rows = zip(outcomes.tolist(), probability.tolist(), vecs, states)
+    return [Branch(tuple(outs), p, v / np.linalg.norm(v), tuple(active), state,
+                   {q: col[r] for q, col in cols.items()})
+            for r, (outs, p, v, state) in enumerate(rows)]
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
@@ -492,11 +477,9 @@ def fidelity(a, b) -> float:
 
 def data_probabilities(branch: Branch, data_qubits) -> np.ndarray:
     """Marginal computational probabilities of the data register."""
-    active_data, mat = _data_rows(
-        branch.residual_state, list(branch.residual_wires), data_qubits
-    )
-    probs = np.sum(np.abs(mat) ** 2, axis=1)
-    return _embed_measured(probs, active_data, data_qubits, branch.fixed_outcomes)
+    mats = _data_matrices(branch.residual_state[None], branch.residual_wires, data_qubits,
+                          branch.fixed_outcomes)
+    return np.sum(np.abs(mats[0]) ** 2, axis=1)
 
 
 def verify_preparation(
@@ -524,9 +507,10 @@ def verify_preparation(
         )
     target, edge = normalize(target), np.sqrt(FIDELITY_TOL * (2.0 - FIDELITY_TOL))
     for merge in (True, False):
-        rows, prob, count, active, spread = _walk(circuit, mode, shots, seed, branch_cap, merge)
-        fid = np.array([_branch_fidelity(state, active, circuit.data_qubits, fixed, target)
-                        for _, fixed, state in rows])
+        _, fixed, states, prob, count, active, spread = _walk(
+            circuit, mode, shots, seed, branch_cap, merge)
+        mats = _data_matrices(states, active, circuit.data_qubits, fixed)
+        fid = np.linalg.norm(target.conj() @ mats, axis=1) / np.linalg.norm(mats, axis=(1, 2))
         off = np.sqrt(np.maximum(1.0 - fid**2, 0.0))
         passed = bool(np.max(off + spread) <= edge)
         if passed or np.max(off - spread) > edge:

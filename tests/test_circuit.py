@@ -174,6 +174,36 @@ class TestValidation:
         with pytest.raises(InvalidCircuit, match=f"^op 1: {message}$"):
             table.gates
 
+    @pytest.mark.parametrize("width, values, message", [
+        (0, [0], "0 condition bits"), (63, [1], None), (64, [1], "64 condition bits"),
+    ])
+    def test_table_condition_reads_1_to_63_bits(self, width, values, message):
+        # ``width`` wires measured into as many clbits, then a z on the last
+        # wire whose condition reads them all.
+        table = op_table(
+            [KIND["measure"]] * width + [KIND["z"]], [[q] for q in range(width + 1)],
+            bits=(list(range(width)), [0] * width + [width]),
+            values=(values, [0] * width + [len(values)]), clbit=list(range(width)) + [-1],
+        )
+        if message is None:
+            Circuit(width + 1, width, table, (width,))
+        else:
+            with pytest.raises(InvalidCircuit, match=f"^op {width}: {message}, not 1 to 63$"):
+                Circuit(width + 1, width, table, (width,))
+
+    def test_values_without_bits_are_refused(self):
+        # Written, such a table would lose its values: one read back would differ.
+        table = op_table([KIND["h"], KIND["z"]], [[0], [0]], values=([0], [0, 1]))
+        with pytest.raises(InvalidCircuit, match="^op 1: 0 condition bits, not 1 to 63$"):
+            Circuit(1, 0, table, (0,))
+
+    @pytest.mark.parametrize("width", [0, 64])
+    def test_record_condition_reads_1_to_63_bits(self, width):
+        ops = tuple(measure(q, q) for q in range(width))
+        ops += (pauli_z(width, condition=Condition(tuple(range(width)), ())),)
+        with pytest.raises(InvalidCircuit, match=f"^op {width}: {width} condition bits"):
+            Circuit(width + 1, width, ops, (width,))
+
     @pytest.mark.parametrize("kind, bits, values, angles, message", [
         ("roty", [0], [0, 1], [0.1, 0.2], None),
         ("roty", [0], [0, 1], [0.1], None),  # one angle fires on every value

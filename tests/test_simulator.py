@@ -534,3 +534,99 @@ class TestMergedVerify:
         assert len(sp.run(c, branch_cap=1)) == 2
         with pytest.raises(TooManyBranches):
             sp.run(c, branch_cap=0)
+
+
+def hand_made_circuit(rng):
+    """A random circuit of 4 or 5 wires whose data register is 2 or 3 of
+    them in shuffled order.  Its ops act on live wires: one-wire gates,
+    some conditioned on earlier outcomes, swaps, controlled rotations and
+    measurements, of data wires too; ancillas that no op measures stay
+    entangled.  In half the circuits the data wires and the ancillas never
+    meet, no data op is conditioned, and a data wire is measured only
+    first, in a basis state, so the data register can end in one state
+    on every branch."""
+    n = int(rng.integers(4, 6))
+    wires = [int(q) for q in rng.permutation(n)]
+    data = tuple(wires[: int(rng.integers(2, 4))])
+    isolated = rng.random() < 0.5
+    groups = [list(data), [q for q in range(n) if q not in data]] if isolated else [list(range(n))]
+    ops, written = [], []
+
+    def measured(q):
+        written.append(q)
+        return measure(q, len(written) - 1)
+
+    for q in data:
+        if isolated and rng.random() < 0.3:
+            ops += [pauli_x(q)] * int(rng.integers(2)) + [measured(q)]
+    for _ in range(int(rng.integers(6, 13))):
+        live = [q for q in groups[int(rng.integers(len(groups)))] if q not in written]
+        if not live:
+            continue
+        q = [int(v) for v in rng.permutation(live)]
+        cond = None
+        if written and rng.random() < 0.4 and not (isolated and q[0] in data):
+            bits = tuple(int(b) for b in rng.permutation(len(written))[: rng.integers(1, 3)])
+            values = {int(v) for v in rng.integers(0, 2 ** len(bits), 2)}
+            cond = Condition(bits, tuple(sorted(values)))
+        r = rng.random()
+        if r < 0.15 and len(q) >= 3:
+            ops.append(cswap(*q[:3]))
+        elif r < 0.3 and len(q) >= 2:
+            ops.append(mcroty(float(rng.normal()), [(q[0], int(rng.integers(2)))], q[1]))
+        elif r < 0.45:
+            ops.append(measured(q[0]))
+        else:
+            gate = [roty, rotz, hadamard, pauli_x][int(rng.integers(4))]
+            args = (float(rng.normal()),) if gate in (roty, rotz) else ()
+            ops.append(gate(q[0], *args, condition=cond))
+    return Circuit(n, len(written), tuple(ops), data)
+
+
+class TestDataRegisterView:
+    """``verify_preparation``, ``run`` and ``data_probabilities`` read the
+    data register from one view of the walk's rows."""
+
+    def test_condition_reads_a_measured_data_wire(self):
+        # Data wire 0's outcome is read by a condition and then places the
+        # data state: the merged walk keeps its column to the end.
+        ops = (hadamard(0), measure(0, 0), pauli_x(1, condition=Condition((0,), (1,))))
+        c = Circuit(2, 1, ops, (1, 0))
+        assert [b.data_state.tolist() for b in sp.run(c)] == [[1, 0, 0, 0], [0, 0, 0, 1]]
+        rep = sp.verify_preparation(c, [1.0, 0.0, 0.0, 0.0])
+        assert (rep.passed, rep.branches, rep.min_fidelity) == (False, 2, 0.0)
+
+    def test_hand_made_circuits_match_the_references(self):
+        rng = np.random.default_rng(53)
+        kinds = ("passed", "failed", "unsorted data", "measured data", "live ancilla")
+        seen = dict.fromkeys(kinds, 0)
+        for _ in range(200):
+            c = hand_made_circuit(rng)
+            seen["unsorted data"] += list(c.data_qubits) != sorted(c.data_qubits)
+            measures = [op.qubits[0] for op in c.ops if op.kind == "measure"]
+            seen["measured data"] += bool(set(measures) & set(c.data_qubits))
+            ancillas = [q for q in range(c.n_qubits) if q not in c.data_qubits + tuple(measures)]
+            seen["live ancilla"] += bool(ancillas)
+            targets = (sp.run(c)[0].data_state, random_complex_unit(rng, 2 ** len(c.data_qubits)))
+            for target in targets:
+                for kwargs in ({}, {"mode": "sample", "shots": 64, "seed": 5}):
+                    got = sp.verify_preparation(c, target, **kwargs)
+                    ref = reference_report(c, target, **kwargs)
+                    assert (got.passed, got.branches) == (ref.passed, ref.branches)
+                    assert got.min_fidelity == pytest.approx(ref.min_fidelity, abs=1e-12)
+                    seen["passed" if got.passed else "failed"] += 1
+            # Measured at the end, every ancilla is sliced by the oracle,
+            # whose data axes run in wire order; its data state keeps the
+            # branch's phase.
+            closed = Circuit(c.n_qubits, len(measures) + len(ancillas), tuple(c.ops) + tuple(
+                measure(q, len(measures) + k) for k, q in enumerate(ancillas)), c.data_qubits)
+            axes = [sorted(c.data_qubits).index(q) for q in c.data_qubits]
+            want = {o: (p, d) for o, p, d in oracle_branches(closed)}
+            for b in sp.run(closed):
+                p, d = want[b.outcomes]
+                assert b.probability == pytest.approx(p, abs=1e-12)
+                d = np.transpose(d.reshape((2,) * len(axes)), axes).reshape(-1)
+                assert np.allclose(b.data_state, d, atol=1e-10)
+                probs = data_probabilities(b, c.data_qubits)
+                assert np.allclose(probs, np.abs(d) ** 2, atol=1e-12)
+        assert min(seen.values()) >= 40, seen
