@@ -534,6 +534,14 @@ def _typed(rows: list, key: str, kind: type, where: str = "", has=None) -> list:
     return col
 
 
+def _known(rows: list, fields: set, where: str = "", has=None) -> None:
+    """Refuse the first key of ``rows`` (as for ``_typed``) that is not in ``fields``."""
+    if not fields.issuperset(set().union(*rows)):
+        i, key = next((i, k) for i, row in enumerate(rows) for k in row if k not in fields)
+        i = i if has is None else int(np.flatnonzero(has)[i])
+        raise _Malformed(i, f"unknown field {key!r}", f"{where}.{key}")
+
+
 def _numbers(rows: list, message: str, where: str, real: bool = False, has=None):
     """The entries of ``rows`` (as for ``_typed``) as one array, and how many
     each op holds.  Each must be a 64-bit integer or, if ``real``, a finite
@@ -557,9 +565,7 @@ def _read(docs: list) -> OpTable:
     op's fields, each over a column of every op, and the first rule that
     some op breaks raises ``_Malformed`` at the first op that breaks it."""
     _check(docs, {dict}, "op is not an object")
-    if not _FIELDS.issuperset(set().union(*docs)):
-        i, key = next((i, k) for i, op in enumerate(docs) for k in op if k not in _FIELDS)
-        raise _Malformed(i, f"unknown field {key!r}", f".{key}")
+    _known(docs, _FIELDS)
 
     def column(key, rows=docs):
         return list(map(dict.get, rows, repeat(key)))
@@ -583,6 +589,7 @@ def _read(docs: list) -> OpTable:
     has = np.fromiter(map(dict.__contains__, docs, repeat("condition")), bool, len(docs))
     conds = column("condition", compress(docs, has))
     _check(conds, {dict}, "condition is not an object", ".condition", lengths=has)
+    _known(conds, {"bits", "values", "table"}, ".condition", has)
     bits = _numbers(_typed(conds, "bits", list, ".condition", has), _INTS, ".condition.bits",
                     has=has)
     widths = bits[1][has].tolist()
@@ -592,6 +599,8 @@ def _read(docs: list) -> OpTable:
         # Older documents spell a condition as a truth table, with one 0/1
         # entry per assignment of its bits; a condition without one reads
         # here as an empty table that no rule looks at.
+        _check(conds, {False}, "condition holds both values and a table", ".condition",
+               key=lambda c: "table" in c and "values" in c, lengths=has)
         tables = _typed([c if "table" in c else {"table": []} for c in conds], "table", list,
                         ".condition", has)
         _numbers(tables, _INTS, ".condition.table", has=has)

@@ -12,7 +12,8 @@ The tree is built depth by depth and nothing recurses.  At depth ``d``
 the residual pairs of all ``2**d`` nodes, of every stacked input pair,
 are the rows of two arrays of shape ``(pairs * 2**d, 2**(m - d))``; one
 step solves every row's basis and splits each row into its two children.
-Degenerate, dead and nearly dead rows are handled by masks.
+Degenerate rows and rows that one state misses are handled by masks; a
+missing side becomes ``e_j - conj(v_j) v``, normalized, for the kept side ``v``.
 
 For real input pairs every basis in the tree is a plane rotation, and the
 stored ``angle`` is the y-rotation that maps the basis to the
@@ -164,22 +165,11 @@ def _split(bases: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(-1, half)
 
 
-def _orthogonal_filler(v: np.ndarray) -> np.ndarray:
-    """Any unit vector orthogonal to unit ``v``."""
-    dim = v.size
-    best, best_norm = None, -1.0
-    for j in range(dim):
-        cand = np.zeros(dim, dtype=complex)
-        cand[j] = 1.0
-        cand = cand - np.vdot(v, cand) * v
-        norm = np.linalg.norm(cand)
-        if norm > best_norm:
-            best, best_norm = cand, norm
-    return best / best_norm
-
-
 def _inner_step(plus: np.ndarray, minus: np.ndarray):
-    """Bases of one depth's rows and the residual pairs below them."""
+    """Bases of one depth's rows and the residual pairs below them.  A row
+    that neither state reaches takes |0> as ``eta``; then each side that a
+    row misses becomes ``e_j - conj(v_j) v``, normalized, with ``v`` the
+    kept side and ``j`` the first axis of its smallest ``|v_j|``."""
     half = plus.shape[1] // 2
     theta, omega = solve_ua(plus[:, :half], plus[:, half:], minus[:, :half], minus[:, half:])
     real = (np.abs(omega) < DEGENERATE_TOL) & _is_real(plus) & _is_real(minus)
@@ -204,15 +194,13 @@ def _inner_step(plus: np.ndarray, minus: np.ndarray):
     fix = np.flatnonzero(drift > 0.0)
     v = nu[fix] - overlap[fix, None] * eta[fix]
     nu[fix] = v / _norm(v)[:, None]
-    for r in np.flatnonzero(~both):
-        if live_n[r]:
-            eta[r] = _orthogonal_filler(nu[r])
-        elif live_e[r]:
-            nu[r] = _orthogonal_filler(eta[r])
-        else:
-            # Dead branch: neither state reaches this outcome.
-            eta[r] = np.arange(eta.shape[1]) == 0
-            nu[r] = _orthogonal_filler(eta[r])
+    eta[~(live_e | live_n)] = np.arange(eta.shape[1]) == 0
+    v = np.where(live_n[~both, None], nu[~both], eta[~both])
+    j = np.abs(v).argmin(axis=1)
+    w = (np.arange(v.shape[1]) == j[:, None]) - v[np.arange(len(v)), j, None].conj() * v
+    w = w / _norm(w)[:, None]
+    eta[live_n & ~live_e] = w[live_n[~both]]
+    nu[~live_n] = w[~live_n[~both]]
     return np.where(real, angle, np.nan), bases, _sign_fixed(eta), _sign_fixed(nu)
 
 

@@ -501,9 +501,10 @@ def verify_preparation(
     within the edge for every row, fails if u - d is past it for some row,
     and otherwise the walk is repeated without merging."""
     target = np.asarray(target, dtype=complex).reshape(-1)
-    if 2 ** len(circuit.data_qubits) != target.size:
+    k = len(circuit.data_qubits)
+    if 2**k != target.size:
         raise DimensionMismatch(
-            f"target dimension {target.size} vs data register {len(circuit.data_qubits)}"
+            f"target dimension {target.size} vs {2**k} of a {k}-qubit data register"
         )
     target, edge = normalize(target), np.sqrt(FIDELITY_TOL * (2.0 - FIDELITY_TOL))
     for merge in (True, False):

@@ -112,53 +112,59 @@ def oracle_statevector(circuit):
     return state
 
 
-def _projector(wire, value, n_qubits):
+def _on_wire(mat, wire, n_qubits):
     eye = np.eye(2, dtype=complex)
-    p = np.diag([1.0 - value, float(value)]).astype(complex)
-    return kron_all([p if q == wire else eye for q in range(n_qubits)])
+    return kron_all([np.array(mat, dtype=complex) if q == wire else eye for q in range(n_qubits)])
 
 
 def oracle_branches(circuit, prob_floor=1e-14):
     """Reference branch list via unnormalized projector products.
 
-    Enumerates every assignment to the measured bits, replays the full
-    circuit with dense matrices and explicit projectors (no state
-    shrinking, no renormalization until the end), and extracts the data
-    register by slicing the measured wires at their outcomes.  Every
-    non-data wire must be measured.
+    Enumerates every outcome assignment of the splitting ops (measurements
+    and resets, in op order), replays the full circuit with dense matrices
+    and explicit projectors (no state shrinking, no renormalization until
+    the end), and extracts the data register by slicing each non-data wire
+    at the value that its last op fixed: a measurement's outcome, or 0
+    after a reset.  A reset projects its wire onto the outcome and flips
+    outcome 1 back to |0>.  Every non-data wire must end in a measurement
+    or a reset.
     """
     n = circuit.n_qubits
-    meas_ops = [op for op in circuit.ops if op.kind == "measure"]
-    assert set(range(n)) - {op.qubits[0] for op in meas_ops} <= set(circuit.data_qubits)
+    ops = list(circuit.ops)
+    splits = [i for i, op in enumerate(ops) if op.kind in ("measure", "reset")]
+    last = {q: i for i, op in enumerate(ops) for q in op.qubits}
+    ancillas = [q for q in range(n) if q not in circuit.data_qubits]
+    assert all(last.get(q) in splits for q in ancillas)
     out = []
-    for assignment in np.ndindex(*(2,) * len(meas_ops)):
+    for assignment in np.ndindex(*(2,) * len(splits)):
+        outcome = dict(zip(splits, (int(v) for v in assignment)))
         state = np.zeros(2**n, dtype=complex)
         state[0] = 1.0
         bits = {}
-        k = 0
-        for op in circuit.ops:
-            if op.kind == "measure":
-                value = int(assignment[k])
-                state = _projector(op.qubits[0], value, n) @ state
-                bits[op.clbit] = value
-                k += 1
-            else:
-                if op.condition is not None:
-                    value = 0
-                    for b in op.condition.bits:
-                        value = 2 * value + bits[b]
-                    if value not in op.condition.values:
-                        continue
-                state = full_unitary(op, n) @ state
+        for i, op in enumerate(ops):
+            if i in outcome:
+                value = outcome[i]
+                state = _on_wire(np.diag([1.0 - value, float(value)]), op.qubits[0], n) @ state
+                if op.kind == "measure":
+                    bits[op.clbit] = value
+                elif value:
+                    state = _on_wire([[0, 1], [1, 0]], op.qubits[0], n) @ state
+                continue
+            if op.condition is not None:
+                value = 0
+                for b in op.condition.bits:
+                    value = 2 * value + bits[b]
+                if value not in op.condition.values:
+                    continue
+            state = full_unitary(op, n) @ state
         prob = float(np.vdot(state, state).real)
         if prob < prob_floor:
             continue
         state = state / np.sqrt(prob)
         tensor = state.reshape((2,) * n)
         idx = [slice(None)] * n
-        for op, value in zip(meas_ops, assignment):
-            if op.qubits[0] not in circuit.data_qubits:
-                idx[op.qubits[0]] = int(value)
+        for q in ancillas:
+            idx[q] = outcome[last[q]] if ops[last[q]].kind == "measure" else 0
         data = tensor[tuple(idx)].reshape(-1)
         out.append((tuple(int(v) for v in assignment), prob, data))
     return out

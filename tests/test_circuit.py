@@ -354,10 +354,15 @@ def reference_locate(ops):
     def parse_condition(cond, where):
         if not isinstance(cond, dict):
             raise ParseError("condition is not an object", where)
+        for key in cond:
+            if key not in {"bits", "values", "table"}:
+                raise ParseError(f"unknown field {key!r}", f"{where}.{key}")
         bits = tuple(parse_int_list(expect(cond, "bits", list, where), f"{where}.bits"))
         if not 0 < len(bits) <= 63:
             raise ParseError(f"{len(bits)} condition bits, not 1 to 63", f"{where}.bits")
         if "table" in cond:
+            if "values" in cond:
+                raise ParseError("condition holds both values and a table", where)
             table = parse_int_list(expect(cond, "table", list, where), f"{where}.table")
             if len(table) != 2 ** len(bits) or any(v not in (0, 1) for v in table):
                 raise ParseError("truth table needs 2**len(bits) 0/1 entries", f"{where}.table")
@@ -419,7 +424,10 @@ MALFORMED = [
     ("condition", {"bits": [0], "values": [2**63]}), ("condition", {"bits": [0], "table": 1}),
     ("condition", {"bits": [0], "table": [0, 1, 1]}), ("condition", {"bits": [0], "table": [0, 2]}),
     ("condition", {"bits": [0], "table": [False, True]}),
-    ("condition", {"bits": [0], "table": [2**64, 0]}), ("role", 3), ("role", "loud"),
+    ("condition", {"bits": [0], "table": [2**64, 0]}),
+    ("condition", {"bits": [0], "values": [0], "table": [0, 1]}),
+    ("condition", {"bits": [0], "values": [1], "extra": 5}),
+    ("condition", {"extra": 5, "bits": [0.5]}), ("role", 3), ("role", "loud"),
     ("role", True), ("role", ["load"]),
 ]
 
@@ -674,6 +682,26 @@ class TestSerialization:
             assert bad != good
             with pytest.raises(ParseError):
                 deserialize(bad)
+
+    @pytest.mark.parametrize("cond, message, where", [
+        ('{"bits": [0], "values": [0], "table": [0, 1]}', "condition holds both values and a table",
+         ""),
+        ('{"bits": [0], "table": [0, 1], "values": [1]}', "condition holds both values and a table",
+         ""),
+        ('{"bits": [0], "values": [1], "extra": 5}', "unknown field 'extra'", ".extra"),
+        # An unknown field is named before the rules of the known ones.
+        ('{"extra": 5, "bits": [0.5], "values": [1], "table": [0, 1]}', "unknown field 'extra'",
+         ".extra"),
+        ('{"bits": [0.5], "values": [1], "table": [0, 1]}', "expected a list of 64-bit integers",
+         ".bits"),
+    ])
+    def test_condition_spells_its_values_once(self, cond, message, where):
+        bad = GOOD_DOC.replace('{"bits": [0], "values": [1]}', cond)
+        assert bad != GOOD_DOC
+        with pytest.raises(ParseError) as err:
+            deserialize(bad)
+        location = "ops[2].condition" + where
+        assert (str(err.value), err.value.location) == (f"{message} (at {location})", location)
 
     @pytest.mark.parametrize("angle", ["[]", "[0.5, true]", "[0.5, NaN]", "[0.5, 1e400]",
                                        "[0.5, 1" + "0" * 400 + "]", "[[0.5]]", '"0.5"'])

@@ -203,6 +203,15 @@ class TestVerify:
         assert main(["verify", out, zero]) == 2
         assert "zero norm" in capsys.readouterr().err
 
+    def test_target_of_the_wrong_size_exits_two(self, tmp_path, capsys):
+        out = str(tmp_path / "c.json")
+        vec = write_vector(tmp_path, "v.json", [0.6, 0.0, 0.0, 0.8])
+        assert main(["compile", vec, "--method", "time", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["verify", out, write_vector(tmp_path, "t.json", [0.6, 0.8])]) == 2
+        assert capsys.readouterr().err == (
+            "error: target dimension 2 vs 4 of a 2-qubit data register\n")
+
     def test_time_single_branch(self, dense_file, tmp_path, capsys):
         out = str(tmp_path / "c.json")
         main(["compile", dense_file, "--method", "time", "--out", out])

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stateprep.discrimination import OrthPair, decompose, evaluate_plan, plan_document, solve_ua
+from stateprep.discrimination import (
+    OrthPair,
+    _inner_step,
+    _sign_fixed,
+    decompose,
+    evaluate_plan,
+    plan_document,
+    solve_ua,
+)
 from stateprep.errors import DimensionMismatch, NotOrthogonal, TraceNotZero, ZeroVector
 
 from conftest import random_orthogonal_pair
@@ -222,3 +230,67 @@ class TestResidualOrthogonality:
         for _ in range(100):
             plus, minus = random_orthogonal_pair(rng, 8, real=bool(rng.integers(0, 2)))
             decompose(OrthPair.from_states(plus, minus))
+
+
+def reference_filler(v):
+    """The per-row search that one-sided plan rows were once completed by:
+    of the unit vectors e_j - conj(v_j) v, the one of largest computed norm,
+    the first on ties."""
+    dim = v.size
+    best, best_norm = None, -1.0
+    for j in range(dim):
+        cand = np.zeros(dim, dtype=complex)
+        cand[j] = 1.0
+        cand = cand - np.vdot(v, cand) * v
+        norm = np.linalg.norm(cand)
+        if norm > best_norm:
+            best, best_norm = cand, norm
+    return best / best_norm
+
+
+def tie_prone_unit(rng, dim, real):
+    """A random unit vector, some of whose entries are exact zeros or have
+    exactly the magnitude of another entry."""
+    v = rng.normal(size=dim) + (0.0 if real else 1j * rng.normal(size=dim))
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = rng.integers(0, dim, 2)
+        v[i] = [0.0, -v[j], np.conj(v[j])][rng.integers(0, 3)]
+    if not v.any():
+        v[0] = 1.0
+    return v / np.linalg.norm(v)
+
+
+class TestCompletion:
+    """A side that a plan row misses is completed in one array step."""
+
+    def test_one_sided_rows_match_the_deleted_search(self):
+        rng = np.random.default_rng(61)
+        checked = compared = 0
+        for dim in range(2, 65):
+            for real in (True, False):
+                vs = np.array([tie_prone_unit(rng, dim, real) for _ in range(16)])
+                zero = np.zeros_like(vs)
+                # Measured in the computational basis, each row leaves ``plus``
+                # only outcome 0 and ``minus`` only outcome 1, both along v.
+                plus, minus = np.hstack([vs, zero]), np.hstack([zero, vs])
+                _, _, eta, nu = _inner_step(plus, minus)
+                for v, got in zip(np.vstack([vs, vs]), np.vstack([nu[0::2], eta[1::2]])):
+                    assert abs(np.linalg.norm(got) - 1.0) <= 1e-15
+                    assert abs(np.vdot(v, got)) <= 1e-15
+                    low = np.sort(np.abs(v))
+                    if low[1] - low[0] > 1e-7:
+                        want = _sign_fixed(reference_filler(v)[None])[0]
+                        assert np.max(np.abs(got - want)) <= 1e-15
+                        compared += 1
+                    checked += 1
+        assert checked >= 4000 and compared >= 3000, (checked, compared)
+
+    def test_row_no_state_reaches_is_computational(self):
+        rng = np.random.default_rng(67)
+        for dim in (2, 3, 8):
+            v = tie_prone_unit(rng, dim, real=False)
+            w = reference_filler(v)
+            zero = np.zeros(dim)
+            _, _, eta, nu = _inner_step(np.hstack([v, zero])[None], np.hstack([w, zero])[None])
+            assert eta[1].tolist() == np.eye(dim)[0].tolist()
+            assert nu[1].tolist() == np.eye(dim)[1].tolist()

@@ -539,12 +539,14 @@ class TestMergedVerify:
 def hand_made_circuit(rng):
     """A random circuit of 4 or 5 wires whose data register is 2 or 3 of
     them in shuffled order.  Its ops act on live wires: one-wire gates,
-    some conditioned on earlier outcomes, swaps, controlled rotations and
-    measurements, of data wires too; ancillas that no op measures stay
-    entangled.  In half the circuits the data wires and the ancillas never
-    meet, no data op is conditioned, and a data wire is measured only
-    first, in a basis state, so the data register can end in one state
-    on every branch."""
+    some conditioned on earlier outcomes, swaps, controlled rotations,
+    measurements and resets, of data wires too; ancillas that no op
+    measures or resets stay entangled.  In half the circuits the data wires
+    and the ancillas never meet, no data op is conditioned, no data wire is
+    reset, and a data wire is measured only first, in a basis state, so the
+    data register can end in one state on every branch.  The other half,
+    where a data wire and an ancilla are still live, end by entangling the
+    ancilla with the data wire and resetting it."""
     n = int(rng.integers(4, 6))
     wires = [int(q) for q in rng.permutation(n)]
     data = tuple(wires[: int(rng.integers(2, 4))])
@@ -576,10 +578,17 @@ def hand_made_circuit(rng):
             ops.append(mcroty(float(rng.normal()), [(q[0], int(rng.integers(2)))], q[1]))
         elif r < 0.45:
             ops.append(measured(q[0]))
+        elif r < 0.55 and not (isolated and q[0] in data):
+            ops.append(reset(q[0]))
         else:
             gate = [roty, rotz, hadamard, pauli_x][int(rng.integers(4))]
             args = (float(rng.normal()),) if gate in (roty, rotz) else ()
             ops.append(gate(q[0], *args, condition=cond))
+    live = [q for q in range(n) if q not in written]
+    ends = [q for q in live if q in data], [q for q in live if q not in data]
+    if not isolated and all(ends):
+        d, a = ends[0][0], ends[1][0]
+        ops += [hadamard(d), mcroty(float(rng.normal()), [(d, 1)], a), reset(a)]
     return Circuit(n, len(written), tuple(ops), data)
 
 
@@ -598,15 +607,22 @@ class TestDataRegisterView:
 
     def test_hand_made_circuits_match_the_references(self):
         rng = np.random.default_rng(53)
-        kinds = ("passed", "failed", "unsorted data", "measured data", "live ancilla")
+        kinds = ("passed", "failed", "unsorted data", "measured data", "live ancilla", "reset",
+                 "reset ancilla")
         seen = dict.fromkeys(kinds, 0)
         for _ in range(200):
             c = hand_made_circuit(rng)
             seen["unsorted data"] += list(c.data_qubits) != sorted(c.data_qubits)
             measures = [op.qubits[0] for op in c.ops if op.kind == "measure"]
             seen["measured data"] += bool(set(measures) & set(c.data_qubits))
-            ancillas = [q for q in range(c.n_qubits) if q not in c.data_qubits + tuple(measures)]
+            last = {q: op.kind for op in c.ops for q in op.qubits}
+            ancillas = [q for q in range(c.n_qubits)
+                        if q not in c.data_qubits and last.get(q) not in ("measure", "reset")]
             seen["live ancilla"] += bool(ancillas)
+            seen["reset"] += any(op.kind == "reset" for op in c.ops)
+            # An ancilla that ends in a reset is fixed at 0 for the oracle.
+            seen["reset ancilla"] += any(last.get(q) == "reset" for q in range(c.n_qubits)
+                                         if q not in c.data_qubits)
             targets = (sp.run(c)[0].data_state, random_complex_unit(rng, 2 ** len(c.data_qubits)))
             for target in targets:
                 for kwargs in ({}, {"mode": "sample", "shots": 64, "seed": 5}):

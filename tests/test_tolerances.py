@@ -2,18 +2,21 @@
 that misses by half the tolerance is on one side, by twice it on the other.
 ``OVERLAP_EQUAL_TOL`` and ``ANGLE_TOL`` have their edges in
 ``test_divide_conquer.py``; ``ZERO_NORM_TOL``'s negative-entry edge is in
-``test_tree.py``."""
+``test_tree.py``; the plan kernel's ``DEGENERATE_TOL`` (a dead residual)
+and ``DRIFT_TOL`` are here, with the others."""
 
 import numpy as np
 import pytest
 
 import stateprep as sp
 from stateprep.circuit import Circuit, Condition, hadamard, measure, roty
-from stateprep.discrimination import OrthPair
+from stateprep.discrimination import OrthPair, _inner_step, decompose
 from stateprep.errors import NegativeAmplitude, NonUnitInput, NotOrthogonal
 from stateprep.simulator import _merge_rows, _walk
 from stateprep.tolerances import (
     BRANCH_PROB_TOL,
+    DEGENERATE_TOL,
+    DRIFT_TOL,
     FIDELITY_TOL,
     MERGE_BOUND_TOL,
     MERGE_TOL,
@@ -66,6 +69,38 @@ def test_orth_tol(scale, inside):
     else:
         with pytest.raises(NotOrthogonal):
             OrthPair.from_states(plus, minus)
+
+
+@pytest.mark.parametrize("scale, inside", EDGES)
+def test_degenerate_tol(scale, inside):
+    # No same-index overlap: the first qubit is measured in the computational
+    # basis.  Its outcome 1 leaves ``minus`` the residual w and ``plus`` one
+    # of norm eps along u, orthogonal to w.  Within the tolerance that
+    # residual is dead and completed from w at w's first zero, axis 2;
+    # beyond it it is kept and normalized.
+    eps = scale * DEGENERATE_TOL
+    u, w = [0.0, 0.0, 0.6, 0.8], [0.6, 0.8, 0.0, 0.0]
+    plus = np.array([[np.sqrt(1.0 - eps**2), 0.0, 0.0, 0.0] + [eps * x for x in u]], complex)
+    angle, _, eta, nu = _inner_step(plus, np.array([[0.0] * 4 + w], complex))
+    assert angle.tolist() == [0.0] and nu[1].tolist() == w
+    assert np.allclose(eta[1], [0.0, 0.0, 1.0, 0.0] if inside else u, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scale, inside", EDGES)
+def test_drift_tol(scale, inside):
+    # Outcome 0 of the first qubit leaves residuals of norm r whose unit
+    # forms overlap by c.  Their same-index overlap r**2 c is below
+    # DEGENERATE_TOL, so no basis change removes it: what is left past
+    # DRIFT_TOL says the pair was not orthogonal.
+    c, r = scale * DRIFT_TOL, 1e-4
+    plus = [r, 0.0, np.sqrt(1.0 - r**2), 0.0]
+    minus = [r * c, r * np.sqrt(1.0 - c**2), 0.0, np.sqrt(1.0 - r**2)]
+    pair = OrthPair.from_states(plus, minus)
+    if inside:
+        assert decompose(pair).angles.tolist()[0] == 0.0
+    else:
+        with pytest.raises(NotOrthogonal, match="after basis change"):
+            decompose(pair)
 
 
 @pytest.mark.parametrize("scale, inside", EDGES)
