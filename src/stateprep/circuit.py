@@ -205,6 +205,8 @@ class OpTable:
 
     @staticmethod
     def concat(tables) -> OpTable:
+        if len(tables) == 1:
+            return tables[0]
         columns = (f.name for f in fields(OpTable))
         return OpTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in columns))
 
@@ -234,7 +236,8 @@ def op_table(kind, qubits, polarities=None, bits=None, values=None, angle=None, 
     """A table from columns.  ``kind``, ``role`` and ``clbit`` hold a value
     per op or one for all (codes for ``kind`` and ``role``).  Each ragged
     field is a 2-d array with a row per op, a pair (flat entries, count per
-    op), or None for no entries."""
+    op), or None for no entries.  The table keeps, and does not copy, the
+    arrays it is given, so a caller does not change them afterwards."""
     n = len(qubits[1]) if isinstance(qubits, tuple) else len(qubits)
     counts, flats = np.zeros((n, len(RAGGED)), dtype=np.int64), []
     for j, x in enumerate((qubits, polarities, bits, values, angle)):
@@ -244,7 +247,7 @@ def op_table(kind, qubits, polarities=None, bits=None, values=None, angle=None, 
         elif not isinstance(x, tuple):
             x = np.asarray(x, dtype=dtype)
             x = (x.reshape(-1), x.shape[1])
-        flats.append(np.array(x[0], dtype=dtype))
+        flats.append(np.asarray(x[0], dtype=dtype))
         counts[:, j] = x[1]
 
     def column(value, dtype):
@@ -447,6 +450,7 @@ def metrics(circuit: Circuit) -> ResourceReport:
 
 _KIND_TEXT = [f'{{"kind":"{k}","qubits":[' for k in KINDS]
 _ROLE_TEXT = ["}" if r is None else f',"role":"{r}"}}' for r in ROLES]
+CHUNK = 4096  # ops rendered at a time; writing a document holds one such run's text
 
 
 def _joined(t: OpTable, j: int) -> list[str]:
@@ -478,15 +482,26 @@ def _number(a: float) -> str:
     return text if "." in text and "e" not in text else repr(float(text))
 
 
-def serialize(circuit: Circuit) -> str:
+def serialize(circuit: Circuit, out=None) -> str | None:
     """One line of JSON, as ``json.dumps`` with compact separators spells
-    it; angles keep 12 significant digits."""
-    t = circuit.ops
-    head = json.dumps(
-        {"n_qubits": circuit.n_qubits, "n_clbits": circuit.n_clbits,
-         "data_qubits": list(circuit.data_qubits)},
-        separators=(",", ":"),
-    )
+    it; angles keep 12 significant digits.  Returned, or written to the
+    text file ``out`` a run of ``CHUNK`` ops at a time."""
+    t, data = circuit.ops, ",".join(map(str, circuit.data_qubits))
+    head = (f'{{"n_qubits":{circuit.n_qubits},"n_clbits":{circuit.n_clbits},'
+            f'"data_qubits":[{data}],"ops":[')
+    pieces = chain((head,), map(_ops_text, repeat(t), range(0, t.n_ops, CHUNK)), ("]}\n",))
+    if out is None:
+        return "".join(pieces)
+    out.writelines(pieces)
+
+
+def _ops_text(t: OpTable, a: int) -> str:
+    """Ops ``a`` to ``a + CHUNK`` of ``t``, comma-separated, and after a
+    comma unless ``a`` is 0."""
+    run, first = slice(a, a + CHUNK), t.counts[:a].sum(axis=0)
+    flats = zip(RAGGED, first.tolist(), (first + t.counts[run].sum(axis=0)).tolist())
+    t = OpTable(t.kind[run], t.role[run], t.clbit[run],  # views of the run's columns
+                *(getattr(t, name)[i:j] for name, i, j in flats), t.counts[run])
     kinds = t.kind.tolist()
     numbers = map(_number, t.angle.tolist())  # read in op order, each op its count
     angles = ["]" if k == 0 else f'],"angle":{next(numbers)}' if k == 1 else
@@ -499,7 +514,7 @@ def serialize(circuit: Circuit) -> str:
              for b, v in zip(_joined(t, 2), _joined(t, 3))]
     texts = map("".join, zip(map(_KIND_TEXT.__getitem__, kinds), _joined(t, 0), angles, clbits,
                              pols, conds, map(_ROLE_TEXT.__getitem__, t.role.tolist())))
-    return f'{head[:-1]},"ops":[{",".join(texts)}]}}\n'
+    return ("," if a else "") + ",".join(texts)
 
 
 _FIELDS = {"kind", "qubits", "angle", "clbit", "polarities", "condition", "role"}

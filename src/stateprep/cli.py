@@ -82,7 +82,7 @@ def cmd_compile(args) -> int:
         else:
             circuit = synthesize_hybrid(tree, args.lambda_, opts)
     with open(args.out, "w") as fh:
-        fh.write(serialize(circuit))
+        serialize(circuit, fh)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump({"stages": [asdict(r) for r in circuit.stage_reports]}, fh, indent=2)

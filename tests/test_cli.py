@@ -124,6 +124,16 @@ class TestCompile:
         circuit = sp.deserialize(out.read_text())
         assert sp.metrics(circuit).qubits == 7
 
+    def test_document_of_two_chunks_round_trips(self, tmp_path, capsys):
+        vec = write_vector(tmp_path, "v.json", random_unit(np.random.default_rng(13), 2**13))
+        out = tmp_path / "c.json"
+        assert main(["compile", vec, "--method", "time", "--out", str(out)]) == 0
+        capsys.readouterr()
+        text = out.read_text()
+        circuit = sp.deserialize(text)
+        assert circuit.ops.n_ops == 8191 > sp.circuit.CHUNK
+        assert sp.serialize(circuit) == text
+
     def test_stage_report_sidecar(self, dense_file, tmp_path, capsys):
         out = str(tmp_path / "c.json")
         report = tmp_path / "stages.json"
