@@ -15,6 +15,10 @@ constructed.  ``deserialize`` reads a document's ``ops`` by one set of
 rules over columns, which also locate its first malformed op and field,
 and reads the older ``{"bits", "table"}`` truth-table form.
 
+An op waits for the last earlier op on each of its wires and for the
+``measure`` of each bit its condition reads: ``OpTable.waits``, which
+``validate``, both depth figures and the simulator's ``_plan`` read.
+
 Two depth figures are reported.  ``depth_gates`` layers only the loading
 and combining unitaries (ops whose ``role`` is not measurement machinery
 and that carry no classical condition); it is the figure the closed-form
@@ -185,14 +189,24 @@ class OpTable:
         """Where each op's entries of ``RAGGED[j]`` start, then where the last ends."""
         return np.concatenate(([0], np.cumsum(self.counts[:, j])))
 
-    def rows(self, j: int) -> list[list[int]]:
-        """Each op's entries of ``RAGGED[j]``."""
-        flat, off = getattr(self, RAGGED[j]).tolist(), self.offsets(j).tolist()
+    def rows(self, j: int, flat: np.ndarray | None = None) -> list[list[int]]:
+        """Each op's entries of ``RAGGED[j]``, or of ``flat``, aligned with them."""
+        flat = getattr(self, RAGGED[j]) if flat is None else flat
+        flat, off = flat.tolist(), self.offsets(j).tolist()
         return [flat[a:b] for a, b in zip(off, off[1:])]
 
     def owner(self, j: int) -> np.ndarray:
         """The op holding each entry of ``RAGGED[j]``."""
         return np.repeat(np.arange(self.n_ops), self.counts[:, j])
+
+    @cached_property
+    def waits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ops each op waits for, -1 for none: per ``qubits`` entry the
+        last earlier op on that wire, and per ``bits`` entry the last
+        earlier ``measure`` that wrote that bit."""
+        qown, written = self.owner(0), np.flatnonzero(self.kind == KIND["measure"])
+        return (_last_before(self.qubits, qown, self.qubits, qown),
+                _last_before(self.clbit[written], written, self.bits, self.owner(2)))
 
     def take(self, order) -> OpTable:
         """The ops at the indices ``order``, in that order."""
@@ -311,10 +325,14 @@ class Circuit:
         check(bad_kind, message)
         kind = np.where(bad_kind, -1, t.kind)  # a code that indexes ``KINDS``
         measure, mcroty = kind == KIND["measure"], kind == KIND["mcroty"]
+        # Without a measurement nothing follows one, and no bit is written.
+        after, twice, unwritten = False, False, np.ones(len(b), dtype=bool)
+        if len(written := np.flatnonzero(measure)):
+            wire, bit = t.waits
+            after, unwritten = (wire >= 0) & measure[wire], bit < 0
+            twice = _last_before(c[written], written, c, np.arange(t.n_ops)) >= 0
         check(_repeats(q, qown, t.n_ops), lambda i: f"repeated qubit in {tuple(t.rows(0)[i])}")
-        measured = measure & (nq > 0)
         out = (q < 0) | (q >= self.n_qubits)
-        after = _after(q[t.offsets(0)[:-1][measured]], np.flatnonzero(measured), q, qown)
         check(out | after, lambda j: f"qubit {q[j]} " + (
             "out of range" if out[j] else "used after its measurement"), qown)
         angled = np.isin(kind, [KIND[k] for k in ANGLE_KINDS])
@@ -330,8 +348,6 @@ class Circuit:
         check(~mcroty & (npol > 0), lambda i: "polarities only valid on mcroty")
         check(measure & ((c < 0) | (c >= self.n_clbits)),
               lambda i: f"bad clbit {None if c[i] == -1 else c[i]}")
-        written = np.flatnonzero(measure)
-        twice = _after(c[written], written, c, np.arange(t.n_ops))
         check(measure & twice, lambda i: f"clbit {c[i]} written twice")
         check(~measure & (c >= 0), lambda i: "clbit only valid on measure")
         fixed = (nb > 0) & (measure | (kind == KIND["reset"]))
@@ -346,7 +362,6 @@ class Circuit:
         big = np.right_shift(v, nb[vown]) != 0  # a condition reads 1 to 63 bits
         check(any_entry(big, vown), lambda i: "condition value out of range")
         check(_repeats(b, bown, t.n_ops), lambda i: f"repeated clbit in {tuple(t.rows(2)[i])}")
-        unwritten = ~_after(c[written], written, b, bown)
         check(unwritten, lambda j: f"condition reads unmeasured bit {b[j]}", bown)
         check(*unknown("role", t.role, ROLES))
         if errors:
@@ -371,17 +386,19 @@ def _repeats(flat: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     return bad
 
 
-def _after(keys: np.ndarray, at: np.ndarray, queries: np.ndarray, when: np.ndarray) -> np.ndarray:
-    """Whether each of ``queries`` is one of ``keys`` at some index ``at``
-    before the query's ``when``."""
+def _last_before(keys: np.ndarray, at: np.ndarray, queries: np.ndarray, when: np.ndarray):
+    """For each of ``queries``, the greatest ``at`` below its ``when`` among
+    the ``keys`` equal to it, else -1; ``at`` ascends, and both are op indices."""
     if not len(keys):
-        return np.zeros(len(queries), dtype=bool)
-    order = np.lexsort((at, keys))
-    keys, at = keys[order], at[order]
-    firsts = np.append(True, keys[1:] != keys[:-1])
-    keys, at = keys[firsts], at[firsts]
-    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-    return (keys[pos] == queries) & (at[pos] < when)
+        return np.full(len(queries), -1)
+    span = 1 + max(at[-1], when.max(initial=0))
+    order = np.argsort(keys, kind="stable")
+    keys, at = keys[order], at[order]  # by key, then by ``at``
+    run = np.cumsum(np.append(0, keys[1:] != keys[:-1]))  # a number per distinct key
+    first = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    # (run, at) pairs, one ascending number each, searched for (run, when).
+    pos = np.searchsorted(run * span + at, run[first] * span + when) - 1
+    return np.where((keys[first] == queries) & (pos >= first), at[pos], -1)
 
 
 @dataclass(frozen=True)
@@ -392,60 +409,40 @@ class ResourceReport:
     depth_full: int
 
 
-def _asap(t: OpTable) -> tuple[list[int | None], list[int]]:
-    """ASAP layer of each op for gate depth (None for the ops it leaves out)
-    and for full depth, in one pass.
-
-    An op starts one layer after the latest op sharing a wire or, for
-    conditioned ops, after the measurement writing any bit it reads.
-    """
-    gate = (t.kind < len(UNITARY_KINDS)) & (t.counts[:, 2] == 0)
-    gate &= t.role != ROLE[ROLE_MEAS_BASIS]
-    # Ops that all count and all touch the first one's first wire run one per layer.
-    n = t.n_ops
-    if gate.all() and np.bincount(t.owner(0)[t.qubits == t.qubits[:1]], minlength=n).all():
-        return list(range(n)), list(range(n))
-    # Wires and classical bits numbered from 0, so plain lists hold the layer
-    # each is next free in; an op without a clbit writes the slot of -1.
-    wire = np.unique(t.qubits, return_inverse=True)[1].reshape(-1).tolist()
-    bit = np.unique(np.append(t.bits, t.clbit), return_inverse=True)[1].reshape(-1).tolist()
-    free, gate_free, ready = [0] * len(wire), [0] * len(wire), [0] * len(bit)
+def _asap(t: OpTable, full: bool) -> tuple[np.ndarray, list[int]]:
+    """The ops that a depth figure layers, and the ASAP layer of each.
+    Full depth layers every op, and gate depth its counted ops on their own
+    table.  An op's layer is one after the latest of the ops it waits for
+    (``OpTable.waits``), else 0."""
+    counted = (t.kind < len(UNITARY_KINDS)) & (t.counts[:, 2] == 0)
+    counted &= t.role != ROLE[ROLE_MEAS_BASIS]
+    ops = np.arange(t.n_ops) if full else np.flatnonzero(counted)
+    # Ops that all touch the first one's first wire run one per layer.
+    if np.bincount(t.owner(0)[t.qubits == t.qubits[:1]], minlength=t.n_ops).all():
+        return ops, list(range(len(ops)))
+    t = t if full else t.take(ops)
+    wire, bit = (w.tolist() for w in t.waits)
     q_off, b_off = t.offsets(0).tolist(), t.offsets(2).tolist()
-    gate_out, full_out = [], []
-    for a, b, c, d, clbit, counted in zip(q_off, q_off[1:], b_off, b_off[1:],
-                                          bit[len(t.bits):], gate.tolist()):
-        qubits = wire[a:b]  # a valid op touches at least one wire
-        layer = max(map(free.__getitem__, qubits))
-        if c < d:
-            layer = max(layer, max(map(ready.__getitem__, bit[c:d])))
-        full_out.append(layer)
-        for q in qubits:
-            free[q] = layer + 1
-        ready[clbit] = layer + 1
-        if counted:
-            layer = max(map(gate_free.__getitem__, qubits))
-            for q in qubits:
-                gate_free[q] = layer + 1
-        gate_out.append(layer if counted else None)
-    return gate_out, full_out
+    layer = [0] * t.n_ops + [-1]  # the last, read at index -1, stands for no op
+    for i, a, b, c, d in zip(range(t.n_ops), q_off, q_off[1:], b_off, b_off[1:]):
+        layer[i] = 1 + max(map(layer.__getitem__, wire[a:b] + bit[c:d]))
+    return ops, layer[:-1]
 
 
 def layers(circuit: Circuit, full: bool = True) -> list[int | None]:
     """Layer index of each ``Gate`` record of ``circuit.ops``, the records of
     one selected rotation sharing its layer; with ``full=False`` only the
     gate-depth ops."""
-    per_record = np.maximum(circuit.ops.counts[:, 4], 1).tolist()
-    return list(chain.from_iterable(map(repeat, _asap(circuit.ops)[full], per_record)))
+    t, out = circuit.ops, np.full(circuit.ops.n_ops, None)
+    ops, layer = _asap(t, full)
+    out[ops] = layer
+    return np.repeat(out, np.maximum(t.counts[:, 4], 1)).tolist()
 
 
 def metrics(circuit: Circuit) -> ResourceReport:
-    gate_layers, full_layers = _asap(circuit.ops)
-    return ResourceReport(
-        qubits=circuit.n_qubits,
-        unit_cswaps=int(np.count_nonzero(circuit.ops.kind == KIND["cswap"])),
-        depth_gates=1 + max((v for v in gate_layers if v is not None), default=-1),
-        depth_full=1 + max(full_layers, default=-1),
-    )
+    t = circuit.ops
+    depths = (1 + max(_asap(t, full)[1], default=-1) for full in (False, True))
+    return ResourceReport(circuit.n_qubits, int(np.count_nonzero(t.kind == KIND["cswap"])), *depths)
 
 
 _KIND_TEXT = [f'{{"kind":"{k}","qubits":[' for k in KINDS]

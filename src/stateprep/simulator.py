@@ -108,14 +108,15 @@ def _slices(kind: int, qubits: list[int], polarities: list[int], wires: list[int
 
 def _plan(circuit: Circuit):
     """The walk, read from the op table.  Per op: (the clusters it joins,
-    the one it acts on, its two slices there, the splitting ops whose bits
-    its condition reads, the values on which it fires, its matrices or None
-    for a split, the new cluster of a reset wire).  An op's matrices are
-    the identity, then its kind's matrix or one per angle, in the order of
-    its values (see ``_selects``).  Per splitting op, the last op that
-    needs its outcome; a measured data wire's outcome places the data state,
-    so it is needed to the end.  The clusters left at the end, and the op
-    that measures each measured wire."""
+    the one it acts on, its two slices there, the measurement that each
+    bit of its condition waits for (``OpTable.waits``), the values on
+    which it fires, its matrices or None for a split, the new cluster of a
+    reset wire).  An op's matrices are the identity, then its kind's
+    matrix or one per angle, in the order of its values (see
+    ``_selects``).  Per splitting op, the last op that needs its outcome;
+    a measured data wire's outcome places the data state, so it is needed
+    to the end.  The clusters left at the end, and the op that measures
+    each measured wire."""
     t, n = circuit.ops, circuit.n_qubits
     kind, na = np.repeat(t.kind, t.counts[:, 4]), t.counts[:, 4]  # per angle; per op
     cos, sin = np.cos(t.angle / 2.0), np.sin(t.angle / 2.0)
@@ -130,21 +131,20 @@ def _plan(circuit: Circuit):
     stacks, bounds = own[np.where(j > 0, pick, 0)], np.cumsum(size).tolist()
     wires = {q: [q] for q in range(n)}  # cluster -> its wires, one axis each
     owner = list(range(n))
-    writer: dict[int, int] = {}  # clbit -> the op that measured it
     last: dict[int, int] = {}  # splitting op -> the last op that needs its outcome
     measured: dict[int, int] = {}  # wire -> the op that measured it
     steps, new = [], n
-    ops = zip(t.kind.tolist(), t.clbit.tolist(), [0] + bounds, bounds, *map(t.rows, range(4)))
-    for i, (kind, clbit, start, stop, qubits, pols, bits, values) in enumerate(ops):
+    ops = zip(t.kind.tolist(), [0] + bounds, bounds, t.rows(0), t.rows(1), t.rows(2, t.waits[1]),
+              t.rows(3))
+    for i, (kind, start, stop, qubits, pols, reads, values) in enumerate(ops):
         joined = tuple(dict.fromkeys(owner[q] for q in qubits))
-        c, fresh, reads = joined[0], None, ()
+        c, fresh = joined[0], None
         if len(joined) > 1:
             c, new = new, new + 1
             wires[c] = [w for j in joined for w in wires.pop(j)]
             for w in wires[c]:
                 owner[w] = c
-        if bits:
-            reads = tuple(writer[b] for b in bits)
+        if reads:
             last.update({w: max(last[w], i) for w in reads})
         slices, mats = _slices(kind, qubits, pols, wires[c]), stacks[start:stop]
         if kind in _SPLITS:
@@ -154,7 +154,7 @@ def _plan(circuit: Circuit):
                 del wires[c]
             last[i] = t.n_ops if kind == KIND["measure"] and q in circuit.data_qubits else i
             if kind == KIND["measure"]:
-                writer[clbit], measured[q] = i, i
+                measured[q] = i
             else:
                 fresh, new = new, new + 1
                 wires[fresh], owner[q] = [q], fresh

@@ -243,6 +243,26 @@ def oracle_layers(circuit, full=True):
     return out
 
 
+def reference_waits(table):
+    """``OpTable.waits`` by a plain per-op walk: per ``qubits`` entry the
+    last earlier op on its wire, per ``bits`` entry the last earlier
+    ``measure`` of its clbit, -1 for none."""
+    last_on, measured_by, wire, bit = {}, {}, [], []
+    rows = zip(table.kind.tolist(), table.clbit.tolist(), table.rows(0), table.rows(2))
+    for i, (kind, clbit, qubits, bits) in enumerate(rows):
+        wire += [last_on.get(q, -1) for q in qubits]
+        bit += [measured_by.get(b, -1) for b in bits]
+        last_on.update(dict.fromkeys(qubits, i))
+        if kind == sp.circuit.KIND["measure"]:
+            measured_by[clbit] = i
+    return wire, bit
+
+
+def assert_waits_match_reference(table):
+    wire, bit = table.waits
+    assert (wire.tolist(), bit.tolist()) == reference_waits(table)
+
+
 def oracle_metrics(circuit):
     """(qubits, unit_cswaps, depth_gates, depth_full) from ``oracle_layers``."""
     def depth(full):

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import tracemalloc
+from dataclasses import fields
 from itertools import chain
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from stateprep.circuit import (
 )
 from stateprep.errors import InvalidCircuit, ParseError
 
-from conftest import oracle_layers, oracle_metrics, random_unit
+from conftest import assert_waits_match_reference, oracle_layers, oracle_metrics, random_unit
 
 KIND = sp.circuit.KIND
 DATA = Path(__file__).parent / "data"
@@ -157,6 +158,22 @@ class TestValidation:
         ops = (measure(2, 0), first, second)
         with pytest.raises(InvalidCircuit, match=f"^op 1: {message}"):
             Circuit(3, 2, ops, (0,))
+
+    def test_measure_free_table_validates_in_its_own_size(self):
+        # Without a measurement no op waits for one, so ``validate`` builds
+        # no per-entry dependency view.  At time encoding n=14 the table
+        # holds 4.2 MB; building the view read 4.1x that, and one -1 array
+        # per qubit entry 1.45x.
+        c = sp.synthesize_time(sp.build_tree(random_unit(np.random.default_rng(14), 2**14)))
+        columns = [getattr(c.ops, f.name) for f in fields(c.ops)]
+        size, table = sum(col.nbytes for col in columns), sp.circuit.OpTable(*columns)
+        tracemalloc.start()
+        try:
+            Circuit(c.n_qubits, c.n_clbits, table, c.data_qubits)  # which validates it
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size, (peak, size)
 
     @pytest.mark.parametrize("kind, role, message", [
         (-1, 0, "unknown kind code -1"), (9, 0, "unknown kind code 9"),
@@ -333,6 +350,35 @@ class TestValidateAgainstReference:
             assert got == want, ops
             seen.add(want.split(":")[-1].split()[0] if want else None)
         assert len(seen) > 10
+
+
+class TestWaitsAgainstReference:
+    """``OpTable.waits``, the one dependency view that ``validate``, both
+    depth figures and the walk planner read, against a per-op walk."""
+
+    def test_random_circuits_malformed_ones_too(self):
+        rng = np.random.default_rng(31)
+        seen = dict.fromkeys(("repeated wire", "unwritten bit", "after measurement"), 0)
+        for _ in range(3000):
+            table = sp.circuit.OpTable.from_gates(random_ops(rng, int(rng.integers(1, 9))))
+            assert_waits_match_reference(table)
+            wire, bit = table.waits
+            seen["repeated wire"] += any(len(set(q)) < len(q) for q in table.rows(0))
+            seen["unwritten bit"] += bool((bit < 0).any())
+            seen["after measurement"] += bool(
+                (table.kind[wire[wire >= 0]] == KIND["measure"]).any())
+        assert min(seen.values()) > 50, seen
+
+    def test_synthesized_circuits_of_every_method(self):
+        rng = np.random.default_rng(8)
+        options = (sp.DcOptions(), sp.DcOptions(prune=True), sp.DcOptions(parallelize=True),
+                   sp.DcOptions(disentangle=False))
+        for n in range(1, 7):
+            tree = sp.build_tree(random_unit(rng, 2**n))
+            circuits = [sp.synthesize_time(tree)] + [
+                sp.synthesize_hybrid(tree, lam, o) for lam in range(1, n + 1) for o in options]
+            for c in circuits:
+                assert_waits_match_reference(c.ops)
 
 
 def reference_locate(ops):

@@ -13,6 +13,7 @@ from stateprep.tolerances import BRANCH_PROB_TOL, FIDELITY_TOL
 from stateprep.simulator import _walk, data_probabilities, statevector
 
 from conftest import (
+    assert_waits_match_reference,
     oracle_branches,
     oracle_statevector,
     random_complex_unit,
@@ -590,6 +591,17 @@ def hand_made_circuit(rng):
         d, a = ends[0][0], ends[1][0]
         ops += [hadamard(d), mcroty(float(rng.normal()), [(d, 1)], a), reset(a)]
     return Circuit(n, len(written), tuple(ops), data)
+
+
+def test_waits_of_hand_made_circuits_match_the_reference():
+    # The walk planner reads which measurement each condition bit waits for
+    # from ``OpTable.waits``; these circuits reset and re-use wires.
+    rng, resets = np.random.default_rng(53), 0
+    for _ in range(200):
+        c = hand_made_circuit(rng)
+        assert_waits_match_reference(c.ops)
+        resets += any(op.kind == "reset" for op in c.ops)
+    assert resets > 50
 
 
 class TestDataRegisterView:

@@ -2,15 +2,21 @@
 that misses by half the tolerance is on one side, by twice it on the other.
 ``OVERLAP_EQUAL_TOL`` and ``ANGLE_TOL`` have their edges in
 ``test_divide_conquer.py``; ``ZERO_NORM_TOL``'s negative-entry edge is in
-``test_tree.py``; the plan kernel's ``DEGENERATE_TOL`` (a dead residual)
-and ``DRIFT_TOL`` are here, with the others."""
+``test_tree.py``, and its node-norm edge is here.  So are the plan
+kernel's ``DEGENERATE_TOL`` (a dead residual) and ``DRIFT_TOL``,
+``PROB_SUM_TOL`` and the others.  ``ORTH_TOL`` keeps a real plan's
+misroutes near 1e-20, so ``PLAN_MISS_TOL``'s edge is reached by
+substituting the probabilities that ``distinguish`` evaluates."""
+
+import json
 
 import numpy as np
 import pytest
 
 import stateprep as sp
-from stateprep.circuit import Circuit, Condition, hadamard, measure, roty
-from stateprep.discrimination import OrthPair, _inner_step, decompose
+from stateprep.circuit import Circuit, Condition, hadamard, measure, pauli_z, reset, roty
+from stateprep.cli import main
+from stateprep.discrimination import OrthPair, _inner_step, decompose, evaluate_plan
 from stateprep.errors import NegativeAmplitude, NonUnitInput, NotOrthogonal
 from stateprep.simulator import _merge_rows, _walk
 from stateprep.tolerances import (
@@ -21,9 +27,12 @@ from stateprep.tolerances import (
     MERGE_BOUND_TOL,
     MERGE_TOL,
     ORTH_TOL,
+    PLAN_MISS_TOL,
+    PROB_SUM_TOL,
     REAL_TOL,
     STATE_EQ_TOL,
     UNIT_NORM_TOL,
+    ZERO_NORM_TOL,
 )
 from stateprep.tree import states_equal
 
@@ -143,3 +152,47 @@ def test_real_tol(scale, inside):
     else:
         with pytest.raises(NegativeAmplitude):
             sp.build_tree(x)
+
+
+@pytest.mark.parametrize("scale, inside", EDGES)
+def test_zero_norm_tol_of_a_node(scale, inside):
+    # The right node of level 1 holds (0, eps) of the unit vector.  A norm
+    # within the tolerance is zero, and the node reads as |0>; beyond it the
+    # node's own state, |1>, is kept.
+    eps = scale * ZERO_NORM_TOL
+    tree = sp.build_tree([np.sqrt(1.0 - eps**2), 0.0, 0.0, eps])
+    assert (tree.omega0[2], tree.omega1[2]) == ((1.0, 0.0) if inside else (0.0, 1.0))
+
+
+@pytest.mark.parametrize("scale, inside", EDGES)
+def test_prob_sum_tol(scale, inside):
+    # Twelve measured coins leave 4,096 branches, which the last op's
+    # condition keeps apart.  Each of five resets then sends p of every
+    # branch to outcome 1, below BRANCH_PROB_TOL and so dropped: 5p in all
+    # goes missing, and the data wire stays |0> on every branch.
+    coins, p = range(2, 14), scale * PROB_SUM_TOL / 5.0
+    assert p / 2**12 < BRANCH_PROB_TOL
+    ops = [op for q in coins for op in (hadamard(q), measure(q, q - 2))]
+    ops += [roty(1, 2.0 * np.arcsin(np.sqrt(p))), reset(1)] * 5
+    ops.append(pauli_z(0, condition=Condition(tuple(range(12)), (0,))))
+    rep = sp.verify_preparation(Circuit(14, 12, tuple(ops), (0,)), [1.0, 0.0])
+    assert rep.sum_prob == pytest.approx(1.0 - 5.0 * p, abs=1e-13)
+    assert (rep.min_fidelity, rep.passed) == (1.0, inside)
+
+
+@pytest.mark.parametrize("scale, inside", EDGES)
+def test_plan_miss_tol(scale, inside, tmp_path, monkeypatch, capsys):
+    # The computational pair's plan routes each state to its label; the
+    # substitute sends ``miss`` of each to the other label.
+    miss = scale * PLAN_MISS_TOL
+
+    def misrouting(plan, state):
+        return [(path, label, abs(p - miss)) for path, label, p in evaluate_plan(plan, state)]
+
+    monkeypatch.setattr("stateprep.cli.evaluate_plan", misrouting)
+    files = [str(tmp_path / f"{name}.json") for name in ("plus", "minus")]
+    for path, amplitudes in zip(files, ([1.0, 0.0], [0.0, 1.0])):
+        with open(path, "w") as fh:
+            json.dump({"amplitudes": amplitudes}, fh)
+    assert main(["distinguish", *files]) == (0 if inside else 1)
+    assert json.loads(capsys.readouterr().out)["p_correct_plus"] == 1.0 - miss
