@@ -17,7 +17,8 @@ and reads the older ``{"bits", "table"}`` truth-table form.
 
 An op waits for the last earlier op on each of its wires and for the
 ``measure`` of each bit its condition reads: ``OpTable.waits``, which
-``validate``, both depth figures and the simulator's ``_plan`` read.
+``validate`` and both depth figures read; the simulator's ``_plan`` reads
+only its bit half, ``OpTable.bit_waits``.
 
 Two depth figures are reported.  ``depth_gates`` layers only the loading
 and combining unitaries (ops whose ``role`` is not measurement machinery
@@ -202,11 +203,15 @@ class OpTable:
     @cached_property
     def waits(self) -> tuple[np.ndarray, np.ndarray]:
         """The ops each op waits for, -1 for none: per ``qubits`` entry the
-        last earlier op on that wire, and per ``bits`` entry the last
-        earlier ``measure`` that wrote that bit."""
-        qown, written = self.owner(0), np.flatnonzero(self.kind == KIND["measure"])
-        return (_last_before(self.qubits, qown, self.qubits, qown),
-                _last_before(self.clbit[written], written, self.bits, self.owner(2)))
+        last earlier op on that wire, and per ``bits`` entry ``bit_waits``."""
+        qown = self.owner(0)
+        return _last_before(self.qubits, qown, self.qubits, qown), self.bit_waits
+
+    @cached_property
+    def bit_waits(self) -> np.ndarray:
+        """Per ``bits`` entry, the last earlier ``measure`` that wrote that bit, else -1."""
+        written = np.flatnonzero(self.kind == KIND["measure"])
+        return _last_before(self.clbit[written], written, self.bits, self.owner(2))
 
     def take(self, order) -> OpTable:
         """The ops at the indices ``order``, in that order."""

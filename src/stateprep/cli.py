@@ -7,6 +7,11 @@ for one or more n) and ``distinguish`` (adaptive measurement plan for
 two orthogonal states).  Exit codes: 0 success, 1 verification failure,
 2 usage, bad input, an unusable path or too little memory, 3 conflicting
 flags.
+
+Only the layers every subcommand uses are imported with this module.  A name
+that one subcommand alone needs (``synthesize_dc``, ``verify_preparation``,
+...) is imported on first use, and commands call it as ``_cli.<name>``:
+whatever this module holds under that name then, a wrapper set on it included.
 """
 
 from __future__ import annotations
@@ -18,20 +23,24 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__
+from . import _HOMES, __version__
 from .circuit import deserialize, metrics, serialize
-from .discrimination import OrthPair, decompose, evaluate_plan, plan_document
-from .divide_conquer import DcOptions, synthesize_dc, synthesize_hybrid, synthesize_time
 from .errors import StatePrepError
-from .resources import dc_formulas, hybrid_formulas
-from .simulator import DEFAULT_BRANCH_CAP, verify_preparation
-from .tolerances import PLAN_MISS_TOL
+from .tolerances import DEFAULT_BRANCH_CAP, PLAN_MISS_TOL
 from .tree import build_tree, pad_to_power_of_two
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_FLAG_CONFLICT = 3
+
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 def _fail(message: str, code: int) -> int:
@@ -70,17 +79,17 @@ def cmd_compile(args) -> int:
         return _fail("--prune is implicit for --method time", EXIT_FLAG_CONFLICT)
     tree = build_tree(pad_to_power_of_two(_load_vector(args.input)))
     if args.method == "time":
-        circuit = synthesize_time(tree)
+        circuit = _cli.synthesize_time(tree)
     else:
-        opts = DcOptions(
+        opts = _cli.DcOptions(
             disentangle=not args.no_disentangle,
             parallelize=args.parallelize,
             prune=args.prune,
         )
         if args.method == "dc":
-            circuit = synthesize_dc(tree, opts)
+            circuit = _cli.synthesize_dc(tree, opts)
         else:
-            circuit = synthesize_hybrid(tree, args.lambda_, opts)
+            circuit = _cli.synthesize_hybrid(tree, args.lambda_, opts)
     with open(args.out, "w") as fh:
         serialize(circuit, fh)
     if args.report:
@@ -94,7 +103,7 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.circuit) as fh:
         circuit = deserialize(fh.read())
-    report = verify_preparation(
+    report = _cli.verify_preparation(
         circuit,
         pad_to_power_of_two(_load_vector(args.target)),
         mode=args.mode,
@@ -121,11 +130,12 @@ def cmd_analyze(args) -> int:
         header += ",measured_qubits,measured_cswaps,measured_depth,measured_depth_parallel"
     lines = [header]
     for n in range(args.n_min, args.n_max + 1):
-        f = dc_formulas(n)
+        f = _cli.dc_formulas(n)
         row = f"{n},{f.qubits},{f.cswaps},{f.depth},{f.depth_parallel}"
         if args.measure:
-            m = _measured(n, 2**16 + n, synthesize_dc)
-            mp = _measured(n, 2**16 + n, lambda t: synthesize_dc(t, DcOptions(parallelize=True)))
+            dc, parallel = _cli.synthesize_dc, _cli.DcOptions(parallelize=True)
+            m = _measured(n, 2**16 + n, dc)
+            mp = _measured(n, 2**16 + n, lambda t: dc(t, parallel))
             row += f",{m.qubits},{m.unit_cswaps},{m.depth_gates},{mp.depth_gates}"
         lines.append(row)
     print("\n".join(lines))
@@ -143,10 +153,10 @@ def cmd_sweep(args) -> int:
         if n < 1 or not 1 <= lam_min <= lam_max <= n:
             return _fail("need 1 <= lambda-min <= lambda-max <= n", EXIT_USAGE)
         for lam in range(lam_min, lam_max + 1):
-            f = hybrid_formulas(n, lam)
+            f = _cli.hybrid_formulas(n, lam)
             row = f"{n},{lam},{f.qubits},{f.depth}"
             if args.measure:
-                m = _measured(n, 2**20 + n, lambda t: synthesize_hybrid(t, lam))
+                m = _measured(n, 2**20 + n, lambda t: _cli.synthesize_hybrid(t, lam))
                 row += f",{m.qubits},{m.unit_cswaps},{m.depth_gates},{m.depth_full}"
             lines.append(row)
     print("\n".join(lines))
@@ -154,13 +164,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    pair = OrthPair.from_states(_load_vector(args.plus), _load_vector(args.minus))
-    plan = decompose(pair)
-    p_plus = sum(p for _, label, p in evaluate_plan(plan, pair.plus) if label == "+")
-    p_minus = sum(p for _, label, p in evaluate_plan(plan, pair.minus) if label == "-")
+    pair = _cli.OrthPair.from_states(_load_vector(args.plus), _load_vector(args.minus))
+    plan = _cli.decompose(pair)
+    p_plus = sum(p for _, label, p in _cli.evaluate_plan(plan, pair.plus) if label == "+")
+    p_minus = sum(p for _, label, p in _cli.evaluate_plan(plan, pair.minus) if label == "-")
     if args.plan_out:
         with open(args.plan_out, "w") as fh:
-            json.dump(plan_document(plan), fh, indent=2)
+            json.dump(_cli.plan_document(plan), fh, indent=2)
             fh.write("\n")
     print(json.dumps({"p_correct_plus": p_plus, "p_correct_minus": p_minus}))
     ok = p_plus >= 1.0 - PLAN_MISS_TOL and p_minus >= 1.0 - PLAN_MISS_TOL

@@ -37,11 +37,10 @@ import numpy as np
 
 from .circuit import KIND, KINDS, Circuit, ranges
 from .errors import DimensionMismatch, TooManyBranches
-from .tolerances import BRANCH_PROB_TOL, FIDELITY_TOL, MERGE_BOUND_TOL, MERGE_TOL, PROB_SUM_TOL
+from .tolerances import (BRANCH_PROB_TOL, DEFAULT_BRANCH_CAP, FIDELITY_TOL, MERGE_BOUND_TOL,
+                         MERGE_TOL, PROB_SUM_TOL)
 from .tree import normalize
 
-# ``2**DEFAULT_BRANCH_CAP`` rows at most, checked at each split.
-DEFAULT_BRANCH_CAP = 14
 # The largest shot count a binomial draw takes: numpy's int64.
 MAX_SHOTS = 2**63 - 1
 
@@ -109,7 +108,7 @@ def _slices(kind: int, qubits: list[int], polarities: list[int], wires: list[int
 def _plan(circuit: Circuit):
     """The walk, read from the op table.  Per op: (the clusters it joins,
     the one it acts on, its two slices there, the measurement that each
-    bit of its condition waits for (``OpTable.waits``), the values on
+    bit of its condition waits for (``OpTable.bit_waits``), the values on
     which it fires, its matrices or None for a split, the new cluster of a
     reset wire).  An op's matrices are the identity, then its kind's
     matrix or one per angle, in the order of its values (see
@@ -134,7 +133,7 @@ def _plan(circuit: Circuit):
     last: dict[int, int] = {}  # splitting op -> the last op that needs its outcome
     measured: dict[int, int] = {}  # wire -> the op that measured it
     steps, new = [], n
-    ops = zip(t.kind.tolist(), [0] + bounds, bounds, t.rows(0), t.rows(1), t.rows(2, t.waits[1]),
+    ops = zip(t.kind.tolist(), [0] + bounds, bounds, t.rows(0), t.rows(1), t.rows(2, t.bit_waits),
               t.rows(3))
     for i, (kind, start, stop, qubits, pols, reads, values) in enumerate(ops):
         joined = tuple(dict.fromkeys(owner[q] for q in qubits))
@@ -248,7 +247,9 @@ def _merge_rows(rows: np.ndarray, weights: np.ndarray, limit: np.ndarray):
     key = np.abs(flat) @ (v / np.linalg.norm(v))
     order = np.argsort(key)
     pair = np.diff(key[order]) <= 2.0 * limit.max()
-    alone = np.setdiff1d(order, np.concatenate((order[:-1][pair], order[1:][pair])))
+    paired = np.zeros(len(rows), dtype=bool)
+    paired[order[:-1][pair]] = paired[order[1:][pair]] = True
+    alone = np.flatnonzero(~paired)
     into[alone] = alone
     for i in np.argsort(-weights, kind="stable"):
         if into[i] >= 0:

@@ -33,6 +33,8 @@ DRIFT_TOL = 1e-5
 REAL_TOL = 1e-12
 # Probability a ``distinguish`` plan may misroute: rounding in its bases.
 PLAN_MISS_TOL = 1e-10
+# The walk holds ``2**DEFAULT_BRANCH_CAP`` rows at most unless given a cap, checked per split.
+DEFAULT_BRANCH_CAP = 14
 # A branch below this path probability is dropped: no verdict can see it.
 BRANCH_PROB_TOL = 1e-14
 # Passing fidelity shortfall: far above rounding, below a 1e-4 rad angle error.

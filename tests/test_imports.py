@@ -1,0 +1,101 @@
+"""What a request loads, and the package's names resolved on first access.
+
+A ``python -m stateprep`` request imports the modules of its subcommand
+and no others: ``compile`` no simulator, ``verify`` no synthesis.  The
+package imports ``circuit`` eagerly; each other name of ``__all__``, and
+each submodule, resolves on first access to its defining module's object.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stateprep as sp
+
+DATA = Path(__file__).parent / "data"
+SIMULATION = {"stateprep.simulator", "stateprep.resources"}
+SYNTHESIS = {"stateprep.divide_conquer", "stateprep.discrimination", "stateprep.resources",
+             "stateprep.time_encoding"}
+
+
+def child_env() -> dict:
+    """An environment whose children import the same package as this process."""
+    path = [str(Path(sp.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def loaded_after(tmp_path, *argv) -> set[str]:
+    """``sys.modules`` when ``python -m stateprep *argv``, run in a child that
+    imports the same package as this process, exits."""
+    out = tmp_path / "modules.txt"
+    code = (f"import atexit, runpy, sys; atexit.register(lambda: open({str(out)!r}, 'w')"
+            ".write('\\n'.join(sys.modules))); runpy.run_module('stateprep', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(out.read_text().split())
+
+
+def numpy_loads_ma() -> bool:
+    """Whether a bare ``import numpy`` imports ``numpy.ma`` (numpy 1.x does)."""
+    code = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True).stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("method", ["time", "dc", "dc --prune", "dc --parallelize",
+                                    "hybrid --lambda 2"])
+def test_compile_loads_no_simulator(method, tmp_path):
+    loaded = loaded_after(tmp_path, "compile", str(DATA / "dc_n3_vector.json"),
+                          "--method", *method.split(), "--out", str(tmp_path / "c.json"))
+    assert "stateprep.divide_conquer" in loaded
+    assert sorted(loaded & SIMULATION) == []
+
+
+@pytest.mark.parametrize("mode", [["--mode", "enumerate"],
+                                  ["--mode", "sample", "--shots", "256", "--seed", "1"]])
+def test_verify_loads_no_synthesis(mode, tmp_path):
+    # Enumerating this document merges rows (``_merge_rows``), where a plain
+    # ``np.setdiff1d`` or ``np.unique`` would import ``numpy.ma`` on numpy 2.
+    loaded = loaded_after(tmp_path, "verify", str(DATA / "exact" / "hybrid4_dense_n6.json"),
+                          str(DATA / "golden_dense_n6_vector.json"), *mode)
+    assert "stateprep.simulator" in loaded
+    assert sorted(loaded & SYNTHESIS) == []
+    if mode[1] == "enumerate" and "numpy.ma" in loaded:
+        assert numpy_loads_ma()
+
+
+def test_version_loads_neither_layer(tmp_path):
+    loaded = loaded_after(tmp_path, "--version")
+    assert "stateprep.cli" in loaded
+    assert sorted(loaded & (SIMULATION | SYNTHESIS)) == []
+
+
+def test_every_public_name_is_its_modules_object():
+    for name in sp.__all__:
+        obj = getattr(sp, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(sp.__all__) <= set(dir(sp))
+    namespace = {}
+    exec("from stateprep import *", namespace)
+    assert all(namespace[name] is getattr(sp, name) for name in sp.__all__)
+
+
+def test_submodules_resolve_and_unknown_names_do_not():
+    assert sp.simulator is sys.modules["stateprep.simulator"]
+    assert sp.tolerances is sys.modules["stateprep.tolerances"]
+    for name in ("no_such_name", "__main__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(sp, name)
+
+
+def test_import_loads_only_the_circuit_layer():
+    code = ("import sys, stateprep as sp; before = sorted(m for m in sys.modules "
+            "if m.startswith('stateprep')); sp.simulator; print(*before, 'stateprep.simulator' "
+            "in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=child_env()).stdout.split()
+    assert out == ["stateprep", "stateprep.circuit", "stateprep.errors", "True"]
