@@ -7,28 +7,21 @@ disentangling, or an interpolation of the two.  A branch-enumerating
 statevector simulator verifies that every measurement outcome leaves the
 data register in the requested state.
 
-Only ``circuit``, which every use needs, is imported with the package.  It
-comes first, so its source compiles before numpy loads and the compiler's
-transient memory does not stack on numpy's.  Every other name, and each
-submodule, is imported on first access from the module that ``_HOMES``
-names, so a ``verify`` loads no synthesis code and a ``compile`` no
-simulator.
+``_HOMES`` maps each public name to the submodule that defines it, and
+``__all__`` is its keys.  Only ``circuit``, which every use needs, is
+imported with the package, and first, so its source compiles before numpy
+loads and the compiler's transient memory does not stack on numpy's.  A
+name, or a submodule, is imported on first access and then bound here, so
+a ``verify`` loads no synthesis code and a ``compile`` no simulator.
 """
 
 from importlib.util import find_spec
 
-from .circuit import (
-    Circuit,
-    Condition,
-    Gate,
-    ResourceReport,
-    deserialize,
-    metrics,
-    serialize,
-)
+from . import circuit
 
-# Name -> the submodule that defines it, imported on first access; ``cli`` reads it too.
+# Name -> the submodule that defines it; ``cli`` binds its names through it too.
 _HOMES = {name: module for module, names in (
+    ("circuit", "Circuit Condition Gate ResourceReport deserialize metrics serialize"),
     ("discrimination", "AdaptiveMeasPlan OrthPair decompose evaluate_plan plan_document solve_ua"),
     ("divide_conquer",
      "DcOptions compile_disentangler synthesize_dc synthesize_hybrid synthesize_time"),
@@ -46,47 +39,15 @@ def __getattr__(name: str):
     # Unlike ``importlib.import_module``, ``__import__`` shows in ``-X importtime``;
     # given a fromlist, it returns the submodule.
     module = __import__(f"{__name__}.{home}", fromlist=["*"])
-    return module if home == name else getattr(module, name)
+    # Bound, so the next access is a plain lookup that calls no hook.
+    value = globals()[name] = module if home == name else getattr(module, name)
+    return value
 
 
 def __dir__():
     return sorted({*globals(), *__all__})
 
 
-__all__ = [
-    "AdaptiveMeasPlan",
-    "AmplitudeTree",
-    "Branch",
-    "Circuit",
-    "Condition",
-    "DcOptions",
-    "Gate",
-    "OrthPair",
-    "ResourceReport",
-    "VerificationReport",
-    "build_tree",
-    "compile_disentangler",
-    "data_probabilities",
-    "dc_formulas",
-    "decompose",
-    "deserialize",
-    "evaluate_plan",
-    "fidelity",
-    "hybrid_formulas",
-    "metrics",
-    "midreset_formulas",
-    "pad_to_power_of_two",
-    "preorder",
-    "reuse_schedule",
-    "run",
-    "serialize",
-    "solve_ua",
-    "statevector",
-    "subtree_state",
-    "synthesize_dc",
-    "synthesize_hybrid",
-    "synthesize_time",
-    "verify_preparation",
-]
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"

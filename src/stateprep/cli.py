@@ -8,10 +8,11 @@ two orthogonal states).  Exit codes: 0 success, 1 verification failure,
 2 usage, bad input, an unusable path or too little memory, 3 conflicting
 flags.
 
-Only the layers every subcommand uses are imported with this module.  A name
-that one subcommand alone needs (``synthesize_dc``, ``verify_preparation``,
-...) is imported on first use, and commands call it as ``_cli.<name>``:
-whatever this module holds under that name then, a wrapper set on it included.
+Beside the package's ``circuit``, this module imports only ``errors`` and
+``tolerances``.  Commands call every library name (``build_tree``,
+``synthesize_dc``, ``verify_preparation``, ...) as ``_cli.<name>``, which
+resolves through the package's name map, ``_HOMES``, on first use: whatever
+this module holds under that name then, a wrapper set on it included.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import _HOMES, __version__
-from .circuit import deserialize, metrics, serialize
 from .errors import StatePrepError
 from .tolerances import DEFAULT_BRANCH_CAP, PLAN_MISS_TOL
-from .tree import build_tree, pad_to_power_of_two
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -77,7 +76,7 @@ def cmd_compile(args) -> int:
         return _fail("--parallelize is only valid with --method dc", EXIT_FLAG_CONFLICT)
     if args.method == "time" and args.prune:
         return _fail("--prune is implicit for --method time", EXIT_FLAG_CONFLICT)
-    tree = build_tree(pad_to_power_of_two(_load_vector(args.input)))
+    tree = _cli.build_tree(_cli.pad_to_power_of_two(_load_vector(args.input)))
     if args.method == "time":
         circuit = _cli.synthesize_time(tree)
     else:
@@ -91,21 +90,21 @@ def cmd_compile(args) -> int:
         else:
             circuit = _cli.synthesize_hybrid(tree, args.lambda_, opts)
     with open(args.out, "w") as fh:
-        serialize(circuit, fh)
+        _cli.serialize(circuit, fh)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump({"stages": [asdict(r) for r in circuit.stage_reports]}, fh, indent=2)
             fh.write("\n")
-    print(json.dumps(asdict(metrics(circuit))))
+    print(json.dumps(asdict(_cli.metrics(circuit))))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     with open(args.circuit) as fh:
-        circuit = deserialize(fh.read())
+        circuit = _cli.deserialize(fh.read())
     report = _cli.verify_preparation(
         circuit,
-        pad_to_power_of_two(_load_vector(args.target)),
+        _cli.pad_to_power_of_two(_load_vector(args.target)),
         mode=args.mode,
         shots=args.shots,
         seed=args.seed,
@@ -119,7 +118,7 @@ def _measured(n: int, seed: int, synthesize):
     """The metrics of ``synthesize`` on the angle tree of a dense input of
     2**n amplitudes, uniform plus 0.1, drawn from ``seed``."""
     x = np.random.default_rng(seed).random(2**n) + 0.1
-    return metrics(synthesize(build_tree(x / np.linalg.norm(x))))
+    return _cli.metrics(synthesize(_cli.build_tree(x / np.linalg.norm(x))))
 
 
 def cmd_analyze(args) -> int:

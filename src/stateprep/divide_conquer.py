@@ -276,10 +276,9 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         )
         parts.append(stage_ops)
         slots.append(np.full(stage_ops.n_ops, 2 * run_layers[-1] + 1))
-        # Each of these ops has one wire, so its index is that of its qubit.
-        fixes = np.flatnonzero(stage_ops.role == ROLE[ROLE_CORRECT]).tolist()
-        rows = stage_ops.rows(3)
-        fired = {int(stage_ops.qubits[i]): rows[i] for i in fixes}
+        # Each correction has one wire, so its qubits line up with its rows.
+        fixes = stage_ops.take(np.flatnonzero(stage_ops.role == ROLE[ROLE_CORRECT]))
+        fired = dict(zip(fixes.qubits.tolist(), fixes.rows(3)))
         for f, control, wires in zip(combiners, controls.tolist(), rights.tolist()):
             clbits = tuple(range(next_bit, next_bit + m))
             values = tuple(fired.get(control, ()))

@@ -8,7 +8,7 @@ ZERO_NORM_TOL = 1e-12
 # ``prune``.  Rows are products of unit weights; equal subtrees agree to about 1e-16.
 STATE_EQ_TOL = 1e-12
 # A y-rotation within this of 0 is the identity: not emitted by ``rotation_ops`` or as a
-# measurement basis, nor as a single-wire load under ``prune``.  ``_loading_gate`` emits a
+# measurement basis, nor as a single-wire load under ``prune``.  ``_loads`` emits a
 # load within it of pi/2 or pi as ``h`` or ``x``.  Either costs an infidelity below 1e-24.
 ANGLE_TOL = 1e-12
 # ``compile_disentangler``: siblings are equal only at machine-level overlap deficit; a

@@ -2,8 +2,8 @@
 
 A ``python -m stateprep`` request imports the modules of its subcommand
 and no others: ``compile`` no simulator, ``verify`` no synthesis.  The
-package imports ``circuit`` eagerly; each other name of ``__all__``, and
-each submodule, resolves on first access to its defining module's object.
+package imports ``circuit`` eagerly; each name of ``__all__``, and each
+submodule, resolves on first access to its defining module's object.
 """
 
 import os
@@ -82,6 +82,14 @@ def test_every_public_name_is_its_modules_object():
     namespace = {}
     exec("from stateprep import *", namespace)
     assert all(namespace[name] is getattr(sp, name) for name in sp.__all__)
+
+
+def test_each_name_maps_to_its_defining_module():
+    # A name routed through a module that only re-exports it would load that
+    # module too on first access.
+    assert sp.__all__ == sorted(sp._HOMES)
+    for name, home in sp._HOMES.items():
+        assert getattr(sp, name).__module__ == f"stateprep.{home}", name
 
 
 def test_submodules_resolve_and_unknown_names_do_not():
