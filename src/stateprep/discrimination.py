@@ -15,9 +15,11 @@ step solves every row's basis and splits each row into its two children.
 Degenerate rows and rows that one state misses are handled by masks; a
 missing side becomes ``e_j - conj(v_j) v``, normalized, for the kept side ``v``.
 
-For real input pairs every basis in the tree is a plane rotation, and the
-stored ``angle`` is the y-rotation that maps the basis to the
-computational axes; complex bases store ``NaN`` there.
+Every node keeps the basis it solves for, ``[[c, s e^{iw}], [s e^{-iw},
+-c]]``: for a real pair it is the reflection form that the paper prints,
+and the stored ``angle`` is the y-rotation that measures the same basis
+(its outcome-1 row is the basis row negated); complex bases store ``NaN``
+there.
 """
 
 from __future__ import annotations
@@ -118,13 +120,14 @@ def solve_ua(eta0, eta1, nu0, nu1):
     omega = np.where(np.abs(omega_n) < DEGENERATE_TOL, 0.0, -np.arctan2(omega_n, omega_d))
 
     b = q * np.exp(1j * omega) + p * np.exp(-1j * omega)
-    # Real case: numerator/denominator are plain real parts.  Otherwise
-    # project onto the common phase so the arctangent stays real.
-    real = (np.abs(a.imag) < DEGENERATE_TOL) & (np.abs(b.imag) < DEGENERATE_TOL)
+    # Project onto the unit phase of the larger of a and b, taken with a
+    # non-negative real part (1 where both vanish), so the arctangent stays
+    # real.  Its parts are divided separately: numpy's complex division
+    # multiplies by a rounded reciprocal, and a real phase must be exactly 1.
     ref = np.where(np.abs(a) >= np.abs(b), a, b)
-    ref = np.where(real, 1.0, ref / np.where(real, 1.0, np.abs(ref)))
-    theta_n = np.where(real, a.real, (a / ref).real)
-    theta_d = np.where(real, b.real, (b / ref).real)
+    ref = np.where(ref.real < 0.0, -ref, ref) + (ref == 0.0)
+    ref = ref.real / np.abs(ref) + 1j * (ref.imag / np.abs(ref))
+    theta_n, theta_d = (a / ref).real, (b / ref).real
     flat = (np.abs(theta_n) < DEGENERATE_TOL) & (np.abs(theta_d) < DEGENERATE_TOL)
     theta = np.where(flat | degenerate, 0.0, 0.5 * np.arctan2(-theta_n, theta_d))
     omega = np.where(degenerate, 0.0, omega)
@@ -146,17 +149,6 @@ def _is_real(v: np.ndarray) -> np.ndarray:
     return np.max(np.abs(v.imag), axis=1) < REAL_TOL
 
 
-def _bases(a, b, c, d) -> np.ndarray:
-    """One 2x2 basis ``[[a, b], [c, d]]`` per row."""
-    return np.stack([a, b, c, d], -1).reshape(-1, 2, 2)
-
-
-def _rotation_bases(angle: np.ndarray) -> np.ndarray:
-    """Bases of the y-rotations by ``-angle``."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return _bases(c, -s, s, c)
-
-
 def _split(bases: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project the first qubit of every row of ``v`` onto the two rows of
     its basis: row ``r`` becomes rows ``2r`` (outcome 0) and ``2r + 1``."""
@@ -173,10 +165,9 @@ def _inner_step(plus: np.ndarray, minus: np.ndarray):
     half = plus.shape[1] // 2
     theta, omega = solve_ua(plus[:, :half], plus[:, half:], minus[:, :half], minus[:, half:])
     real = (np.abs(omega) < DEGENERATE_TOL) & _is_real(plus) & _is_real(minus)
-    angle = -2.0 * theta
     c, s = np.cos(theta), np.sin(theta)
-    ua = _bases(c, s * np.exp(1j * omega), s * np.exp(-1j * omega), -c)
-    bases = np.where(real[:, None, None], _rotation_bases(angle), ua)
+    bases = np.stack([c, s * np.exp(1j * omega), s * np.exp(-1j * omega), -c], -1)
+    bases = bases.reshape(-1, 2, 2)
 
     eta, nu = _split(bases, plus), _split(bases, minus)
     ne, nn = _norm(eta), _norm(nu)
@@ -201,7 +192,7 @@ def _inner_step(plus: np.ndarray, minus: np.ndarray):
     w = w / _norm(w)[:, None]
     eta[live_n & ~live_e] = w[live_n[~both]]
     nu[~live_n] = w[~live_n[~both]]
-    return np.where(real, angle, np.nan), bases, _sign_fixed(eta), _sign_fixed(nu)
+    return np.where(real, -2.0 * theta, np.nan), bases, _sign_fixed(eta), _sign_fixed(nu)
 
 
 def _leaf_step(plus: np.ndarray, minus: np.ndarray):
@@ -209,9 +200,7 @@ def _leaf_step(plus: np.ndarray, minus: np.ndarray):
     plus, minus = _sign_fixed(plus), _sign_fixed(minus)
     real = _is_real(plus) & _is_real(minus)
     angle = -2.0 * np.arctan2(plus[:, 1].real, plus[:, 0].real)
-    measured = np.stack([plus, minus], 1).conj()
-    bases = np.where(real[:, None, None], _rotation_bases(angle), measured)
-    return np.where(real, angle, np.nan), bases
+    return np.where(real, angle, np.nan), np.stack([plus, minus], 1).conj()
 
 
 def decompose(pair: OrthPair) -> AdaptiveMeasPlan:

@@ -24,12 +24,12 @@ UNIT_NORM_TOL = 1e-9
 ORTH_TOL = 1e-10
 # Plan kernel (``discrimination``): rounding of unit-scale values, four decades up.  A
 # residual norm below it is a dead outcome; vanishing overlaps or arctangent terms give
-# theta 0, a vanishing phase term omega 0, and small imaginary parts a real basis.
+# theta 0, and a vanishing phase term omega 0.
 DEGENERATE_TOL = 1e-12
 # Residual overlap beyond cancellation noise: the input pair was not orthogonal.
 DRIFT_TOL = 1e-5
-# Imaginary parts below this are rounding noise: the plan kernel gives the pair real bases,
-# and ``build_tree`` takes a complex input's real part.
+# Imaginary parts below this are rounding noise: the plan kernel stores the pair's y-rotation
+# angles, and ``build_tree`` takes a complex input's real part.
 REAL_TOL = 1e-12
 # Probability a ``distinguish`` plan may misroute: rounding in its bases.
 PLAN_MISS_TOL = 1e-10

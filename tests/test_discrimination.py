@@ -98,6 +98,8 @@ class TestDecompose:
                 min(np.abs(row - ref).max(), np.abs(row + ref).max()) < 5e-3
                 for row in basis
             )
+        # A reflection, like the paper's, not a rotation.
+        assert np.linalg.det(basis) == pytest.approx(-1.0, abs=1e-12)
 
     def test_perfect_discrimination_random_pairs(self):
         rng = np.random.default_rng(7)
@@ -116,6 +118,18 @@ class TestDecompose:
             plan = decompose(OrthPair.from_states(plus, minus))
             assert not np.isnan(plan.angles).any()
             assert np.max(np.abs(plan.bases.imag)) < 1e-12
+
+    def test_real_angles_measure_the_node_bases(self):
+        # Each row of the y-rotation by a node's angle is, up to sign, the
+        # same row of the basis the node solves for.
+        rng = np.random.default_rng(13)
+        for m in (1, 2, 3, 4):
+            pairs = [random_orthogonal_pair(rng, 2**m, real=True) for _ in range(25)]
+            plan = decompose(OrthPair.from_states(*map(np.array, zip(*pairs))))
+            c, s = np.cos(plan.angles / 2.0), np.sin(plan.angles / 2.0)
+            ry = np.stack([c, -s, s, c], -1).reshape(plan.bases.shape)
+            rows = np.minimum(np.abs(ry - plan.bases).max(-1), np.abs(ry + plan.bases).max(-1))
+            assert rows.max() < 1e-12
 
     def test_depth_equals_qubit_count(self):
         rng = np.random.default_rng(3)

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stateprep as sp
-from stateprep.circuit import layers
+from stateprep import divide_conquer
+from stateprep.circuit import Circuit, OpTable, cswap, layers, mcroty, roty
+from stateprep.discrimination import decompose
 from stateprep.divide_conquer import DcOptions, compile_disentangler
 from stateprep.errors import NonUnitInput
 from stateprep.tolerances import ANGLE_TOL
@@ -23,6 +27,18 @@ def branch_sets_equal(a, b, atol=1e-12):
         if not np.allclose(x.data_state, y.data_state, atol=atol):
             return False
     return True
+
+
+def signed_loads(v, wires):
+    """Gates that load the real unit vector ``v``, signs included, on one or
+    two ``wires``, first wire most significant."""
+    if len(wires) == 1:
+        return [roty(wires[0], 2.0 * np.arctan2(v[1], v[0]))]
+    top = 2.0 * np.arctan2(np.linalg.norm(v[2:]), np.linalg.norm(v[:2]))
+    return [roty(wires[0], top)] + [
+        mcroty(2.0 * np.arctan2(v[2 * b + 1], v[2 * b]), [(wires[0], b)], wires[1])
+        for b in (0, 1)
+    ]
 
 
 class TestSynthesizeDc:
@@ -331,6 +347,40 @@ class TestCompileDisentangler:
             compile_disentangler([1j, 0.0], [0.0, 1.0], [0], 1)
         with pytest.raises(NonUnitInput, match="do not fit"):
             compile_disentangler([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0], 1)
+
+    def test_rejects_a_plan_angle_that_is_not_a_rotation(self, monkeypatch):
+        # A plan marks a complex basis with a NaN angle; real stages never
+        # give one, so one is put into the plan.
+        def complex_plan(pair):
+            plan = decompose(pair)
+            angles = plan.angles.copy()
+            angles[..., 0] = np.nan
+            return dataclasses.replace(plan, angles=angles)
+
+        monkeypatch.setattr(divide_conquer, "decompose", complex_plan)
+        with pytest.raises(NonUnitInput, match="plan basis is not a real rotation"):
+            compile_disentangler([0.6, 0.8], [0.8, 0.6], [1], 0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_negatively_overlapping_siblings_disentangle(self, m):
+        # Signed siblings with L.R < 0 take the flipped branch, which
+        # corrects on the even outcome paths.  After the coin, the loads and
+        # the swaps, every branch must leave w0|0>|L> + w1|1>|R>.
+        rng = np.random.default_rng(60 + m)
+        left_wires, right_wires = list(range(1, m + 1)), list(range(m + 1, 2 * m + 1))
+        for _ in range(30):
+            left, right = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 2**m)))
+            right = -np.sign(left @ right) * right
+            coin = rng.uniform(0.1, np.pi - 0.1)
+            gates = [roty(0, coin), *signed_loads(left, left_wires),
+                     *signed_loads(right, right_wires)]
+            gates += [cswap(0, a, b) for a, b in zip(left_wires, right_wires)]
+            stage = compile_disentangler(left, right, right_wires, 0)
+            ops = OpTable.concat([OpTable.from_gates(gates), stage])
+            circuit = Circuit(2 * m + 1, m, ops, (0, *left_wires))
+            target = np.concatenate([np.cos(coin / 2) * left, np.sin(coin / 2) * right])
+            assert left @ right < 0.0
+            assert sp.verify_preparation(circuit, target).passed
 
 
 PARALLEL = DcOptions(parallelize=True)

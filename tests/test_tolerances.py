@@ -3,7 +3,8 @@ that misses by half the tolerance is on one side, by twice it on the other.
 ``OVERLAP_EQUAL_TOL`` and ``ANGLE_TOL`` have their edges in
 ``test_divide_conquer.py``; ``ZERO_NORM_TOL``'s negative-entry edge is in
 ``test_tree.py``, and its node-norm edge is here.  So are the plan
-kernel's ``DEGENERATE_TOL`` (a dead residual) and ``DRIFT_TOL``,
+kernel's ``DEGENERATE_TOL`` (a dead residual), ``DRIFT_TOL`` and
+``REAL_TOL`` (a real node's angle), ``build_tree``'s use of ``REAL_TOL``,
 ``PROB_SUM_TOL`` and the others.  ``ORTH_TOL`` keeps a real plan's
 misroutes near 1e-20, so ``PLAN_MISS_TOL``'s edge is reached by
 substituting the probabilities that ``distinguish`` evaluates."""
@@ -152,6 +153,19 @@ def test_real_tol(scale, inside):
     else:
         with pytest.raises(NegativeAmplitude):
             sp.build_tree(x)
+
+
+@pytest.mark.parametrize("scale, inside", EDGES)
+@pytest.mark.parametrize("m", [1, 2])
+def test_real_tol_in_the_plan(scale, inside, m):
+    # Within the tolerance the pair is real and every node stores its
+    # y-rotation angle; beyond it every node's basis is complex and stores
+    # NaN (padded to m = 2, the overlap the imaginary part leaves on the
+    # first qubit is above DEGENERATE_TOL, so both outcomes keep it).
+    plus = np.array([0.6, 0.8 + 1j * scale * REAL_TOL, 0.0, 0.0][: 2**m])
+    minus = np.array([-0.8, 0.6, 0.0, 0.0][: 2**m])
+    angles = decompose(OrthPair.from_states(plus, minus)).angles
+    assert np.isfinite(angles).all() if inside else np.isnan(angles).all()
 
 
 @pytest.mark.parametrize("scale, inside", EDGES)
