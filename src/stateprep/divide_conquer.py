@@ -6,15 +6,17 @@ disentangling.  ``lam = 1`` is the divide-and-conquer circuit
 (``synthesize_dc``), ``lam = n`` plain time encoding (``synthesize_time``)
 and the values between are the hybrid family (``synthesize_hybrid``).
 
-The planner (``_plan_tree``) makes one pre-order pass over the angle
-tree: it decides each node's mode, gives the node its own wires on the
-way down (so the data register occupies the first wires) and its live
-register, the wires holding its subtree's state, on the way back up.
-Levels are combined from the bottom up; the combine at a node swaps the
-live registers of its two children under its control wire, then the
-right register is measured in an adaptive basis and a conditioned Z on
-the control wire undoes the relative sign, leaving the ancilla wires in
-computational states.  With ``prune``, the planner alone decides which
+The planner (``_plan_tree``) fills heap-indexed arrays a tree level at a
+time from the root: which children each node keeps, so which nodes are
+planned.  One sort puts the planned nodes in pre-order, and the widths
+before a node (one wire each, ``lam`` at a block root) sum to its first
+wire, so the data register occupies the first wires.  Levels are
+combined from the bottom up, which also builds each node's live
+register, the wires holding its subtree's state.  The combine at a node
+swaps the live registers of its two children under its control wire,
+then the right register is measured in an adaptive basis and a
+conditioned Z on the control wire undoes the relative sign, leaving the
+ancilla wires in computational states.  With ``prune``, the planner alone decides which
 nodes keep one child.
 
 Synthesis works one tree level at a time and nothing recurses over the
@@ -36,7 +38,6 @@ them all, and the gate depth of the dense circuit becomes ``2n - 2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .discrimination import OrthPair, decompose
 from .errors import LambdaOutOfRange, NonUnitInput
 from .time_encoding import rotation_ops
 from .tolerances import ANGLE_TOL, OVERLAP_EQUAL_TOL, UNIT_NORM_TOL, ZERO_NORM_TOL
-from .tree import AmplitudeTree, children_of, states_equal
+from .tree import AmplitudeTree, states_equal
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,10 @@ class StageReport:
     correction_values: tuple[int, ...]
 
 
-def _loads(tree: AmplitudeTree, nodes: list[tuple[int, int]], prune: bool) -> OpTable:
-    """One-wire loads of ``(node, wire)`` pairs: ``h`` or ``x`` for an angle
+def _loads(tree: AmplitudeTree, f: np.ndarray, wires: np.ndarray, prune: bool) -> OpTable:
+    """One-wire loads of nodes ``f`` on ``wires``: ``h`` or ``x`` for an angle
     within ``ANGLE_TOL`` of pi/2 or pi, else a y-rotation; with ``prune``,
     none for an angle within it of 0."""
-    f, wires = np.array(nodes, dtype=np.int64).T
     angle = tree.alpha[f]
     if prune:
         kept = np.abs(angle) > ANGLE_TOL
@@ -186,103 +186,96 @@ def compile_disentangler(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Plan:
-    """Planned synthesis: which nodes exist, their wires and how each one combines."""
+    """Planned synthesis, heap-indexed over the nodes down to the block roots."""
 
-    mode: dict[int, str]  # "combine" | "left" | "right" for control nodes
-    wires: dict[int, list[int]]  # included node -> its own wires, in pre-order
-    live: dict[int, list[int]]  # included node -> the register holding its state
+    keep: np.ndarray  # (nodes above the blocks, 2): whether each keeps its left, right child
+    planned: np.ndarray  # whether each node is in the circuit
+    order: np.ndarray  # the planned nodes in pre-order
+    wire: np.ndarray  # each planned node's first wire; a block root's register starts there
+    n_qubits: int
 
 
 def _plan_tree(tree: AmplitudeTree, block_level: int, prune: bool) -> _Plan:
-    plan = _Plan({}, {}, {})
-    # Whether the two children of each node hold the same state, by level.
-    same: list[np.ndarray] = []
-    if prune:
-        for level in range(block_level):
+    top = 2**block_level - 1  # the first block root
+    keep = np.ones((top, 2), dtype=bool)
+    planned = np.zeros(2 * top + 1, dtype=bool)
+    planned[0] = True
+    for level in range(block_level):
+        f = slice(2**level - 1, 2 ** (level + 1) - 1)
+        if prune:  # left alone if the right weighs nothing, right alone if the left
+            # does, else left alone if both children hold one state
             states = tree.states[level + 1]
-            same.append(states_equal(states[0::2], states[1::2]))
-
-    def visit(f: int, level: int, cursor: int) -> int:
-        """Plan the subtree at ``f`` from wire ``cursor``; the next free wire."""
-        if level == block_level:
-            plan.wires[f] = plan.live[f] = list(range(cursor, cursor + tree.n - level))
-            return cursor + tree.n - level
-        plan.wires[f] = [cursor]
-        left, right = children_of(f)
-        if not prune:
-            mode = "combine"
-        elif tree.omega1[f] <= ZERO_NORM_TOL:
-            mode = "left"
-        elif tree.omega0[f] <= ZERO_NORM_TOL:
-            mode = "right"
-        elif same[level][f + 1 - 2**level]:
-            mode = "left"
-        else:
-            mode = "combine"
-        plan.mode[f] = mode
-        cursor += 1
-        if mode != "right":
-            cursor = visit(left, level + 1, cursor)
-        if mode != "left":
-            cursor = visit(right, level + 1, cursor)
-        plan.live[f] = [plan.wires[f][0]] + plan.live[right if mode == "right" else left]
-        return cursor
-
-    visit(0, 0, 0)
-    return plan
+            one = (tree.omega1[f] <= ZERO_NORM_TOL, tree.omega0[f] <= ZERO_NORM_TOL,
+                   states_equal(states[0::2], states[1::2]))
+            keep[f] = np.select([c[:, None] for c in one], [[1, 0], [0, 1], [1, 0]], 1)
+        planned[2 ** (level + 1) - 1 : 2 ** (level + 2) - 1] = (planned[f, None] & keep[f]).ravel()
+    # Pre-order: by the leftmost block position below each node, then ancestors first.
+    f = np.flatnonzero(planned)
+    depth = np.frexp(f + 1)[1] - 1
+    order = f[np.lexsort((depth, (f + 1 - 2**depth) << (block_level - depth)))]
+    width = np.where(order < top, 1, tree.n - block_level)
+    wire = np.zeros(len(planned), dtype=np.int64)
+    wire[order] = np.cumsum(width) - width
+    return _Plan(keep, planned, order, wire, int(width.sum()))
 
 
 def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circuit:
     """Shared engine: time-encode ``lam``-qubit sub-blocks, then combine
     them level by level with controlled swaps and disentangling."""
     block_level = tree.n - lam
+    top = 2**block_level - 1
     plan = _plan_tree(tree, block_level, opts.prune)
+    wire = plan.wire
 
-    # Loads in the plan's pre-order: one op per node above the blocks and a
-    # multiplexed-rotation block at each block root.
+    # Loads in the plan's pre-order: one op per one-wire node and a
+    # multiplexed-rotation block at each wider block root.
     parts = []
-    for single, run in groupby(plan.wires.items(), key=lambda item: len(item[1]) == 1):
-        if single:
-            parts.append(_loads(tree, [(f, wires[0]) for f, wires in run], opts.prune))
+    single = (plan.order < top) | (lam == 1)
+    for run in np.split(plan.order, np.flatnonzero(np.diff(single)) + 1):
+        if run[0] < top or lam == 1:
+            parts.append(_loads(tree, run, wire[run], opts.prune))
         else:
-            parts += [rotation_ops(tree, wires, base_node=f) for f, wires in run]
+            parts += [rotation_ops(tree, range(wire[f], wire[f] + lam), base_node=f) for f in run]
 
     # Each op's slot in the parallel schedule: twice its layer, plus one
     # after the level's swaps.
     slots = [np.zeros(sum(part.n_ops for part in parts), dtype=np.int64)]
     next_bit = 0
     reports: list[StageReport] = []
+    # Each node's live register: its wire, then its kept child's (rows of
+    # nodes not planned are never read).
+    live = wire[top:, None] + np.arange(lam)
     for level in range(block_level - 1, -1, -1):
         base = 2**level - 1
-        combiners = [base + p for p in range(2**level) if plan.mode.get(base + p) == "combine"]
-        if not combiners:
+        f = np.arange(base, 2 * base + 1)
+        below, keep = live, plan.keep[f]
+        live = np.column_stack((wire[f], below[2 * (f - base) + ~keep[:, 0]]))
+        p = np.flatnonzero(plan.planned[f] & keep.all(1))
+        if not len(p):
             continue
         run_layers = np.array(_run_layers(tree.n - level - 1))
-        controls = np.array([plan.wires[f][0] for f in combiners])
-        lefts, rights = (np.array([plan.live[children_of(f)[side]] for f in combiners])
-                         for side in (0, 1))
+        controls, lefts, rights = wire[f[p]], below[2 * p], below[2 * p + 1]
         m = rights.shape[1]
         swaps = np.column_stack((np.repeat(controls, m), lefts.ravel(), rights.ravel()))
         parts.append(op_table(KIND["cswap"], swaps, role=ROLE[ROLE_COMBINE]))
-        slots.append(np.tile(2 * run_layers, len(combiners)))
+        slots.append(np.tile(2 * run_layers, len(p)))
         if not opts.disentangle:
             continue
         states = tree.states[level + 1]
-        pos = 2 * (np.array(combiners) - base)
-        stage_ops = compile_disentangler(
-            states[pos], states[pos + 1], rights.tolist(), controls.tolist(), first_clbit=next_bit
-        )
+        stage_ops = compile_disentangler(states[2 * p], states[2 * p + 1], rights.tolist(),
+                                         controls.tolist(), first_clbit=next_bit)
         parts.append(stage_ops)
         slots.append(np.full(stage_ops.n_ops, 2 * run_layers[-1] + 1))
         # Each correction has one wire, so its qubits line up with its rows.
         fixes = stage_ops.take(np.flatnonzero(stage_ops.role == ROLE[ROLE_CORRECT]))
         fired = dict(zip(fixes.qubits.tolist(), fixes.rows(3)))
-        for f, control, wires in zip(combiners, controls.tolist(), rights.tolist()):
+        for node, control, wires in zip(f[p].tolist(), controls.tolist(), rights.tolist()):
             clbits = tuple(range(next_bit, next_bit + m))
             values = tuple(fired.get(control, ()))
-            reports.append(StageReport(level, f, control, tuple(wires), clbits, not values, values))
+            reports.append(
+                StageReport(level, node, control, tuple(wires), clbits, not values, values))
             next_bit += m
 
     ops = OpTable.concat(parts)
@@ -290,10 +283,10 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         # Stable, so ops sharing a slot keep their emission order.
         ops = ops.take(np.argsort(np.concatenate(slots), kind="stable"))
     return Circuit(
-        n_qubits=sum(map(len, plan.wires.values())),
+        n_qubits=plan.n_qubits,
         n_clbits=next_bit,
         ops=ops,
-        data_qubits=tuple(plan.live[0]),
+        data_qubits=tuple(live[0].tolist()),
         stage_reports=tuple(reports),
     )
 

@@ -244,7 +244,9 @@ def _merge_rows(rows: np.ndarray, weights: np.ndarray, limit: np.ndarray):
     flat = rows.reshape(len(rows), -1)
     into, dist = np.full(len(rows), -1), np.zeros(len(rows))
     v = np.linspace(1.0, 2.0, flat.shape[1])
-    key = np.abs(flat) @ (v / np.linalg.norm(v))
+    # einsum, not ``@``: these matvecs are small, and a threaded BLAS call
+    # can cost milliseconds each when its threads are not pinned.
+    key = np.einsum("ij,j->i", np.abs(flat), v / np.linalg.norm(v))
     order = np.argsort(key)
     pair = np.diff(key[order]) <= 2.0 * limit.max()
     paired = np.zeros(len(rows), dtype=bool)
@@ -255,7 +257,7 @@ def _merge_rows(rows: np.ndarray, weights: np.ndarray, limit: np.ndarray):
         if into[i] >= 0:
             continue
         rest = np.flatnonzero(into < 0)
-        overlap = flat[rest].conj() @ flat[i]
+        overlap = np.einsum("ij,j->i", flat[rest].conj(), flat[i])
         size = np.abs(overlap)
         aligned = overlap / np.where(size > 0.0, size, 1.0)
         d = np.linalg.norm(flat[i] - aligned[:, None] * flat[rest], axis=1)

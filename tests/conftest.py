@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stateprep as sp
-from stateprep.tolerances import FIDELITY_TOL, PROB_SUM_TOL
+from stateprep.tolerances import FIDELITY_TOL, PROB_SUM_TOL, STATE_EQ_TOL, ZERO_NORM_TOL
 
 DENSE_SQUARES = (0.04, 0.13, 0.16, 0.2, 0.07, 0.09, 0.2, 0.11)
 
@@ -256,6 +256,42 @@ def reference_waits(table):
         if kind == sp.circuit.KIND["measure"]:
             measured_by[clbit] = i
     return wire, bit
+
+
+def reference_plan(tree, block_level, prune):
+    """The synthesis plan by a recursive pre-order visit: per node above
+    the blocks its mode, ``"combine"``, ``"left"`` or ``"right"`` (the
+    child or children it keeps); per planned node, in pre-order, its own
+    wires and its live register, the wires that hold its subtree's state."""
+    mode, wires, live = {}, {}, {}
+
+    def visit(f, level, cursor):
+        if level == block_level:
+            wires[f] = live[f] = list(range(cursor, cursor + tree.n - level))
+            return cursor + tree.n - level
+        wires[f] = [cursor]
+        p = f + 1 - 2**level
+        states = tree.states[level + 1]
+        if not prune:
+            mode[f] = "combine"
+        elif tree.omega1[f] <= ZERO_NORM_TOL:
+            mode[f] = "left"
+        elif tree.omega0[f] <= ZERO_NORM_TOL:
+            mode[f] = "right"
+        elif np.max(np.abs(states[2 * p] - states[2 * p + 1])) <= STATE_EQ_TOL:
+            mode[f] = "left"
+        else:
+            mode[f] = "combine"
+        cursor += 1
+        if mode[f] != "right":
+            cursor = visit(2 * f + 1, level + 1, cursor)
+        if mode[f] != "left":
+            cursor = visit(2 * f + 2, level + 1, cursor)
+        live[f] = wires[f] + live[2 * f + 2 if mode[f] == "right" else 2 * f + 1]
+        return cursor
+
+    visit(0, 0, 0)
+    return mode, wires, live
 
 
 def assert_waits_match_reference(table):

@@ -9,11 +9,11 @@ import stateprep as sp
 from stateprep import divide_conquer
 from stateprep.circuit import Circuit, OpTable, cswap, layers, mcroty, roty
 from stateprep.discrimination import decompose
-from stateprep.divide_conquer import DcOptions, compile_disentangler
+from stateprep.divide_conquer import DcOptions, _plan_tree, compile_disentangler
 from stateprep.errors import NonUnitInput
 from stateprep.tolerances import ANGLE_TOL
 
-from conftest import random_unit
+from conftest import random_unit, reference_plan
 
 
 def branch_sets_equal(a, b, atol=1e-12):
@@ -266,6 +266,57 @@ class TestSynthesizeDc:
         assert same.clbits not in corrections
         assert corrections[differ.clbits].qubits == (differ.control_wire,)
         assert sp.verify_preparation(c, x).passed
+
+
+def plan_inputs(rng, n):
+    """Dense, sparse, W and zero-norm-subtree vectors of length ``2**n``."""
+    dense = rng.random(2**n) + 0.05
+    sparse = np.where(rng.random(2**n) < 0.3, rng.random(2**n), 0.0)
+    sparse[rng.integers(2**n)] = 1.0
+    w = np.zeros(2**n)
+    w[[2**j for j in range(n)]] = 1.0
+    holed = rng.random(2**n) + 0.05
+    size = 2 ** rng.integers(n)
+    holed[size * rng.integers(2**n // size) :][:size] = 0.0
+    return dense, sparse, w, holed
+
+
+def test_plan_matches_reference():
+    """The level-array plan against the recursive visit: modes, pre-order,
+    wires and width, and the live registers through the circuit's data
+    register, combining swaps and stage reports."""
+    rng = np.random.default_rng(25)
+    names = {(True, True): "combine", (True, False): "left", (False, True): "right"}
+    checked = 0
+    for n in range(1, 9):
+        for x in plan_inputs(rng, n):
+            tree = sp.build_tree(x / np.linalg.norm(x))
+            for lam in range(1, n + 1):
+                for prune in (False, True):
+                    top = 2 ** (n - lam) - 1
+                    plan = _plan_tree(tree, n - lam, prune)
+                    mode, wires, live = reference_plan(tree, n - lam, prune)
+                    assert {f: names[tuple(plan.keep[f].tolist())] for f in mode} == mode
+                    assert plan.order.tolist() == list(wires)
+                    assert plan.planned.tolist() == [f in wires for f in range(2 * top + 1)]
+                    own = {f: list(range(plan.wire[f], plan.wire[f] + (1 if f < top else lam)))
+                           for f in plan.order.tolist()}
+                    assert own == wires
+                    assert plan.n_qubits == sum(map(len, wires.values()))
+
+                    circuit = sp.synthesize_hybrid(tree, lam, DcOptions(prune=prune))
+                    combiners = [f for f in sorted(mode, key=lambda f: (-(f + 1).bit_length(), f))
+                                 if mode[f] == "combine"]
+                    assert circuit.n_qubits == plan.n_qubits
+                    assert list(circuit.data_qubits) == live[0]
+                    assert [op.qubits for op in circuit.ops if op.kind == "cswap"] == [
+                        (wires[f][0], a, b) for f in combiners
+                        for a, b in zip(live[2 * f + 1], live[2 * f + 2])]
+                    assert [(r.node, r.control_wire, r.ancilla_wires)
+                            for r in circuit.stage_reports] == [
+                        (f, wires[f][0], tuple(live[2 * f + 2])) for f in combiners]
+                    checked += 1
+    assert checked == 4 * 2 * sum(range(1, 9))
 
 
 class TestWState(object):

@@ -85,9 +85,8 @@ def test_rotation_ops_polarities_spell_positions():
             for lam in range(2, n + 1):
                 for prune in (False, True):
                     plan = _plan_tree(tree, n - lam, prune)
-                    for f, wires in plan.wires.items():
-                        if len(wires) == 1:
-                            continue
+                    for f in plan.order[plan.order >= 2 ** (n - lam) - 1].tolist():
+                        wires = list(range(plan.wire[f], plan.wire[f] + lam))
                         want = [
                             (k, p, tree.alpha[(f + 1) * 2**k - 1 + p])
                             for k in range(len(wires))

@@ -199,22 +199,23 @@ class TestPrune:
 
     def test_w_state_plan(self, w_vector):
         plan, _, loads = self.pruned(w_vector)
-        assert plan.mode == {0: "combine", 1: "combine", 2: "left"}
-        assert not loads & {plan.wires[f][0] for f in (2, 4, 5)}
-        assert loads == {plan.wires[f][0] for f in (0, 1, 3)}
+        assert plan.keep.tolist() == [[True, True], [True, True], [True, False]]
+        assert plan.order.tolist() == [0, 1, 3, 4, 2, 5]
+        assert not loads & {plan.wire[f] for f in (2, 4, 5)}
+        assert loads == {plan.wire[f] for f in (0, 1, 3)}
 
     def test_basis_state_plan(self):
         e0 = np.zeros(8)
         e0[0] = 1.0
         plan, circuit, loads = self.pruned(e0)
-        assert set(plan.mode.values()) == {"left"}
+        assert plan.keep.tolist() == [[True, False]] * 3
         assert not loads
         assert not any(op.kind == "cswap" for op in circuit.ops)
 
     def test_balanced_vector_plan(self):
         x = np.array([1.0, 2.0, 1.0, 2.0])
         plan, _, _ = self.pruned(x / np.linalg.norm(x))
-        assert plan.mode == {0: "left"}
+        assert plan.keep.tolist() == [[True, False]]
 
     def test_state_or_ground_for_zero_norm(self, w_vector):
         tree = sp.build_tree(w_vector)
