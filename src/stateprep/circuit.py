@@ -4,16 +4,18 @@ Gates, mid-circuit measurements and classically conditioned operations are
 stored as one op table (``OpTable``), an array per field, which synthesis
 emits level by level and ``validate``, ``metrics``, ``serialize`` and the
 simulator read.  ``Circuit.ops`` is that table; read as a sequence it yields
-``Gate`` records, made when first read.  A sequence of ``Gate`` records is
-accepted as ``ops`` and converted once.  A condition fires when the integer
-that previously written classical ``bits`` spell (``bits[0]`` most
+one ``Gate`` record per op, made when first read.  A sequence of ``Gate``
+records is accepted as ``ops`` and converted once, and converting a
+table's records gives that table back.  A condition fires when the
+integer that previously written classical ``bits`` spell (``bits[0]`` most
 significant) is one of ``values``, OpenQASM 3's ``if (c == v)`` widened to
 a set.  A conditioned ``roty`` may hold one angle per value, OpenQASM 3's
-``ry(theta[c]) q;``: one op that the outcome selects the angle of, which
-reads as one record per value.  A ``Circuit`` validates itself when
-constructed.  ``deserialize`` reads a document's ``ops`` by one set of
-rules over columns, which also locate its first malformed op and field,
-and reads the older ``{"bits", "table"}`` truth-table form.
+``ry(theta[c]) q;``: one op that the outcome selects the angle of, whose
+record holds the angles as a tuple aligned with ``values``.  A ``Circuit``
+validates itself when constructed.  ``deserialize`` reads a document's
+``ops`` by one set of rules over columns, which also locate its first
+malformed op and field, and reads the older ``{"bits", "table"}``
+truth-table form.
 
 An op waits for the last earlier op on each of its wires and for the
 ``measure`` of each bit its condition reads: ``OpTable.waits``, which
@@ -32,7 +34,7 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 
@@ -70,7 +72,7 @@ class Condition:
 class Gate:
     kind: str
     qubits: tuple[int, ...]
-    angle: float | None = None
+    angle: float | tuple[float, ...] | None = None  # a tuple: one per condition value
     clbit: int | None = None
     polarities: tuple[int, ...] | None = None
     condition: Condition | None = None
@@ -81,8 +83,9 @@ class Gate:
         return self.kind in UNITARY_KINDS
 
 
-def roty(q: int, theta: float, condition=None, role=None) -> Gate:
-    return Gate("roty", (q,), angle=float(theta), condition=condition, role=role)
+def roty(q: int, theta: float | tuple[float, ...], condition=None, role=None) -> Gate:
+    theta = tuple(map(float, theta)) if isinstance(theta, tuple) else float(theta)
+    return Gate("roty", (q,), angle=theta, condition=condition, role=role)
 
 
 def rotz(q: int, phi: float, condition=None, role=None) -> Gate:
@@ -134,8 +137,8 @@ class OpTable:
     rotation is applied if no value matches.
 
     Callers outside the package read it as a sequence of ``Gate`` records,
-    made on first read: one per op, or one per value of a selected rotation.
-    ``n_ops`` counts the ops and ``len`` the records."""
+    one per op, made on first read; ``from_gates`` of them is this table.
+    ``len`` and ``n_ops`` count the ops."""
 
     kind: np.ndarray
     role: np.ndarray
@@ -147,12 +150,10 @@ class OpTable:
     angle: np.ndarray
     counts: np.ndarray
 
-    @property
-    def n_ops(self) -> int:
+    def __len__(self) -> int:
         return len(self.kind)
 
-    def __len__(self) -> int:
-        return int(np.maximum(self.counts[:, 4], 1).sum())
+    n_ops = property(__len__)
 
     def __getitem__(self, i):
         return self.gates[i]
@@ -174,17 +175,12 @@ class OpTable:
             field, code = ("kind", self.kind[i]) if unknown_kind[i] else ("role", self.role[i])
             raise InvalidCircuit(f"op {i}: unknown {field} code {code}")
 
-        def records(k, r, c, q, p, b, v, a):
-            gate = Gate(KINDS[k], q, a[0] if a else None, None if c < 0 else c,
+        def record(k, r, c, q, p, b, v, a):
+            return Gate(KINDS[k], q, a[0] if len(a) == 1 else a or None, None if c < 0 else c,
                         p if k == KIND["mcroty"] else None, Condition(b, v) if b else None, ROLES[r])
-            if len(a) < 2:
-                return (gate,)
-            return (replace(gate, angle=x, condition=Condition(b, (y,))) for x, y in zip(a, v))
 
-        return tuple(chain.from_iterable(map(
-            records, self.kind.tolist(), self.role.tolist(), self.clbit.tolist(),
-            *((map(tuple, self.rows(j))) for j in range(len(RAGGED))),
-        )))
+        return tuple(map(record, self.kind.tolist(), self.role.tolist(), self.clbit.tolist(),
+                         *((map(tuple, self.rows(j))) for j in range(len(RAGGED)))))
 
     def offsets(self, j: int) -> np.ndarray:
         """Where each op's entries of ``RAGGED[j]`` start, then where the last ends."""
@@ -236,7 +232,7 @@ class OpTable:
         conds = [g.condition or Condition((), ()) for g in gates]
         ragged = ([g.qubits for g in gates], [g.polarities or () for g in gates],
                   [c.bits for c in conds], [c.values for c in conds],
-                  [() if g.angle is None else (g.angle,) for g in gates])
+                  [() if g.angle is None else np.ravel(g.angle) for g in gates])
         try:
             table = op_table(
                 [KIND.get(g.kind, -1) for g in gates],
@@ -435,13 +431,12 @@ def _asap(t: OpTable, full: bool) -> tuple[np.ndarray, list[int]]:
 
 
 def layers(circuit: Circuit, full: bool = True) -> list[int | None]:
-    """Layer index of each ``Gate`` record of ``circuit.ops``, the records of
-    one selected rotation sharing its layer; with ``full=False`` only the
-    gate-depth ops."""
-    t, out = circuit.ops, np.full(circuit.ops.n_ops, None)
-    ops, layer = _asap(t, full)
+    """Layer index of each op of ``circuit.ops``, None for an op that the
+    figure does not layer: with ``full=False`` all but the gate-depth ops."""
+    ops, layer = _asap(circuit.ops, full)
+    out = np.full(circuit.ops.n_ops, None)
     out[ops] = layer
-    return np.repeat(out, np.maximum(t.counts[:, 4], 1)).tolist()
+    return out.tolist()
 
 
 def metrics(circuit: Circuit) -> ResourceReport:

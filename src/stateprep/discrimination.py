@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import _number
 from .errors import DimensionMismatch, NotOrthogonal, TraceNotZero
 from .tolerances import DEGENERATE_TOL, DRIFT_TOL, ORTH_TOL, REAL_TOL
 from .tree import normalize
@@ -238,7 +239,7 @@ def plan_document(plan: AdaptiveMeasPlan) -> dict:
         if np.isnan(angle):
             doc = {"basis": [[[c.real, c.imag] for c in row] for row in plan.bases[i].tolist()]}
         else:
-            doc = {"angle": float(f"{angle:.12g}")}
+            doc = {"angle": float(_number(angle))}  # the precision documents keep
         return {**doc, "on0": node(2 * i + 1), "on1": node(2 * i + 2)}
 
     return {"m": plan.m, "root": node(0)}

@@ -284,6 +284,8 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
     past ``MERGE_BOUND_TOL`` is refused.  ``doubt`` is set if a pruned
     outcome's norm is within ``error`` of sqrt(BRANCH_PROB_TOL)."""
     rng, total = None, 1.0
+    if cap < 0:
+        raise ValueError(f"branch cap {cap} is negative")
     if mode == "sample":
         if not shots or shots <= 0:
             raise ValueError("sample mode needs a positive shot count")

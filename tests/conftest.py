@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,12 +66,15 @@ def _one_qubit_matrix(op):
     raise ValueError(op.kind)
 
 
-def full_unitary(op, n_qubits):
-    """Dense matrix of one unitary op, built by explicit kron products.
+def full_unitary(op, n_qubits, value=None):
+    """Dense matrix of one unitary op, built by explicit kron products; a
+    selected rotation applies the angle of the condition ``value`` that fired.
 
     Independent of the simulator's tensor indexing: controls and swaps are
     expanded as sums of projector products.
     """
+    if isinstance(op.angle, tuple):
+        op = replace(op, angle=op.angle[op.condition.values.index(value)])
     eye = np.eye(2, dtype=complex)
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
@@ -150,13 +155,14 @@ def oracle_branches(circuit, prob_floor=1e-14):
                 elif value:
                     state = _on_wire([[0, 1], [1, 0]], op.qubits[0], n) @ state
                 continue
+            value = None
             if op.condition is not None:
                 value = 0
                 for b in op.condition.bits:
                     value = 2 * value + bits[b]
                 if value not in op.condition.values:
                     continue
-            state = full_unitary(op, n) @ state
+            state = full_unitary(op, n, value) @ state
         prob = float(np.vdot(state, state).real)
         if prob < prob_floor:
             continue
@@ -212,34 +218,42 @@ def oracle_layers(circuit, full=True):
     circuit's ``Gate`` records.
 
     Gate depth keeps only unconditioned unitaries that are not
-    measurement-basis rotations; every other op gets ``None``.  A selected
-    rotation (a ``roty`` holding one angle per condition value) reads as one
-    record per value, and those records take one layer together: at most
-    one of them fires in a branch.
+    measurement-basis rotations; every other op gets ``None``.
     """
     def keep(op):
         if full:
             return True
         return op.is_unitary and op.condition is None and op.role != "meas_basis"
 
-    records = list(circuit.ops)
-    # Each op's records: one per angle of a selected rotation, else one.
-    ends = np.cumsum(np.maximum(circuit.ops.counts[:, 4], 1)).tolist()
     wire_free, bit_ready, out = {}, {}, []
-    for start, end in zip([0] + ends, ends):
-        group = records[start:end]
-        op = group[0]
+    for op in circuit.ops:
         if not keep(op):
-            out += [None] * len(group)
+            out.append(None)
             continue
         layer = max([wire_free.get(q, 0) for q in op.qubits], default=0)
         if op.condition is not None:
             layer = max([layer] + [bit_ready.get(b, 0) for b in op.condition.bits])
-        out += [layer] * len(group)
+        out.append(layer)
         for q in op.qubits:
             wire_free[q] = layer + 1
         if op.kind == "measure":
             bit_ready[op.clbit] = layer + 1
+    return out
+
+
+def per_value_records(ops):
+    """The ``Gate`` records of ``ops`` with each selected rotation split into
+    one record per condition value, as documents were written before
+    selected rotations: the form of the golden and ``exact/per_value_*``
+    fixtures."""
+    out = []
+    for op in ops:
+        if not isinstance(op.angle, tuple):
+            out.append(op)
+            continue
+        bits, values = op.condition.bits, op.condition.values
+        out += [replace(op, angle=a, condition=sp.Condition(bits, (v,)))
+                for a, v in zip(op.angle, values)]
     return out
 
 

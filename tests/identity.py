@@ -71,15 +71,16 @@ def fingerprint(circuit) -> str:
 
 
 def corpus(check=None):
-    """Each key's circuit, passed to ``check`` if given, and its hash."""
+    """Each key's hash; ``check``, if given, is called with each key and
+    its circuit."""
     out = {}
     for name, vector in inputs():
         tree = sp.build_tree(vector)
         for flags, synthesize in compiles(tree.n):
-            circuit = synthesize(tree)
+            key, circuit = f"{name}: {flags}", synthesize(tree)
             if check is not None:
-                check(circuit)
-            out[f"{name}: {flags}"] = fingerprint(circuit)
+                check(key, circuit)
+            out[key] = fingerprint(circuit)
     return out
 
 

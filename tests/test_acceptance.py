@@ -98,7 +98,8 @@ def test_criterion_2_golden_angles(dense_vector):
 
     # Final-stage adaptive measurement: wire 4 first, then wire 5.
     adaptive_a = magnitude_matches(by_wire[4][0].angle, 1.97)
-    adaptive_b = any(magnitude_matches(op.angle, 1.19) for op in by_wire[5])
+    # Wire 5's rotation selects one angle per wire-4 outcome.
+    adaptive_b = any(magnitude_matches(a, 1.19) for op in by_wire[5] for a in op.angle)
 
     ok = angles_ok and stage2_first and stage2_second and erratum_ok and adaptive_a and adaptive_b
     detail = (

@@ -31,7 +31,9 @@ from stateprep.circuit import (
 )
 from stateprep.errors import InvalidCircuit, ParseError
 
-from conftest import assert_waits_match_reference, oracle_layers, oracle_metrics, random_unit
+from conftest import (
+    assert_waits_match_reference, oracle_layers, oracle_metrics, per_value_records, random_unit,
+)
 
 KIND = sp.circuit.KIND
 DATA = Path(__file__).parent / "data"
@@ -243,7 +245,8 @@ class TestValidation:
         )
         if message is None:
             c = Circuit(2, 1, table, (0,))
-            assert len(c.ops) == 1 + max(len(angles), 1)
+            assert len(c.ops) == 2
+            assert c.ops[1].angle == (tuple(angles) if len(angles) > 1 else angles[0])
         else:
             with pytest.raises(InvalidCircuit, match=f"^op 1: {message}"):
                 Circuit(2, 1, table, (0,))
@@ -587,10 +590,27 @@ class TestMetrics:
         records = (hadamard(0), measure(0, 0), roty(1, 0.1, Condition((0,), (0,))),
                    roty(1, 0.2, Condition((0,), (1,))))
         per_value = Circuit(2, 1, records, (1,))
-        assert tuple(selected.ops) == records and serialize(selected) == text
-        assert layers(selected) == oracle_layers(selected) == [0, 1, 2, 2]
+        assert tuple(selected.ops) == (hadamard(0), measure(0, 0),
+                                       roty(1, (0.1, 0.2), Condition((0,), (0, 1))))
+        assert per_value_records(selected.ops) == list(records) and serialize(selected) == text
+        assert layers(selected) == oracle_layers(selected) == [0, 1, 2]
         assert layers(per_value) == oracle_layers(per_value) == [0, 1, 2, 3]
         assert (sp.metrics(selected).depth_full, sp.metrics(per_value).depth_full) == (3, 4)
+
+    @pytest.mark.parametrize("angle", [[0.1, 0.2], np.array([0.1, 0.2])])
+    def test_selected_angles_given_as_any_sequence(self, angle):
+        # A record's angles, as any sequence, make the same flat column.
+        cond, head = Condition((0,), (0, 1)), (hadamard(0), measure(0, 0))
+        c = Circuit(2, 1, head + (Gate("roty", (1,), angle, condition=cond),), (1,))
+        assert c.ops == Circuit(2, 1, head + (roty(1, (0.1, 0.2), cond),), (1,)).ops
+
+    def test_records_convert_back_to_the_circuit(self):
+        # Dense n=4 holds selected rotations: one record each, so the
+        # circuit made from its records has the same ops, depth and document.
+        c = sp.synthesize_dc(sp.build_tree(np.random.default_rng(0).random(16) + 0.1))
+        back = Circuit(c.n_qubits, c.n_clbits, list(c.ops), c.data_qubits)
+        assert (len(back.ops), sp.metrics(back).depth_full, len(layers(back))) == (55, 19, 55)
+        assert back.ops == c.ops and serialize(back) == serialize(c)
 
     @pytest.mark.parametrize("parallelize", [False, True])
     def test_dense_full_depth_is_n_squared_plus_n_minus_one(self, parallelize):
@@ -819,11 +839,11 @@ class TestSerialization:
             x = np.array(json.load(fh)["amplitudes"])
         assert '"table"' in text
         legacy = deserialize(text)
-        # One op per value there; the compiler's selected rotations read as
-        # the same records.
+        # One op per value there; the compiler's selected rotations, split
+        # per value, are the same records.
         new = deserialize(serialize(sp.synthesize_dc(sp.build_tree(x))))
         assert (legacy.n_qubits, legacy.n_clbits, legacy.data_qubits, tuple(legacy.ops)) == (
-            new.n_qubits, new.n_clbits, new.data_qubits, tuple(new.ops))
+            new.n_qubits, new.n_clbits, new.data_qubits, tuple(per_value_records(new.ops)))
         assert any(op.condition and len(op.condition.bits) == 2 for op in legacy.ops)
         assert sp.verify_preparation(legacy, x).passed
 
@@ -887,7 +907,9 @@ class TestSerialization:
         kinds = {}
         for op in back.ops:
             kinds[op.kind] = kinds.get(op.kind, 0) + 1
-        assert kinds == {"h": 1, "x": 1, "roty": 5, "cswap": 3, "measure": 3, "z": 2}
+        # One roty selects its angle by the outcome: one op, two angles.
+        assert kinds == {"h": 1, "x": 1, "roty": 4, "cswap": 3, "measure": 3, "z": 2}
+        assert sorted(np.size(op.angle) for op in back.ops if op.kind == "roty") == [1, 1, 1, 2]
 
     def test_document_is_one_line(self, w_vector):
         text = serialize(sp.synthesize_dc(sp.build_tree(w_vector), sp.DcOptions(prune=True)))

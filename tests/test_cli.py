@@ -12,7 +12,7 @@ import pytest
 import stateprep as sp
 from stateprep.cli import main
 
-from conftest import DENSE_SQUARES, random_unit
+from conftest import DENSE_SQUARES, per_value_records, random_unit
 
 
 @pytest.fixture
@@ -358,6 +358,21 @@ class TestVerify:
             report = json.loads(capsys.readouterr().out)
             assert report["branches"] == 2 and report["min_fidelity"] == 1.0 - code
 
+    @pytest.mark.parametrize("method", ["time", "dc"])
+    def test_negative_branch_cap_exits_two_before_walking(self, method, tmp_path, capsys,
+                                                          monkeypatch):
+        # A time document has no measurement to reach the cap at, and a dc
+        # one would reach it mid-walk; both are refused before the walk.
+        vec = str(Path(__file__).parent / "data" / "dc_n3_vector.json")
+        doc = str(tmp_path / "c.json")
+        assert main(["compile", vec, "--method", method, "--out", doc]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sp.simulator, "_plan", lambda *a: pytest.fail("walked"))
+        for mode in (["--mode", "enumerate"], ["--mode", "sample", "--shots", "16"]):
+            assert main(["verify", doc, vec, "--branch-cap", "-1", *mode]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: branch cap -1 is negative\n")
+
 
 class TestAnalyzeSweep:
     def test_analyze_n3_row(self, capsys):
@@ -519,9 +534,11 @@ GOLDEN = {
 def test_golden_documents(name, tmp_path, capsys):
     # ``golden_<name>.json`` and its ``_stages.json`` sidecar were written by
     # earlier versions of the synthesis (the per-stage recursion; for the
-    # ``parallel`` cases, a swap-scheduling pass over the finished circuit).
-    # The engine must emit the same circuit.  Documents keep 12 significant
-    # digits, hence the angle tolerance.
+    # ``parallel`` cases, a swap-scheduling pass over the finished circuit),
+    # with one op per condition value of a selected rotation.  The engine
+    # must emit the same circuit, compared record by record once its
+    # selected rotations are split the same way.  Documents keep 12
+    # significant digits, hence the angle tolerance.
     vector, flags = GOLDEN[name]
     out, report = tmp_path / "c.json", tmp_path / "r.json"
     argv = ["compile", str(DATA / f"golden_{vector}_vector.json"), *flags]
@@ -534,8 +551,9 @@ def test_golden_documents(name, tmp_path, capsys):
         want.n_clbits,
         want.data_qubits,
     )
-    assert len(got.ops) == len(want.ops)
-    for a, b in zip(got.ops, want.ops):
+    got_ops, want_ops = per_value_records(got.ops), per_value_records(want.ops)
+    assert len(got_ops) == len(want_ops)
+    for a, b in zip(got_ops, want_ops):
         assert (a.kind, a.qubits, a.clbit, a.polarities, a.condition, a.role) == (
             b.kind,
             b.qubits,
@@ -583,7 +601,7 @@ def test_per_value_documents_read_as_selected_ones(name, capsys):
     assert sp.serialize(a) == older.read_text()
     assert a.ops.n_ops > b.ops.n_ops
     assert (a.n_qubits, a.n_clbits, a.data_qubits) == (b.n_qubits, b.n_clbits, b.data_qubits)
-    assert tuple(a.ops) == tuple(b.ops)
+    assert per_value_records(a.ops) == per_value_records(b.ops)
     vector = str(DATA / f"golden_{EXACT[name][0]}_vector.json")
     reports = []
     for doc in (older, newer):

@@ -243,7 +243,8 @@ class TestSynthesizeDc:
                     b.condition,
                     b.role,
                 )
-                assert (a.angle is None and b.angle is None) or abs(a.angle - b.angle) <= 1e-14
+                assert (a.angle is None and b.angle is None) or np.max(
+                    np.abs(np.subtract(a.angle, b.angle))) <= 1e-14
 
     def test_level_mixing_equal_and_unequal_siblings(self):
         # Level 1 of this n=4 tree has one stage whose siblings hold the

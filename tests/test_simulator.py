@@ -16,6 +16,7 @@ from conftest import (
     assert_waits_match_reference,
     oracle_branches,
     oracle_statevector,
+    per_value_records,
     random_complex_unit,
     random_unit,
     reduced_fidelity,
@@ -119,6 +120,11 @@ class TestEnumerate:
         c = Circuit(3, 3, ops, (0,)).validate()
         with pytest.raises(TooManyBranches):
             sp.run(c, branch_cap=2)
+        # A negative cap is refused before the walk, in either mode.
+        for call in (sp.run, lambda c, **kw: sp.verify_preparation(c, [1, 0], **kw)):
+            for kwargs in ({}, {"mode": "sample", "shots": 8}):
+                with pytest.raises(ValueError, match="^branch cap -1 is negative$"):
+                    call(c, branch_cap=-1, **kwargs)
 
     def test_branches_match_projector_oracle(self, dense_vector, w_vector):
         for vec, prune in ((dense_vector, False), (w_vector, True)):
@@ -190,8 +196,8 @@ class TestConditions:
 
     def test_selected_rotation_walks_as_its_records(self):
         # One roty whose angle outcomes 00, 10 and 11 select (01 applies
-        # none), on a wire that a swap has joined to two others.  Its
-        # records, one op per value, walk to the same bytes.
+        # none), on a wire that a swap has joined to two others.  Split
+        # into one op per value, it walks to the same bytes.
         ops = [{"kind": "h", "qubits": [q]} for q in (0, 1, 3)] + [
             {"kind": "roty", "qubits": [4], "angle": 0.8}, {"kind": "cswap", "qubits": [3, 2, 4]},
             {"kind": "measure", "qubits": [0], "clbit": 0},
@@ -203,8 +209,8 @@ class TestConditions:
                           separators=(",", ":")) + "\n"
         selected = sp.deserialize(text)
         assert sp.serialize(selected) == text
-        per_value = Circuit(5, 2, tuple(selected.ops), (2, 3, 4))
-        assert (selected.ops.n_ops, per_value.ops.n_ops, len(selected.ops)) == (8, 10, 10)
+        per_value = Circuit(5, 2, per_value_records(selected.ops), (2, 3, 4))
+        assert (selected.ops.n_ops, per_value.ops.n_ops, len(selected.ops)) == (8, 10, 8)
         for kwargs in ({}, {"mode": "sample", "shots": 1000, "seed": 4}):
             got, want = sp.run(selected, **kwargs), sp.run(per_value, **kwargs)
             assert [(b.outcomes, b.probability, b.residual_state.tobytes()) for b in got] == [
