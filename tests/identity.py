@@ -1,5 +1,6 @@
-"""The identity corpus: a hash of what each of about 570 fixed-seed
-compiles writes, so that "the same behaviour" is one test to run.
+"""The identity corpus: a hash of what each of 570 fixed-seed compiles
+writes, and of how the 210 at n <= 4 verify, so that "the same
+behaviour" is one test to run.
 
 Inputs are dense (uniform plus 0.1), sparse (about 30% non-zero, one
 entry set to 1) and W vectors of 2**n amplitudes, n = 1..8, the first two
@@ -8,6 +9,9 @@ divide-and-conquer under all 8 combinations of its three flags, and by
 every hybrid lambda strictly between 1 and n, with and without
 ``--prune``.  A key names its input and its ``stateprep compile`` flags;
 its value hashes the document's bytes, the metrics and the stage reports.
+At n <= 4 each compile has a second key, ``<key>: verify``, which hashes
+its ``verify`` reports: enumerating, and sampling 64 shots at seed 0,
+floats written as 12-digit text.
 
 ``python tests/identity.py`` re-records ``tests/data/identity.json``;
 ``tests/test_identity.py`` recomputes the corpus and names each key
@@ -59,15 +63,27 @@ def compiles(n):
                lambda tree, lam=lam, opts=opts: sp.synthesize_hybrid(tree, lam, opts))
 
 
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def fingerprint(circuit) -> str:
     """A hash of the document, the metrics and the stage reports, as
     ``stateprep compile`` writes them."""
-    text = "\n".join((
+    return digest("\n".join((
         sp.serialize(circuit),
         json.dumps(asdict(sp.metrics(circuit))),
         json.dumps({"stages": [asdict(r) for r in circuit.stage_reports]}),
-    ))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    )))
+
+
+def verdicts(circuit, vector) -> str:
+    """A hash of the ``verify`` reports of ``circuit`` against ``vector``,
+    enumerating and sampling, floats as ``.12g`` text."""
+    reports = (sp.verify_preparation(circuit, vector),
+               sp.verify_preparation(circuit, vector, mode="sample", shots=64, seed=0))
+    return digest(json.dumps([{k: f"{v:.12g}" if isinstance(v, float) else v
+                               for k, v in r.to_json_dict().items()} for r in reports]))
 
 
 def corpus(check=None):
@@ -81,6 +97,8 @@ def corpus(check=None):
             if check is not None:
                 check(key, circuit)
             out[key] = fingerprint(circuit)
+            if tree.n <= 4:
+                out[f"{key}: verify"] = verdicts(circuit, vector)
     return out
 
 
