@@ -5,12 +5,13 @@ both modes, reading each op once and advancing every branch together.
 Wires that no op has yet joined are independent, so the state is kept as
 *clusters*, each a tensor of rows with an axis per wire; a branch names
 one row of every cluster.  An op joins the clusters of its wires into the
-distinct row tuples that the branches use, and a conditioned op splits
-its rows by the matrix that their outcomes select: one, or one per value
-of a selected rotation, or none.  Nothing conditions a measurement, so the
-clusters and each op's two slices are planned once per circuit
-(``_plan``).  A ``measure`` or ``reset`` splits each branch in two,
-outcome 0 first, so branches stay in lexicographic outcome order; the
+distinct row tuples that the branches use, and a conditioned op gives
+each row the matrix that its outcomes select: its kind's, or one per value
+of a selected rotation, or the identity if it does not fire.  One update
+(``_mix``) then mixes the op's two slices on every row.  Nothing conditions
+a measurement, so the clusters and each op's two slices are planned once
+per circuit (``_plan``).  A ``measure`` or ``reset`` splits each branch in
+two, outcome 0 first, so branches stay in lexicographic outcome order; the
 wire leaves its cluster, and a reset wire starts a new one in |0>.
 ``enumerate`` keeps every outcome of path probability at least
 ``BRANCH_PROB_TOL``.  ``sample`` splits a branch's shots between the
@@ -162,36 +163,15 @@ def _plan(circuit: Circuit):
 
 
 def _mix(state: np.ndarray, i0, i1, mats: np.ndarray, sel) -> None:
-    """Replace the slices ``a = state[i0]`` and ``b = state[i1]`` of each
-    row ``r`` by ``mats[sel[r]] @ (a, b)``.  ``mats[0]`` is the identity,
-    and ``sel`` None selects ``mats[1]`` on every row."""
-    if sel is not None and (sel == sel[0]).all():
-        if sel[0] == 0:
-            return
-        mats, sel = mats[[0, sel[0]]], None
+    """Set the slices ``a = state[i0]`` and ``b = state[i1]`` of each row
+    ``r`` to ``mats[sel[r]] @ (a, b)``, or to ``mats[1] @ (a, b)`` if ``sel``
+    is None.  A row that selects ``mats[0]``, the identity, keeps its values."""
+    a, b = state[i0], state[i1]  # views
     if sel is None:
-        (m00, m01), (m10, m11) = mats[1].tolist()
-        diagonal = m01 == 0 and m10 == 0
-    elif not (diagonal := not mats[:, [0, 1], [1, 0]].any()):
-        rows = np.flatnonzero(sel)  # only the rows that select a rotation
-        sel, i0, i1 = sel[rows], (rows,) + i0[1:], (rows,) + i1[1:]
-    a, b = state[i0], state[i1]  # views, or copies of the selecting rows
-    if sel is not None:
-        m = mats[sel].reshape((len(sel), 4) + (1,) * (a.ndim - 1))
-        m00, m01, m10, m11 = m.swapaxes(0, 1)
-    if diagonal:
-        # A diagonal matrix scales the slices in place, each row by its own
-        # factor: 1 where the condition does not fire.
-        a *= m00
-        b *= m11
-        return
-    tmp = a.copy()
-    a *= m00
-    a += m01 * b
-    b *= m11
-    b += m10 * tmp
-    if sel is not None:
-        state[i0], state[i1] = a, b
+        m00, m01, m10, m11 = mats[1].reshape(4).tolist()
+    else:
+        m00, m01, m10, m11 = mats[sel].reshape((len(sel), 4) + (1,) * (a.ndim - 1)).swapaxes(0, 1)
+    a[...], b[...] = m00 * a + m01 * b, m10 * a + m11 * b
 
 
 def _selects(values, n: int, bits: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Every corpus circuit writes what ``tests/data/identity.json`` recorded
-(see ``tests/identity.py``, which re-records it), and reads back exactly
-from its ``Gate`` records."""
+"""Every corpus circuit writes, and at n <= 4 verifies to, what
+``tests/data/identity.json`` recorded (see ``tests/identity.py``, which
+re-records it), and reads back exactly from its ``Gate`` records."""
 
 import json
 

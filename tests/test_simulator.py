@@ -1,16 +1,17 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import stateprep as sp
-from stateprep.circuit import Circuit, Condition, cswap, hadamard, measure, pauli_x, pauli_z, reset, roty, rotz, mcroty
+from stateprep.circuit import KIND, Circuit, Condition, cswap, hadamard, measure, pauli_x, pauli_z, reset, roty, rotz, mcroty
 from stateprep.errors import DimensionMismatch, TooManyBranches, ZeroVector
 from stateprep.tolerances import BRANCH_PROB_TOL, FIDELITY_TOL
-from stateprep.simulator import _walk, data_probabilities, statevector
+from stateprep.simulator import _mix, _slices, _walk, data_probabilities, statevector
 
 from conftest import (
     assert_waits_match_reference,
@@ -51,6 +52,47 @@ class TestGateApplication:
         for last in (measure(0, 0), reset(0)):
             with pytest.raises(ValueError, match="measurement-free"):
                 statevector(Circuit(1, 1, (hadamard(0), last), (0,)))
+
+
+def mix_reference(state, i0, i1, mats, sel):
+    """Each row's two slices times its selected 2x2 matrix, by einsum."""
+    m = mats[np.ones(len(state), dtype=int) if sel is None else sel]
+    a, b = state[i0], state[i1]
+    pair = np.stack((a.reshape(len(a), -1), b.reshape(len(b), -1)), axis=1)
+    out, mixed = state.copy(), np.einsum("rij,rjk->rik", m, pair)
+    out[i0], out[i1] = mixed[:, 0].reshape(a.shape), mixed[:, 1].reshape(b.shape)
+    return out
+
+
+@pytest.mark.parametrize("n_wires", [1, 2, 3, 4])
+def test_mix_matches_a_per_row_reference(n_wires):
+    """``_mix`` on random cluster tensors of 1-6 rows: a one-wire op, a
+    ``cswap`` and an ``mcroty`` with polarities, each with diagonal and
+    non-diagonal matrices, on every row or selected per row.  A row that
+    selects the identity comes back bit for bit."""
+    rng = np.random.default_rng(n_wires)
+    wires = [int(w) for w in rng.permutation(8)[:n_wires]]  # axis order, not label order
+    ops = [(KIND["roty"], [wires[int(rng.integers(n_wires))]], [])]
+    if n_wires >= 2:
+        qubits = rng.permutation(wires).tolist()  # controls, then the target
+        ops.append((KIND["mcroty"], qubits, rng.integers(0, 2, n_wires - 1).tolist()))
+    if n_wires >= 3:
+        ops.append((KIND["cswap"], rng.permutation(wires)[:3].tolist(), []))
+    for (kind, qubits, pols), rows, diagonal in product(ops, range(1, 7), (True, False)):
+        i0, i1 = _slices(kind, qubits, pols, wires)
+        if diagonal:
+            mats = np.array([np.diag(np.exp(1j * rng.normal(size=2))) for _ in range(4)])
+        else:
+            mats = np.linalg.qr(rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))[0]
+        mats[0] = np.eye(2)
+        for sel in (None, np.concatenate(([0], rng.integers(0, 4, rows - 1)))):
+            state = rng.normal(size=(rows,) + (2,) * n_wires) * np.exp(1j * rng.normal())
+            expected = mix_reference(state, i0, i1, mats, sel)
+            before = state.copy()
+            _mix(state, i0, i1, mats, sel)
+            assert np.allclose(state, expected, rtol=0.0, atol=1e-14)
+            for r in [] if sel is None else np.flatnonzero(sel == 0):
+                assert state[r].tobytes() == before[r].tobytes()
 
 
 @pytest.mark.parametrize("kwargs, message", [
