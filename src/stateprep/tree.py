@@ -128,7 +128,7 @@ def build_tree(amplitudes) -> AmplitudeTree:
         omega1[base : base + 2**level] = np.where(ok, cur[1::2] / safe, 0.0)
         cur = np.where(ok, parent, 0.0)
 
-    alpha = 2.0 * np.arcsin(np.clip(omega1, 0.0, 1.0))
+    alpha = 2.0 * np.arctan2(omega1, omega0)
     return AmplitudeTree(n=n, omega0=omega0, omega1=omega1, alpha=alpha)
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stateprep as sp
@@ -146,6 +146,16 @@ class TestSynthesizeDc:
             rep = sp.verify_preparation(sp.synthesize_dc(sp.build_tree(x)), x)
             assert rep.passed, trial
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ten_decade_inputs_verify(self, n):
+        # The README's ten-decade inputs.  With alpha = 2 asin(omega1), a
+        # leaf whose omega1 is near 1 lost half its digits, and 5 of these
+        # 30 failed with minimum fidelity down to 0.99998.
+        for seed in range(10):
+            x = 10 ** np.random.default_rng(seed).uniform(-10, 0, 2**n)
+            rep = sp.verify_preparation(sp.synthesize_dc(sp.build_tree(x)), x)
+            assert rep.passed, (seed, rep)
+
     def test_nearly_equal_halves(self):
         rng = np.random.default_rng(28)
         base = rng.random(4) + 0.1
@@ -180,13 +190,15 @@ class TestSynthesizeDc:
         st.sampled_from([np.pi / 2, np.pi]),
         st.floats(-3e-12, 3e-12) | st.sampled_from([-1e-7, -1e-9, 1e-9, 1e-7]),
     )
+    @example(np.pi, 1e-9)
+    @example(np.pi, -1e-9)
     @settings(max_examples=60, deadline=None)
     def test_loading_angles_at_angle_tol_edges(self, base, delta):
         # One qubit loaded at theta = base + delta: h (x at pi) within
         # ANGLE_TOL of the base, roty beyond it.  Rounding moves alpha
         # across the edge, so the expected spelling reads tree.alpha.
-        # Near pi, alpha = 2 asin(omega1) rounds to pi until |delta| is
-        # about 3e-8, so only the 1e-7 offsets spell a roty there.
+        # alpha = 2 atan2(omega1, omega0) keeps its digits near pi too, so
+        # an offset of 1e-9 spells a roty at either base.
         half = (base + delta) / 2
         x = np.array([abs(np.cos(half)), np.sin(half)])
         tree = sp.build_tree(x)
@@ -194,6 +206,7 @@ class TestSynthesizeDc:
             kind = "roty"
         else:
             kind = "h" if base < 2 else "x"
+        assert abs(delta) < 1e-9 or kind == "roty"
         for c in (sp.synthesize_dc(tree), sp.synthesize_time(tree)):
             assert c.ops[0].kind == kind
             assert sp.verify_preparation(c, x / np.linalg.norm(x)).passed
