@@ -240,10 +240,29 @@ class OpTable:
                 role=[ROLE.get(g.role, -1) for g in gates],
                 clbit=[-1 if g.clbit is None else g.clbit for g in gates],
             )
-        except OverflowError:
-            raise InvalidCircuit("an integer field does not fit in 64 bits") from None
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InvalidCircuit(_malformed(gates, conds) or str(exc)) from None
         table.__dict__["gates"] = table.__dict__["given"] = gates
         return table
+
+
+def _malformed(gates, conds) -> str | None:
+    """The first field of the records that is not a number, or is an integer
+    past 64 bits, worded as ``validate`` names an op."""
+    for i, (g, c) in enumerate(zip(gates, conds)):
+        for field, value, dtype in (
+            ("qubits", g.qubits, np.int64), ("polarities", g.polarities or (), np.int64),
+            ("condition bits", c.bits, np.int64), ("condition values", c.values, np.int64),
+            ("angle", () if g.angle is None else g.angle, float),
+            ("clbit", g.clbit or 0, np.int64),
+        ):
+            try:
+                np.asarray(value, dtype=dtype)
+            except OverflowError:
+                return f"op {i}: {field} {value!r} does not fit in 64 bits"
+            except (TypeError, ValueError):
+                return f"op {i}: {field} {value!r} is not a number"
+    return None
 
 
 def op_table(kind, qubits, polarities=None, bits=None, values=None, angle=None, *, role=0,

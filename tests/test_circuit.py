@@ -139,6 +139,12 @@ class TestValidation:
         ((), (2,), "data qubit 2 out of range"),
         ((), (0, 0), "repeated data qubit"),
         ((Gate("measure", (0,), clbit=2**64),), (0,), "does not fit in 64 bits"),
+        ((hadamard(0), Gate("h", (2**64,))), (0,), f"^op 1: qubits \\({2**64},\\) does not fit"),
+        ((hadamard(0), Gate("roty", (0,), angle="x")), (0,), "^op 1: angle 'x' is not a number"),
+        ((Gate("h", ("a",)),), (0,), r"^op 0: qubits \('a',\) is not a number"),
+        ((Gate("measure", (0,), clbit="b"),), (0,), "^op 0: clbit 'b' is not a number"),
+        ((Gate("h", (None,)),), (0,), r"^op 0: qubits \(None,\) is not a number"),
+        ((Gate("h", 0),), (0,), "not iterable"),
     ])
     def test_rejects_malformed_op_or_register(self, ops, data_qubits, message):
         with pytest.raises(InvalidCircuit, match=message):
