@@ -148,9 +148,9 @@ class TestSynthesizeDc:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ten_decade_inputs_verify(self, n):
-        # The README's ten-decade inputs.  With alpha = 2 asin(omega1), a
-        # leaf whose omega1 is near 1 lost half its digits, and 5 of these
-        # 30 failed with minimum fidelity down to 0.99998.
+        # The README's ten-decade inputs.  Some leaves have omega1 near 1,
+        # where an angle read from omega1 alone, 2 asin(omega1), keeps only
+        # half its digits: 5 of these 30 then fail, at fidelity 0.99998.
         for seed in range(10):
             x = 10 ** np.random.default_rng(seed).uniform(-10, 0, 2**n)
             rep = sp.verify_preparation(sp.synthesize_dc(sp.build_tree(x)), x)
