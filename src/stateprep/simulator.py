@@ -171,7 +171,11 @@ def _mix(state: np.ndarray, i0, i1, mats: np.ndarray, sel) -> None:
         m00, m01, m10, m11 = mats[1].reshape(4).tolist()
     else:
         m00, m01, m10, m11 = mats[sel].reshape((len(sel), 4) + (1,) * (a.ndim - 1)).swapaxes(0, 1)
-    a[...], b[...] = m00 * a + m01 * b, m10 * a + m11 * b
+    new_b = m10 * a  # in place from here: two slice-sized temporaries at most
+    new_b += m11 * b
+    a *= m00
+    a += m01 * b
+    b[...] = new_b
 
 
 def _selects(values, n: int, bits: np.ndarray) -> np.ndarray:
