@@ -15,6 +15,12 @@ step solves every row's basis and splits each row into its two children.
 Degenerate rows and rows that one state misses are handled by masks; a
 missing side becomes ``e_j - conj(v_j) v``, normalized, for the kept side ``v``.
 
+Pairs of several widths advance together, one step per residual width:
+the rows of width ``2**r`` of every pair, whatever its depth there, are
+stacked into one step, up to ``STEP_ENTRIES`` entries.  Every operation
+of a step acts on each row alone, so a plan does not depend on what it
+was stacked with.
+
 Every node keeps the basis it solves for, ``[[c, s e^{iw}], [s e^{-iw},
 -c]]``: for a real pair it is the reflection form that the paper prints,
 and the stored ``angle`` is the y-rotation that measures the same basis
@@ -204,27 +210,65 @@ def _leaf_step(plus: np.ndarray, minus: np.ndarray):
     return np.where(real, angle, np.nan), np.stack([plus, minus], 1).conj()
 
 
-def decompose(pair: OrthPair) -> AdaptiveMeasPlan:
-    """Adaptive single-qubit measurement plan discriminating ``pair``, or
-    one plan per pair of a stacked ``pair``.
+@dataclass
+class _Run:
+    """Rows that step together: those of the pairs ``members``, each pair's
+    rows in one block, in the order the pairs joined."""
+
+    members: list[int]
+    plus: np.ndarray
+    minus: np.ndarray
+
+
+# The most entries (rows times width, of one state) that a step stacks
+# from several pairs.  Past this size a step's arithmetic outweighs
+# numpy's fixed cost per call, and a taller stack only holds more
+# temporaries at once.  A larger pair steps alone: every pair of a dense
+# n=14 synthesis holds 2**13 entries, so it steps as it would by itself.
+STEP_ENTRIES = 2**13
+
+
+def decompose(pairs):
+    """Adaptive single-qubit measurement plan discriminating an
+    ``OrthPair``, or one plan per pair of a stacked one; given a sequence
+    of pairs, of any widths, the list of their plans.
 
     The first measured qubit is the most significant one; depth ``d``
     measures qubit ``d`` conditioned on all previous outcomes.
     """
-    size = 2**pair.m
-    plus, minus = pair.plus.reshape(-1, size), pair.minus.reshape(-1, size)
-    count = len(plus)
-    angles = np.empty((count, size - 1))
-    bases = np.empty((count, size - 1, 2, 2), dtype=complex)
-    for d in range(pair.m):
-        if d < pair.m - 1:
-            angle, basis, plus, minus = _inner_step(plus, minus)
-        else:
-            angle, basis = _leaf_step(plus, minus)
-        angles[:, 2**d - 1 : 2 ** (d + 1) - 1] = angle.reshape(count, 2**d)
-        bases[:, 2**d - 1 : 2 ** (d + 1) - 1] = basis.reshape(count, 2**d, 2, 2)
-    lead = pair.plus.shape[:-1] + (size - 1,)
-    return AdaptiveMeasPlan(pair.m, angles.reshape(lead), bases.reshape(lead + (2, 2)))
+    if isinstance(pairs, OrthPair):
+        return decompose([pairs])[0]
+    rows = [(p.plus.reshape(-1, 2**p.m), p.minus.reshape(-1, 2**p.m)) for p in pairs]
+    angles = [np.empty((len(plus), 2**p.m - 1)) for p, (plus, _) in zip(pairs, rows)]
+    bases = [np.empty(a.shape + (2, 2), dtype=complex) for a in angles]
+    runs: list[_Run] = []
+    for r in range(max((p.m for p in pairs), default=0), 0, -1):
+        for i in (i for i, p in enumerate(pairs) if p.m == r and len(angles[i])):
+            plus, minus = rows[i]
+            if runs and runs[-1].plus.size + plus.size <= STEP_ENTRIES:
+                run = runs[-1]
+                run.members.append(i)
+                run.plus = np.concatenate((run.plus, plus))
+                run.minus = np.concatenate((run.minus, minus))
+            else:
+                runs.append(_Run([i], plus, minus))
+        for run in runs:
+            if r > 1:
+                angle, basis, run.plus, run.minus = _inner_step(run.plus, run.minus)
+            else:
+                angle, basis = _leaf_step(run.plus, run.minus)
+            start = 0
+            for i in run.members:
+                count, d = len(angles[i]), pairs[i].m - r
+                end = start + (count << d)
+                angles[i][:, 2**d - 1 : 2 ** (d + 1) - 1] = angle[start:end].reshape(count, -1)
+                bases[i][:, 2**d - 1 : 2 ** (d + 1) - 1] = basis[start:end].reshape(count, -1, 2, 2)
+                start = end
+    return [
+        AdaptiveMeasPlan(p.m, a.reshape(lead), b.reshape(lead + (2, 2)))
+        for p, a, b in zip(pairs, angles, bases)
+        for lead in [p.plus.shape[:-1] + (2**p.m - 1,)]
+    ]
 
 
 def plan_document(plan: AdaptiveMeasPlan) -> dict:

@@ -19,12 +19,14 @@ conditioned Z on the control wire undoes the relative sign, leaving the
 ancilla wires in computational states.  With ``prune``, the planner alone decides which
 nodes keep one child.
 
-Synthesis works one tree level at a time and nothing recurses over the
-plans: the sibling states of every combining stage of a level are rows of
-the tree's level arrays (``AmplitudeTree.states``, where a zero-norm
-subtree's row is the ground state its wires are left in), and one
-``compile_disentangler`` call builds all of the level's measurement plans
-together and emits the level's ops in stage order.
+Nothing recurses over the plans.  The sibling states of every combining
+stage of a level are rows of the tree's level arrays
+(``AmplitudeTree.states``, where a zero-norm subtree's row is the ground
+state its wires are left in).  A stage's measurement plan reads only
+these states, so the engine first solves the plans of all levels, in one
+``decompose`` call that steps the pairs of every level together (one
+step per residual width); then one ``compile_disentangler`` call per
+level emits that level's ops in stage order.
 
 With ``parallelize`` the engine also schedules the combining swaps: it
 gives every op a slot as it emits it and returns the ops sorted by slot.
@@ -94,12 +96,33 @@ def _loads(tree: AmplitudeTree, f: np.ndarray, wires: np.ndarray, prune: bool) -
     return op_table(kind, wires[:, None], angle=(angle[rotation], rotation), role=ROLE[ROLE_LOAD])
 
 
+def _stages(left: np.ndarray, right: np.ndarray):
+    """What the disentangling stages of stacked real sibling states measure:
+    which stages take the right state negated (``flipped``: the two overlap
+    negatively), which hold equal states (``equal``), and the ``OrthPair``
+    of the others' symmetric and antisymmetric combinations."""
+    overlap = np.einsum("ij,ij->i", left, right)
+    flipped = overlap < 0.0
+    overlap = np.abs(overlap)
+    # Equal states: the register factors out, any basis works.
+    equal = overlap >= 1.0 - OVERLAP_EQUAL_TOL
+    live = ~equal
+    left, ov = left[live], overlap[live, None]
+    right = np.where(flipped[live, None], -right[live], right[live])
+    plus = (left + right) / np.sqrt(2.0 * (1.0 + ov))
+    minus = (left - right) / np.sqrt(2.0 * (1.0 - ov))
+    minus -= np.einsum("ij,ij->i", minus, plus)[:, None] * plus
+    minus /= np.linalg.norm(minus, axis=1, keepdims=True)
+    return flipped, equal, OrthPair.from_states(plus, minus)
+
+
 def compile_disentangler(
     psi_left,
     psi_right,
     ancilla_wires,
     control_wire,
     first_clbit: int = 0,
+    plans=None,
 ) -> OpTable:
     """Ops that measure out an ancilla register holding one of two known
     real states and restore the controlled superposition's relative sign.
@@ -114,7 +137,10 @@ def compile_disentangler(
 
     Stacked states of shape ``(stages, 2**m)``, with one wire list and
     one control wire per stage, compile every stage at once; their ops
-    follow in stage order on consecutive classical bits.
+    follow in stage order on consecutive classical bits.  ``plans``, if
+    given, is ``(flipped, equal, angles)`` of these states: the first two
+    of ``_stages`` and the plan angles of its pair, which the engine
+    solves for every level in one ``decompose`` call.
     """
     left, right = np.asarray(psi_left), np.asarray(psi_right)
     if np.iscomplexobj(left) or np.iscomplexobj(right):
@@ -130,20 +156,10 @@ def compile_disentangler(
     norms = np.linalg.norm(np.concatenate([left, right]), axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise NonUnitInput("input states must be unit norm")
-
-    overlap = np.einsum("ij,ij->i", left, right)
-    flipped = overlap < 0.0
-    right = np.where(flipped[:, None], -right, right)
-    overlap = np.abs(overlap)
-    # Equal states: the register factors out, any basis works.
-    equal = overlap >= 1.0 - OVERLAP_EQUAL_TOL
-    live = np.flatnonzero(~equal)
-    ov = overlap[live, None]
-    plus = (left[live] + right[live]) / np.sqrt(2.0 * (1.0 + ov))
-    minus = (left[live] - right[live]) / np.sqrt(2.0 * (1.0 - ov))
-    minus -= np.einsum("ij,ij->i", minus, plus)[:, None] * plus
-    minus /= np.linalg.norm(minus, axis=1, keepdims=True)
-    angles = decompose(OrthPair.from_states(plus, minus)).angles
+    if plans is None:
+        flipped, equal, pair = _stages(left, right)
+        plans = flipped, equal, decompose(pair).angles
+    flipped, equal, angles = plans
     if np.isnan(angles).any():
         raise NonUnitInput("plan basis is not a real rotation")
 
@@ -158,7 +174,7 @@ def compile_disentangler(
     size = 2**m - 1
     depth = np.repeat(np.arange(m), 2 ** np.arange(m))  # of each plan node
     stage_angles, keep = np.zeros((len(wires), size)), np.zeros((len(wires), size), dtype=bool)
-    stage_angles[live], keep[live] = angles, np.abs(angles) > ANGLE_TOL
+    stage_angles[~equal], keep[~equal] = angles, np.abs(angles) > ANGLE_TOL
     kept = np.add.reduceat(keep, 2 ** np.arange(m) - 1, axis=1, dtype=np.int64)  # per wire
     emit = np.ones((len(wires), 2 * m + 1), dtype=bool)
     emit[:, :-1:2], emit[:, -1] = kept > 0, ~equal
@@ -184,6 +200,16 @@ def compile_disentangler(
         role=np.where(rotation, ROLE[ROLE_MEAS_BASIS], np.where(measured, 0, ROLE[ROLE_CORRECT])),
         clbit=np.where(measured, first + k, -1),
     )
+
+
+def _plan_levels(siblings: dict) -> dict:
+    """Per level of ``siblings`` (level: its stages' left and right
+    states), ``(flipped, equal, angles)`` as ``compile_disentangler`` takes
+    them; one ``decompose`` call solves the plans of every level."""
+    measured = [_stages(left, right) for left, right in siblings.values()]
+    solved = decompose([pair for *_, pair in measured])
+    return {level: (flipped, equal, plan.angles)
+            for level, (flipped, equal, _), plan in zip(siblings, measured, solved)}
 
 
 @dataclass(frozen=True)
@@ -239,6 +265,19 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         else:
             parts += [rotation_ops(tree, range(wire[f], wire[f] + lam), base_node=f) for f in run]
 
+    # The combining stages of each level: its planned nodes that keep both
+    # children.  A stage's measurement plan reads only its sibling states,
+    # so the plans of every level are solved before any level is emitted.
+    stages, siblings = {}, {}
+    for level in range(block_level - 1, -1, -1):
+        f = slice(2**level - 1, 2 ** (level + 1) - 1)
+        if len(p := np.flatnonzero(plan.planned[f] & plan.keep[f].all(1))):
+            stages[level] = p
+            if opts.disentangle:
+                states = tree.states[level + 1]
+                siblings[level] = states[2 * p], states[2 * p + 1]
+    plans = _plan_levels(siblings) if siblings else {}
+
     # Each op's slot in the parallel schedule: twice its layer, plus one
     # after the level's swaps.
     slots = [np.zeros(sum(part.n_ops for part in parts), dtype=np.int64)]
@@ -252,9 +291,9 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         f = np.arange(base, 2 * base + 1)
         below, keep = live, plan.keep[f]
         live = np.column_stack((wire[f], below[2 * (f - base) + ~keep[:, 0]]))
-        p = np.flatnonzero(plan.planned[f] & keep.all(1))
-        if not len(p):
+        if level not in stages:
             continue
+        p = stages[level]
         run_layers = np.array(_run_layers(tree.n - level - 1))
         controls, lefts, rights = wire[f[p]], below[2 * p], below[2 * p + 1]
         m = rights.shape[1]
@@ -263,22 +302,24 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         slots.append(np.tile(2 * run_layers, len(p)))
         if not opts.disentangle:
             continue
-        states = tree.states[level + 1]
-        stage_ops = compile_disentangler(states[2 * p], states[2 * p + 1], rights.tolist(),
-                                         controls.tolist(), first_clbit=next_bit)
+        stage_ops = compile_disentangler(*siblings[level], rights.tolist(), controls.tolist(),
+                                         first_clbit=next_bit, plans=plans[level])
         parts.append(stage_ops)
         slots.append(np.full(stage_ops.n_ops, 2 * run_layers[-1] + 1))
-        # Each correction has one wire, so its qubits line up with its rows.
-        fixes = stage_ops.take(np.flatnonzero(stage_ops.role == ROLE[ROLE_CORRECT]))
-        fired = dict(zip(fixes.qubits.tolist(), fixes.rows(3)))
-        for node, control, wires in zip(f[p].tolist(), controls.tolist(), rights.tolist()):
+        # A stage of unequal states corrects on its odd outcome paths, or
+        # its even ones when flipped; one of equal states does not correct.
+        odd, even = tuple(range(1, 2**m, 2)), tuple(range(0, 2**m, 2))
+        flipped, equal, _ = plans[level]
+        for node, control, wires, flip, same in zip(f[p].tolist(), controls.tolist(),
+                                                    rights.tolist(), flipped.tolist(),
+                                                    equal.tolist()):
+            values = () if same else even if flip else odd
             clbits = tuple(range(next_bit, next_bit + m))
-            values = tuple(fired.get(control, ()))
-            reports.append(
-                StageReport(level, node, control, tuple(wires), clbits, not values, values))
+            reports.append(StageReport(level, node, control, tuple(wires), clbits, same, values))
             next_bit += m
 
     ops = OpTable.concat(parts)
+    del parts, siblings, plans  # held no longer while the circuit validates
     if opts.parallelize:
         # Stable, so ops sharing a slot keep their emission order.
         ops = ops.take(np.argsort(np.concatenate(slots), kind="stable"))

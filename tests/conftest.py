@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stateprep as sp
+from stateprep import discrimination
 from stateprep.tolerances import FIDELITY_TOL, PROB_SUM_TOL, STATE_EQ_TOL, ZERO_NORM_TOL
 
 DENSE_SQUARES = (0.04, 0.13, 0.16, 0.2, 0.07, 0.09, 0.2, 0.11)
@@ -41,6 +42,17 @@ def random_orthogonal_pair(rng, dim, real=False):
     a = a / np.linalg.norm(a)
     b = b - np.vdot(a, b) * a
     return a, b / np.linalg.norm(b)
+
+
+def count_steps(monkeypatch):
+    """Counts of the kernel's inner and leaf steps from here on."""
+    steps = {"inner": 0, "leaf": 0}
+    for name, key in (("_inner_step", "inner"), ("_leaf_step", "leaf")):
+        def counted(*args, _step=getattr(discrimination, name), _key=key):
+            steps[_key] += 1
+            return _step(*args)
+        monkeypatch.setattr(discrimination, name, counted)
+    return steps
 
 
 def kron_all(mats):

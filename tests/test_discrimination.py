@@ -14,7 +14,7 @@ from stateprep.discrimination import (
 )
 from stateprep.errors import DimensionMismatch, NotOrthogonal, TraceNotZero, ZeroVector
 
-from conftest import random_orthogonal_pair
+from conftest import count_steps, random_orthogonal_pair
 
 
 def pm_pair(a, b):
@@ -308,3 +308,85 @@ class TestCompletion:
             _, _, eta, nu = _inner_step(np.hstack([v, zero])[None], np.hstack([w, zero])[None])
             assert eta[1].tolist() == np.eye(dim)[0].tolist()
             assert nu[1].tolist() == np.eye(dim)[1].tolist()
+
+
+def random_pairs(rng, m, rows, real):
+    """An ``OrthPair`` stacking ``rows`` random orthonormal pairs of ``m`` qubits."""
+    plus, minus = zip(*(random_orthogonal_pair(rng, 2**m, real=real) for _ in range(rows)))
+    return OrthPair.from_states(plus, minus)
+
+
+def tree_pairs(x):
+    """The pair that each level's disentangling stages tell apart, for the
+    angle tree of ``x``, deepest level first, as synthesis plans them."""
+    from stateprep import build_tree
+    from stateprep.divide_conquer import _stages
+
+    states = build_tree(x).states
+    return [_stages(s[0::2], s[1::2])[2] for s in reversed(states[1:])]
+
+
+def assert_same_plans(pairs):
+    """``decompose`` of ``pairs`` together gives each pair's own plan, bit
+    for bit."""
+    together = decompose(pairs)
+    assert len(together) == len(pairs)
+    for got, pair in zip(together, pairs):
+        want = decompose(pair)
+        assert got.m == want.m
+        for a, b in ((got.angles, want.angles), (got.bases, want.bases)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSeveralWidths:
+    """Pairs of several widths step together, one kernel step per residual
+    width; every step acts on each row alone, so each plan is the one the
+    pair gets by itself."""
+
+    @pytest.mark.parametrize("widths", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matches_one_pair_at_a_time(self, widths, real):
+        rng = np.random.default_rng(70 + widths)
+        for _ in range(5):
+            ms = rng.permutation(6)[:widths] + 1
+            ms = np.append(ms, ms[: int(rng.integers(0, widths + 1))])  # some widths twice
+            assert_same_plans([random_pairs(rng, int(m), int(rng.integers(1, 5)), real)
+                               for m in ms])
+
+    @pytest.mark.parametrize("kind", ["sparse", "w", "dense"])
+    def test_synthesis_pairs_match(self, kind):
+        # Sparse trees give plan rows that one state misses, and W trees
+        # stages of equal states, which leave their pairs fewer rows.
+        rng = np.random.default_rng(80)
+        for n in range(2, 8):
+            x, k = np.zeros(2**n), max(2, 2**n // 8)
+            if kind == "w":
+                x[2 ** np.arange(n)] = 1.0
+            elif kind == "sparse":
+                x[rng.choice(2**n, k, replace=False)] = rng.random(k) + 0.05
+            else:
+                x = rng.random(2**n) + 0.1
+            assert_same_plans(tree_pairs(x / np.linalg.norm(x)))
+
+    def test_single_pair_and_empty_list(self):
+        pair = random_pairs(np.random.default_rng(81), 3, 2, real=True)
+        plan = decompose(pair)
+        assert plan.angles.shape == (2, 7)
+        assert decompose([]) == []
+        empty = OrthPair(np.zeros((0, 4), dtype=complex), np.zeros((0, 4), dtype=complex), 2)
+        assert decompose([empty, pair])[0].angles.shape == (0, 3)
+
+    @pytest.mark.parametrize("extra, inner, leaf", [(0, 2, 1), (1, 3, 2)])
+    def test_stacks_up_to_the_entry_cap(self, monkeypatch, extra, inner, leaf):
+        # A 3-qubit and a 2-qubit pair of STEP_ENTRIES entries in all share
+        # the steps at widths 4 and 2; one row more and each steps alone.
+        from stateprep.discrimination import STEP_ENTRIES
+
+        rng = np.random.default_rng(82)
+        pairs = [random_pairs(rng, 3, STEP_ENTRIES // 16, real=True),
+                 random_pairs(rng, 2, STEP_ENTRIES // 8 + extra, real=True)]
+        assert sum(p.plus.size for p in pairs) == STEP_ENTRIES + 4 * extra
+        steps = count_steps(monkeypatch)
+        decompose(pairs)
+        assert steps == {"inner": inner, "leaf": leaf}
+        assert_same_plans(pairs)

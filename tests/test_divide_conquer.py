@@ -13,7 +13,7 @@ from stateprep.divide_conquer import DcOptions, _plan_tree, compile_disentangler
 from stateprep.errors import NonUnitInput
 from stateprep.tolerances import ANGLE_TOL
 
-from conftest import random_unit, reference_plan
+from conftest import count_steps, random_unit, reference_plan
 
 
 def branch_sets_equal(a, b, atol=1e-12):
@@ -446,6 +446,47 @@ class TestCompileDisentangler:
             target = np.concatenate([np.cos(coin / 2) * left, np.sin(coin / 2) * right])
             assert left @ right < 0.0
             assert sp.verify_preparation(circuit, target).passed
+
+
+class TestPlansSolvedTogether:
+    """The engine solves the measurement plans of every level in one
+    ``decompose`` call, then emits each level's stages."""
+
+    def test_dense_n4_makes_one_decompose_call(self, monkeypatch):
+        widths = []
+
+        def recorded(pairs):
+            widths.append([pair.m for pair in pairs])
+            return decompose(pairs)
+
+        monkeypatch.setattr(divide_conquer, "decompose", recorded)
+        steps = count_steps(monkeypatch)
+        sp.synthesize_dc(sp.build_tree(random_unit(np.random.default_rng(4), 16)))
+        assert widths == [[1, 2, 3]]  # levels 2, 1 and 0
+        assert steps == {"inner": 2, "leaf": 1}  # one per residual width
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "w"])
+    def test_reports_give_the_emitted_corrections(self, kind):
+        rng = np.random.default_rng(90)
+        for n in range(2, 7):
+            x = random_unit(rng, 2**n)
+            if kind == "sparse":
+                x[rng.random(2**n) < 0.7] = 0.0
+                x[0] = 1.0
+            elif kind == "w":
+                x = np.zeros(2**n)
+                x[2 ** np.arange(n)] = 1.0
+            tree = sp.build_tree(x / np.linalg.norm(x))
+            for lam in range(1, n):
+                for opts in (DcOptions(), DcOptions(prune=True)):
+                    c = sp.synthesize_hybrid(tree, lam, opts)
+                    fired = {op.condition.bits: op for op in c.ops if op.role == "correct"}
+                    assert len(fired) == sum(not r.computational for r in c.stage_reports)
+                    for rep in c.stage_reports:
+                        fix = fired.get(rep.clbits)
+                        assert rep.computational == (fix is None)
+                        assert rep.correction_values == (fix.condition.values if fix else ())
+                        assert fix is None or fix.qubits == (rep.control_wire,)
 
 
 PARALLEL = DcOptions(parallelize=True)
