@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -176,6 +177,7 @@ def cmd_distinguish(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+@cache  # one parser per process, however often ``main`` runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stateprep", description="Amplitude-encoding circuit tools"

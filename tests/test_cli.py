@@ -49,6 +49,24 @@ class TestCompile:
         assert summary["depth_gates"] == 4
         assert summary["unit_cswaps"] == 4
 
+    def test_main_twice_in_one_process(self, dense_file, tmp_path, capsys):
+        # One parser serves every ``main`` of a process, and its second run
+        # prints and writes what its first did.
+        from stateprep import cli
+
+        cli.build_parser.cache_clear()
+        runs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            argv = ["compile", dense_file, "--method", "dc", "--prune", "--out", str(out)]
+            assert main(argv) == 0
+            runs.append((capsys.readouterr(), out.read_text()))
+        assert runs[0] == runs[1]
+        assert cli.build_parser.cache_info().misses == 1
+        assert main(["verify", str(tmp_path / "a.json"), dense_file]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_hybrid_endpoint_matches_time(self, tmp_path, capsys):
         rng = np.random.default_rng(60)
         vec = write_vector(tmp_path, "v.json", random_unit(rng, 16))
