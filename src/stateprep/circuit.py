@@ -200,8 +200,7 @@ class OpTable:
     def waits(self) -> tuple[np.ndarray, np.ndarray]:
         """The ops each op waits for, -1 for none: per ``qubits`` entry the
         last earlier op on that wire, and per ``bits`` entry ``bit_waits``."""
-        qown = self.owner(0)
-        return _last_before(self.qubits, qown, self.qubits, qown), self.bit_waits
+        return _previous_on_wire(self.qubits, self.owner(0)), self.bit_waits
 
     @cached_property
     def bit_waits(self) -> np.ndarray:
@@ -234,11 +233,17 @@ class OpTable:
                   [c.bits for c in conds], [c.values for c in conds],
                   [() if g.angle is None else np.ravel(g.angle) for g in gates])
         try:
+            flats = [list(chain.from_iterable(r)) for r in ragged]
+            clbit = [-1 if g.clbit is None else g.clbit for g in gates]
+            # Numpy's casts would read 1.7 or "1" as a qubit, and "0.5" as an angle.
+            integers, reals = set(map(type, chain(*flats[:4], clbit))), set(map(type, flats[4]))
+            if not (all(map(_integer, integers)) and all(map(_real, reals))):
+                raise TypeError
             table = op_table(
                 [KIND.get(g.kind, -1) for g in gates],
-                *[(list(chain.from_iterable(r)), list(map(len, r))) for r in ragged],
+                *[(flat, list(map(len, r))) for flat, r in zip(flats, ragged)],
                 role=[ROLE.get(g.role, -1) for g in gates],
-                clbit=[-1 if g.clbit is None else g.clbit for g in gates],
+                clbit=clbit,
             )
         except (OverflowError, TypeError, ValueError) as exc:
             raise InvalidCircuit(_malformed(gates, conds) or str(exc)) from None
@@ -246,22 +251,41 @@ class OpTable:
         return table
 
 
+def _integer(t: type) -> bool:
+    """Whether a record field's entry of type ``t`` is an integer: a Python
+    or numpy integer, and not a bool."""
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
+def _real(t: type) -> bool:
+    """Whether an angle's entry of type ``t`` is a real number."""
+    return _integer(t) or issubclass(t, (float, np.floating))
+
+
 def _malformed(gates, conds) -> str | None:
-    """The first field of the records that is not a number, or is an integer
-    past 64 bits, worded as ``validate`` names an op."""
+    """The first field of the records that holds an entry other than an
+    integer (a real number, in an angle), or an integer past 64 bits,
+    worded as ``validate`` names an op."""
     for i, (g, c) in enumerate(zip(gates, conds)):
-        for field, value, dtype in (
-            ("qubits", g.qubits, np.int64), ("polarities", g.polarities or (), np.int64),
-            ("condition bits", c.bits, np.int64), ("condition values", c.values, np.int64),
-            ("angle", () if g.angle is None else g.angle, float),
-            ("clbit", g.clbit or 0, np.int64),
+        for field, value, entries, integer in (
+            ("qubits", g.qubits, g.qubits, True),
+            ("polarities", g.polarities, g.polarities or (), True),
+            ("condition bits", c.bits, c.bits, True),
+            ("condition values", c.values, c.values, True),
+            ("angle", g.angle, () if g.angle is None else np.ravel(g.angle), False),
+            ("clbit", g.clbit, () if g.clbit is None else (g.clbit,), True),
         ):
             try:
-                np.asarray(value, dtype=dtype)
+                types = set(map(type, entries))
+            except TypeError:  # not a sequence, which the caller's error names
+                continue
+            if not all(map(_integer if integer else _real, types)):
+                number = "an integer" if all(map(_real, types)) else "a number"
+                return f"op {i}: {field} {value!r} is not {number}"
+            try:
+                np.asarray(list(entries), dtype=np.int64 if integer else float)
             except OverflowError:
                 return f"op {i}: {field} {value!r} does not fit in 64 bits"
-            except (TypeError, ValueError):
-                return f"op {i}: {field} {value!r} is not a number"
     return None
 
 
@@ -404,6 +428,26 @@ def _repeats(flat: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     bad = np.zeros(n, dtype=bool)
     bad[owner[1:][(flat[1:] == flat[:-1]) & (owner[1:] == owner[:-1])]] = True
     return bad
+
+
+def _previous_on_wire(qubits: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """For each of the ``qubits`` entries, whose ``owner`` ascends, the last
+    earlier op on its wire, else -1: the owner of the entry before its
+    op's first on that wire, once the entries are sorted by wire."""
+    order = np.argsort(qubits, kind="stable")  # by wire, then by op
+    wire, op = qubits[order], owner[order]
+    waits = np.empty_like(op)
+    waits[:1] = -1
+    waits[1:] = op[:-1]
+    waits[1:][wire[1:] != wire[:-1]] = -1
+    repeat = np.flatnonzero((wire[1:] == wire[:-1]) & (op[1:] == op[:-1])) + 1
+    if len(repeat):  # an op holding a wire twice: its later entry waits as its first
+        first = np.ones(len(op), dtype=bool)
+        first[repeat] = False
+        waits = waits[np.maximum.accumulate(np.where(first, np.arange(len(op)), 0))]
+    out = np.empty_like(waits)
+    out[order] = waits
+    return out
 
 
 def _last_before(keys: np.ndarray, at: np.ndarray, queries: np.ndarray, when: np.ndarray):

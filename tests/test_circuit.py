@@ -145,10 +145,21 @@ class TestValidation:
         ((Gate("measure", (0,), clbit="b"),), (0,), "^op 0: clbit 'b' is not a number"),
         ((Gate("h", (None,)),), (0,), r"^op 0: qubits \(None,\) is not a number"),
         ((Gate("h", 0),), (0,), "not iterable"),
+        ((Gate("h", (1.7,)),), (0,), r"^op 0: qubits \(1.7,\) is not an integer"),
+        ((Gate("h", ("1",)),), (0,), r"^op 0: qubits \('1',\) is not a number"),
+        ((hadamard(0), Gate("roty", (0,), angle="0.5")), (0,), "^op 1: angle '0.5' is not a number"),
     ])
     def test_rejects_malformed_op_or_register(self, ops, data_qubits, message):
         with pytest.raises(InvalidCircuit, match=message):
             Circuit(2, 1, ops, data_qubits)
+
+    def test_numpy_scalars_in_records_are_numbers(self):
+        i = np.int64
+        ops = (Gate("measure", (i(0),), clbit=np.int32(0)),
+               Gate("roty", (np.uint8(1),), angle=np.float32(0.5),
+                    condition=Condition((i(0),), (i(1),))))
+        plain = (measure(0, 0), roty(1, float(np.float32(0.5)), condition=Condition((0,), (1,))))
+        assert Circuit(2, 1, ops, (1,)).ops == Circuit(2, 1, plain, (1,)).ops
 
     @pytest.mark.parametrize("first, second, message", [
         (roty(0, float("inf")), Gate("swap", (0,)), "angle inf is not finite"),
