@@ -71,11 +71,12 @@ class OrthPair:
 class AdaptiveMeasPlan:
     """Plan nodes in heap order (children of ``i`` at ``2i + 1``, ``2i + 2``):
     ``angles`` has shape ``(..., 2**m - 1)`` and ``bases`` ``(..., 2**m - 1,
-    2, 2)``, with a leading axis over stacked pairs if any."""
+    2, 2)``, with a leading axis over stacked pairs if any; ``bases`` is
+    None in a plan solved for its angles alone."""
 
     m: int
     angles: np.ndarray
-    bases: np.ndarray
+    bases: np.ndarray | None
 
     def paths(self) -> list[tuple[tuple[int, ...], str]]:
         """All (outcome path, leaf label) pairs in lexicographic order."""
@@ -221,26 +222,30 @@ class _Run:
 
 
 # The most entries (rows times width, of one state) that a step stacks
-# from several pairs.  Past this size a step's arithmetic outweighs
-# numpy's fixed cost per call, and a taller stack only holds more
-# temporaries at once.  A larger pair steps alone: every pair of a dense
-# n=14 synthesis holds 2**13 entries, so it steps as it would by itself.
+# from several pairs; a larger pair steps alone.  Timed on dense
+# synthesis (2-core x86-64, numpy 2.4, best of 150): at n=11 caps of
+# 2**11, 2**12 and 2**13 took 21.8-22.7, 18.5-21.0 and 17.6-19.5 ms, and
+# 2**14 or no cap no less.  At n=14, where every pair holds 2**13
+# entries, a cap of 2**17 or none raised the synthesis phase's peak RSS
+# by 7 MiB (28.6 to 35.5 MiB above the tree's) and was no faster.
 STEP_ENTRIES = 2**13
 
 
-def decompose(pairs):
+def decompose(pairs, bases: bool = True):
     """Adaptive single-qubit measurement plan discriminating an
     ``OrthPair``, or one plan per pair of a stacked one; given a sequence
-    of pairs, of any widths, the list of their plans.
+    of pairs, of any widths, the list of their plans.  With ``bases=False``
+    the plans hold only their angles (``bases`` is None), for a caller
+    that reads nothing else.
 
     The first measured qubit is the most significant one; depth ``d``
     measures qubit ``d`` conditioned on all previous outcomes.
     """
     if isinstance(pairs, OrthPair):
-        return decompose([pairs])[0]
+        return decompose([pairs], bases)[0]
     rows = [(p.plus.reshape(-1, 2**p.m), p.minus.reshape(-1, 2**p.m)) for p in pairs]
     angles = [np.empty((len(plus), 2**p.m - 1)) for p, (plus, _) in zip(pairs, rows)]
-    bases = [np.empty(a.shape + (2, 2), dtype=complex) for a in angles]
+    held = [np.empty(a.shape + (2, 2), dtype=complex) if bases else None for a in angles]
     runs: list[_Run] = []
     for r in range(max((p.m for p in pairs), default=0), 0, -1):
         for i in (i for i, p in enumerate(pairs) if p.m == r and len(angles[i])):
@@ -261,12 +266,14 @@ def decompose(pairs):
             for i in run.members:
                 count, d = len(angles[i]), pairs[i].m - r
                 end = start + (count << d)
-                angles[i][:, 2**d - 1 : 2 ** (d + 1) - 1] = angle[start:end].reshape(count, -1)
-                bases[i][:, 2**d - 1 : 2 ** (d + 1) - 1] = basis[start:end].reshape(count, -1, 2, 2)
+                nodes = slice(2**d - 1, 2 ** (d + 1) - 1)
+                angles[i][:, nodes] = angle[start:end].reshape(count, -1)
+                if bases:
+                    held[i][:, nodes] = basis[start:end].reshape(count, -1, 2, 2)
                 start = end
     return [
-        AdaptiveMeasPlan(p.m, a.reshape(lead), b.reshape(lead + (2, 2)))
-        for p, a, b in zip(pairs, angles, bases)
+        AdaptiveMeasPlan(p.m, a.reshape(lead), None if b is None else b.reshape(lead + (2, 2)))
+        for p, a, b in zip(pairs, angles, held)
         for lead in [p.plus.shape[:-1] + (2**p.m - 1,)]
     ]
 

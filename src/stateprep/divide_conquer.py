@@ -23,10 +23,11 @@ Nothing recurses over the plans.  The sibling states of every combining
 stage of a level are rows of the tree's level arrays
 (``AmplitudeTree.states``, where a zero-norm subtree's row is the ground
 state its wires are left in).  A stage's measurement plan reads only
-these states, so the engine first solves the plans of all levels, in one
-``decompose`` call that steps the pairs of every level together (one
-step per residual width); then one ``compile_disentangler`` call per
-level emits that level's ops in stage order.
+these states, so the engine hands every level's stages, a stack per
+level, to one ``compile_disentangler`` call.  It plans them all first,
+in one ``decompose`` call that steps the pairs of every level together
+(one step per residual width), then emits the ops level by level, in
+stage order; the engine puts each level's ops after its swaps.
 
 With ``parallelize`` the engine also schedules the combining swaps: it
 gives every op a slot as it emits it and returns the ops sorted by slot.
@@ -116,14 +117,37 @@ def _stages(left: np.ndarray, right: np.ndarray):
     return flipped, equal, OrthPair.from_states(plus, minus)
 
 
-def compile_disentangler(
-    psi_left,
-    psi_right,
-    ancilla_wires,
-    control_wire,
-    first_clbit: int = 0,
-    plans=None,
-) -> OpTable:
+def _corrections(flipped: np.ndarray, m: int) -> np.ndarray:
+    """Per stage of unequal states on ``m`` ancilla wires, the outcome
+    paths that picked the antisymmetric projector, on which the stage
+    corrects.  Every leaf pair of a plan is labelled (+, -), so these are
+    the odd paths, or the even ones when the stage took its right state
+    negated (``flipped``)."""
+    return (~flipped[:, None]).astype(np.int64) + 2 * np.arange(2 ** (m - 1))
+
+
+def _checked(left, right, wires, controls):
+    """One stack of stages as ``compile_disentangler`` takes it, checked:
+    its states as 2-d float arrays, its wires as an int array of one row
+    per stage, and its control wires."""
+    left, right = np.asarray(left), np.asarray(right)
+    if np.iscomplexobj(left) or np.iscomplexobj(right):
+        raise NonUnitInput("disentangling bases are built from real vectors only")
+    if left.ndim == 1:
+        wires, controls = [wires], [controls]
+    left, right = (np.atleast_2d(v).astype(float, copy=False) for v in (left, right))
+    wires = [list(w) for w in wires]
+    m = len(wires[0])
+    ragged = len(controls) != len(wires) or any(len(w) != m for w in wires)
+    if ragged or left.shape != right.shape or left.shape != (len(wires), 2**m):
+        raise NonUnitInput(f"states {left.shape}/{right.shape} do not fit {len(wires)}x{m} wires")
+    norms = np.linalg.norm(np.concatenate([left, right]), axis=1)
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        raise NonUnitInput("input states must be unit norm")
+    return left, right, np.reshape(np.array(wires, dtype=np.int64), (len(wires), m)), controls
+
+
+def compile_disentangler(psi_left, psi_right, ancilla_wires, control_wire, first_clbit: int = 0):
     """Ops that measure out an ancilla register holding one of two known
     real states and restore the controlled superposition's relative sign.
 
@@ -137,46 +161,56 @@ def compile_disentangler(
 
     Stacked states of shape ``(stages, 2**m)``, with one wire list and
     one control wire per stage, compile every stage at once; their ops
-    follow in stage order on consecutive classical bits.  ``plans``, if
-    given, is ``(flipped, equal, angles)`` of these states: the first two
-    of ``_stages`` and the plan angles of its pair, which the engine
-    solves for every level in one ``decompose`` call.
+    follow in stage order on consecutive classical bits.  Lists of such
+    stacks, of any widths, with a list of wire lists and a list of control
+    wires per stack, are planned in one ``decompose`` call, then emitted
+    stack by stack, each stack's classical bits following the last's.
+    They give per stack its ops and the stages' ``flipped`` and ``equal``
+    flags: which took the right state negated, and which held equal states.
     """
-    left, right = np.asarray(psi_left), np.asarray(psi_right)
-    if np.iscomplexobj(left) or np.iscomplexobj(right):
-        raise NonUnitInput("disentangling bases are built from real vectors only")
-    if left.ndim == 1:
-        ancilla_wires, control_wire = [ancilla_wires], [control_wire]
-    left, right = (np.atleast_2d(v).astype(float) for v in (left, right))
-    wires = [list(w) for w in ancilla_wires]
-    m = len(wires[0])
-    ragged = len(control_wire) != len(wires) or any(len(w) != m for w in wires)
-    if ragged or left.shape != right.shape or left.shape != (len(wires), 2**m):
-        raise NonUnitInput(f"states {left.shape}/{right.shape} do not fit {len(wires)}x{m} wires")
-    norms = np.linalg.norm(np.concatenate([left, right]), axis=1)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-        raise NonUnitInput("input states must be unit norm")
-    if plans is None:
-        flipped, equal, pair = _stages(left, right)
-        plans = flipped, equal, decompose(pair).angles
-    flipped, equal, angles = plans
-    if np.isnan(angles).any():
+    several = isinstance(psi_left, (list, tuple)) and len(psi_left) and np.ndim(psi_left[0]) == 2
+    stacks = (psi_left, psi_right, ancilla_wires, control_wire)
+    if not several:
+        stacks = [stacks]
+    elif len(set(map(len, stacks))) != 1:
+        raise NonUnitInput(f"{'/'.join(str(len(x)) for x in stacks)} stacks of states, wires "
+                           "and control wires")
+    else:
+        stacks = list(zip(*stacks))
+    layouts, measured = [], []
+    for stack in stacks:
+        left, right, wires, controls = _checked(*stack)
+        layouts.append((wires, controls))
+        measured.append(_stages(left, right))
+    plans = decompose([pair for *_, pair in measured], bases=False)
+    if any(np.isnan(plan.angles).any() for plan in plans):
         raise NonUnitInput("plan basis is not a real rotation")
+    out = []
+    for (wires, controls), (flipped, equal, _), plan in zip(layouts, measured, plans):
+        ops = _emit(wires, controls, flipped, equal, plan.angles, first_clbit)
+        out.append((ops, flipped, equal))
+        first_clbit += wires.size
+    return out if several else out[0][0]
 
+
+def _emit(wires: np.ndarray, controls, flipped: np.ndarray, equal: np.ndarray,
+          angles: np.ndarray, first_clbit: int) -> OpTable:
+    """The ops of one stack of stages on ``wires`` (a row per stage), given
+    their flags and the plan angles of the stages of unequal states."""
     # Plan node ``2**k - 1 + path`` measures wire ``k`` after the outcomes
     # that spell ``path``, first outcome most significant, which is how a
-    # condition reads bits.  Every leaf pair is labelled (+, -), so the
-    # antisymmetric outcomes are the odd paths (even ones when flipped).
-    # Each stage follows one template: per wire ``k`` one rotation, whose
-    # angle the path selects among the ``2**k`` nodes it keeps (slot ``2k``),
-    # then its measurement (``2k + 1``); then the correction (``2m``), on
-    # the control wire, column ``m`` of ``targets``.
+    # condition reads bits.  Each stage follows one template: per wire
+    # ``k`` one rotation, whose angle the path selects among the ``2**k``
+    # nodes it keeps (slot ``2k``), then its measurement (``2k + 1``);
+    # then the correction (``2m``), on the control wire, column ``m`` of
+    # ``targets``.
+    stages, m = wires.shape
     size = 2**m - 1
     depth = np.repeat(np.arange(m), 2 ** np.arange(m))  # of each plan node
-    stage_angles, keep = np.zeros((len(wires), size)), np.zeros((len(wires), size), dtype=bool)
+    stage_angles, keep = np.zeros((stages, size)), np.zeros((stages, size), dtype=bool)
     stage_angles[~equal], keep[~equal] = angles, np.abs(angles) > ANGLE_TOL
     kept = np.add.reduceat(keep, 2 ** np.arange(m) - 1, axis=1, dtype=np.int64)  # per wire
-    emit = np.ones((len(wires), 2 * m + 1), dtype=bool)
+    emit = np.ones((stages, 2 * m + 1), dtype=bool)
     emit[:, :-1:2], emit[:, -1] = kept > 0, ~equal
     stage, slot = np.nonzero(emit)
     k = slot // 2
@@ -185,11 +219,11 @@ def compile_disentangler(
     n_bits = np.where(measured, 0, k)
     n_angles = np.where(rotation, kept[stage, np.minimum(k, m - 1)], 0)
     n_values = np.where(rotation, n_angles * (k > 0), np.where(measured, 0, 2 ** (m - 1)))
-    values = np.repeat(1 - flipped[stage].astype(np.int64), n_values) + 2 * ranges(n_values)
+    values = np.empty(n_values.sum(), dtype=np.int64)
     path = np.broadcast_to(np.arange(size) + 1 - 2**depth, keep.shape)
     values[np.repeat(rotation, n_values)] = path[keep & (depth > 0)]
-    targets = np.column_stack((np.reshape(np.array(wires, dtype=np.int64), (len(wires), m)),
-                               control_wire))
+    values[np.repeat(slot == 2 * m, n_values)] = _corrections(flipped[~equal], m).ravel()
+    targets = np.column_stack((wires, controls))
     return op_table(
         np.where(rotation, KIND["roty"], np.where(measured, KIND["measure"], KIND["z"])),
         targets[stage, k][:, None],
@@ -200,16 +234,6 @@ def compile_disentangler(
         role=np.where(rotation, ROLE[ROLE_MEAS_BASIS], np.where(measured, 0, ROLE[ROLE_CORRECT])),
         clbit=np.where(measured, first + k, -1),
     )
-
-
-def _plan_levels(siblings: dict) -> dict:
-    """Per level of ``siblings`` (level: its stages' left and right
-    states), ``(flipped, equal, angles)`` as ``compile_disentangler`` takes
-    them; one ``decompose`` call solves the plans of every level."""
-    measured = [_stages(left, right) for left, right in siblings.values()]
-    solved = decompose([pair for *_, pair in measured])
-    return {level: (flipped, equal, plan.angles)
-            for level, (flipped, equal, _), plan in zip(siblings, measured, solved)}
 
 
 @dataclass(frozen=True)
@@ -265,61 +289,58 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         else:
             parts += [rotation_ops(tree, range(wire[f], wire[f] + lam), base_node=f) for f in run]
 
-    # The combining stages of each level: its planned nodes that keep both
-    # children.  A stage's measurement plan reads only its sibling states,
-    # so the plans of every level are solved before any level is emitted.
-    stages, siblings = {}, {}
-    for level in range(block_level - 1, -1, -1):
-        f = slice(2**level - 1, 2 ** (level + 1) - 1)
-        if len(p := np.flatnonzero(plan.planned[f] & plan.keep[f].all(1))):
-            stages[level] = p
-            if opts.disentangle:
-                states = tree.states[level + 1]
-                siblings[level] = states[2 * p], states[2 * p + 1]
-    plans = _plan_levels(siblings) if siblings else {}
-
-    # Each op's slot in the parallel schedule: twice its layer, plus one
-    # after the level's swaps.
-    slots = [np.zeros(sum(part.n_ops for part in parts), dtype=np.int64)]
-    next_bit = 0
-    reports: list[StageReport] = []
-    # Each node's live register: its wire, then its kept child's (rows of
-    # nodes not planned are never read).
+    # The combining stages of each level, from the bottom: its planned
+    # nodes that keep both children, and the live registers they swap.
+    # Each node's live register is its wire, then its kept child's (rows
+    # of nodes not planned are never read).
+    combines = []
     live = wire[top:, None] + np.arange(lam)
     for level in range(block_level - 1, -1, -1):
         base = 2**level - 1
         f = np.arange(base, 2 * base + 1)
         below, keep = live, plan.keep[f]
         live = np.column_stack((wire[f], below[2 * (f - base) + ~keep[:, 0]]))
-        if level not in stages:
-            continue
-        p = stages[level]
+        if len(p := np.flatnonzero(plan.planned[f] & keep.all(1))):
+            combines.append((level, p, wire[f[p]], below[2 * p], below[2 * p + 1]))
+    # A stage's measurement plan reads only its sibling states, rows of the
+    # tree's level arrays, so one call plans and emits every level's stages.
+    disentanglers = []
+    if opts.disentangle and combines:
+        states = [tree.states[level + 1] for level, *_ in combines]
+        disentanglers = compile_disentangler(
+            [s[2 * p] for s, (_, p, *_) in zip(states, combines)],
+            [s[2 * p + 1] for s, (_, p, *_) in zip(states, combines)],
+            [rights.tolist() for *_, rights in combines],
+            [controls.tolist() for _, _, controls, *_ in combines],
+        )
+
+    # Each op's slot in the parallel schedule: twice its layer, plus one
+    # after the level's swaps.
+    slots = [np.zeros(sum(part.n_ops for part in parts), dtype=np.int64)]
+    next_bit = 0
+    reports: list[StageReport] = []
+    for i, (level, p, controls, lefts, rights) in enumerate(combines):
         run_layers = np.array(_run_layers(tree.n - level - 1))
-        controls, lefts, rights = wire[f[p]], below[2 * p], below[2 * p + 1]
         m = rights.shape[1]
         swaps = np.column_stack((np.repeat(controls, m), lefts.ravel(), rights.ravel()))
         parts.append(op_table(KIND["cswap"], swaps, role=ROLE[ROLE_COMBINE]))
         slots.append(np.tile(2 * run_layers, len(p)))
-        if not opts.disentangle:
+        if not disentanglers:
             continue
-        stage_ops = compile_disentangler(*siblings[level], rights.tolist(), controls.tolist(),
-                                         first_clbit=next_bit, plans=plans[level])
+        stage_ops, flipped, equal = disentanglers[i]
         parts.append(stage_ops)
         slots.append(np.full(stage_ops.n_ops, 2 * run_layers[-1] + 1))
-        # A stage of unequal states corrects on its odd outcome paths, or
-        # its even ones when flipped; one of equal states does not correct.
-        odd, even = tuple(range(1, 2**m, 2)), tuple(range(0, 2**m, 2))
-        flipped, equal, _ = plans[level]
-        for node, control, wires, flip, same in zip(f[p].tolist(), controls.tolist(),
-                                                    rights.tolist(), flipped.tolist(),
-                                                    equal.tolist()):
-            values = () if same else even if flip else odd
+        for node, control, wires, same, values in zip(
+            (2**level - 1 + p).tolist(), controls.tolist(), rights.tolist(), equal.tolist(),
+            _corrections(flipped, m).tolist(),
+        ):
             clbits = tuple(range(next_bit, next_bit + m))
-            reports.append(StageReport(level, node, control, tuple(wires), clbits, same, values))
+            reports.append(StageReport(level, node, control, tuple(wires), clbits, same,
+                                       () if same else tuple(values)))
             next_bit += m
 
     ops = OpTable.concat(parts)
-    del parts, siblings, plans  # held no longer while the circuit validates
+    del parts, disentanglers  # held no longer while the circuit validates
     if opts.parallelize:
         # Stable, so ops sharing a slot keep their emission order.
         ops = ops.take(np.argsort(np.concatenate(slots), kind="stable"))

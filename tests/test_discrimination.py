@@ -376,6 +376,14 @@ class TestSeveralWidths:
         empty = OrthPair(np.zeros((0, 4), dtype=complex), np.zeros((0, 4), dtype=complex), 2)
         assert decompose([empty, pair])[0].angles.shape == (0, 3)
 
+    def test_angles_alone(self):
+        # Without bases the plans hold the same angles, bit for bit.
+        rng = np.random.default_rng(83)
+        pairs = [random_pairs(rng, m, 3, real) for m, real in ((3, True), (1, False), (2, True))]
+        for full, bare in zip(decompose(pairs), decompose(pairs, bases=False)):
+            assert bare.bases is None
+            assert np.array_equal(full.angles, bare.angles, equal_nan=True)
+
     @pytest.mark.parametrize("extra, inner, leaf", [(0, 2, 1), (1, 3, 2)])
     def test_stacks_up_to_the_entry_cap(self, monkeypatch, extra, inner, leaf):
         # A 3-qubit and a 2-qubit pair of STEP_ENTRIES entries in all share

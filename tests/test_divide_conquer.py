@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -416,11 +415,11 @@ class TestCompileDisentangler:
     def test_rejects_a_plan_angle_that_is_not_a_rotation(self, monkeypatch):
         # A plan marks a complex basis with a NaN angle; real stages never
         # give one, so one is put into the plan.
-        def complex_plan(pair):
-            plan = decompose(pair)
-            angles = plan.angles.copy()
-            angles[..., 0] = np.nan
-            return dataclasses.replace(plan, angles=angles)
+        def complex_plan(pairs, bases=True):
+            plans = decompose(pairs, bases)
+            for plan in plans:
+                plan.angles[..., 0] = np.nan
+            return plans
 
         monkeypatch.setattr(divide_conquer, "decompose", complex_plan)
         with pytest.raises(NonUnitInput, match="plan basis is not a real rotation"):
@@ -449,21 +448,60 @@ class TestCompileDisentangler:
 
 
 class TestPlansSolvedTogether:
-    """The engine solves the measurement plans of every level in one
-    ``decompose`` call, then emits each level's stages."""
+    """The engine makes one ``compile_disentangler`` call, which solves the
+    measurement plans of every level in one ``decompose`` call, then emits
+    each level's stages."""
 
     def test_dense_n4_makes_one_decompose_call(self, monkeypatch):
-        widths = []
+        widths, compiles = [], []
 
-        def recorded(pairs):
+        def recorded(pairs, bases=True):
             widths.append([pair.m for pair in pairs])
-            return decompose(pairs)
+            return decompose(pairs, bases)
+
+        def compiled(*args, **kwargs):
+            compiles.append(len(args[0]))
+            return compile_disentangler(*args, **kwargs)
 
         monkeypatch.setattr(divide_conquer, "decompose", recorded)
+        monkeypatch.setattr(divide_conquer, "compile_disentangler", compiled)
         steps = count_steps(monkeypatch)
         sp.synthesize_dc(sp.build_tree(random_unit(np.random.default_rng(4), 16)))
+        assert compiles == [3]  # one call, with a stack per level
         assert widths == [[1, 2, 3]]  # levels 2, 1 and 0
         assert steps == {"inner": 2, "leaf": 1}  # one per residual width
+
+    def test_stacks_compile_as_separate_calls(self):
+        # Stacks of several widths give, per stack, the ops of a call on that
+        # stack alone, each on the classical bits after the last stack's,
+        # with its stages' flags.
+        rng = np.random.default_rng(91)
+        tree = sp.build_tree(random_unit(rng, 32))
+        lefts, rights, wires, controls = [], [], [], []
+        for level, stages in ((3, [0, 2, 5]), (1, [1]), (2, [0, 3])):
+            states = tree.states[level + 1]
+            m = tree.n - level - 1
+            lefts.append(states[[2 * p for p in stages]])
+            rights.append(states[[2 * p + 1 for p in stages]])
+            wires.append([list(range(10 * j + 1, 10 * j + 1 + m)) for j in range(len(stages))])
+            controls.append([10 * j for j in range(len(stages))])
+        rights[0][1] = lefts[0][1]  # a stage of equal states
+        rights[2][0] = -rights[2][0]  # and one that overlaps negatively, if it did not
+        together = compile_disentangler(lefts, rights, wires, controls, first_clbit=5)
+        bit = 5
+        for got, *stack in zip(together, lefts, rights, wires, controls):
+            ops, flipped, equal = got
+            assert ops == compile_disentangler(*stack, first_clbit=bit)
+            overlap = np.einsum("ij,ij->i", stack[0], stack[1])
+            assert flipped.tolist() == (overlap < 0).tolist()
+            assert equal.tolist() == [np.allclose(a, b) for a, b in zip(*stack[:2])]
+            bit += np.size(stack[2])
+        assert together[0][2].tolist() == [False, True, False]
+
+    def test_rejects_stacks_that_do_not_match(self):
+        left, right = np.array([[0.6, 0.8]]), np.array([[0.8, 0.6]])
+        with pytest.raises(NonUnitInput, match="stacks"):
+            compile_disentangler([left, left], [right], [[[1]], [[2]]], [[0], [0]])
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "w"])
     def test_reports_give_the_emitted_corrections(self, kind):
