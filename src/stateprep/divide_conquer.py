@@ -165,10 +165,12 @@ def compile_disentangler(psi_left, psi_right, ancilla_wires, control_wire, first
     stacks, of any widths, with a list of wire lists and a list of control
     wires per stack, are planned in one ``decompose`` call, then emitted
     stack by stack, each stack's classical bits following the last's.
-    They give per stack its ops and the stages' ``flipped`` and ``equal``
-    flags: which took the right state negated, and which held equal states.
+    They give a list of ``(ops, flipped, equal)``, one per stack, with
+    flags per stage: whether it took the right state negated, and whether
+    it held equal states.
     """
-    several = isinstance(psi_left, (list, tuple)) and len(psi_left) and np.ndim(psi_left[0]) == 2
+    several = isinstance(psi_left, (list, tuple)) and len(psi_left) > 0
+    several = several and np.ndim(psi_left[0]) == 2
     stacks = (psi_left, psi_right, ancilla_wires, control_wire)
     if not several:
         stacks = [stacks]
