@@ -20,7 +20,10 @@ truth-table form.
 An op waits for the last earlier op on each of its wires and for the
 ``measure`` of each bit its condition reads: ``OpTable.waits``, which
 ``validate`` and both depth figures read; the simulator's ``_plan`` reads
-only its bit half, ``OpTable.bit_waits``.
+only its bit half, ``OpTable.bit_waits``.  One last-writer pass,
+``_last_writer``, computes both halves, and ``validate``'s clbits written
+twice: a qubit entry writes its wire, a ``measure`` its clbit, and a
+condition bit only reads.
 
 Two depth figures are reported.  ``depth_gates`` layers only the loading
 and combining unitaries (ops whose ``role`` is not measurement machinery
@@ -200,13 +203,15 @@ class OpTable:
     def waits(self) -> tuple[np.ndarray, np.ndarray]:
         """The ops each op waits for, -1 for none: per ``qubits`` entry the
         last earlier op on that wire, and per ``bits`` entry ``bit_waits``."""
-        return _previous_on_wire(self.qubits, self.owner(0)), self.bit_waits
+        return _last_writer(self.qubits, self.owner(0)), self.bit_waits
 
     @cached_property
     def bit_waits(self) -> np.ndarray:
         """Per ``bits`` entry, the last earlier ``measure`` that wrote that bit, else -1."""
         written = np.flatnonzero(self.kind == KIND["measure"])
-        return _last_before(self.clbit[written], written, self.bits, self.owner(2))
+        keys = np.concatenate((self.clbit[written], self.bits))
+        ops = np.concatenate((written, self.owner(2)))
+        return _last_writer(keys, ops, reads=len(self.bits))[len(written):]
 
     def take(self, order) -> OpTable:
         """The ops at the indices ``order``, in that order."""
@@ -346,7 +351,6 @@ class Circuit:
             raise InvalidCircuit(f"negative register size {self.n_qubits}, {self.n_clbits}")
         t, errors = self.ops, []  # (op, message), in the order one op's checks run
         c, v, (nq, npol, nb, nv, na) = t.clbit, t.values, t.counts.T
-        q, qown, b, bown, vown = t.qubits, t.owner(0), t.bits, t.owner(2), t.owner(3)
         given = t.__dict__.get("given", ())  # the records a table was made from, one per op
 
         def unknown(field, codes, names):  # worded by the name its record gave, else the code
@@ -370,11 +374,11 @@ class Circuit:
         kind = np.where(bad_kind, -1, t.kind)  # a code that indexes ``KINDS``
         measure, mcroty = kind == KIND["measure"], kind == KIND["mcroty"]
         # Without a measurement nothing follows one, and no bit is written.
-        after, twice, unwritten = False, False, np.ones(len(b), dtype=bool)
+        after, unwritten = False, np.ones(len(t.bits), dtype=bool)
         if len(written := np.flatnonzero(measure)):
-            wire, bit = t.waits
+            wire, bit = t.waits  # before the owners below, so as not to hold both at once
             after, unwritten = (wire >= 0) & measure[wire], bit < 0
-            twice = _last_before(c[written], written, c, np.arange(t.n_ops)) >= 0
+        q, qown, b, bown, vown = t.qubits, t.owner(0), t.bits, t.owner(2), t.owner(3)
         check(_repeats(q, qown, t.n_ops), lambda i: f"repeated qubit in {tuple(t.rows(0)[i])}")
         out = (q < 0) | (q >= self.n_qubits)
         check(out | after, lambda j: f"qubit {q[j]} " + (
@@ -392,7 +396,8 @@ class Circuit:
         check(~mcroty & (npol > 0), lambda i: "polarities only valid on mcroty")
         check(measure & ((c < 0) | (c >= self.n_clbits)),
               lambda i: f"bad clbit {None if c[i] == -1 else c[i]}")
-        check(measure & twice, lambda i: f"clbit {c[i]} written twice")
+        check(_last_writer(c[written], written) >= 0,
+              lambda j: f"clbit {c[written[j]]} written twice", written)
         check(~measure & (c >= 0), lambda i: "clbit only valid on measure")
         fixed = (nb > 0) & (measure | (kind == KIND["reset"]))
         check(fixed, lambda i: f"conditions on {KINDS[kind[i]]} unsupported")
@@ -430,39 +435,26 @@ def _repeats(flat: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     return bad
 
 
-def _previous_on_wire(qubits: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """For each of the ``qubits`` entries, whose ``owner`` ascends, the last
-    earlier op on its wire, else -1: the owner of the entry before its
-    op's first on that wire, once the entries are sorted by wire."""
-    order = np.argsort(qubits, kind="stable")  # by wire, then by op
-    wire, op = qubits[order], owner[order]
-    waits = np.empty_like(op)
-    waits[:1] = -1
-    waits[1:] = op[:-1]
-    waits[1:][wire[1:] != wire[:-1]] = -1
-    repeat = np.flatnonzero((wire[1:] == wire[:-1]) & (op[1:] == op[:-1])) + 1
-    if len(repeat):  # an op holding a wire twice: its later entry waits as its first
-        first = np.ones(len(op), dtype=bool)
-        first[repeat] = False
-        waits = waits[np.maximum.accumulate(np.where(first, np.arange(len(op)), 0))]
-    out = np.empty_like(waits)
-    out[order] = waits
-    return out
-
-
-def _last_before(keys: np.ndarray, at: np.ndarray, queries: np.ndarray, when: np.ndarray):
-    """For each of ``queries``, the greatest ``at`` below its ``when`` among
-    the ``keys`` equal to it, else -1; ``at`` ascends, and both are op indices."""
-    if not len(keys):
-        return np.full(len(queries), -1)
-    span = 1 + max(at[-1], when.max(initial=0))
-    order = np.argsort(keys, kind="stable")
-    keys, at = keys[order], at[order]  # by key, then by ``at``
-    run = np.cumsum(np.append(0, keys[1:] != keys[:-1]))  # a number per distinct key
-    first = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-    # (run, at) pairs, one ascending number each, searched for (run, when).
-    pos = np.searchsorted(run * span + at, run[first] * span + when) - 1
-    return np.where((keys[first] == queries) & (pos >= first), at[pos], -1)
+def _last_writer(keys: np.ndarray, ops: np.ndarray, reads: int = 0) -> np.ndarray:
+    """Entry ``i`` is key ``keys[i]`` held by op ``ops[i]``.  For each entry,
+    the op of the last entry of an earlier op that holds the same key and
+    writes it, else -1.  The last ``reads`` entries only read their key,
+    and the others write it.  Sorted by (key, op), that is the last writing
+    entry before the first of the entry's own (key, op) group, so an op
+    never waits for itself."""
+    order = np.lexsort((ops, keys))
+    keys, ops = keys[order], ops[order]
+    start = np.arange(len(order))  # where each entry's (key, op) group starts
+    start[1:][(keys[1:] == keys[:-1]) & (ops[1:] == ops[:-1])] = 0
+    np.maximum.accumulate(start, out=start)
+    writer = np.arange(-1, len(order))  # at k, the last writing entry before entry k
+    writer[1:][order >= len(order) - reads] = -1
+    np.maximum.accumulate(writer, out=writer)
+    last = writer[start]
+    del start, writer
+    found = (last >= 0) & (keys[last] == keys)
+    keys[order] = np.where(found, ops[last], -1)  # the sorted keys, read no more, hold the result
+    return keys
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,10 @@ def _load_vector(path: str) -> np.ndarray:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise ValueError(f"{path}: expected an object with an 'amplitudes' field")
-    amps, message = doc["amplitudes"], f"{path}: amplitudes must be a list of finite numbers"
+    amps = doc["amplitudes"]
+    message = f"{path}: amplitudes must be a non-empty list of finite numbers"
     # ``type`` rather than ``isinstance`` so that JSON booleans are refused.
-    if not isinstance(amps, list) or not set(map(type, amps)) <= {int, float}:
+    if not isinstance(amps, list) or not amps or not set(map(type, amps)) <= {int, float}:
         raise ValueError(message)
     try:
         vector = np.asarray(amps, dtype=float)
@@ -101,14 +102,16 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.mode != "sample" and (args.shots is not None or args.seed is not None):
+        return _fail("--shots and --seed are only valid with --mode sample", EXIT_FLAG_CONFLICT)
     with open(args.circuit) as fh:
         circuit = _cli.deserialize(fh.read())
     report = _cli.verify_preparation(
         circuit,
         _cli.pad_to_power_of_two(_load_vector(args.target)),
         mode=args.mode,
-        shots=args.shots,
-        seed=args.seed,
+        shots=4096 if args.shots is None else args.shots,
+        seed=0 if args.seed is None else args.seed,
         branch_cap=args.branch_cap,
     )
     print(json.dumps(report.to_json_dict()))
@@ -205,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument("target")
     p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
-    p.add_argument("--shots", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shots", type=int, default=None, help="sample mode only (default 4096)")
+    p.add_argument("--seed", type=int, default=None, help="sample mode only (default 0)")
     p.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
     p.set_defaults(func=cmd_verify)
 

@@ -3,7 +3,7 @@ import re
 import sys
 import tracemalloc
 from dataclasses import fields
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -178,21 +178,38 @@ class TestValidation:
         with pytest.raises(InvalidCircuit, match=f"^op 1: {message}"):
             Circuit(3, 2, ops, (0,))
 
+    @staticmethod
+    def validate_peak(c):
+        """The tracemalloc peak of validating a fresh copy of ``c``'s table,
+        which no view is cached on, and the bytes of that table."""
+        columns = [getattr(c.ops, f.name) for f in fields(c.ops)]
+        size, table = sum(col.nbytes for col in columns), sp.circuit.OpTable(*columns)
+        tracemalloc.start()
+        try:
+            Circuit(c.n_qubits, c.n_clbits, table, c.data_qubits)  # which validates it
+            return tracemalloc.get_traced_memory()[1], size
+        finally:
+            tracemalloc.stop()
+
     def test_measure_free_table_validates_in_its_own_size(self):
         # Without a measurement no op waits for one, so ``validate`` builds
         # no per-entry dependency view.  At time encoding n=14 the table
         # holds 4.2 MB; building the view read 4.1x that, and one -1 array
         # per qubit entry 1.45x.
         c = sp.synthesize_time(sp.build_tree(random_unit(np.random.default_rng(14), 2**14)))
-        columns = [getattr(c.ops, f.name) for f in fields(c.ops)]
-        size, table = sum(col.nbytes for col in columns), sp.circuit.OpTable(*columns)
-        tracemalloc.start()
-        try:
-            Circuit(c.n_qubits, c.n_clbits, table, c.data_qubits)  # which validates it
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, size = self.validate_peak(c)
         assert peak <= 1.1 * size, (peak, size)
+
+    def test_dense_table_validates_in_little_more_than_its_size(self):
+        # With measurements ``validate`` builds the dependency view, which
+        # the table keeps.  The last-writer pass frees its sort's arrays as
+        # it goes, and ``validate`` builds the view before the per-entry
+        # owners it reads later: the peak reads 1.05x the table's 0.79 MB.
+        # Built beside the owners it read 1.19x, and with a pass that held
+        # every array to its end 1.76x.
+        c = sp.synthesize_dc(sp.build_tree(np.random.default_rng(11).random(2**11) + 0.1))
+        peak, size = self.validate_peak(c)
+        assert peak <= 1.25 * size, (peak, size)
 
     @pytest.mark.parametrize("kind, role, message", [
         (-1, 0, "unknown kind code -1"), (9, 0, "unknown kind code 9"),
@@ -328,7 +345,9 @@ def reference_validate(n_qubits, n_clbits, ops, data_qubits):
 
 def random_ops(rng, count):
     """Ops on 4 wires and 3 clbits, each drawn valid and then, with
-    probability 0.15, given one malformed field."""
+    probability 0.15, given one malformed field.  A malformed condition
+    reads the clbit that a ``measure`` would write, so a measure given one
+    reads its own bit."""
     ops = []
     for _ in range(count):
         q = [int(v) for v in rng.permutation(4)[:3]]
@@ -339,15 +358,15 @@ def random_ops(rng, count):
         op = [
             roty(q[0], rng.normal(), cond), pauli_z(q[0], cond), hadamard(q[0], cond),
             cswap(*q), mcroty(rng.normal(), [(q[0], 1), (q[1], 0)], q[2]),
-            measure(q[0], int(rng.integers(0, 3))), reset(q[0]),
+            measure(q[0], k := int(rng.integers(0, 3))), reset(q[0]),
         ][rng.integers(0, 7)]
         if rng.random() < 0.15:
             field, value = [
                 ("kind", "swap"), ("qubits", (q[0], q[0])), ("qubits", (7,)),
                 ("qubits", q[:2]), ("angle", float("inf")), ("angle", 0.5),
                 ("polarities", (2,)), ("clbit", 5), ("clbit", 1),
-                ("condition", Condition((0, 0), (1,))), ("condition", Condition((1,), (3,))),
-                ("condition", Condition((2,), (1, 0))),
+                ("condition", Condition((k, k), (1,))), ("condition", Condition((k,), (3,))),
+                ("condition", Condition((k,), (1, 0))),
             ][rng.integers(0, 12)]
             op = Gate(**{**op.__dict__, field: value})
         ops.append(op)
@@ -378,15 +397,22 @@ class TestWaitsAgainstReference:
 
     def test_random_circuits_malformed_ones_too(self):
         rng = np.random.default_rng(31)
-        seen = dict.fromkeys(("repeated wire", "unwritten bit", "after measurement"), 0)
+        seen = dict.fromkeys(("repeated wire", "unwritten bit", "after measurement",
+                              "bit written twice", "repeated bit", "measure reads own bit"), 0)
         for _ in range(3000):
             table = sp.circuit.OpTable.from_gates(random_ops(rng, int(rng.integers(1, 9))))
             assert_waits_match_reference(table)
             wire, bit = table.waits
+            measures = table.kind == KIND["measure"]
+            written = table.clbit[measures].tolist()
             seen["repeated wire"] += any(len(set(q)) < len(q) for q in table.rows(0))
             seen["unwritten bit"] += bool((bit < 0).any())
             seen["after measurement"] += bool(
                 (table.kind[wire[wire >= 0]] == KIND["measure"]).any())
+            seen["bit written twice"] += len(set(written)) < len(written)
+            seen["repeated bit"] += any(len(set(b)) < len(b) for b in table.rows(2))
+            seen["measure reads own bit"] += any(
+                c in b for c, b in zip(written, compress(table.rows(2), measures)))
         assert min(seen.values()) > 50, seen
 
     def test_synthesized_circuits_of_every_method(self):

@@ -93,6 +93,21 @@ class TestCompile:
         assert main(["compile", dense_file, "--method", "time", "--parallelize", "--out", out]) == 3
         assert main(["compile", dense_file, "--method", "time", "--prune", "--out", out]) == 3
 
+    def test_shots_and_seed_need_sample_mode(self, dense_file, tmp_path, capsys):
+        out = str(tmp_path / "c.json")
+        assert main(["compile", dense_file, "--method", "dc", "--out", out]) == 0
+        capsys.readouterr()
+        for flags in (["--shots", "16"], ["--seed", "1"], ["--mode", "enumerate", "--seed", "0"]):
+            assert main(["verify", out, dense_file, *flags]) == 3, flags
+            assert capsys.readouterr().err == (
+                "error: --shots and --seed are only valid with --mode sample\n")
+        # Sample mode draws 4,096 shots from seed 0 unless told otherwise.
+        sample = ["verify", out, dense_file, "--mode", "sample"]
+        assert main(sample) == 0
+        assert main([*sample, "--shots", "4096", "--seed", "0"]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+
     def test_bad_input_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         out = str(tmp_path / "c.json")
@@ -100,16 +115,19 @@ class TestCompile:
             bad.write_text(text)
             assert main(["compile", str(bad), "--method", "dc", "--out", out]) == 2, text
 
-    def test_non_finite_or_bool_amplitudes_exit_two(self, tmp_path, dense_file):
+    def test_non_finite_or_bool_amplitudes_exit_two(self, tmp_path, dense_file, capsys):
         out = str(tmp_path / "c.json")
         assert main(["compile", dense_file, "--method", "dc", "--out", out]) == 0
         bad = tmp_path / "bad.json"
+        message = f"error: {bad}: amplitudes must be a non-empty list of finite numbers\n"
         for amps in ("[NaN, 1, 1, 1]", "[Infinity, 1, 1, 1]", "[true, false]", "[1e400, 1]",
-                     "[1" + "0" * 399 + ", 1]"):
+                     "[1" + "0" * 399 + ", 1]", "[]"):
             bad.write_text('{"amplitudes": %s}' % amps)
+            capsys.readouterr()
             assert main(["compile", str(bad), "--method", "dc", "--out", out + "2"]) == 2, amps
             assert main(["verify", out, str(bad)]) == 2, amps
             assert main(["distinguish", str(bad), dense_file]) == 2, amps
+            assert capsys.readouterr().err == message * 3, amps
 
     def test_huge_entries_compile_and_verify(self, tmp_path, capsys):
         vec = write_vector(tmp_path, "v.json", [1e300, 1e300, 1.0, 1.0])
