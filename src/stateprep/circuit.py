@@ -3,8 +3,10 @@
 Gates, mid-circuit measurements and classically conditioned operations are
 stored as one op table (``OpTable``), an array per field, which synthesis
 emits level by level and ``validate``, ``metrics``, ``serialize`` and the
-simulator read.  ``Circuit.ops`` is that table; read as a sequence it yields
-one ``Gate`` record per op, made when first read.  A sequence of ``Gate``
+simulator read.  Beside it, ``validate``, ``metrics`` and ``serialize``
+hold a few arrays no longer than a field, or one run of ``CHUNK`` ops.
+``Circuit.ops`` is that table; read as a sequence it yields one ``Gate``
+record per op, made when first read.  A sequence of ``Gate``
 records is accepted as ``ops`` and converted once, and converting a
 table's records gives that table back.  A condition fires when the
 integer that previously written classical ``bits`` spell (``bits[0]`` most
@@ -39,7 +41,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 
 import numpy as np
 
@@ -60,6 +62,7 @@ ROLE = {r: code for code, r in enumerate(ROLES)}
 # The ragged fields, in the order of the columns of ``OpTable.counts``.
 RAGGED = ("qubits", "polarities", "bits", "values", "angle")
 _INT64 = range(-(2**63), 2**63)  # the integers a table's columns hold
+CHUNK = 1024  # ops written, or whose waits the depth pass lists, at a time
 
 
 @dataclass(frozen=True)
@@ -195,9 +198,10 @@ class OpTable:
         flat, off = flat.tolist(), self.offsets(j).tolist()
         return [flat[a:b] for a, b in zip(off, off[1:])]
 
-    def owner(self, j: int) -> np.ndarray:
-        """The op holding each entry of ``RAGGED[j]``."""
-        return np.repeat(np.arange(self.n_ops), self.counts[:, j])
+    def owner(self, j: int, entries=None) -> np.ndarray:
+        """The op holding each of ``entries`` of ``RAGGED[j]``, or each entry."""
+        return np.repeat(np.arange(self.n_ops), self.counts[:, j]) if entries is None else (
+            np.searchsorted(self.offsets(j), entries, side="right") - 1)
 
     @cached_property
     def waits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -223,11 +227,13 @@ class OpTable:
         return OpTable(*(col[order] for col in columns), *flats, counts)
 
     @staticmethod
-    def concat(tables) -> OpTable:
+    def concat(tables: list) -> OpTable:
+        """The ops of ``tables``; empties the list, to free a column's parts once joined."""
         if len(tables) == 1:
-            return tables[0]
-        columns = (f.name for f in fields(OpTable))
-        return OpTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in columns))
+            return tables.pop()
+        columns = [[getattr(t, f.name) for t in tables] for f in fields(OpTable)]
+        tables.clear()
+        return OpTable(*(np.concatenate(columns.pop(0)) for _ in fields(OpTable)))
 
     @staticmethod
     def from_gates(gates) -> OpTable:
@@ -324,7 +330,9 @@ def op_table(kind, qubits, polarities=None, bits=None, values=None, angle=None, 
 
 def ranges(counts: np.ndarray) -> np.ndarray:
     """``0, 1, ..., c - 1`` for each ``c`` of ``counts``, concatenated."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.arange(counts.sum())
+    out -= np.repeat(np.cumsum(counts) - counts, counts)  # in place: one temporary
+    return out
 
 
 @dataclass(frozen=True)
@@ -357,17 +365,12 @@ class Circuit:
             return (codes < 0) | (codes >= len(names)), lambda i: f"unknown {field} " + (
                 repr(getattr(given[i], field)) if given else f"code {codes[i]}")
 
-        def check(bad, message, owner=None):
+        def check(bad, message, j=None):
             """Note ``message(i)`` for the first op ``i`` where ``bad`` holds,
-            or, given the entries' ``owner``, that holds the first bad entry."""
+            or, given entries of ``RAGGED[j]``, for the op of the first bad one."""
             if bad.any():
-                j = int(np.argmax(bad))
-                errors.append((j if owner is None else int(owner[j]), message(j)))
-
-        def any_entry(bad, owner):
-            out = np.zeros(t.n_ops, dtype=bool)
-            out[owner[bad]] = True
-            return out
+                i = int(np.argmax(bad))
+                errors.append((i if j is None else int(t.owner(j, i)), message(i)))
 
         bad_kind, message = unknown("kind", t.kind, KINDS)
         check(bad_kind, message)
@@ -376,28 +379,28 @@ class Circuit:
         # Without a measurement nothing follows one, and no bit is written.
         after, unwritten = False, np.ones(len(t.bits), dtype=bool)
         if len(written := np.flatnonzero(measure)):
-            wire, bit = t.waits  # before the owners below, so as not to hold both at once
+            wire, bit = t.waits  # the dependency view, which the table keeps
             after, unwritten = (wire >= 0) & measure[wire], bit < 0
-        q, qown, b, bown, vown = t.qubits, t.owner(0), t.bits, t.owner(2), t.owner(3)
-        check(_repeats(q, qown, t.n_ops), lambda i: f"repeated qubit in {tuple(t.rows(0)[i])}")
-        out = (q < 0) | (q >= self.n_qubits)
-        check(out | after, lambda j: f"qubit {q[j]} " + (
-            "out of range" if out[j] else "used after its measurement"), qown)
+        check(_repeats(t, 0), lambda i: f"repeated qubit in {tuple(t.rows(0)[i])}")
+        q = t.qubits  # viewed as unsigned, a negative entry is out of range too
+        check((q.view(np.uint64) >= self.n_qubits) | after, lambda j: f"qubit {q[j]} " + (
+            "used after its measurement" if 0 <= q[j] < self.n_qubits else "out of range"), 0)
         angled = np.isin(kind, [KIND[k] for k in ANGLE_KINDS])
         check((na > 0) != angled, lambda i: f"angle mismatch for kind {KINDS[kind[i]]!r}")
-        check(~np.isfinite(t.angle), lambda j: f"angle {t.angle[j]} is not finite", t.owner(4))
+        check(~np.isfinite(t.angle), lambda j: f"angle {t.angle[j]} is not finite", 4)
         several = (na > 1) & ((kind != KIND["roty"]) | (na != nv))
         check(several, lambda i: f"{na[i]} angles: only a conditioned roty has one per value")
         arity = np.where(kind == KIND["cswap"], 3, 1)
         check(~mcroty & (nq != arity), lambda i: f"{KINDS[kind[i]]} needs {arity[i]} qubit(s)")
         check(mcroty & (npol != nq - 1), lambda i: "bad mcroty polarities")
-        pol_bad = any_entry((t.polarities != 0) & (t.polarities != 1), t.owner(1))
-        check(mcroty & pol_bad, lambda i: "polarities must be 0/1")
+        check(np.repeat(mcroty, npol) & (t.polarities.view(np.uint64) > 1),
+              lambda j: "polarities must be 0/1", 1)
         check(~mcroty & (npol > 0), lambda i: "polarities only valid on mcroty")
         check(measure & ((c < 0) | (c >= self.n_clbits)),
               lambda i: f"bad clbit {None if c[i] == -1 else c[i]}")
-        check(_last_writer(c[written], written) >= 0,
-              lambda j: f"clbit {c[written[j]]} written twice", written)
+        twice = np.zeros(t.n_ops, dtype=bool)
+        twice[written[_last_writer(c[written], written) >= 0]] = True
+        check(twice, lambda i: f"clbit {c[i]} written twice")
         check(~measure & (c >= 0), lambda i: "clbit only valid on measure")
         fixed = (nb > 0) & (measure | (kind == KIND["reset"]))
         check(fixed, lambda i: f"conditions on {KINDS[kind[i]]} unsupported")
@@ -406,12 +409,13 @@ class Circuit:
             conditioned |= np.array([g.condition is not None for g in given])
         check(conditioned & ((nb == 0) | (nb > 63)),
               lambda i: f"{nb[i]} condition bits, not 1 to 63")
-        descends = (vown[1:] == vown[:-1]) & (v[1:] <= v[:-1])
-        check(any_entry(descends, vown[1:]), lambda i: "condition values must ascend strictly")
-        big = np.right_shift(v, nb[vown]) != 0  # a condition reads 1 to 63 bits
-        check(any_entry(big, vown), lambda i: "condition value out of range")
-        check(_repeats(b, bown, t.n_ops), lambda i: f"repeated clbit in {tuple(t.rows(2)[i])}")
-        check(unwritten, lambda j: f"condition reads unmeasured bit {b[j]}", bown)
+        check(_descents(t, 3), lambda j: "condition values must ascend strictly", 3)
+        # An op's values ascend, or it failed above: its first and last bound the rest.
+        off, has, big = t.offsets(3), nv > 0, np.zeros(t.n_ops, dtype=bool)
+        big[has] = (v[off[:-1][has]] < 0) | (np.right_shift(v[off[1:][has] - 1], nb[has]) != 0)
+        check(big, lambda i: "condition value out of range")
+        check(_repeats(t, 2), lambda i: f"repeated clbit in {tuple(t.rows(2)[i])}")
+        check(unwritten, lambda j: f"condition reads unmeasured bit {t.bits[j]}", 2)
         check(*unknown("role", t.role, ROLES))
         if errors:
             i, message = min(errors, key=lambda e: e[0])
@@ -424,14 +428,21 @@ class Circuit:
         return self
 
 
-def _repeats(flat: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
-    """Whether each of ``n`` ops holds one of its ``flat`` entries twice."""
-    if not np.any((owner[1:] == owner[:-1]) & (flat[1:] <= flat[:-1])):
-        return np.zeros(n, dtype=bool)  # every op's entries ascend
-    order = np.lexsort((flat, owner))
-    flat, owner = flat[order], owner[order]
-    bad = np.zeros(n, dtype=bool)
-    bad[owner[1:][(flat[1:] == flat[:-1]) & (owner[1:] == owner[:-1])]] = True
+def _descents(t: OpTable, j: int) -> np.ndarray:
+    """Whether each entry of ``RAGGED[j]`` is at most the one before it in its op."""
+    flat = getattr(t, RAGGED[j])
+    out = np.zeros(len(flat) + 1, dtype=bool)
+    out[1:-1] = flat[1:] <= flat[:-1]
+    out[t.offsets(j)] = False  # an op's first entry
+    return out[:-1]
+
+
+def _repeats(t: OpTable, j: int) -> np.ndarray:
+    """Whether each op holds an entry of ``RAGGED[j]`` twice; ops whose entries ascend hold none."""
+    bad = np.zeros(t.n_ops, dtype=bool)
+    bad[t.owner(j, np.flatnonzero(_descents(t, j)))] = True
+    if bad.any():  # the others are looked at one at a time
+        bad[bad] = [len(set(r)) < len(r) for r in t.take(np.flatnonzero(bad)).rows(j)]
     return bad
 
 
@@ -450,10 +461,10 @@ def _last_writer(keys: np.ndarray, ops: np.ndarray, reads: int = 0) -> np.ndarra
     writer = np.arange(-1, len(order))  # at k, the last writing entry before entry k
     writer[1:][order >= len(order) - reads] = -1
     np.maximum.accumulate(writer, out=writer)
-    last = writer[start]
-    del start, writer
-    found = (last >= 0) & (keys[last] == keys)
-    keys[order] = np.where(found, ops[last], -1)  # the sorted keys, read no more, hold the result
+    last = np.take(writer, start, out=start, mode="clip")  # in place: only "raise" copies
+    del writer
+    found = (last >= 0) & (keys[last] == keys)  # an index -1 reads the last key, unfound
+    keys[order] = np.where(found, np.take(ops, last, out=last, mode="clip"), -1)
     return keys
 
 
@@ -473,15 +484,18 @@ def _asap(t: OpTable, full: bool) -> tuple[np.ndarray, list[int]]:
     counted = (t.kind < len(UNITARY_KINDS)) & (t.counts[:, 2] == 0)
     counted &= t.role != ROLE[ROLE_MEAS_BASIS]
     ops = np.arange(t.n_ops) if full else np.flatnonzero(counted)
-    # Ops that all touch the first one's first wire run one per layer.
-    if np.bincount(t.owner(0)[t.qubits == t.qubits[:1]], minlength=t.n_ops).all():
+    # Ops that all touch the first one's first wire (once, in a valid op) run one per layer.
+    if np.count_nonzero(t.qubits == t.qubits[:1]) == t.n_ops:
         return ops, list(range(len(ops)))
-    t = t if full else t.take(ops)
-    wire, bit = (w.tolist() for w in t.waits)
-    q_off, b_off = t.offsets(0).tolist(), t.offsets(2).tolist()
+    t = t if full or len(ops) == t.n_ops else t.take(ops)
+    (wire, bit), q_off, b_off = t.waits, t.offsets(0), t.offsets(2)
     layer = [0] * t.n_ops + [-1]  # the last, read at index -1, stands for no op
-    for i, a, b, c, d in zip(range(t.n_ops), q_off, q_off[1:], b_off, b_off[1:]):
-        layer[i] = 1 + max(map(layer.__getitem__, wire[a:b] + bit[c:d]))
+    for i in range(0, t.n_ops, CHUNK):  # the waits of a chunk of ops as lists
+        q, b = q_off[i:i + CHUNK + 1], b_off[i:i + CHUNK + 1]
+        w, c = wire[q[0]:q[-1]].tolist(), bit[b[0]:b[-1]].tolist()
+        q, b = (q - q[0]).tolist(), (b - b[0]).tolist()
+        for k, a, z, d, e in zip(range(i, i + CHUNK), q, q[1:], b, b[1:]):
+            layer[k] = 1 + max(map(layer.__getitem__, w[a:z] + c[d:e]))
     return ops, layer[:-1]
 
 
@@ -502,7 +516,6 @@ def metrics(circuit: Circuit) -> ResourceReport:
 
 _KIND_TEXT = [f'{{"kind":"{k}","qubits":[' for k in KINDS]
 _ROLE_TEXT = ["}" if r is None else f',"role":"{r}"}}' for r in ROLES]
-CHUNK = 4096  # ops rendered at a time; writing a document holds one such run's text
 
 
 def _joined(t: OpTable, j: int) -> list[str]:
@@ -541,16 +554,19 @@ def serialize(circuit: Circuit, out=None) -> str | None:
     t, data = circuit.ops, ",".join(map(str, circuit.data_qubits))
     head = (f'{{"n_qubits":{circuit.n_qubits},"n_clbits":{circuit.n_clbits},'
             f'"data_qubits":[{data}],"ops":[')
-    pieces = chain((head,), map(_ops_text, repeat(t), range(0, t.n_ops, CHUNK)), ("]}\n",))
+    runs = range(0, t.n_ops, CHUNK)  # each run's first op, then where its entries start
+    firsts = accumulate((t.counts[a:a + CHUNK].sum(axis=0) for a in runs),
+                        initial=np.zeros(len(RAGGED), dtype=np.int64))
+    pieces = chain((head,), map(_ops_text, repeat(t), runs, firsts), ("]}\n",))
     if out is None:
         return "".join(pieces)
     out.writelines(pieces)
 
 
-def _ops_text(t: OpTable, a: int) -> str:
-    """Ops ``a`` to ``a + CHUNK`` of ``t``, comma-separated, and after a
-    comma unless ``a`` is 0."""
-    run, first = slice(a, a + CHUNK), t.counts[:a].sum(axis=0)
+def _ops_text(t: OpTable, a: int, first: np.ndarray) -> str:
+    """Ops ``a`` to ``a + CHUNK`` of ``t``, whose entries start at ``first``,
+    comma-separated, and after a comma unless ``a`` is 0."""
+    run = slice(a, a + CHUNK)
     flats = zip(RAGGED, first.tolist(), (first + t.counts[run].sum(axis=0)).tolist())
     t = OpTable(t.kind[run], t.role[run], t.clbit[run],  # views of the run's columns
                 *(getattr(t, name)[i:j] for name, i, j in flats), t.counts[run])

@@ -91,6 +91,7 @@ def cmd_compile(args) -> int:
             circuit = _cli.synthesize_dc(tree, opts)
         else:
             circuit = _cli.synthesize_hybrid(tree, args.lambda_, opts)
+    del tree  # not held while the document is written and measured
     with open(args.out, "w") as fh:
         _cli.serialize(circuit, fh)
     if args.report:

@@ -329,9 +329,9 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
         slots.append(np.tile(2 * run_layers, len(p)))
         if not disentanglers:
             continue
-        stage_ops, flipped, equal = disentanglers[i]
-        parts.append(stage_ops)
-        slots.append(np.full(stage_ops.n_ops, 2 * run_layers[-1] + 1))
+        parts.append(disentanglers[i][0])
+        slots.append(np.full(parts[-1].n_ops, 2 * run_layers[-1] + 1))
+        flipped, equal = disentanglers[i][1:]
         for node, control, wires, same, values in zip(
             (2**level - 1 + p).tolist(), controls.tolist(), rights.tolist(), equal.tolist(),
             _corrections(flipped, m).tolist(),
@@ -341,8 +341,8 @@ def synthesize_combine(tree: AmplitudeTree, lam: int, opts: DcOptions) -> Circui
                                        () if same else tuple(values)))
             next_bit += m
 
+    del disentanglers  # their tables are in ``parts``, which ``concat`` empties
     ops = OpTable.concat(parts)
-    del parts, disentanglers  # held no longer while the circuit validates
     if opts.parallelize:
         # Stable, so ops sharing a slot keep their emission order.
         ops = ops.take(np.argsort(np.concatenate(slots), kind="stable"))

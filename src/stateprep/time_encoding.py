@@ -26,7 +26,10 @@ def rotation_ops(tree: AmplitudeTree, wires: list[int], base_node: int = 0) -> O
     kept = np.abs(angle) > ANGLE_TOL
     k, p, angle = k[kept], p[kept], angle[kept]
     # Position ``p``'s polarities spell it in binary, most significant first.
-    pols = (np.repeat(p, k) >> (np.repeat(k, k) - 1 - ranges(k))) & 1
-    qubits = np.asarray(wires, dtype=np.int64)[ranges(k + 1)]
+    pols = np.repeat(p, k)
+    pols >>= ranges(k[::-1])[::-1]  # entry j by k - 1 - j: each node's ranges, reversed
+    pols &= 1
+    qubits = ranges(k + 1)  # then each index becomes its wire, in place: only "raise" copies
+    np.take(np.asarray(wires, dtype=np.int64), qubits, out=qubits, mode="clip")
     kind = np.where(k > 0, KIND["mcroty"], KIND["roty"])
     return op_table(kind, (qubits, k + 1), (pols, k), angle=angle[:, None], role=ROLE[ROLE_LOAD])
