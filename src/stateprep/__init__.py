@@ -21,14 +21,13 @@ from . import circuit
 
 # Name -> the submodule that defines it; ``cli`` binds its names through it too.
 _HOMES = {name: module for module, names in (
-    ("circuit", "Circuit Condition Gate ResourceReport deserialize metrics serialize"),
+    ("circuit", "Circuit ResourceReport deserialize metrics serialize"),
     ("discrimination", "AdaptiveMeasPlan OrthPair decompose evaluate_plan plan_document solve_ua"),
     ("divide_conquer",
      "DcOptions compile_disentangler synthesize_dc synthesize_hybrid synthesize_time"),
     ("resources", "dc_formulas hybrid_formulas midreset_formulas reuse_schedule"),
-    ("simulator", "Branch VerificationReport data_probabilities fidelity run statevector "
-                  "verify_preparation"),
-    ("tree", "AmplitudeTree build_tree pad_to_power_of_two preorder subtree_state"),
+    ("simulator", "Branch VerificationReport run verify_preparation"),
+    ("tree", "AmplitudeTree build_tree pad_to_power_of_two"),
 ) for name in names.split()}
 
 

@@ -5,19 +5,17 @@ stored as one op table (``OpTable``), an array per field, which synthesis
 emits level by level and ``validate``, ``metrics``, ``serialize`` and the
 simulator read.  Beside it, ``validate``, ``metrics`` and ``serialize``
 hold a few arrays no longer than a field, or one run of ``CHUNK`` ops.
-``Circuit.ops`` is that table; read as a sequence it yields one ``Gate``
-record per op, made when first read.  A sequence of ``Gate``
-records is accepted as ``ops`` and converted once, and converting a
-table's records gives that table back.  A condition fires when the
-integer that previously written classical ``bits`` spell (``bits[0]`` most
-significant) is one of ``values``, OpenQASM 3's ``if (c == v)`` widened to
-a set.  A conditioned ``roty`` may hold one angle per value, OpenQASM 3's
-``ry(theta[c]) q;``: one op that the outcome selects the angle of, whose
-record holds the angles as a tuple aligned with ``values``.  A ``Circuit``
-validates itself when constructed.  ``deserialize`` reads a document's
-``ops`` by one set of rules over columns, which also locate its first
-malformed op and field, and reads the older ``{"bits", "table"}``
-truth-table form.
+``Circuit.ops`` is that table, the one way into a circuit: synthesis
+builds it with ``op_table`` and ``deserialize`` reads a document into it.
+A condition fires when the integer that previously written classical
+``bits`` spell (``bits[0]`` most significant) is one of ``values``,
+OpenQASM 3's ``if (c == v)`` widened to a set.  A conditioned ``roty`` may
+hold one angle per value, OpenQASM 3's ``ry(theta[c]) q;``: one op that the
+outcome selects the angle of, its angles aligned with ``values``.  A
+``Circuit`` validates itself when constructed.  ``deserialize`` reads a
+document's fields and ``ops`` by one set of rules over columns, which also
+locate its first malformed op and field, and reads the older
+``{"bits", "table"}`` truth-table form.
 
 An op waits for the last earlier op on each of its wires and for the
 ``measure`` of each bit its condition reads: ``OpTable.waits``, which
@@ -65,70 +63,6 @@ _INT64 = range(-(2**63), 2**63)  # the integers a table's columns hold
 CHUNK = 1024  # ops written, or whose waits the depth pass lists, at a time
 
 
-@dataclass(frozen=True)
-class Condition:
-    """Fires when the integer ``bits`` spell (``bits[0]`` most significant)
-    is in ``values``, which ascends strictly within ``[0, 2**len(bits))``."""
-
-    bits: tuple[int, ...]
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float | tuple[float, ...] | None = None  # a tuple: one per condition value
-    clbit: int | None = None
-    polarities: tuple[int, ...] | None = None
-    condition: Condition | None = None
-    role: str | None = None
-
-    @property
-    def is_unitary(self) -> bool:
-        return self.kind in UNITARY_KINDS
-
-
-def roty(q: int, theta: float | tuple[float, ...], condition=None, role=None) -> Gate:
-    theta = tuple(map(float, theta)) if isinstance(theta, tuple) else float(theta)
-    return Gate("roty", (q,), angle=theta, condition=condition, role=role)
-
-
-def rotz(q: int, phi: float, condition=None, role=None) -> Gate:
-    return Gate("rotz", (q,), angle=float(phi), condition=condition, role=role)
-
-
-def pauli_z(q: int, condition=None, role=None) -> Gate:
-    return Gate("z", (q,), condition=condition, role=role)
-
-
-def pauli_x(q: int, condition=None, role=None) -> Gate:
-    return Gate("x", (q,), condition=condition, role=role)
-
-
-def hadamard(q: int, condition=None, role=None) -> Gate:
-    return Gate("h", (q,), condition=condition, role=role)
-
-
-def cswap(control: int, target_a: int, target_b: int, role=None) -> Gate:
-    return Gate("cswap", (control, target_a, target_b), role=role)
-
-
-def mcroty(theta: float, controls, target: int, role=None) -> Gate:
-    controls = tuple(controls)
-    qubits = tuple(q for q, _ in controls) + (target,)
-    pols = tuple(int(p) for _, p in controls)
-    return Gate("mcroty", qubits, angle=float(theta), polarities=pols, role=role)
-
-
-def measure(q: int, clbit: int) -> Gate:
-    return Gate("measure", (q,), clbit=int(clbit))
-
-
-def reset(q: int) -> Gate:
-    return Gate("reset", (q,))
-
-
 @dataclass(frozen=True, eq=False)
 class OpTable:
     """Ops as columns.  Per op: ``kind`` and ``role`` codes (indices into
@@ -140,11 +74,8 @@ class OpTable:
     has no condition, and ``angle`` one for a rotation, none for other
     kinds.  A conditioned ``roty`` may instead hold one angle per condition
     value, aligned with ``values``: the outcome selects the angle, and no
-    rotation is applied if no value matches.
-
-    Callers outside the package read it as a sequence of ``Gate`` records,
-    one per op, made on first read; ``from_gates`` of them is this table.
-    ``len`` and ``n_ops`` count the ops."""
+    rotation is applied if no value matches.  ``len`` and ``n_ops`` count
+    the ops."""
 
     kind: np.ndarray
     role: np.ndarray
@@ -161,32 +92,10 @@ class OpTable:
 
     n_ops = property(__len__)
 
-    def __getitem__(self, i):
-        return self.gates[i]
-
-    def __iter__(self):
-        return iter(self.gates)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, OpTable) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
-
-    @cached_property
-    def gates(self) -> tuple[Gate, ...]:
-        unknown_kind = (self.kind < 0) | (self.kind >= len(KINDS))
-        unknown = unknown_kind | (self.role < 0) | (self.role >= len(ROLES))
-        if unknown.any():  # no record for a code that names nothing, worded as ``validate`` does
-            i = int(np.argmax(unknown))
-            field, code = ("kind", self.kind[i]) if unknown_kind[i] else ("role", self.role[i])
-            raise InvalidCircuit(f"op {i}: unknown {field} code {code}")
-
-        def record(k, r, c, q, p, b, v, a):
-            return Gate(KINDS[k], q, a[0] if len(a) == 1 else a or None, None if c < 0 else c,
-                        p if k == KIND["mcroty"] else None, Condition(b, v) if b else None, ROLES[r])
-
-        return tuple(map(record, self.kind.tolist(), self.role.tolist(), self.clbit.tolist(),
-                         *((map(tuple, self.rows(j))) for j in range(len(RAGGED)))))
 
     def offsets(self, j: int) -> np.ndarray:
         """Where each op's entries of ``RAGGED[j]`` start, then where the last ends."""
@@ -235,70 +144,6 @@ class OpTable:
         tables.clear()
         return OpTable(*(np.concatenate(columns.pop(0)) for _ in fields(OpTable)))
 
-    @staticmethod
-    def from_gates(gates) -> OpTable:
-        """The table of ``Gate`` records, which it keeps as its sequence."""
-        gates = tuple(gates)
-        conds = [g.condition or Condition((), ()) for g in gates]
-        ragged = ([g.qubits for g in gates], [g.polarities or () for g in gates],
-                  [c.bits for c in conds], [c.values for c in conds],
-                  [() if g.angle is None else np.ravel(g.angle) for g in gates])
-        try:
-            flats = [list(chain.from_iterable(r)) for r in ragged]
-            clbit = [-1 if g.clbit is None else g.clbit for g in gates]
-            # Numpy's casts would read 1.7 or "1" as a qubit, and "0.5" as an angle.
-            integers, reals = set(map(type, chain(*flats[:4], clbit))), set(map(type, flats[4]))
-            if not (all(map(_integer, integers)) and all(map(_real, reals))):
-                raise TypeError
-            table = op_table(
-                [KIND.get(g.kind, -1) for g in gates],
-                *[(flat, list(map(len, r))) for flat, r in zip(flats, ragged)],
-                role=[ROLE.get(g.role, -1) for g in gates],
-                clbit=clbit,
-            )
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise InvalidCircuit(_malformed(gates, conds) or str(exc)) from None
-        table.__dict__["gates"] = table.__dict__["given"] = gates
-        return table
-
-
-def _integer(t: type) -> bool:
-    """Whether a record field's entry of type ``t`` is an integer: a Python
-    or numpy integer, and not a bool."""
-    return issubclass(t, (int, np.integer)) and t is not bool
-
-
-def _real(t: type) -> bool:
-    """Whether an angle's entry of type ``t`` is a real number."""
-    return _integer(t) or issubclass(t, (float, np.floating))
-
-
-def _malformed(gates, conds) -> str | None:
-    """The first field of the records that holds an entry other than an
-    integer (a real number, in an angle), or an integer past 64 bits,
-    worded as ``validate`` names an op."""
-    for i, (g, c) in enumerate(zip(gates, conds)):
-        for field, value, entries, integer in (
-            ("qubits", g.qubits, g.qubits, True),
-            ("polarities", g.polarities, g.polarities or (), True),
-            ("condition bits", c.bits, c.bits, True),
-            ("condition values", c.values, c.values, True),
-            ("angle", g.angle, () if g.angle is None else np.ravel(g.angle), False),
-            ("clbit", g.clbit, () if g.clbit is None else (g.clbit,), True),
-        ):
-            try:
-                types = set(map(type, entries))
-            except TypeError:  # not a sequence, which the caller's error names
-                continue
-            if not all(map(_integer if integer else _real, types)):
-                number = "an integer" if all(map(_real, types)) else "a number"
-                return f"op {i}: {field} {value!r} is not {number}"
-            try:
-                np.asarray(list(entries), dtype=np.int64 if integer else float)
-            except OverflowError:
-                return f"op {i}: {field} {value!r} does not fit in 64 bits"
-    return None
-
 
 def op_table(kind, qubits, polarities=None, bits=None, values=None, angle=None, *, role=0,
              clbit=-1) -> OpTable:
@@ -339,13 +184,11 @@ def ranges(counts: np.ndarray) -> np.ndarray:
 class Circuit:
     n_qubits: int
     n_clbits: int
-    ops: OpTable  # a sequence of ``Gate`` records is converted
+    ops: OpTable
     data_qubits: tuple[int, ...]
     stage_reports: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ops, OpTable):
-            object.__setattr__(self, "ops", OpTable.from_gates(self.ops))
         self.validate()
 
     def validate(self) -> "Circuit":
@@ -359,11 +202,9 @@ class Circuit:
             raise InvalidCircuit(f"negative register size {self.n_qubits}, {self.n_clbits}")
         t, errors = self.ops, []  # (op, message), in the order one op's checks run
         c, v, (nq, npol, nb, nv, na) = t.clbit, t.values, t.counts.T
-        given = t.__dict__.get("given", ())  # the records a table was made from, one per op
 
-        def unknown(field, codes, names):  # worded by the name its record gave, else the code
-            return (codes < 0) | (codes >= len(names)), lambda i: f"unknown {field} " + (
-                repr(getattr(given[i], field)) if given else f"code {codes[i]}")
+        def unknown(field, codes, names):
+            return (codes < 0) | (codes >= len(names)), lambda i: f"unknown {field} code {codes[i]}"
 
         def check(bad, message, j=None):
             """Note ``message(i)`` for the first op ``i`` where ``bad`` holds,
@@ -405,8 +246,6 @@ class Circuit:
         fixed = (nb > 0) & (measure | (kind == KIND["reset"]))
         check(fixed, lambda i: f"conditions on {KINDS[kind[i]]} unsupported")
         conditioned = (nb > 0) | (nv > 0)
-        if given:  # a record's condition may hold neither bits nor values
-            conditioned |= np.array([g.condition is not None for g in given])
         check(conditioned & ((nb == 0) | (nb > 63)),
               lambda i: f"{nb[i]} condition bits, not 1 to 63")
         check(_descents(t, 3), lambda j: "condition values must ascend strictly", 3)
@@ -735,7 +574,10 @@ def _deserialize(text: str) -> Circuit:
     if not isinstance(doc, dict):
         raise ParseError("document is not an object", "$")
     try:  # the document's own fields, read as a column of one row
+        _known([doc], {"n_qubits", "n_clbits", "data_qubits", "ops"})
         n_qubits, n_clbits = (_typed([doc], key, int)[0] for key in ("n_qubits", "n_clbits"))
+        for name, size in (("n_qubits", n_qubits), ("n_clbits", n_clbits)):
+            _check([size], _INT64, f"{name} must be a 64-bit integer", f".{name}", key=None)
         data_qubits = _numbers(_typed([doc], "data_qubits", list), _INTS, ".data_qubits")[0]
         data_qubits = tuple(data_qubits.tolist())
         ops_doc = _typed([doc], "ops", list)[0]

@@ -16,9 +16,8 @@ wire leaves its cluster, and a reset wire starts a new one in |0>.
 ``enumerate`` keeps every outcome of path probability at least
 ``BRANCH_PROB_TOL``.  ``sample`` splits a branch's shots between the
 outcomes with one binomial draw, so the counts are multinomial.  The
-walk hands back arrays over its rows, and ``run``, ``verify_preparation``
-and ``data_probabilities`` read the data register from one view of them
-(``_data_matrices``).
+walk hands back arrays over its rows, and ``run`` and ``verify_preparation``
+read the data register from one view of them (``_data_matrices``).
 
 ``verify_preparation`` in enumerate mode also merges.  After the last
 reader of some outcomes, the rows of a cluster within ``MERGE_TOL`` of
@@ -444,31 +443,6 @@ def run(
     return [Branch(tuple(outs), p, v / np.linalg.norm(v), tuple(active), state,
                    {q: col[r] for q, col in cols.items()})
             for r, (outs, p, v, state) in enumerate(rows)]
-
-
-def statevector(circuit: Circuit) -> np.ndarray:
-    """Full state of a measurement-free circuit as a flat vector."""
-    if np.isin(circuit.ops.kind, _SPLITS).any():
-        raise ValueError("statevector requires a measurement-free circuit")
-    [branch] = run(circuit)
-    return branch.residual_state
-
-
-def fidelity(a, b) -> float:
-    """Global-phase-insensitive overlap magnitude of two vectors, each
-    normalized."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    return float(np.abs(np.vdot(normalize(a), normalize(b))))
-
-
-def data_probabilities(branch: Branch, data_qubits) -> np.ndarray:
-    """Marginal computational probabilities of the data register."""
-    mats = _data_matrices(branch.residual_state[None], branch.residual_wires, data_qubits,
-                          branch.fixed_outcomes)
-    return np.sum(np.abs(mats[0]) ** 2, axis=1)
 
 
 def verify_preparation(

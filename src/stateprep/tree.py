@@ -59,14 +59,6 @@ class AmplitudeTree:
         return tuple(reversed(out))
 
 
-def level_of(f: int) -> int:
-    return (f + 1).bit_length() - 1
-
-
-def children_of(f: int) -> tuple[int, int]:
-    return 2 * f + 1, 2 * f + 2
-
-
 def pad_to_power_of_two(amplitudes) -> np.ndarray:
     """Append zeros until the length is a power of two (at least 2)."""
     x = np.atleast_1d(np.asarray(amplitudes, dtype=float))
@@ -130,30 +122,6 @@ def build_tree(amplitudes) -> AmplitudeTree:
 
     alpha = 2.0 * np.arctan2(omega1, omega0)
     return AmplitudeTree(n=n, omega0=omega0, omega1=omega1, alpha=alpha)
-
-
-def preorder(tree: AmplitudeTree) -> list[int]:
-    """Node indices in root, left-subtree, right-subtree order."""
-    out: list[int] = []
-    stack = [0]
-    last = tree.num_nodes
-    while stack:
-        f = stack.pop()
-        out.append(f)
-        left, right = children_of(f)
-        if left < last:
-            stack.append(right)
-            stack.append(left)
-    return out
-
-
-def subtree_state(tree: AmplitudeTree, f: int) -> np.ndarray:
-    """Normalized state of the ``n - level(f)`` qubits below node ``f``;
-    ``|0...0>`` when no amplitude lies below it."""
-    if not 0 <= f < tree.num_nodes:
-        raise IndexError(f"node index {f} out of range")
-    level = level_of(f)
-    return tree.states[level][f + 1 - 2**level].copy()
 
 
 def states_equal(a: np.ndarray, b: np.ndarray):

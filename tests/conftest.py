@@ -1,13 +1,108 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 import pytest
 
 import stateprep as sp
 from stateprep import discrimination
+from stateprep.circuit import KIND, KINDS, RAGGED, ROLE, ROLES, UNITARY_KINDS, op_table
+from stateprep.errors import DimensionMismatch
+from stateprep.simulator import _data_matrices
 from stateprep.tolerances import FIDELITY_TOL, PROB_SUM_TOL, STATE_EQ_TOL, ZERO_NORM_TOL
+from stateprep.tree import normalize
 
 DENSE_SQUARES = (0.04, 0.13, 0.16, 0.2, 0.07, 0.09, 0.2, 0.11)
+
+
+# Test records: how tests write circuits by hand and read them op by op.
+# ``table_of`` turns records into the op table that ``Circuit`` takes, and
+# ``records_of`` reads a table back as records.
+
+
+@dataclass(frozen=True)
+class Condition:
+    """Fires when the integer ``bits`` spell (``bits[0]`` most significant)
+    is in ``values``."""
+
+    bits: tuple[int, ...]
+    values: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Gate:
+    kind: str
+    qubits: tuple[int, ...]
+    angle: float | tuple[float, ...] | None = None  # a tuple: one per condition value
+    clbit: int | None = None
+    polarities: tuple[int, ...] | None = None
+    condition: Condition | None = None
+    role: str | None = None
+
+
+def roty(q, theta, condition=None, role=None):
+    theta = tuple(map(float, theta)) if isinstance(theta, tuple) else float(theta)
+    return Gate("roty", (q,), angle=theta, condition=condition, role=role)
+
+
+def rotz(q, phi, condition=None, role=None):
+    return Gate("rotz", (q,), angle=float(phi), condition=condition, role=role)
+
+
+def pauli_z(q, condition=None, role=None):
+    return Gate("z", (q,), condition=condition, role=role)
+
+
+def pauli_x(q, condition=None, role=None):
+    return Gate("x", (q,), condition=condition, role=role)
+
+
+def hadamard(q, condition=None, role=None):
+    return Gate("h", (q,), condition=condition, role=role)
+
+
+def cswap(control, target_a, target_b, role=None):
+    return Gate("cswap", (control, target_a, target_b), role=role)
+
+
+def mcroty(theta, controls, target, role=None):
+    """A y-rotation of ``target`` controlled by (wire, polarity) pairs."""
+    controls = tuple(controls)
+    qubits = tuple(q for q, _ in controls) + (target,)
+    pols = tuple(int(p) for _, p in controls)
+    return Gate("mcroty", qubits, angle=float(theta), polarities=pols, role=role)
+
+
+def measure(q, clbit):
+    return Gate("measure", (q,), clbit=clbit)
+
+
+def reset(q):
+    return Gate("reset", (q,))
+
+
+def table_of(gates):
+    """The op table of ``gates``; a kind or role that the package does not
+    name becomes code -1, which ``validate`` refuses."""
+    conds = [g.condition or Condition((), ()) for g in gates]
+    ragged = ([g.qubits for g in gates], [g.polarities or () for g in gates],
+              [c.bits for c in conds], [c.values for c in conds],
+              [np.ravel(() if g.angle is None else g.angle) for g in gates])
+    return op_table([KIND.get(g.kind, -1) for g in gates],
+                    *[(list(chain.from_iterable(r)), list(map(len, r))) for r in ragged],
+                    role=[ROLE.get(g.role, -1) for g in gates],
+                    clbit=[-1 if g.clbit is None else g.clbit for g in gates])
+
+
+def records_of(table):
+    """The ops of ``table`` as records, a selected rotation's angles as one
+    tuple: ``table_of`` of them is ``table``."""
+    def record(k, r, c, q, p, b, v, a):
+        return Gate(KINDS[k], q, a[0] if len(a) == 1 else a or None, None if c < 0 else c,
+                    p if k == KIND["mcroty"] else None, Condition(b, v) if b else None, ROLES[r])
+
+    rows = (map(tuple, table.rows(j)) for j in range(len(RAGGED)))
+    return list(map(record, table.kind.tolist(), table.role.tolist(), table.clbit.tolist(), *rows))
 
 
 @pytest.fixture
@@ -53,6 +148,59 @@ def count_steps(monkeypatch):
             return _step(*args)
         monkeypatch.setattr(discrimination, name, counted)
     return steps
+
+
+def level_of(f):
+    return (f + 1).bit_length() - 1
+
+
+def children_of(f):
+    return 2 * f + 1, 2 * f + 2
+
+
+def preorder(tree):
+    """Node indices in root, left-subtree, right-subtree order."""
+    out, stack = [], [0]
+    while stack:
+        f = stack.pop()
+        out.append(f)
+        left, right = children_of(f)
+        if left < tree.num_nodes:
+            stack += [right, left]
+    return out
+
+
+def subtree_state(tree, f):
+    """Normalized state of the ``n - level(f)`` qubits below node ``f``;
+    ``|0...0>`` when no amplitude lies below it."""
+    if not 0 <= f < tree.num_nodes:
+        raise IndexError(f"node index {f} out of range")
+    level = level_of(f)
+    return tree.states[level][f + 1 - 2**level].copy()
+
+
+def statevector(circuit):
+    """Full state of a measurement-free circuit as a flat vector, from ``sp.run``."""
+    if np.isin(circuit.ops.kind, [KIND["measure"], KIND["reset"]]).any():
+        raise ValueError("statevector requires a measurement-free circuit")
+    [branch] = sp.run(circuit)
+    return branch.residual_state
+
+
+def fidelity(a, b):
+    """Global-phase-insensitive overlap magnitude of two vectors, each normalized."""
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    b = np.asarray(b, dtype=complex).reshape(-1)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
+    return float(np.abs(np.vdot(normalize(a), normalize(b))))
+
+
+def data_probabilities(branch, data_qubits):
+    """Marginal computational probabilities of the data register of a ``sp.run`` branch."""
+    mats = _data_matrices(branch.residual_state[None], branch.residual_wires, data_qubits,
+                          branch.fixed_outcomes)
+    return np.sum(np.abs(mats[0]) ** 2, axis=1)
 
 
 def kron_all(mats):
@@ -123,7 +271,7 @@ def oracle_statevector(circuit):
     dim = 2**circuit.n_qubits
     state = np.zeros(dim, dtype=complex)
     state[0] = 1.0
-    for op in circuit.ops:
+    for op in records_of(circuit.ops):
         assert op.condition is None and op.kind not in ("measure", "reset")
         state = full_unitary(op, circuit.n_qubits) @ state
     return state
@@ -147,7 +295,7 @@ def oracle_branches(circuit, prob_floor=1e-14):
     or a reset.
     """
     n = circuit.n_qubits
-    ops = list(circuit.ops)
+    ops = records_of(circuit.ops)
     splits = [i for i, op in enumerate(ops) if op.kind in ("measure", "reset")]
     last = {q: i for i, op in enumerate(ops) for q in op.qubits}
     ancillas = [q for q in range(n) if q not in circuit.data_qubits]
@@ -227,7 +375,7 @@ def reference_report(circuit, target, **run_kwargs):
 
 def oracle_layers(circuit, full=True):
     """Reference ASAP schedule: one pass per depth figure, over the
-    circuit's ``Gate`` records.
+    circuit's records.
 
     Gate depth keeps only unconditioned unitaries that are not
     measurement-basis rotations; every other op gets ``None``.
@@ -235,10 +383,10 @@ def oracle_layers(circuit, full=True):
     def keep(op):
         if full:
             return True
-        return op.is_unitary and op.condition is None and op.role != "meas_basis"
+        return op.kind in UNITARY_KINDS and op.condition is None and op.role != "meas_basis"
 
     wire_free, bit_ready, out = {}, {}, []
-    for op in circuit.ops:
+    for op in records_of(circuit.ops):
         if not keep(op):
             out.append(None)
             continue
@@ -253,18 +401,17 @@ def oracle_layers(circuit, full=True):
     return out
 
 
-def per_value_records(ops):
-    """The ``Gate`` records of ``ops`` with each selected rotation split into
-    one record per condition value, as documents were written before
-    selected rotations: the form of the golden and ``exact/per_value_*``
-    fixtures."""
+def per_value_records(table):
+    """The records of ``table`` with each selected rotation split into one
+    record per condition value, as documents were written before selected
+    rotations: the form of the golden and ``exact/per_value_*`` fixtures."""
     out = []
-    for op in ops:
+    for op in records_of(table):
         if not isinstance(op.angle, tuple):
             out.append(op)
             continue
         bits, values = op.condition.bits, op.condition.values
-        out += [replace(op, angle=a, condition=sp.Condition(bits, (v,)))
+        out += [replace(op, angle=a, condition=Condition(bits, (v,)))
                 for a, v in zip(op.angle, values)]
     return out
 
@@ -279,7 +426,7 @@ def reference_waits(table):
         wire += [last_on.get(q, -1) for q in qubits]
         bit += [measured_by.get(b, -1) for b in bits]
         last_on.update(dict.fromkeys(qubits, i))
-        if kind == sp.circuit.KIND["measure"]:
+        if kind == KIND["measure"]:
             measured_by[clbit] = i
     return wire, bit
 
@@ -331,5 +478,5 @@ def oracle_metrics(circuit):
         kept = [v for v in oracle_layers(circuit, full) if v is not None]
         return 1 + max(kept) if kept else 0
 
-    cswaps = sum(1 for op in circuit.ops if op.kind == "cswap")
+    cswaps = sum(1 for op in records_of(circuit.ops) if op.kind == "cswap")
     return circuit.n_qubits, cswaps, depth(False), depth(True)

@@ -19,7 +19,10 @@ from stateprep.circuit import layers
 from stateprep.discrimination import OrthPair, decompose, evaluate_plan
 from stateprep.divide_conquer import DcOptions
 
-from conftest import DENSE_SQUARES, random_orthogonal_pair, random_unit
+from conftest import (
+    DENSE_SQUARES, data_probabilities, fidelity, preorder, random_orthogonal_pair, random_unit,
+    records_of, table_of,
+)
 
 PI = np.pi
 
@@ -56,7 +59,7 @@ def test_criterion_1_formula_reproduction():
 
 def test_criterion_2_golden_angles(dense_vector):
     tree = sp.build_tree(dense_vector)
-    order = sp.preorder(tree)
+    order = preorder(tree)
     angles_ok = np.allclose(
         [tree.alpha[f] for f in order],
         [1.51, 1.94, 2.13, 1.68, 1.90, 1.70, 1.28],
@@ -64,7 +67,8 @@ def test_criterion_2_golden_angles(dense_vector):
     )
 
     c = sp.synthesize_dc(tree)
-    basis_rots = [op for op in c.ops if op.role == "meas_basis"]
+    records = records_of(c.ops)
+    basis_rots = [op for op in records if op.role == "meas_basis"]
     by_wire = {}
     for op in basis_rots:
         by_wire.setdefault(op.qubits[0], []).append(op)
@@ -89,8 +93,8 @@ def test_criterion_2_golden_angles(dense_vector):
     published_wire6 = -1.24
 
     def verifies(angle):
-        ops = tuple(replace(op, angle=angle) if op is wire6 else op for op in c.ops)
-        return sp.verify_preparation(replace(c, ops=ops), dense_vector).passed
+        ops = [replace(op, angle=angle) if op is wire6 else op for op in records]
+        return sp.verify_preparation(replace(c, ops=table_of(ops)), dense_vector).passed
 
     erratum_ok = verifies(wire6.angle) and not any(
         verifies(sign * published_wire6) for sign in (1, -1)
@@ -136,9 +140,9 @@ def test_criterion_4_w_state(w_vector):
     p1 = sum(b.probability for b in branches if b.outcomes[first_final_bit] == 1)
     unbiased = abs(p0 - 0.5) <= 1e-10 and abs(p1 - 0.5) <= 1e-10
 
-    all_w = all(sp.fidelity(b.data_state, w_vector) >= 1 - 1e-9 for b in branches)
+    all_w = all(fidelity(b.data_state, w_vector) >= 1 - 1e-9 for b in branches)
 
-    control = [op for op in c.ops if op.role == "load" and op.kind == "roty"]
+    control = [op for op in records_of(c.ops) if op.role == "load" and op.kind == "roty"]
     angle_ok = len(control) == 1 and abs(abs(control[0].angle) - 1.23) <= 0.005
 
     ok = six_qubits and unbiased and all_w and angle_ok
@@ -153,7 +157,7 @@ def test_criterion_5_entangled_baseline():
         x = random_unit(rng, 8)
         c = sp.synthesize_dc(sp.build_tree(x), DcOptions(disentangle=False))
         [branch] = sp.run(c)
-        probs = sp.data_probabilities(branch, c.data_qubits)
+        probs = data_probabilities(branch, c.data_qubits)
         probs_ok &= bool(np.allclose(probs, x**2, atol=1e-9))
         if not sp.verify_preparation(c, x).passed:
             failures += 1
@@ -262,7 +266,7 @@ def test_criterion_10_swap_scheduling():
         layer_idx = layers(cp, full=False)
         by_layer = {}
         disjoint = True
-        for op, layer in zip(cp.ops, layer_idx):
+        for op, layer in zip(records_of(cp.ops), layer_idx):
             if layer is None or op.kind != "cswap":
                 continue
             wires = by_layer.setdefault(layer, set())
@@ -273,7 +277,7 @@ def test_criterion_10_swap_scheduling():
 
         def target_orders(circ):
             orders = {}
-            for op in circ.ops:
+            for op in records_of(circ.ops):
                 if op.kind != "cswap":
                     continue
                 for q in op.qubits[1:]:

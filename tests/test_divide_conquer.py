@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 import stateprep as sp
 from stateprep import divide_conquer
-from stateprep.circuit import Circuit, OpTable, cswap, layers, mcroty, roty
+from stateprep.circuit import Circuit, OpTable, layers
 from stateprep.discrimination import decompose
 from stateprep.divide_conquer import DcOptions, _plan_tree, compile_disentangler
 from stateprep.errors import NonUnitInput
 from stateprep.tolerances import ANGLE_TOL
 
-from conftest import count_steps, random_unit, reference_plan
+from conftest import (
+    count_steps, cswap, data_probabilities, fidelity, mcroty, preorder, random_unit, records_of,
+    reference_plan, roty, subtree_state, table_of,
+)
 
 
 def branch_sets_equal(a, b, atol=1e-12):
@@ -45,17 +48,17 @@ class TestSynthesizeDc:
         c = sp.synthesize_dc(sp.build_tree(dense_vector))
         m = sp.metrics(c)
         assert (m.qubits, m.unit_cswaps, m.depth_gates) == (7, 4, 4)
-        swaps = [op.qubits for op in c.ops if op.kind == "cswap"]
+        swaps = [op.qubits for op in records_of(c.ops) if op.kind == "cswap"]
         assert swaps == [(1, 2, 3), (4, 5, 6), (0, 1, 4), (0, 2, 5)]
         assert c.data_qubits == (0, 1, 2)
-        measured = [op.qubits[0] for op in c.ops if op.kind == "measure"]
+        measured = [op.qubits[0] for op in records_of(c.ops) if op.kind == "measure"]
         assert measured == [3, 6, 4, 5]
 
     def test_loading_follows_preorder(self, dense_vector):
         tree = sp.build_tree(dense_vector)
         c = sp.synthesize_dc(tree)
-        loads = [op for op in c.ops if op.role == "load"]
-        order = sp.preorder(tree)
+        loads = [op for op in records_of(c.ops) if op.role == "load"]
+        order = preorder(tree)
         assert [op.qubits[0] for op in loads] == list(range(7))
         assert [op.angle for op in loads] == pytest.approx([tree.alpha[f] for f in order])
 
@@ -82,7 +85,7 @@ class TestSynthesizeDc:
         for n in (2, 3, 4):
             x = random_unit(rng, 2**n)
             c = sp.synthesize_dc(sp.build_tree(x))
-            n_meas = sum(1 for op in c.ops if op.kind == "measure")
+            n_meas = sum(1 for op in records_of(c.ops) if op.kind == "measure")
             assert n_meas == 2**n - n - 1
             assert c.n_clbits == n_meas
 
@@ -92,7 +95,7 @@ class TestSynthesizeDc:
         c = sp.synthesize_dc(sp.build_tree(x), DcOptions(disentangle=False))
         assert c.n_clbits == 0
         [branch] = sp.run(c)
-        probs = sp.data_probabilities(branch, c.data_qubits)
+        probs = data_probabilities(branch, c.data_qubits)
         assert np.allclose(probs, x**2, atol=1e-9)
 
     def test_prune_preserves_state(self):
@@ -127,7 +130,7 @@ class TestSynthesizeDc:
             x = random_unit(rng, 4, floor=0.02)
             tree = sp.build_tree(x)
             c = sp.synthesize_dc(tree)
-            overlap = float(sp.subtree_state(tree, 1) @ sp.subtree_state(tree, 2))
+            overlap = float(subtree_state(tree, 1) @ subtree_state(tree, 2))
             branches = sp.run(c)
             assert len(branches) == 2
             assert branches[0].probability == pytest.approx((1 + overlap) / 2, abs=1e-12)
@@ -207,7 +210,7 @@ class TestSynthesizeDc:
             kind = "h" if base < 2 else "x"
         assert abs(delta) < 1e-9 or kind == "roty"
         for c in (sp.synthesize_dc(tree), sp.synthesize_time(tree)):
-            assert c.ops[0].kind == kind
+            assert records_of(c.ops)[0].kind == kind
             assert sp.verify_preparation(c, x / np.linalg.norm(x)).passed
 
     def test_stage_reports_cover_measured_wires(self, dense_vector):
@@ -216,7 +219,7 @@ class TestSynthesizeDc:
         assert wires == [3, 6, 4, 5]
         final = c.stage_reports[-1]
         assert final.control_wire == 0
-        correction = c.ops[-1]
+        correction = records_of(c.ops)[-1]
         assert correction.kind == "z" and correction.condition.bits == final.clbits
         assert final.correction_values == correction.condition.values
         assert len(final.correction_values) == 2
@@ -232,16 +235,16 @@ class TestSynthesizeDc:
         assert len(c.stage_reports) == 2 ** (n - 1) - 1
         for rep in c.stage_reports:
             left, right = 2 * rep.node + 1, 2 * rep.node + 2
-            alone = compile_disentangler(
-                sp.subtree_state(tree, left),
-                sp.subtree_state(tree, right),
+            alone = records_of(compile_disentangler(
+                subtree_state(tree, left),
+                subtree_state(tree, right),
                 rep.ancilla_wires,
                 rep.control_wire,
                 first_clbit=rep.clbits[0],
-            )
+            ))
             inside = [
                 op
-                for op in c.ops
+                for op in records_of(c.ops)
                 if (op.role == "meas_basis" or op.kind == "measure")
                 and op.qubits[0] in rep.ancilla_wires
                 or op.role == "correct" and op.condition.bits == rep.clbits
@@ -272,10 +275,11 @@ class TestSynthesizeDc:
         assert same.computational and same.correction_values == ()
         assert not differ.computational and len(differ.correction_values) == 2
         assert differ.clbits == (same.clbits[-1] + 1, same.clbits[-1] + 2)
-        machinery = [op for op in c.ops if op.role == "meas_basis" or op.kind == "measure"]
+        records = records_of(c.ops)
+        machinery = [op for op in records if op.role == "meas_basis" or op.kind == "measure"]
         same_ops = [op for op in machinery if op.qubits[0] in same.ancilla_wires]
         assert [(op.kind, op.clbit) for op in same_ops] == [("measure", b) for b in same.clbits]
-        corrections = {op.condition.bits: op for op in c.ops if op.role == "correct"}
+        corrections = {op.condition.bits: op for op in records if op.role == "correct"}
         assert same.clbits not in corrections
         assert corrections[differ.clbits].qubits == (differ.control_wire,)
         assert sp.verify_preparation(c, x).passed
@@ -322,7 +326,7 @@ def test_plan_matches_reference():
                                  if mode[f] == "combine"]
                     assert circuit.n_qubits == plan.n_qubits
                     assert list(circuit.data_qubits) == live[0]
-                    assert [op.qubits for op in circuit.ops if op.kind == "cswap"] == [
+                    assert [op.qubits for op in records_of(circuit.ops) if op.kind == "cswap"] == [
                         (wires[f][0], a, b) for f in combiners
                         for a, b in zip(live[2 * f + 1], live[2 * f + 2])]
                     assert [(r.node, r.control_wire, r.ancilla_wires)
@@ -337,7 +341,7 @@ class TestWState(object):
         c = sp.synthesize_dc(sp.build_tree(w_vector), DcOptions(prune=True))
         assert c.n_qubits == 6
         kinds = {}
-        for op in c.ops:
+        for op in records_of(c.ops):
             kinds[op.kind] = kinds.get(op.kind, 0) + 1
         assert kinds["cswap"] == 3
         assert kinds["measure"] == 3
@@ -345,7 +349,7 @@ class TestWState(object):
 
     def test_control_rotation_angle(self, w_vector):
         c = sp.synthesize_dc(sp.build_tree(w_vector), DcOptions(prune=True))
-        roots = [op for op in c.ops if op.role == "load" and op.kind == "roty"]
+        roots = [op for op in records_of(c.ops) if op.role == "load" and op.kind == "roty"]
         assert len(roots) == 1
         assert roots[0].qubits == (0,)
         assert abs(roots[0].angle) == pytest.approx(1.23, abs=0.005)
@@ -353,7 +357,7 @@ class TestWState(object):
     def test_all_branches_prepare_w(self, w_vector):
         c = sp.synthesize_dc(sp.build_tree(w_vector), DcOptions(prune=True))
         for b in sp.run(c):
-            assert sp.fidelity(b.data_state, w_vector) >= 1 - 1e-9
+            assert fidelity(b.data_state, w_vector) >= 1 - 1e-9
 
     def test_first_final_ancilla_is_unbiased(self, w_vector):
         c = sp.synthesize_dc(sp.build_tree(w_vector), DcOptions(prune=True))
@@ -371,35 +375,35 @@ class TestCompileDisentangler:
         # acceptance suite).
         tree = sp.build_tree(dense_vector)
         ops_a = compile_disentangler(
-            sp.subtree_state(tree, 3), sp.subtree_state(tree, 4), [3], 1, first_clbit=0
+            subtree_state(tree, 3), subtree_state(tree, 4), [3], 1, first_clbit=0
         )
         ops_b = compile_disentangler(
-            sp.subtree_state(tree, 5), sp.subtree_state(tree, 6), [6], 4, first_clbit=1
+            subtree_state(tree, 5), subtree_state(tree, 6), [6], 4, first_clbit=1
         )
-        rot_a = [op for op in ops_a if op.kind == "roty"][0]
-        rot_b = [op for op in ops_b if op.kind == "roty"][0]
+        rot_a = [op for op in records_of(ops_a) if op.kind == "roty"][0]
+        rot_b = [op for op in records_of(ops_b) if op.kind == "roty"][0]
         assert abs(rot_a.angle) == pytest.approx(1.9054, abs=5e-4)
         assert abs(rot_b.angle) == pytest.approx(1.4862, abs=5e-4)
 
     def test_equal_states_measure_computationally(self):
         v = np.array([0.6, 0.8])
         ops = compile_disentangler(v, v, [2], 0, first_clbit=0)
-        assert [op.kind for op in ops] == ["measure"]
+        assert [op.kind for op in records_of(ops)] == ["measure"]
 
     def test_w_final_stage_first_rotation_is_half_pi(self, w_vector):
         tree = sp.build_tree(w_vector)
-        psi1 = sp.subtree_state(tree, 1)
-        psi2 = sp.subtree_state(tree, 2)
+        psi1 = subtree_state(tree, 1)
+        psi2 = subtree_state(tree, 2)
         ops = compile_disentangler(psi1, psi2, [4, 5], 0, first_clbit=0)
-        first_rot = [op for op in ops if op.kind == "roty"][0]
+        first_rot = [op for op in records_of(ops) if op.kind == "roty"][0]
         assert abs(first_rot.angle) == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_correction_is_conditioned_z_on_control(self, dense_vector):
         tree = sp.build_tree(dense_vector)
         ops = compile_disentangler(
-            sp.subtree_state(tree, 1), sp.subtree_state(tree, 2), [4, 5], 0, first_clbit=0
+            subtree_state(tree, 1), subtree_state(tree, 2), [4, 5], 0, first_clbit=0
         )
-        z = ops[-1]
+        z = records_of(ops)[-1]
         assert z.kind == "z" and z.qubits == (0,)
         assert z.condition is not None and z.condition.bits == (0, 1)
         assert len(z.condition.values) == 2 and set(z.condition.values) <= {0, 1, 2, 3}
@@ -440,7 +444,7 @@ class TestCompileDisentangler:
                      *signed_loads(right, right_wires)]
             gates += [cswap(0, a, b) for a, b in zip(left_wires, right_wires)]
             stage = compile_disentangler(left, right, right_wires, 0)
-            ops = OpTable.concat([OpTable.from_gates(gates), stage])
+            ops = OpTable.concat([table_of(gates), stage])
             circuit = Circuit(2 * m + 1, m, ops, (0, *left_wires))
             target = np.concatenate([np.cos(coin / 2) * left, np.sin(coin / 2) * right])
             assert left @ right < 0.0
@@ -518,7 +522,8 @@ class TestPlansSolvedTogether:
             for lam in range(1, n):
                 for opts in (DcOptions(), DcOptions(prune=True)):
                     c = sp.synthesize_hybrid(tree, lam, opts)
-                    fired = {op.condition.bits: op for op in c.ops if op.role == "correct"}
+                    fired = {op.condition.bits: op
+                             for op in records_of(c.ops) if op.role == "correct"}
                     assert len(fired) == sum(not r.computational for r in c.stage_reports)
                     for rep in c.stage_reports:
                         fix = fired.get(rep.clbits)
@@ -535,8 +540,8 @@ class TestParallelize:
         c = sp.synthesize_dc(sp.build_tree(dense_vector))
         cp = sp.synthesize_dc(sp.build_tree(dense_vector), PARALLEL)
         assert sp.metrics(cp).depth_gates == 4
-        assert sorted(op.qubits for op in cp.ops if op.kind == "cswap") == sorted(
-            op.qubits for op in c.ops if op.kind == "cswap"
+        assert sorted(op.qubits for op in records_of(cp.ops) if op.kind == "cswap") == sorted(
+            op.qubits for op in records_of(c.ops) if op.kind == "cswap"
         )
 
     def test_depth_two_n_minus_two(self):
@@ -557,7 +562,7 @@ class TestParallelize:
             cp = sp.synthesize_dc(sp.build_tree(x), PARALLEL)
             layer_idx = layers(cp, full=False)
             by_layer = {}
-            for op, layer in zip(cp.ops, layer_idx):
+            for op, layer in zip(records_of(cp.ops), layer_idx):
                 if layer is None or op.kind != "cswap":
                     continue
                 for q in op.qubits:
@@ -572,7 +577,7 @@ class TestParallelize:
 
         def touch_orders(circ):
             orders = {}
-            for i, op in enumerate(circ.ops):
+            for op in records_of(circ.ops):
                 if op.kind != "cswap":
                     continue
                 for q in op.qubits[1:]:

@@ -5,7 +5,7 @@ import stateprep as sp
 from stateprep.divide_conquer import DcOptions
 from stateprep.errors import LambdaOutOfRange
 
-from conftest import oracle_statevector, random_unit
+from conftest import fidelity, oracle_statevector, random_unit, records_of, statevector
 
 
 def test_n4_lambda2_matches_published_point():
@@ -41,13 +41,13 @@ def test_lambda_n_equals_time_encoding():
         t = sp.synthesize_time(tree)
         assert h.ops == t.ops, n
         assert sp.metrics(h) == sp.metrics(t)
-        assert sp.fidelity(sp.statevector(h), x) == pytest.approx(1, abs=1e-12)
+        assert fidelity(statevector(h), x) == pytest.approx(1, abs=1e-12)
     # At n = 1 time encoding is the pruned one-wire circuit, so the two
     # special loading angles use the Hadamard/X spelling.
     for x, kind in (([1.0, 1.0], "h"), ([0.0, 1.0], "x")):
         x = np.asarray(x) / np.linalg.norm(x)
         t = sp.synthesize_time(sp.build_tree(x))
-        assert [op.kind for op in t.ops] == [kind]
+        assert [op.kind for op in records_of(t.ops)] == [kind]
         assert np.allclose(oracle_statevector(t), x, atol=1e-12)
 
 

@@ -8,20 +8,35 @@ import pytest
 from scipy import stats
 
 import stateprep as sp
-from stateprep.circuit import KIND, Circuit, Condition, cswap, hadamard, measure, pauli_x, pauli_z, reset, roty, rotz, mcroty
+from stateprep.circuit import KIND, Circuit
 from stateprep.errors import DimensionMismatch, TooManyBranches, ZeroVector
 from stateprep.tolerances import BRANCH_PROB_TOL, FIDELITY_TOL
-from stateprep.simulator import _mix, _slices, _walk, data_probabilities, statevector
+from stateprep.simulator import _mix, _slices, _walk
 
 from conftest import (
+    Condition,
     assert_waits_match_reference,
+    cswap,
+    data_probabilities,
+    fidelity,
+    hadamard,
+    mcroty,
+    measure,
     oracle_branches,
     oracle_statevector,
     per_value_records,
     random_complex_unit,
+    pauli_x,
+    pauli_z,
     random_unit,
+    records_of,
     reduced_fidelity,
     reference_report,
+    reset,
+    roty,
+    rotz,
+    statevector,
+    table_of,
 )
 
 
@@ -38,20 +53,20 @@ class TestGateApplication:
             pauli_z(1),
             cswap(2, 0, 3),
         )
-        c = Circuit(4, 0, ops, tuple(range(4))).validate()
+        c = Circuit(4, 0, table_of(ops), tuple(range(4))).validate()
         assert np.allclose(statevector(c), oracle_statevector(c), atol=1e-12)
 
     def test_norm_preserved_per_gate(self):
         rng = np.random.default_rng(4)
         ops = [roty(i % 3, float(rng.normal())) for i in range(10)]
         ops += [cswap(0, 1, 2), hadamard(1), rotz(2, 0.4)]
-        c = Circuit(3, 0, tuple(ops), (0, 1, 2)).validate()
+        c = Circuit(3, 0, table_of(ops), (0, 1, 2)).validate()
         assert np.linalg.norm(statevector(c)) == pytest.approx(1, abs=1e-12)
 
     def test_statevector_refuses_measuring_circuit(self):
         for last in (measure(0, 0), reset(0)):
             with pytest.raises(ValueError, match="measurement-free"):
-                statevector(Circuit(1, 1, (hadamard(0), last), (0,)))
+                statevector(Circuit(1, 1, table_of((hadamard(0), last)), (0,)))
 
 
 def mix_reference(state, i0, i1, mats, sel):
@@ -102,19 +117,19 @@ def test_mix_matches_a_per_row_reference(n_wires):
 ])
 def test_run_refuses_bad_mode_or_shots(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        sp.run(Circuit(1, 1, (hadamard(0), measure(0, 0)), (0,)), **kwargs)
+        sp.run(Circuit(1, 1, table_of((hadamard(0), measure(0, 0))), (0,)), **kwargs)
 
 
 class TestEnumerate:
     def test_single_wire_half_half(self):
-        c = Circuit(1, 1, (roty(0, np.pi / 2), measure(0, 0)), (0,)).validate()
+        c = Circuit(1, 1, table_of((roty(0, np.pi / 2), measure(0, 0))), (0,)).validate()
         branches = sp.run(c)
         assert [b.outcomes for b in branches] == [(0,), (1,)]
         assert all(b.probability == pytest.approx(0.5, abs=1e-12) for b in branches)
 
     def test_lexicographic_order(self):
         ops = (hadamard(0), hadamard(1), measure(0, 0), measure(1, 1))
-        c = Circuit(2, 2, ops, (0,)).validate()
+        c = Circuit(2, 2, table_of(ops), (0,)).validate()
         branches = sp.run(c)
         assert [b.outcomes for b in branches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -127,7 +142,7 @@ class TestEnumerate:
             p0 = sum(b.probability for b in branches if b.outcomes[bit] == 0)
             assert p0 == pytest.approx(0.5, abs=1e-10)
         for b in branches:
-            assert sp.fidelity(b.data_state, w_vector) == pytest.approx(1, abs=1e-9)
+            assert fidelity(b.data_state, w_vector) == pytest.approx(1, abs=1e-9)
 
     def test_dense_example_sixteen_branches(self, dense_vector):
         c = sp.synthesize_dc(sp.build_tree(dense_vector))
@@ -135,11 +150,11 @@ class TestEnumerate:
         assert len(branches) == 16
         assert sum(b.probability for b in branches) == pytest.approx(1, abs=1e-10)
         for b in branches:
-            assert sp.fidelity(b.data_state, dense_vector) >= 1 - 1e-9
+            assert fidelity(b.data_state, dense_vector) >= 1 - 1e-9
 
     def test_zero_probability_branches_pruned(self):
         ops = (pauli_x(0), measure(0, 0))
-        c = Circuit(1, 1, ops, (0,)).validate()
+        c = Circuit(1, 1, table_of(ops), (0,)).validate()
         branches = sp.run(c)
         assert [b.outcomes for b in branches] == [(1,)]
 
@@ -151,7 +166,7 @@ class TestEnumerate:
             measure(0, 0),
             pauli_x(1, condition=Condition((0,), (1,))),
         )
-        c = Circuit(2, 1, ops, (1,)).validate()
+        c = Circuit(2, 1, table_of(ops), (1,)).validate()
         unfired, fired = sp.run(c)
         assert (unfired.outcomes, fired.outcomes) == ((0,), (1,))
         assert np.allclose(unfired.data_state, [1, 0])
@@ -159,7 +174,7 @@ class TestEnumerate:
 
     def test_branch_cap(self):
         ops = tuple(hadamard(i) for i in range(3)) + tuple(measure(i, i) for i in range(3))
-        c = Circuit(3, 3, ops, (0,)).validate()
+        c = Circuit(3, 3, table_of(ops), (0,)).validate()
         with pytest.raises(TooManyBranches):
             sp.run(c, branch_cap=2)
         # A negative cap is refused before the walk, in either mode.
@@ -183,7 +198,7 @@ class TestEnumerate:
         # Each reset of a wire in |0> has one outcome, so the walk goes
         # 1,201 measurement points deep without branching.
         ops = (reset(0),) * 1200 + (measure(0, 0),)
-        c = Circuit(1, 1, ops, (0,))
+        c = Circuit(1, 1, table_of(ops), (0,))
         for kwargs in ({}, {"mode": "sample", "shots": 64, "seed": 0}):
             [branch] = sp.run(c, **kwargs)
             assert branch.outcomes == (0,) * 1201
@@ -191,7 +206,7 @@ class TestEnumerate:
 
     def test_reset_collapses_to_zero(self):
         ops = (hadamard(0), reset(0), measure(0, 0))
-        c = Circuit(1, 1, ops, (0,)).validate()
+        c = Circuit(1, 1, table_of(ops), (0,)).validate()
         branches = sp.run(c)
         # Two reset outcomes, both leaving the wire in |0>.
         assert len(branches) == 2
@@ -223,7 +238,7 @@ class TestConditions:
             rotz(5, 0.5, condition=Condition((1, 2), (1,))),
             pauli_x(4, condition=Condition((2, 0), (2,))),
         )
-        c = Circuit(6, 3, ops, (3, 4, 5))
+        c = Circuit(6, 3, table_of(ops), (3, 4, 5))
         got = sp.run(c)
         expected = oracle_branches(c)
         assert len(got) == len(expected) == 8
@@ -251,7 +266,7 @@ class TestConditions:
                           separators=(",", ":")) + "\n"
         selected = sp.deserialize(text)
         assert sp.serialize(selected) == text
-        per_value = Circuit(5, 2, per_value_records(selected.ops), (2, 3, 4))
+        per_value = Circuit(5, 2, table_of(per_value_records(selected.ops)), (2, 3, 4))
         assert (selected.ops.n_ops, per_value.ops.n_ops, len(selected.ops)) == (8, 10, 8)
         for kwargs in ({}, {"mode": "sample", "shots": 1000, "seed": 4}):
             got, want = sp.run(selected, **kwargs), sp.run(per_value, **kwargs)
@@ -284,7 +299,7 @@ class TestSample:
             measure(1, 1),
             measure(2, 2),
         )
-        c = Circuit(3, 3, ops, (0, 1, 2)).validate()
+        c = Circuit(3, 3, table_of(ops), (0, 1, 2)).validate()
         exact = {b.outcomes: b.probability for b in sp.run(c)}
         shots = 100_000
         sampled = sp.run(c, mode="sample", shots=shots, seed=5)
@@ -314,7 +329,7 @@ class TestSample:
 
     def test_reset_in_sample_mode(self):
         ops = (hadamard(0), reset(0), measure(0, 0))
-        c = Circuit(1, 1, ops, (0,))
+        c = Circuit(1, 1, table_of(ops), (0,))
         sampled = sp.run(c, mode="sample", shots=4000, seed=2)
         assert [b.outcomes for b in sampled] == [(0, 0), (1, 0)]
         assert sum(b.probability for b in sampled) == pytest.approx(1, abs=1e-12)
@@ -345,26 +360,26 @@ class TestSample:
 class TestFidelity:
     def test_self_fidelity(self):
         v = np.array([0.6, 0.8])
-        assert sp.fidelity(v, v) == pytest.approx(1, abs=1e-12)
+        assert fidelity(v, v) == pytest.approx(1, abs=1e-12)
 
     def test_orthogonal_states(self):
-        assert sp.fidelity([1, 0], [0, 1]) == 0.0
+        assert fidelity([1, 0], [0, 1]) == 0.0
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
         for gamma in (0.3, 1.7, -2.2):
-            assert sp.fidelity(v, np.exp(1j * gamma) * v) == pytest.approx(1, abs=1e-12)
+            assert fidelity(v, np.exp(1j * gamma) * v) == pytest.approx(1, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            sp.fidelity([1, 0], [1, 0, 0, 0])
+            fidelity([1, 0], [1, 0, 0, 0])
 
     def test_huge_and_zero_entries(self):
-        assert sp.fidelity([1e308, 1e308], [1e308, 1e308]) == pytest.approx(1, abs=1e-15)
+        assert fidelity([1e308, 1e308], [1e308, 1e308]) == pytest.approx(1, abs=1e-15)
         with pytest.raises(ZeroVector):
-            sp.fidelity([0, 0], [1, 0])
+            fidelity([0, 0], [1, 0])
 
 
 class TestVerifyPreparation:
@@ -411,7 +426,7 @@ class TestVerifyPreparation:
         # Wire 1 holds cos(0.1)|0> + sin(0.1)|1> and flips data wire 0 where it is 1:
         # cos(0.1)|00> + sin(0.1)|11>.  Both columns are heavy, and the data
         # register's reduced state is diag(cos^2, sin^2), so sqrt(<0|rho|0>) = cos(0.1).
-        c = Circuit(2, 0, (roty(1, 0.2), mcroty(np.pi, [(1, 1)], 0)), (0,))
+        c = Circuit(2, 0, table_of((roty(1, 0.2), mcroty(np.pi, [(1, 1)], 0))), (0,))
         rep = sp.verify_preparation(c, [1.0, 0.0])
         assert not rep.passed
         assert rep.min_fidelity == pytest.approx(np.cos(0.1), abs=1e-12)
@@ -430,7 +445,7 @@ class TestVerifyPreparation:
             ops.append((roty(a, angle), rotz(a, angle), mcroty(angle, [(b, int(angle > 0))], a),
                         cswap(d, a, b))[kind])
         ops.append(mcroty(rng.normal(), [(int(rng.choice(other)), 1)], data[0]))
-        return Circuit(n, 0, tuple(ops), data)
+        return Circuit(n, 0, table_of(ops), data)
 
     def test_matches_oracle_reduced_state(self):
         # Measurement-free circuits leave one branch; its score is sqrt(<t|rho|t>),
@@ -483,7 +498,7 @@ class TestMergedVerify:
             measure(2, 1),
             pauli_x(1, condition=Condition((0,), (1,))),
         )
-        c = Circuit(3, 2, ops, (1,))
+        c = Circuit(3, 2, table_of(ops), (1,))
         rep = self.assert_matches_reference(c, [1.0, 0.0])
         assert rep.branches == 4 and not rep.passed
         assert rep.min_fidelity == pytest.approx(0.0, abs=1e-12)
@@ -499,7 +514,7 @@ class TestMergedVerify:
         p, t = 1e-13, 0.07
         turn = replace(mcroty(2 * t, [(1, 1)], 2), condition=Condition((0,), (1,)))
         ops = (hadamard(0), measure(0, 0), roty(1, 2 * np.arcsin(np.sqrt(p))), turn, measure(1, 1))
-        c = Circuit(3, 2, ops, (2,))
+        c = Circuit(3, 2, table_of(ops), (2,))
         rep = self.assert_matches_reference(c, [1.0, 0.0])
         assert not rep.passed and rep.branches == 4
         assert rep.min_fidelity == pytest.approx(np.cos(t), abs=1e-12)
@@ -514,7 +529,7 @@ class TestMergedVerify:
         p, t = 1e-13, 4e-6
         turn = replace(mcroty(2 * t, [(1, 1)], 2), condition=Condition((0,), (1,)))
         ops = (hadamard(0), measure(0, 0), roty(1, 2 * np.arcsin(np.sqrt(p))), turn, measure(1, 1))
-        c = Circuit(3, 2, ops, (2,))
+        c = Circuit(3, 2, table_of(ops), (2,))
         rows, *_, spread = _walk(c, "enumerate", None, None, 14, True)
         assert len(rows) == 1 and 0.0 < spread.max() < 2e-5
         tau = np.sqrt(2.0 * 0.95 * FIDELITY_TOL)
@@ -531,7 +546,7 @@ class TestMergedVerify:
         p = BRANCH_PROB_TOL * (1.0 - 1e-5)
         ops = (hadamard(1), measure(1, 0), roty(0, 2.4e-12, condition=Condition((0,), (1,))),
                roty(2, 2.0 * np.arcsin(np.sqrt(p))), measure(2, 1))
-        c = Circuit(3, 2, ops, (0,))
+        c = Circuit(3, 2, table_of(ops), (0,))
         rows, *_, spread = _walk(c, "enumerate", None, None, 14, True)
         assert len(rows) == 1 and np.isinf(spread).all()
         assert self.assert_matches_reference(c, [1.0, 0.0]).branches == 2
@@ -546,10 +561,11 @@ class TestMergedVerify:
         # Criterion 2: the paper's printed wire-6 angle, in place of the
         # synthesized one, leaves a stage whose rows never merge.
         c = sp.synthesize_dc(sp.build_tree(dense_vector))
-        wire6 = next(op for op in c.ops if op.role == "meas_basis" and op.qubits == (6,))
+        records = records_of(c.ops)
+        wire6 = next(op for op in records if op.role == "meas_basis" and op.qubits == (6,))
         for angle in (1.24, -1.24):
-            ops = tuple(replace(op, angle=angle) if op is wire6 else op for op in c.ops)
-            rep = self.assert_matches_reference(replace(c, ops=ops), dense_vector)
+            ops = [replace(op, angle=angle) if op is wire6 else op for op in records]
+            rep = self.assert_matches_reference(replace(c, ops=table_of(ops)), dense_vector)
             assert not rep.passed and rep.branches == 16
 
     def test_merged_walk_matches_reference(self, dense_vector, w_vector):
@@ -567,7 +583,7 @@ class TestMergedVerify:
     def test_large_cap_costs_nothing(self):
         # The cap is compared by bit length: 2**cap is never built.
         ops = (hadamard(0),) + tuple(measure(k, k) for k in range(20))
-        c = Circuit(20, 20, ops, (0,))
+        c = Circuit(20, 20, table_of(ops), (0,))
         tracemalloc.start()
         try:
             assert len(sp.run(c, branch_cap=10**8)) == 2
@@ -579,7 +595,7 @@ class TestMergedVerify:
     def test_cap_bounds_rows_not_measured_wires(self):
         # 20 measured wires, all but one certain: two branches fit a cap of 1.
         ops = (hadamard(0),) + tuple(measure(k, k) for k in range(20))
-        c = Circuit(20, 20, ops, (0,))
+        c = Circuit(20, 20, table_of(ops), (0,))
         assert len(sp.run(c, branch_cap=1)) == 2
         with pytest.raises(TooManyBranches):
             sp.run(c, branch_cap=0)
@@ -638,7 +654,7 @@ def hand_made_circuit(rng):
     if not isolated and all(ends):
         d, a = ends[0][0], ends[1][0]
         ops += [hadamard(d), mcroty(float(rng.normal()), [(d, 1)], a), reset(a)]
-    return Circuit(n, len(written), tuple(ops), data)
+    return Circuit(n, len(written), table_of(ops), data)
 
 
 def test_waits_of_hand_made_circuits_match_the_reference():
@@ -648,7 +664,7 @@ def test_waits_of_hand_made_circuits_match_the_reference():
     for _ in range(200):
         c = hand_made_circuit(rng)
         assert_waits_match_reference(c.ops)
-        resets += any(op.kind == "reset" for op in c.ops)
+        resets += any(op.kind == "reset" for op in records_of(c.ops))
     assert resets > 50
 
 
@@ -660,7 +676,7 @@ class TestDataRegisterView:
         # Data wire 0's outcome is read by a condition and then places the
         # data state: the merged walk keeps its column to the end.
         ops = (hadamard(0), measure(0, 0), pauli_x(1, condition=Condition((0,), (1,))))
-        c = Circuit(2, 1, ops, (1, 0))
+        c = Circuit(2, 1, table_of(ops), (1, 0))
         assert [b.data_state.tolist() for b in sp.run(c)] == [[1, 0, 0, 0], [0, 0, 0, 1]]
         rep = sp.verify_preparation(c, [1.0, 0.0, 0.0, 0.0])
         assert (rep.passed, rep.branches, rep.min_fidelity) == (False, 2, 0.0)
@@ -673,13 +689,13 @@ class TestDataRegisterView:
         for _ in range(200):
             c = hand_made_circuit(rng)
             seen["unsorted data"] += list(c.data_qubits) != sorted(c.data_qubits)
-            measures = [op.qubits[0] for op in c.ops if op.kind == "measure"]
+            measures = [op.qubits[0] for op in records_of(c.ops) if op.kind == "measure"]
             seen["measured data"] += bool(set(measures) & set(c.data_qubits))
-            last = {q: op.kind for op in c.ops for q in op.qubits}
+            last = {q: op.kind for op in records_of(c.ops) for q in op.qubits}
             ancillas = [q for q in range(c.n_qubits)
                         if q not in c.data_qubits and last.get(q) not in ("measure", "reset")]
             seen["live ancilla"] += bool(ancillas)
-            seen["reset"] += any(op.kind == "reset" for op in c.ops)
+            seen["reset"] += any(op.kind == "reset" for op in records_of(c.ops))
             # An ancilla that ends in a reset is fixed at 0 for the oracle.
             seen["reset ancilla"] += any(last.get(q) == "reset" for q in range(c.n_qubits)
                                          if q not in c.data_qubits)
@@ -694,8 +710,9 @@ class TestDataRegisterView:
             # Measured at the end, every ancilla is sliced by the oracle,
             # whose data axes run in wire order; its data state keeps the
             # branch's phase.
-            closed = Circuit(c.n_qubits, len(measures) + len(ancillas), tuple(c.ops) + tuple(
-                measure(q, len(measures) + k) for k, q in enumerate(ancillas)), c.data_qubits)
+            ends = [measure(q, len(measures) + k) for k, q in enumerate(ancillas)]
+            closed = Circuit(c.n_qubits, len(measures) + len(ancillas),
+                             table_of(records_of(c.ops) + ends), c.data_qubits)
             axes = [sorted(c.data_qubits).index(q) for q in c.data_qubits]
             want = {o: (p, d) for o, p, d in oracle_branches(closed)}
             for b in sp.run(closed):

@@ -9,7 +9,7 @@ from stateprep.divide_conquer import _plan_tree
 from stateprep.time_encoding import rotation_ops
 from stateprep.tolerances import ANGLE_TOL
 
-from conftest import oracle_statevector, random_unit
+from conftest import fidelity, oracle_statevector, random_unit, records_of, statevector
 
 
 def test_dense_example_structure(dense_vector):
@@ -17,16 +17,16 @@ def test_dense_example_structure(dense_vector):
     assert len(c.ops) == 7
     m = sp.metrics(c)
     assert (m.qubits, m.depth_gates) == (3, 7)
-    assert np.allclose(np.abs(sp.statevector(c)), dense_vector, atol=1e-12)
-    assert sp.fidelity(sp.statevector(c), dense_vector) == pytest.approx(1, abs=1e-12)
+    assert np.allclose(np.abs(statevector(c)), dense_vector, atol=1e-12)
+    assert fidelity(statevector(c), dense_vector) == pytest.approx(1, abs=1e-12)
 
 
 def test_single_qubit_is_plain_rotation():
     t = 0.8321
     c = sp.synthesize_time(sp.build_tree([np.cos(t / 2), np.sin(t / 2)]))
     assert len(c.ops) == 1
-    assert c.ops[0].kind == "roty"
-    assert c.ops[0].angle == pytest.approx(t, abs=1e-12)
+    assert records_of(c.ops)[0].kind == "roty"
+    assert records_of(c.ops)[0].angle == pytest.approx(t, abs=1e-12)
 
 
 def test_random_vectors_exact():
@@ -34,14 +34,14 @@ def test_random_vectors_exact():
     for _ in range(20):
         x = random_unit(rng, 16)
         c = sp.synthesize_time(sp.build_tree(x))
-        assert sp.fidelity(sp.statevector(c), x) == pytest.approx(1, abs=1e-12)
+        assert fidelity(statevector(c), x) == pytest.approx(1, abs=1e-12)
 
 
 def test_matches_dense_matrix_oracle():
     rng = np.random.default_rng(13)
     x = random_unit(rng, 8)
     c = sp.synthesize_time(sp.build_tree(x))
-    assert np.allclose(sp.statevector(c), oracle_statevector(c), atol=1e-12)
+    assert np.allclose(statevector(c), oracle_statevector(c), atol=1e-12)
 
 
 def test_gate_count_bound_with_zero_angles():
@@ -50,7 +50,7 @@ def test_gate_count_bound_with_zero_angles():
     x = x / np.linalg.norm(x)
     c = sp.synthesize_time(sp.build_tree(x))
     assert len(c.ops) < 7
-    assert sp.fidelity(sp.statevector(c), x) == pytest.approx(1, abs=1e-12)
+    assert fidelity(statevector(c), x) == pytest.approx(1, abs=1e-12)
 
 
 def test_controls_enumerate_prefixes():
@@ -58,7 +58,7 @@ def test_controls_enumerate_prefixes():
     x = random_unit(rng, 8)
     c = sp.synthesize_time(sp.build_tree(x))
     level_counts = {}
-    for op in c.ops:
+    for op in records_of(c.ops):
         n_controls = 0 if op.kind == "roty" else len(op.qubits) - 1
         level_counts[n_controls] = level_counts.get(n_controls, 0) + 1
         if op.kind == "mcroty":
@@ -98,7 +98,7 @@ def test_rotation_ops_polarities_spell_positions():
                         ]
                         ops = rotation_ops(tree, wires, base_node=f)
                         assert len(ops) == len(want)
-                        for op, (k, p, angle) in zip(ops, want):
+                        for op, (k, p, angle) in zip(records_of(ops), want):
                             assert op.kind == ("roty" if k == 0 else "mcroty")
                             assert op.qubits == tuple(wires[: k + 1])
                             if k > 0:
@@ -115,7 +115,8 @@ def test_rotation_ops_on_wires_in_any_order():
     tree = sp.build_tree(random_unit(np.random.default_rng(3), 16))
     wires = [7, 2, 11, 0]
     ops = rotation_ops(tree, wires)
-    assert [op.qubits for op in ops] == [tuple(wires[:k + 1]) for k in range(4) for _ in range(2**k)]
+    assert [op.qubits for op in records_of(ops)] == [
+        tuple(wires[:k + 1]) for k in range(4) for _ in range(2**k)]
 
 
 def test_synthesis_holds_little_more_than_the_table():

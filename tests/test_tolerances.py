@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import stateprep as sp
-from stateprep.circuit import Circuit, Condition, hadamard, measure, pauli_z, reset, roty
+from stateprep.circuit import Circuit
 from stateprep.cli import main
 from stateprep.discrimination import OrthPair, _inner_step, decompose, evaluate_plan
 from stateprep.errors import NegativeAmplitude, NonUnitInput, NotOrthogonal
@@ -37,6 +37,8 @@ from stateprep.tolerances import (
 )
 from stateprep.tree import states_equal
 
+from conftest import Condition, hadamard, measure, pauli_z, records_of, reset, roty, table_of
+
 EDGES = [(0.5, True), (2.0, False)]  # (multiple of the tolerance, inside it)
 
 
@@ -44,7 +46,7 @@ EDGES = [(0.5, True), (2.0, False)]  # (multiple of the tolerance, inside it)
 def test_fidelity_tol(scale, inside):
     # roty(theta) leaves |0> with fidelity cos(theta/2) to the target |0>.
     theta = 2.0 * np.arccos(1.0 - scale * FIDELITY_TOL)
-    circuit = Circuit(1, 0, (roty(0, theta),), (0,))
+    circuit = Circuit(1, 0, table_of((roty(0, theta),)), (0,))
     assert sp.verify_preparation(circuit, [1.0, 0.0]).passed == inside
 
 
@@ -53,7 +55,7 @@ def test_branch_prob_tol(scale, inside):
     # Outcome 1 of the measured wire has probability sin(theta/2)**2; a
     # branch below the tolerance is dropped.
     theta = 2.0 * np.arcsin(np.sqrt(scale * BRANCH_PROB_TOL))
-    circuit = Circuit(2, 1, (roty(1, theta), measure(1, 0)), (0,))
+    circuit = Circuit(2, 1, table_of((roty(1, theta), measure(1, 0))), (0,))
     outcomes = [b.outcomes for b in sp.run(circuit)]
     assert outcomes == ([(0,)] if inside else [(0,), (1,)])
 
@@ -64,7 +66,7 @@ def test_unit_norm_tol(scale, inside):
     right = np.array([0.0, 1.0])
     if inside:
         ops = sp.compile_disentangler(left, right, [1], 0)
-        assert [op.kind for op in ops][-2:] == ["measure", "z"]
+        assert [op.kind for op in records_of(ops)][-2:] == ["measure", "z"]
     else:
         with pytest.raises(NonUnitInput):
             sp.compile_disentangler(left, right, [1], 0)
@@ -140,7 +142,7 @@ def test_merge_bound_tol(scale, inside):
     d = scale * MERGE_BOUND_TOL * np.sqrt(2.0)
     ops = (hadamard(1), measure(1, 0),
            roty(0, 4.0 * np.arcsin(d / 2.0), condition=Condition((0,), (1,))))
-    rows = _walk(Circuit(2, 1, ops, (0,)), "enumerate", None, None, 14, True)[0]
+    rows = _walk(Circuit(2, 1, table_of(ops), (0,)), "enumerate", None, None, 14, True)[0]
     assert len(rows) == (1 if inside else 2)
 
 
@@ -189,7 +191,7 @@ def test_prob_sum_tol(scale, inside):
     ops = [op for q in coins for op in (hadamard(q), measure(q, q - 2))]
     ops += [roty(1, 2.0 * np.arcsin(np.sqrt(p))), reset(1)] * 5
     ops.append(pauli_z(0, condition=Condition(tuple(range(12)), (0,))))
-    rep = sp.verify_preparation(Circuit(14, 12, tuple(ops), (0,)), [1.0, 0.0])
+    rep = sp.verify_preparation(Circuit(14, 12, table_of(ops), (0,)), [1.0, 0.0])
     assert rep.sum_prob == pytest.approx(1.0 - 5.0 * p, abs=1e-13)
     assert (rep.min_fidelity, rep.passed) == (1.0, inside)
 

@@ -14,9 +14,8 @@ from stateprep.errors import (
     ZeroVector,
 )
 from stateprep.tolerances import ZERO_NORM_TOL
-from stateprep.tree import children_of, level_of
 
-from conftest import random_unit
+from conftest import children_of, level_of, preorder, random_unit, records_of, subtree_state
 
 
 def path_product(tree, leaf):
@@ -33,7 +32,7 @@ def path_product(tree, leaf):
 class TestBuildTree:
     def test_dense_example_angles(self, dense_vector):
         tree = sp.build_tree(dense_vector)
-        order = sp.preorder(tree)
+        order = preorder(tree)
         got = [tree.alpha[f] for f in order]
         expected = [1.51, 1.94, 2.13, 1.68, 1.90, 1.70, 1.28]
         assert np.allclose(got, expected, atol=0.005)
@@ -122,10 +121,10 @@ class TestBuildTree:
 
 class TestPreorder:
     def test_n3(self, dense_vector):
-        assert sp.preorder(sp.build_tree(dense_vector)) == [0, 1, 3, 4, 2, 5, 6]
+        assert preorder(sp.build_tree(dense_vector)) == [0, 1, 3, 4, 2, 5, 6]
 
     def test_n1(self):
-        assert sp.preorder(sp.build_tree([0.6, 0.8])) == [0]
+        assert preorder(sp.build_tree([0.6, 0.8])) == [0]
 
     def test_n4(self):
         rng = np.random.default_rng(3)
@@ -138,13 +137,13 @@ class TestPreorder:
             return [f] + recurse(2 * f + 1) + recurse(2 * f + 2)
 
         assert recurse(0) == expected
-        assert sp.preorder(tree) == expected
+        assert preorder(tree) == expected
 
     @given(st.integers(min_value=1, max_value=6))
     @settings(max_examples=12, deadline=None)
     def test_is_permutation(self, n):
         x = np.ones(2**n) / 2 ** (n / 2)
-        order = sp.preorder(sp.build_tree(x))
+        order = preorder(sp.build_tree(x))
         assert sorted(order) == list(range(2**n - 1))
 
 
@@ -152,16 +151,16 @@ class TestSubtreeState:
     def test_dense_internal_node(self, dense_vector):
         tree = sp.build_tree(dense_vector)
         expected = np.sqrt([0.04, 0.13, 0.16, 0.2]) / np.sqrt(0.53)
-        assert np.allclose(sp.subtree_state(tree, 1), expected, atol=1e-12)
+        assert np.allclose(subtree_state(tree, 1), expected, atol=1e-12)
 
     def test_dense_leaf_node(self, dense_vector):
         tree = sp.build_tree(dense_vector)
         expected = np.sqrt([0.04, 0.13]) / np.sqrt(0.17)
-        assert np.allclose(sp.subtree_state(tree, 3), expected, atol=1e-12)
+        assert np.allclose(subtree_state(tree, 3), expected, atol=1e-12)
 
     def test_root_reproduces_input(self, dense_vector):
         tree = sp.build_tree(dense_vector)
-        assert np.allclose(sp.subtree_state(tree, 0), dense_vector, atol=1e-12)
+        assert np.allclose(subtree_state(tree, 0), dense_vector, atol=1e-12)
 
     def test_matches_slice_oracle(self):
         rng = np.random.default_rng(5)
@@ -171,17 +170,17 @@ class TestSubtreeState:
             level = level_of(f)
             width = 16 >> level
             seg = x[(f - (2**level - 1)) * width : (f - (2**level - 1)) * width + width]
-            assert np.allclose(sp.subtree_state(tree, f), seg / np.linalg.norm(seg), atol=1e-12)
+            assert np.allclose(subtree_state(tree, f), seg / np.linalg.norm(seg), atol=1e-12)
 
     def test_undefined_node_raises(self, w_vector):
         tree = sp.build_tree(w_vector)
         for f in (-1, 7):
             with pytest.raises(IndexError):
-                sp.subtree_state(tree, f)
+                subtree_state(tree, f)
 
     def test_rebuild_idempotence(self, dense_vector):
         tree = sp.build_tree(dense_vector)
-        rebuilt = sp.build_tree(sp.subtree_state(tree, 0))
+        rebuilt = sp.build_tree(subtree_state(tree, 0))
         assert np.allclose(tree.omega0, rebuilt.omega0, atol=1e-12)
         assert np.allclose(tree.omega1, rebuilt.omega1, atol=1e-12)
         assert np.allclose(tree.alpha, rebuilt.alpha, atol=1e-12)
@@ -194,7 +193,7 @@ class TestPrune:
     def pruned(x):
         tree = sp.build_tree(x)
         circuit = sp.synthesize_dc(tree, DcOptions(prune=True))
-        loads = {op.qubits[0] for op in circuit.ops if op.role == ROLE_LOAD}
+        loads = {op.qubits[0] for op in records_of(circuit.ops) if op.role == ROLE_LOAD}
         return _plan_tree(tree, tree.n - 1, prune=True), circuit, loads
 
     def test_w_state_plan(self, w_vector):
@@ -210,7 +209,7 @@ class TestPrune:
         plan, circuit, loads = self.pruned(e0)
         assert plan.keep.tolist() == [[True, False]] * 3
         assert not loads
-        assert not any(op.kind == "cswap" for op in circuit.ops)
+        assert not any(op.kind == "cswap" for op in records_of(circuit.ops))
 
     def test_balanced_vector_plan(self):
         x = np.array([1.0, 2.0, 1.0, 2.0])
@@ -219,7 +218,7 @@ class TestPrune:
 
     def test_state_or_ground_for_zero_norm(self, w_vector):
         tree = sp.build_tree(w_vector)
-        assert np.array_equal(sp.subtree_state(tree, 6), [1.0, 0.0])
+        assert np.array_equal(subtree_state(tree, 6), [1.0, 0.0])
 
     def test_levels_and_children_helpers(self):
         assert [level_of(f) for f in (0, 1, 2, 3, 6, 7, 14)] == [0, 1, 1, 2, 2, 3, 3]
