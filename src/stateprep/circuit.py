@@ -4,7 +4,8 @@ Gates, mid-circuit measurements and classically conditioned operations are
 stored as one op table (``OpTable``), an array per field, which synthesis
 emits level by level and ``validate``, ``metrics``, ``serialize`` and the
 simulator read.  Beside it, ``validate``, ``metrics`` and ``serialize``
-hold a few arrays no longer than a field, or one run of ``CHUNK`` ops.
+hold a few arrays no longer than a field, or one run of at most ``CHUNK``
+ops and about ``ENTRIES`` entries.
 ``Circuit.ops`` is that table, the one way into a circuit: synthesis
 builds it with ``op_table`` and ``deserialize`` reads a document into it.
 A condition fires when the integer that previously written classical
@@ -61,6 +62,7 @@ ROLE = {r: code for code, r in enumerate(ROLES)}
 RAGGED = ("qubits", "polarities", "bits", "values", "angle")
 _INT64 = range(-(2**63), 2**63)  # the integers a table's columns hold
 CHUNK = 1024  # ops written, or whose waits the depth pass lists, at a time
+ENTRIES = 2**14  # ragged entries written at a time, and those of one op past them
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,12 +391,12 @@ def _number(a: float) -> str:
 def serialize(circuit: Circuit, out=None) -> str | None:
     """One line of JSON, as ``json.dumps`` with compact separators spells
     it; angles keep 12 significant digits.  Returned, or written to the
-    text file ``out`` a run of ``CHUNK`` ops at a time."""
+    text file ``out`` a run of ops at a time (``_runs``)."""
     t, data = circuit.ops, ",".join(map(str, circuit.data_qubits))
     head = (f'{{"n_qubits":{circuit.n_qubits},"n_clbits":{circuit.n_clbits},'
             f'"data_qubits":[{data}],"ops":[')
-    runs = range(0, t.n_ops, CHUNK)  # each run's first op, then where its entries start
-    firsts = accumulate((t.counts[a:a + CHUNK].sum(axis=0) for a in runs),
+    runs = list(_runs(t))  # each run's ops, then where its entries start
+    firsts = accumulate((t.counts[a:b].sum(axis=0) for a, b in runs),
                         initial=np.zeros(len(RAGGED), dtype=np.int64))
     pieces = chain((head,), map(_ops_text, repeat(t), runs, firsts), ("]}\n",))
     if out is None:
@@ -402,10 +404,22 @@ def serialize(circuit: Circuit, out=None) -> str | None:
     out.writelines(pieces)
 
 
-def _ops_text(t: OpTable, a: int, first: np.ndarray) -> str:
-    """Ops ``a`` to ``a + CHUNK`` of ``t``, whose entries start at ``first``,
-    comma-separated, and after a comma unless ``a`` is 0."""
-    run = slice(a, a + CHUNK)
+def _runs(t: OpTable):
+    """The runs of ops that ``serialize`` writes at a time, as (first, end)
+    pairs.  Each ``CHUNK`` ops are cut before every op whose entries end in
+    a later span of ``ENTRIES`` than the op before it, so a run holds at
+    most ``CHUNK`` ops, and at most ``ENTRIES`` entries beside those of its
+    first op: a dense circuit's last stage holds ops of thousands."""
+    for a in range(0, t.n_ops, CHUNK):
+        span = (np.cumsum(t.counts[a:a + CHUNK].sum(axis=1)) - 1) // ENTRIES
+        cuts = (a + 1 + np.flatnonzero(span[1:] != span[:-1])).tolist()
+        yield from zip([a, *cuts], [*cuts, a + len(span)])
+
+
+def _ops_text(t: OpTable, run: tuple[int, int], first: np.ndarray) -> str:
+    """The ops of ``t`` in ``run``, a (first, end) pair, whose entries start
+    at ``first``, comma-separated, and after a comma unless op 0 is first."""
+    run = slice(*run)
     flats = zip(RAGGED, first.tolist(), (first + t.counts[run].sum(axis=0)).tolist())
     t = OpTable(t.kind[run], t.role[run], t.clbit[run],  # views of the run's columns
                 *(getattr(t, name)[i:j] for name, i, j in flats), t.counts[run])
@@ -421,7 +435,7 @@ def _ops_text(t: OpTable, a: int, first: np.ndarray) -> str:
              for b, v in zip(_joined(t, 2), _joined(t, 3))]
     texts = map("".join, zip(map(_KIND_TEXT.__getitem__, kinds), _joined(t, 0), angles, clbits,
                              pols, conds, map(_ROLE_TEXT.__getitem__, t.role.tolist())))
-    return ("," if a else "") + ",".join(texts)
+    return ("," if run.start else "") + ",".join(texts)
 
 
 _FIELDS = {"kind", "qubits", "angle", "clbit", "polarities", "condition", "role"}

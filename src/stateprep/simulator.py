@@ -17,7 +17,9 @@ wire leaves its cluster, and a reset wire starts a new one in |0>.
 ``BRANCH_PROB_TOL``.  ``sample`` splits a branch's shots between the
 outcomes with one binomial draw, so the counts are multinomial.  The
 walk hands back arrays over its rows, and ``run`` and ``verify_preparation``
-read the data register from one view of them (``_data_matrices``).
+read the data register from one view of them (``_data_matrices``).  A
+wire that no op touches and that holds no data stays in |0> and factors
+out, so no cluster holds it.
 
 ``verify_preparation`` in enumerate mode also merges.  After the last
 reader of some outcomes, the rows of a cluster within ``MERGE_TOL`` of
@@ -105,17 +107,18 @@ def _slices(kind: int, qubits: list[int], polarities: list[int], wires: list[int
     )
 
 
-def _plan(circuit: Circuit):
-    """The walk, read from the op table.  Per op: (the clusters it joins,
-    the one it acts on, its two slices there, the measurement that each
-    bit of its condition waits for (``OpTable.bit_waits``), the values on
-    which it fires, its matrices or None for a split, the new cluster of a
-    reset wire).  An op's matrices are the identity, then its kind's
-    matrix or one per angle, in the order of its values (see
-    ``_selects``).  Per splitting op, the last op that needs its outcome;
-    a measured data wire's outcome places the data state, so it is needed
-    to the end.  The clusters left at the end, and the op that measures
-    each measured wire."""
+def _plan(circuit: Circuit, used: list[int]):
+    """The walk over the wires ``used``, read from the op table.  Per op:
+    (the clusters it joins, the one it acts on, its two slices there, the
+    measurement that each bit of its condition waits for
+    (``OpTable.bit_waits``), the values on which it fires, its matrices or
+    None for a split, the new cluster of a reset wire).  An op's matrices
+    are the identity, then its kind's matrix or one per angle, in the order
+    of its values (see ``_selects``).  Per splitting op, the last op that
+    needs its outcome; a measured data wire's outcome places the data state,
+    so it is needed to the end.  The clusters left at the end, and the op
+    that measures each measured wire.  Cluster ``q`` is wire ``q`` before an
+    op joins it."""
     t, n = circuit.ops, circuit.n_qubits
     kind, na = np.repeat(t.kind, t.counts[:, 4]), t.counts[:, 4]  # per angle; per op
     cos, sin = np.cos(t.angle / 2.0), np.sin(t.angle / 2.0)
@@ -128,8 +131,8 @@ def _plan(circuit: Circuit):
     j, op = ranges(size), np.repeat(np.arange(t.n_ops), size)
     pick = np.where(na[op] > 0, t.n_ops + t.offsets(4)[op] + j, 1 + op)
     stacks, bounds = own[np.where(j > 0, pick, 0)], np.cumsum(size).tolist()
-    wires = {q: [q] for q in range(n)}  # cluster -> its wires, one axis each
-    owner = list(range(n))
+    wires = {q: [q] for q in used}  # cluster -> its wires, one axis each
+    owner = dict(zip(used, used))
     last: dict[int, int] = {}  # splitting op -> the last op that needs its outcome
     measured: dict[int, int] = {}  # wire -> the op that measured it
     steps, new = [], n
@@ -277,16 +280,17 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
         rng, total, merge = np.random.default_rng(seed), shots, False
     elif mode != "enumerate":
         raise ValueError(f"unknown mode {mode!r}")
-    # The wires no op measures are the final register.  Planning takes
-    # O(n_qubits) and the final join fails only after it, so a final register
-    # of more than sys.maxsize bytes is refused first, in O(ops).
-    width = circuit.n_qubits - int(np.count_nonzero(circuit.ops.kind == KIND["measure"]))
+    # The wires that ops touch or that hold data, and that no op measures,
+    # are the final register.  The final join fails only after planning, so
+    # a final register of more than sys.maxsize bytes is refused first.
+    used = sorted({*circuit.ops.qubits.tolist(), *circuit.data_qubits})
+    width = len(used) - int(np.count_nonzero(circuit.ops.kind == KIND["measure"]))
     too_wide = f"a final register of {width} wires does not fit in memory"
     if 16 * 2 ** min(width, 64) > sys.maxsize:
         raise MemoryError(too_wide)
-    steps, last, final, measured = _plan(circuit)
+    steps, last, final, measured = _plan(circuit, used)
     ends = set(last.values()) if merge else set()
-    tensors = {q: _GROUND.copy() for q in range(circuit.n_qubits)}
+    tensors = {q: _GROUND.copy() for q in used}
     rows: dict[int, np.ndarray] = {}  # cluster -> each branch's row, if it has several
     outcomes = np.zeros((1, 0), dtype=np.int8)
     column: dict[int, int] = {}  # splitting op -> its outcome column

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stateprep as sp
-from stateprep.circuit import CHUNK, Circuit, deserialize, layers, op_table, serialize
+from stateprep.circuit import (CHUNK, ENTRIES, Circuit, _runs, deserialize, layers, op_table,
+                               serialize)
 from stateprep.errors import InvalidCircuit, ParseError
 
 from conftest import (
@@ -805,20 +806,52 @@ def chunk_circuit(n_ops):
     return Circuit(3, 1, table, (0, 1))
 
 
+def selected_circuit(end):
+    """Fourteen measurements, then y-rotations of wire 14 selected by all
+    fourteen bits, each holding 15 + 2v entries for v values, then two
+    ``h``: the first rotation ends at entry ``end`` (an ``h`` before it
+    sets the parity), the second holds 17 entries and the third more than
+    ``ENTRIES``."""
+    ops = [measure(k, k) for k in range(14)] + [hadamard(14)] * ((end - 1) % 2)
+    for v in ((end - 29 - (end - 1) % 2) // 2, 1, 2**14 - 1):
+        ops.append(roty(14, tuple(np.linspace(0.1, 3.0, v)), Condition(tuple(range(14)),
+                                                                       tuple(range(v)))))
+    return Circuit(15, 14, table_of(ops + [hadamard(14)] * 2), (14,))
+
+
+def assert_written_as_text(c, tmp_path):
+    """Writing ``c`` to a file writes the text that ``serialize`` returns, which
+    is the compact JSON encoding and reads back to itself."""
+    path = tmp_path / "c.json"
+    with open(path, "w") as fh:
+        assert serialize(c, fh) is None
+    text = path.read_text()
+    assert text == serialize(c)
+    assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text
+    assert len(json.loads(text)["ops"]) == len(c.ops)
+    assert serialize(deserialize(text)) == text
+
+
 class TestSerialization:
-    # Edges after the first chunk, and after the fourth (4,096 ops, the
-    # chunk size before runs of 1,024).
+    # A run ends at least at every CHUNK-th op: edges after the first chunk,
+    # and after the fourth.
     @pytest.mark.parametrize("n_ops", [0, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK,
                                        4 * CHUNK + 1])
     def test_written_document_is_the_text_across_chunk_edges(self, n_ops, tmp_path):
-        c, path = chunk_circuit(n_ops), tmp_path / "c.json"
-        with open(path, "w") as fh:
-            assert serialize(c, fh) is None
-        text = path.read_text()
-        assert text == serialize(c)
-        assert json.dumps(json.loads(text), separators=(",", ":")) + "\n" == text
-        assert len(json.loads(text)["ops"]) == n_ops
-        assert serialize(deserialize(text)) == text
+        assert_written_as_text(chunk_circuit(n_ops), tmp_path)
+
+    @pytest.mark.parametrize("end", [ENTRIES - 1, ENTRIES, ENTRIES + 1])
+    def test_written_document_is_the_text_across_entry_edges(self, end, tmp_path):
+        # A run also ends before an op whose entries end in a later span of
+        # ENTRIES, so the op ending at entry ``end`` ends the first run if
+        # ``end`` is at most ENTRIES and starts the second if not.  The op of
+        # more than ENTRIES entries starts a run, and the two small ops after
+        # it, ending in its last span, join it.
+        c, first = selected_circuit(end), 14 + (end - 1) % 2
+        assert c.ops.counts[: first + 1].sum() == end
+        cut = first + (end <= ENTRIES)
+        assert list(_runs(c.ops)) == [(0, cut), (cut, first + 2), (first + 2, first + 5)]
+        assert_written_as_text(c, tmp_path)
 
     def test_writing_holds_one_chunk_of_text(self, tmp_path):
         # Time encoding at n=14 writes sixteen chunks of ops, at n=13 eight.
@@ -828,6 +861,24 @@ class TestSerialization:
         peaks = []
         for n in (13, 14):
             c = sp.synthesize_time(sp.build_tree(random_unit(np.random.default_rng(n), 2**n)))
+            with open(tmp_path / "c.json", "w") as fh:
+                tracemalloc.start()
+                try:
+                    serialize(c, fh)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+        assert peaks[1] <= 2**20, peaks
+
+    def test_writing_a_dense_document_holds_one_run_of_entries(self, tmp_path):
+        # A dense dc circuit's last stage holds selected rotations of
+        # thousands of entries.  In runs of 1,024 ops they shared one chunk,
+        # which peaked at 1.12 MiB at n=12 and 2.05 MiB at n=13; runs of at
+        # most ENTRIES entries peak at 0.63 and 0.69 MiB.
+        peaks = []
+        for n in (12, 13):
+            c = sp.synthesize_dc(sp.build_tree(random_unit(np.random.default_rng(n), 2**n)))
             with open(tmp_path / "c.json", "w") as fh:
                 tracemalloc.start()
                 try:

@@ -298,12 +298,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("n_qubits", [50_000, 10**9])
     def test_unallocatable_final_register_exits_two_at_once(self, n_qubits, tmp_path, capsys):
-        # One ``h`` and no measurement: the final register holds every wire.
-        # It is refused before the walk plans a cluster per wire.
+        # An ``h`` on each of 64 wires and no measurement: the final register
+        # holds those 64, and not the wires that no op touches.  It is refused
+        # before the walk plans a cluster per wire.
         vec = write_vector(tmp_path, "v.json", [1.0, 0.0])
         doc = tmp_path / "wide.json"
         doc.write_text(json.dumps({"n_qubits": n_qubits, "n_clbits": 0, "data_qubits": [0],
-                                   "ops": [{"kind": "h", "qubits": [0]}]}))
+                                   "ops": [{"kind": "h", "qubits": [q]} for q in range(64)]}))
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -312,7 +313,36 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert rc == 2 and elapsed < 1.0 and peak < 2**20
-        assert f"{n_qubits} wires" in capsys.readouterr().err
+        assert "64 wires" in capsys.readouterr().err
+
+    def test_idle_wires_stay_out_of_the_final_register(self, tmp_path, capsys):
+        # A dense n=3 document of 7 wires, declared with 30: the 23 wires that
+        # no op touches and that hold no data stay in |0> and factor out.
+        # Joined into the final register, they asked for 16 GiB.  The child
+        # sets a 1 GiB address-space limit before it imports anything, so
+        # that such a join fails rather than exhausting the host.  Its peak
+        # RSS is read from its own address space (VmHWM): ``ru_maxrss``
+        # counts this process's too, which the child shares until it execs.
+        vec = str(Path(__file__).parent / "data" / "dc_n3_vector.json")
+        doc = tmp_path / "c.json"
+        assert main(["compile", vec, "--method", "dc", "--out", str(doc)]) == 0
+        capsys.readouterr()
+        wide = json.loads(doc.read_text())
+        assert wide["n_qubits"] == 7
+        doc.write_text(json.dumps({**wide, "n_qubits": 30}))
+        rss = tmp_path / "rss.txt"
+        code = ("import atexit, resource, runpy; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); atexit.register("
+                f"lambda: open({str(rss)!r}, 'w').writelines(line for line in "
+                "open('/proc/self/status') if line.startswith('VmHWM:'))); "
+                "runpy.run_module('stateprep', run_name='__main__')")
+        path = [str(Path(sp.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "verify", str(doc), vec], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True
+        assert int(rss.read_text().split()[1]) < 100 * 1024  # kB
 
     @pytest.mark.parametrize("module, name", [("simulator", "_product"), ("cli", "deserialize")])
     def test_memory_error_is_worded_where_it_is_raised(self, module, name, monkeypatch, capsys):
@@ -340,8 +370,10 @@ class TestVerify:
              "ops": [measure, dict(measure, clbit=1)]},
             {"n_qubits": 1, "n_clbits": 1, "data_qubits": [0],
              "ops": [measure, {"kind": "x", "qubits": [0]}]},
-            # 2**40 amplitudes: numpy refuses the 16 TiB at once.
-            {"n_qubits": 40, "n_clbits": 0, "data_qubits": [0], "ops": []},
+            # 2**40 amplitudes over 40 wires that ops touch: numpy refuses the
+            # 16 TiB at once.
+            {"n_qubits": 40, "n_clbits": 0, "data_qubits": [0],
+             "ops": [{"kind": "h", "qubits": [q]} for q in range(40)]},
         )
         for doc in docs:
             bad = tmp_path / "bad.json"

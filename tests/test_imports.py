@@ -1,4 +1,5 @@
-"""What a request loads, and the package's names resolved on first access.
+"""What a request loads, how it exits, and the package's names resolved on
+first access.
 
 A ``python -m stateprep`` request imports the modules of its subcommand
 and no others: ``compile`` no simulator, ``verify`` no synthesis, and
@@ -6,8 +7,11 @@ neither ``compile`` nor an enumerating ``verify`` ``numpy.random``, whose
 import costs about 6 MiB of RSS and 10 ms.  The
 package imports ``circuit`` eagerly; each name of ``__all__``, and each
 submodule, resolves on first access to its defining module's object.
+A request exits through ``cli.run``, which freezes the heap so that
+shutdown's collections skip it; ``cli.main`` in process freezes nothing.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -29,16 +33,27 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
-def loaded_after(tmp_path, *argv) -> set[str]:
-    """``sys.modules`` when ``python -m stateprep *argv``, run in a child that
-    imports the same package as this process, exits."""
-    out = tmp_path / "modules.txt"
-    code = (f"import atexit, runpy, sys; atexit.register(lambda: open({str(out)!r}, 'w')"
-            ".write('\\n'.join(sys.modules))); runpy.run_module('stateprep', run_name='__main__')")
+def probe(tmp_path, *argv):
+    """Run ``python -m stateprep *argv`` in a child that imports the same
+    package as this process.  Its completed process, and at its exit (an
+    atexit handler) ``gc.get_freeze_count()`` and ``sys.modules``."""
+    out = tmp_path / "probe.txt"
+    code = (f"import atexit, gc, runpy, sys; atexit.register(lambda: open({str(out)!r}, 'w')"
+            ".write('\\n'.join([str(gc.get_freeze_count()), *sys.modules]))); "
+            "runpy.run_module('stateprep', run_name='__main__')")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=child_env())
+    frozen, *modules = out.read_text().split()
+    return proc, int(frozen), set(modules)
+
+
+def loaded_after(tmp_path, *argv) -> set[str]:
+    """``sys.modules`` when ``python -m stateprep *argv`` exits 0, having
+    frozen its heap."""
+    proc, frozen, loaded = probe(tmp_path, *argv)
     assert proc.returncode == 0, proc.stderr
-    return set(out.read_text().split())
+    assert frozen > 0
+    return loaded
 
 
 def numpy_loads(module: str) -> bool:
@@ -77,6 +92,29 @@ def test_version_loads_neither_layer(tmp_path):
     loaded = loaded_after(tmp_path, "--version")
     assert "stateprep.cli" in loaded
     assert sorted(loaded & (SIMULATION | SYNTHESIS)) == []
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["compile", str(DATA / "dc_n3_vector.json"), "--method", "dc", "--out", "{doc}"]),
+    (1, ["verify", str(DATA / "exact" / "dc_prune_sparse_n5.json"),
+         str(DATA / "golden_w_n5_vector.json")]),
+    (2, ["verify", "{doc}", str(DATA / "dc_n3_vector.json")]),  # no such file
+    (2, ["compile", "--no-such-flag"]),  # argparse exits
+    (3, ["verify", str(DATA / "exact" / "dc_prune_sparse_n5.json"),
+         str(DATA / "golden_sparse_n5_vector.json"), "--shots", "16"]),
+])
+def test_exit_code_comes_through_the_freeze(code, argv, tmp_path):
+    doc = str(tmp_path / "c.json")
+    proc, frozen, _ = probe(tmp_path, *(a.format(doc=doc) for a in argv))
+    assert proc.returncode == code, proc.stderr
+    assert frozen > 0
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    assert sp.cli.main(["compile", str(DATA / "dc_n3_vector.json"), "--method", "dc",
+                        "--out", str(tmp_path / "c.json")]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_every_public_name_is_its_modules_object():
