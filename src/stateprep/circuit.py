@@ -5,7 +5,8 @@ stored as one op table (``OpTable``), an array per field, which synthesis
 emits level by level and ``validate``, ``metrics``, ``serialize`` and the
 simulator read.  Beside it, ``validate``, ``metrics`` and ``serialize``
 hold a few arrays no longer than a field, or one run of at most ``CHUNK``
-ops and about ``ENTRIES`` entries.
+ops and about ``ENTRIES`` entries, and ``serialize`` a digit table of at
+most ``DIGIT_TOP`` rows.
 ``Circuit.ops`` is that table, the one way into a circuit: synthesis
 builds it with ``op_table`` and ``deserialize`` reads a document into it.
 A condition fires when the integer that previously written classical
@@ -40,7 +41,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, repeat
 
 import numpy as np
 
@@ -355,29 +356,57 @@ def metrics(circuit: Circuit) -> ResourceReport:
     return ResourceReport(circuit.n_qubits, int(np.count_nonzero(t.kind == KIND["cswap"])), *depths)
 
 
-_KIND_TEXT = [f'{{"kind":"{k}","qubits":[' for k in KINDS]
-_ROLE_TEXT = ["}" if r is None else f',"role":"{r}"}}' for r in ROLES]
+# Each op's text starts with a comma, which the document's first op drops.
+_KIND_TEXT = np.array([f',{{"kind":"{k}","qubits":[' for k in KINDS], dtype=object)
+_ROLE_TEXT = np.array(["}" if r is None else f',"role":"{r}"}}' for r in ROLES], dtype=object)
+DIGIT_TOP = 2**15  # the integers below it that a document holds are written from a table
+_FORMAT = np.frombuffer(b"%d,\0\0,", dtype=np.uint8).reshape(2, 3)  # the others by a format
 
 
-def _joined(t: OpTable, j: int) -> list[str]:
-    """Each op's entries of ``RAGGED[j]``, comma-separated; the entries of a
-    valid table are non-negative.  The digits are written with numpy."""
-    flat = getattr(t, RAGGED[j])
-    digits = np.ones(len(flat), dtype=np.int64)
-    for k in range(1, len(str(flat.max(initial=0)))):
-        digits += flat >= 10**k
-    end = np.cumsum(digits + 1)  # just past each entry's comma
-    text = np.full(end[-1] if len(end) else 0, ord(","), dtype=np.uint8)
-    rest = flat.copy()
-    for k in range(int(digits.max(initial=0))):
-        on = digits > k
-        text[(end - 2 - k)[on]] = ord("0") + rest[on] % 10
-        rest //= 10
-    text, starts = text.tobytes().decode(), np.append(end - digits - 1, len(text))
-    off = t.offsets(j)
-    first = starts[off[:-1]]
-    return list(map(text.__getitem__, map(slice, first.tolist(),
-                                          np.maximum(starts[off[1:]] - 1, first).tolist())))
+def _digits(top: int) -> np.ndarray:
+    """Rows of ASCII bytes, NUL-padded on the left: ``v,`` for each ``v``
+    below ``top``, then a row of a lone ``,``."""
+    width = len(str(top - 1)) + 1
+    v, table = np.arange(top), np.zeros((top + 1, width), dtype=np.uint8)
+    for k in range(width - 1):  # the k-th digit from the right, where ``v`` has one
+        table[:top, -2 - k] = np.where((v >= 10**k) | (k == 0), ord("0") + v // 10**k % 10, 0)
+    table[:, -1] = ord(",")
+    return table
+
+
+def _field(digits: np.ndarray, flat: np.ndarray, counts: np.ndarray, head: str = "",
+           tail: str = "") -> list[str]:
+    """Per op of ``counts``, ``head``, its entries of ``flat`` comma-separated,
+    then ``tail``.  The entries of a valid table are non-negative.  Each is
+    a row of ``digits``, or if one is past the table's top, a ``%d,`` row of
+    a format; an op with none is the lone-comma row.  Each op's last comma
+    becomes a ``|``, so one ``split`` cuts the text into ops."""
+    table, args = digits, None
+    if flat.max(initial=0) >= len(digits) - 1:
+        table, args, flat = _FORMAT, tuple(flat.tolist()), np.zeros(len(flat), dtype=np.int64)
+    if not counts.all():
+        flat = np.insert(flat, np.cumsum(counts)[counts == 0], len(table) - 1)
+    rows = np.take(table, flat, axis=0)
+    rows[np.cumsum(np.maximum(counts, 1)) - 1, -1] = ord("|")
+    text = rows.tobytes().translate(None, b"\0").decode()
+    if args is not None:
+        text %= args
+    return (head + text[:-1].replace("|", f"{tail}|{head}") + tail).split("|")
+
+
+def _scattered(texts: list[str], present: np.ndarray) -> list[str]:
+    """``texts`` at the ops that ``present`` marks, and "" at the others."""
+    if present.all():
+        return texts
+    out = np.full(len(present), "", dtype=object)
+    out[present] = texts
+    return out.tolist()
+
+
+def _angle_format(k: int, spec: str = "%.12g") -> str:
+    """The text after an op's qubits: its ``k`` angles, each written by ``spec``."""
+    return ("]" if k == 0 else f'],"angle":{spec}' if k == 1 else
+            f'],"angle":[{",".join([spec] * k)}]')
 
 
 def _number(a: float) -> str:
@@ -386,6 +415,30 @@ def _number(a: float) -> str:
     is that repr already."""
     text = f"{a:.12g}"
     return text if "." in text and "e" not in text else repr(float(text))
+
+
+def _angles(angle: np.ndarray, counts: np.ndarray) -> list[str]:
+    """Each op's ``_angle_format`` text, its ``counts`` angles read in turn
+    from ``angle``, written by one ``%`` format.  ``%.12g`` is ``_number``
+    unless it prints no ``.``, which needs a value that 12 digits round to
+    an integer (within ``0.5e-11`` of its size of one), or an ``e``, which
+    needs a size below ``1e-4`` or from ``1e12 - 0.5`` up, where every
+    value is within 0.5 of an integer.  The ops holding a value within
+    twice that bound of an integer, or below ``1e-4``, are written again by
+    ``_number``."""
+    values, counts = angle.tolist(), counts.tolist()
+    formats = {k: _angle_format(k) + "|" for k in set(counts)}
+    texts = ("".join(map(formats.__getitem__, counts)) % tuple(values)).split("|")
+    texts.pop()  # after the last op's marker
+    size = np.abs(angle)
+    unsure = (size < 1e-4) | (np.abs(angle - np.rint(angle)) <= 1e-11 * size)
+    if unsure.any():
+        off = [0, *accumulate(counts)]
+        ops = np.searchsorted(off, np.flatnonzero(unsure), "right") - 1
+        for i in dict.fromkeys(ops.tolist()):
+            a, b = off[i:i + 2]
+            texts[i] = _angle_format(b - a, "%s") % tuple(map(_number, values[a:b]))
+    return texts
 
 
 def serialize(circuit: Circuit, out=None) -> str | None:
@@ -398,7 +451,9 @@ def serialize(circuit: Circuit, out=None) -> str | None:
     runs = list(_runs(t))  # each run's ops, then where its entries start
     firsts = accumulate((t.counts[a:b].sum(axis=0) for a, b in runs),
                         initial=np.zeros(len(RAGGED), dtype=np.int64))
-    pieces = chain((head,), map(_ops_text, repeat(t), runs, firsts), ("]}\n",))
+    top = max(int(x.max(initial=1)) for x in (t.qubits, t.clbit, t.bits, t.values))
+    digits = _digits(min(top + 1, DIGIT_TOP))  # once per document
+    pieces = chain((head,), map(_ops_text, repeat(t), runs, firsts, repeat(digits)), ("]}\n",))
     if out is None:
         return "".join(pieces)
     out.writelines(pieces)
@@ -416,26 +471,37 @@ def _runs(t: OpTable):
         yield from zip([a, *cuts], [*cuts, a + len(span)])
 
 
-def _ops_text(t: OpTable, run: tuple[int, int], first: np.ndarray) -> str:
+def _ops_text(t: OpTable, run: tuple[int, int], first: np.ndarray, digits: np.ndarray) -> str:
     """The ops of ``t`` in ``run``, a (first, end) pair, whose entries start
-    at ``first``, comma-separated, and after a comma unless op 0 is first."""
+    at ``first``, comma-separated, and after a comma unless op 0 is first.
+    Each field is written for the whole run, and a field that no op of the
+    run holds is left out; the run's text is one join of the fields' texts,
+    op by op."""
     run = slice(*run)
     flats = zip(RAGGED, first.tolist(), (first + t.counts[run].sum(axis=0)).tolist())
     t = OpTable(t.kind[run], t.role[run], t.clbit[run],  # views of the run's columns
                 *(getattr(t, name)[i:j] for name, i, j in flats), t.counts[run])
-    kinds = t.kind.tolist()
-    numbers = map(_number, t.angle.tolist())  # read in op order, each op its count
-    angles = ["]" if k == 0 else f'],"angle":{next(numbers)}' if k == 1 else
-              f'],"angle":[{",".join(islice(numbers, k))}]' for k in t.counts[:, 4].tolist()]
-    del numbers  # and with it the list of floats, before the larger parts are built
-    clbits = [f',"clbit":{c}' if c >= 0 else "" for c in t.clbit.tolist()]
-    pols = [f',"polarities":[{p}]' if k == KIND["mcroty"] else ""
-            for k, p in zip(kinds, _joined(t, 1))]
-    conds = [f',"condition":{{"bits":[{b}],"values":[{v}]}}' if b else ""
-             for b, v in zip(_joined(t, 2), _joined(t, 3))]
-    texts = map("".join, zip(map(_KIND_TEXT.__getitem__, kinds), _joined(t, 0), angles, clbits,
-                             pols, conds, map(_ROLE_TEXT.__getitem__, t.role.tolist())))
-    return ("," if run.start else "") + ",".join(texts)
+    nq, _, nb, nv, na = t.counts.T
+    columns = [_KIND_TEXT[t.kind].tolist(), _field(digits, t.qubits, nq), _angles(t.angle, na)]
+    measured, mcroty = t.clbit >= 0, t.kind == KIND["mcroty"]
+    if measured.any():
+        ones = np.ones(np.count_nonzero(measured), dtype=np.int64)
+        clbits = _field(digits, t.clbit[measured], ones, ',"clbit":')
+        columns.append(_scattered(clbits, measured))
+    if mcroty.any():
+        pols = _field(digits, t.polarities, t.counts[mcroty, 1], ',"polarities":[', "]")
+        columns.append(_scattered(pols, mcroty))
+    if (conditioned := nb > 0).any():
+        bits = _field(digits, t.bits, nb[conditioned], ',"condition":{"bits":[', '],"values":[')
+        values = _field(digits, t.values, nv[conditioned], tail="]}")
+        columns += [_scattered(bits, conditioned), _scattered(values, conditioned)]
+    columns.append(_ROLE_TEXT[t.role].tolist())
+    parts = [""] * (len(t) * len(columns))
+    for s, column in enumerate(columns):
+        parts[s::len(columns)] = column
+    if run.start == 0:
+        parts[0] = parts[0][1:]
+    return "".join(parts)
 
 
 _FIELDS = {"kind", "qubits", "angle", "clbit", "polarities", "condition", "role"}

@@ -40,6 +40,7 @@ them all, and the gate depth of the dense circuit becomes ``2n - 2``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,25 @@ from .circuit import (
     op_table,
     ranges,
 )
-from .discrimination import OrthPair, decompose
 from .errors import LambdaOutOfRange, NonUnitInput
 from .time_encoding import rotation_ops
 from .tolerances import ANGLE_TOL, OVERLAP_EQUAL_TOL, UNIT_NORM_TOL, ZERO_NORM_TOL
 from .tree import AmplitudeTree, states_equal
+
+_dc = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """``OrthPair`` and ``decompose``, from the plan kernel (``discrimination``),
+    imported on first use: time encoding combines no registers and plans no
+    stage.  Calls look them up on this module, as ``_dc.<name>``, so a
+    wrapper set on it is what they call."""
+    if name not in ("OrthPair", "decompose"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import discrimination
+
+    value = globals()[name] = getattr(discrimination, name)
+    return value
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,7 @@ def _stages(left: np.ndarray, right: np.ndarray):
     minus = (left - right) / np.sqrt(2.0 * (1.0 - ov))
     minus -= np.einsum("ij,ij->i", minus, plus)[:, None] * plus
     minus /= np.linalg.norm(minus, axis=1, keepdims=True)
-    return flipped, equal, OrthPair.from_states(plus, minus)
+    return flipped, equal, _dc.OrthPair.from_states(plus, minus)
 
 
 def _corrections(flipped: np.ndarray, m: int) -> np.ndarray:
@@ -184,7 +199,7 @@ def compile_disentangler(psi_left, psi_right, ancilla_wires, control_wire, first
         left, right, wires, controls = _checked(*stack)
         layouts.append((wires, controls))
         measured.append(_stages(left, right))
-    plans = decompose([pair for *_, pair in measured], bases=False)
+    plans = _dc.decompose([pair for *_, pair in measured], bases=False)
     if any(np.isnan(plan.angles).any() for plan in plans):
         raise NonUnitInput("plan basis is not a real rotation")
     out = []

@@ -80,8 +80,18 @@ class VerificationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
+        """The report as ``json.dumps`` prints it.  A ``branches`` count past
+        Python's int-to-string limit (4,300 decimal digits by default; dense
+        n=14 has about 2**16369 branches) is the string of its hexadecimal
+        digits, which ``int(text, 16)`` reads back: the limit spares bases
+        that are powers of two."""
+        branches = self.branches
+        try:
+            str(branches)  # as ``json.dumps`` writes an int
+        except ValueError:
+            branches = hex(branches)
         return {
-            "branches": self.branches,
+            "branches": branches,
             "sum_prob": self.sum_prob,
             "min_fidelity": self.min_fidelity,
             "pass": self.passed,

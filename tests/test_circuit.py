@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stateprep as sp
-from stateprep.circuit import (CHUNK, ENTRIES, Circuit, _runs, deserialize, layers, op_table,
-                               serialize)
+from stateprep.circuit import (CHUNK, DIGIT_TOP, ENTRIES, Circuit, _runs, deserialize, layers,
+                               op_table, serialize)
 from stateprep.errors import InvalidCircuit, ParseError
 
 from conftest import (
@@ -22,7 +22,7 @@ from conftest import (
     table_of,
 )
 
-KIND = sp.circuit.KIND
+KIND, ROLES = sp.circuit.KIND, sp.circuit.ROLES
 DATA = Path(__file__).parent / "data"
 # A valid document that the parser tests break one field at a time.
 GOOD_DOC = (
@@ -819,6 +819,93 @@ def selected_circuit(end):
     return Circuit(15, 14, table_of(ops + [hadamard(14)] * 2), (14,))
 
 
+# Angles of every printed form: integers, subnormals, the edges of the
+# fixed-point form, values that 12 digits round to an integer, and large ones.
+ODD_ANGLES = (0.0, -0.0, 1.0, -3.0, 100.0, 5e-324, -2.5e-310, 1e-4, 9.99999999999e-5, 1e-5,
+              1e11, 999999999999.5, 1e12, 123456789012.0, 1e15, 1e16, 2.0 + 1e-12,
+              0.99999999999995, 7.0 - 3e-12, np.pi)
+
+
+def writer_circuit(seed):
+    """A valid circuit for the writer: seventeen measurements, then more
+    than ``CHUNK`` ops of every other kind in random order, some
+    conditioned, among them a rotation selected by fourteen bits with
+    more than ``ENTRIES / 2`` angles.  Wires and clbits are drawn from
+    the first integers, and unless the registers are small, from around
+    ``DIGIT_TOP`` and the registers' last index, where condition values
+    past ``DIGIT_TOP`` are read too.  Angles mix ``ODD_ANGLES``, normal
+    draws of sizes 1e-30 to 1e30 and draws from 1e12 to 1e16."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.choice([20, DIGIT_TOP + 2, 10**12]))
+
+    def indices(k):
+        """``k`` distinct indices below ``size``, each of its edges among them."""
+        high = sorted({DIGIT_TOP - 1, DIGIT_TOP, DIGIT_TOP + 1, size - 1}) if size > 20 else []
+        return rng.permutation(high + list(range(k - len(high)))).tolist()
+
+    def angle():
+        source = rng.integers(3)
+        return float(rng.choice(ODD_ANGLES) if source == 0 else rng.uniform(1e12, 1e16)
+                     if source == 1 else rng.normal() * 10.0 ** rng.uniform(-30, 30))
+
+    wires, clbits = indices(20), indices(17)
+    measured, data = wires[:17], wires[17:]
+    ops = [op for w, c in zip(measured, clbits) for op in (hadamard(w), measure(w, c))]
+    values = np.sort(rng.choice(2**14, 2**13 + 5, replace=False)).tolist()
+    body = [roty(data[0], tuple(angle() for _ in values), Condition(tuple(clbits[:14]),
+                                                                    tuple(values)))]
+    if size > 20:
+        body.append(pauli_z(data[1], Condition(tuple(clbits), (DIGIT_TOP - 1, DIGIT_TOP,
+                                                               2**17 - 1))))
+    for _ in range(CHUNK + int(rng.integers(CHUNK))):
+        q, role, cond = rng.permutation(data).tolist(), ROLES[rng.integers(len(ROLES))], None
+        if rng.random() < 0.3:
+            nb = int(rng.integers(1, 18))
+            vals = np.sort(rng.choice(2**nb, int(rng.integers(min(4, 2**nb) + 1)), replace=False))
+            cond = Condition(tuple(rng.permutation(clbits)[:nb].tolist()), tuple(vals.tolist()))
+        kind = str(rng.choice(["roty", "rotz", "z", "x", "h", "cswap", "mcroty", "reset",
+                               "selected"]))
+        if kind == "selected" and cond and cond.values:
+            body.append(roty(q[0], tuple(angle() for _ in cond.values), cond, role))
+        elif kind == "mcroty":  # zero to two controls
+            pols = rng.integers(2, size=int(rng.integers(3))).tolist()
+            body.append(mcroty(angle(), zip(q[1:], pols), q[0], role))
+        else:
+            kind = "roty" if kind == "selected" else kind
+            angled = angle() if kind in ("roty", "rotz") else None
+            body.append(Gate(kind, tuple(q) if kind == "cswap" else (q[0],), angled,
+                             condition=None if kind == "reset" else cond, role=role))
+    order = rng.permutation(len(body))
+    ops += [body[i] for i in order]
+    return Circuit(size, size, table_of(ops), tuple(data))
+
+
+def document_of(c):
+    """``c`` as ``json.dumps`` writes it, its ops read back as records;
+    an angle is ``float(f"{a:.12g}")``."""
+    def number(a):
+        return float(f"{a:.12g}")
+
+    def op(g):
+        doc = {"kind": g.kind, "qubits": list(g.qubits)}
+        if g.angle is not None:
+            doc["angle"] = [*map(number, g.angle)] if type(g.angle) is tuple else number(g.angle)
+        if g.clbit is not None:
+            doc["clbit"] = g.clbit
+        if g.polarities is not None:
+            doc["polarities"] = list(g.polarities)
+        if g.condition is not None:
+            doc["condition"] = {"bits": list(g.condition.bits),
+                                "values": list(g.condition.values)}
+        if g.role is not None:
+            doc["role"] = g.role
+        return doc
+
+    doc = {"n_qubits": c.n_qubits, "n_clbits": c.n_clbits, "data_qubits": list(c.data_qubits),
+           "ops": list(map(op, records_of(c.ops)))}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
 def assert_written_as_text(c, tmp_path):
     """Writing ``c`` to a file writes the text that ``serialize`` returns, which
     is the compact JSON encoding and reads back to itself."""
@@ -856,8 +943,9 @@ class TestSerialization:
     def test_writing_holds_one_chunk_of_text(self, tmp_path):
         # Time encoding at n=14 writes sixteen chunks of ops, at n=13 eight.
         # Building the whole text first peaked at 14.2 MB against 6.7 MB.
-        # A chunk of 1,024 ops, its text and its temporaries peak at 0.91
-        # MiB; one of 4,096 peaked at 3.6 MiB.
+        # A chunk of 1,024 ops, its text and its temporaries peaked at 0.91
+        # MiB, and one of 4,096 at 3.6 MiB; written a field at a time, a
+        # run bounded in entries peaks at 0.38 MiB.
         peaks = []
         for n in (13, 14):
             c = sp.synthesize_time(sp.build_tree(random_unit(np.random.default_rng(n), 2**n)))
@@ -875,7 +963,8 @@ class TestSerialization:
         # A dense dc circuit's last stage holds selected rotations of
         # thousands of entries.  In runs of 1,024 ops they shared one chunk,
         # which peaked at 1.12 MiB at n=12 and 2.05 MiB at n=13; runs of at
-        # most ENTRIES entries peak at 0.63 and 0.69 MiB.
+        # most ENTRIES entries peaked at 0.63 and 0.69 MiB written an op at a
+        # time, and peak at 0.51 and 0.59 MiB written a field at a time.
         peaks = []
         for n in (12, 13):
             c = sp.synthesize_dc(sp.build_tree(random_unit(np.random.default_rng(n), 2**n)))
@@ -1043,6 +1132,23 @@ class TestSerialization:
         ops = [{"kind": "roty", "qubits": [0], "angle": float(f"{a:.12g}")} for a in angles]
         doc = {"n_qubits": 1, "n_clbits": 0, "data_qubits": [0], "ops": ops}
         assert serialize(c) == json.dumps(doc, separators=(",", ":")) + "\n"
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_writer_matches_the_json_encoder(self, seed):
+        # The writer builds each field of a run of ops at once: integers from
+        # a digit table, or past its top by a format; angles by one format,
+        # then the few that it may misprint by ``_number``.
+        c = writer_circuit(seed)
+        text = serialize(c)
+        assert text == document_of(c)
+        assert serialize(deserialize(text)) == text
+        runs = list(_runs(c.ops))
+        sizes = [c.ops.counts[a:b].sum() for a, b in runs]
+        assert len(c.ops) > CHUNK and max(sizes) > ENTRIES / 2 and sum(sizes) > ENTRIES
+        assert set(c.ops.kind.tolist()) == set(range(len(sp.circuit.KINDS)))
+        if c.n_qubits > 20:  # wires, clbits and values at and past the digit table's top
+            assert min(getattr(c.ops, f).max() for f in ("qubits", "clbit", "values")) > DIGIT_TOP
 
     def test_malformed_json_reports_location(self):
         with pytest.raises(ParseError):

@@ -259,6 +259,24 @@ class TestVerify:
         assert main(["verify", out, dense_file]) == 0
         assert json.loads(capsys.readouterr().out)["branches"] == 1
 
+    @pytest.mark.parametrize("branches", [2**247, 2**16369], ids=["2**247", "2**16369"])
+    def test_report_prints_at_any_branch_count(self, branches, dense_file, tmp_path, capsys,
+                                               monkeypatch):
+        # ``json.dumps`` refuses an int of more than 4,300 digits, and a
+        # passing dense n=14 walk counts about 2**16369 branches: such a count
+        # prints as hexadecimal digits, and a smaller one as an integer.
+        out = str(tmp_path / "c.json")
+        main(["compile", dense_file, "--method", "time", "--out", out])
+        capsys.readouterr()
+        report = sp.VerificationReport(branches, 1.0, 1.0, True)
+        monkeypatch.setattr(sp.cli, "verify_preparation", lambda *args, **kwargs: report)
+        assert main(["verify", out, dense_file]) == 0
+        printed = json.loads(capsys.readouterr().out)["branches"]
+        if branches < 10**4300:
+            assert type(printed) is int and printed == branches
+        else:
+            assert printed[:2] == "0x" and int(printed, 16) == branches
+
     def test_sample_mode_deterministic(self, dense_file, tmp_path, capsys):
         out = str(tmp_path / "c.json")
         main(["compile", dense_file, "--method", "dc", "--out", out])

@@ -2,7 +2,8 @@
 first access.
 
 A ``python -m stateprep`` request imports the modules of its subcommand
-and no others: ``compile`` no simulator, ``verify`` no synthesis, and
+and no others: ``compile`` no simulator, a time-encoding ``compile`` no
+plan kernel (``discrimination``) either, ``verify`` no synthesis, and
 neither ``compile`` nor an enumerating ``verify`` ``numpy.random``, whose
 import costs about 6 MiB of RSS and 10 ms.  The
 package imports ``circuit`` eagerly; each name of ``__all__``, and each
@@ -71,6 +72,8 @@ def test_compile_loads_no_simulator(method, tmp_path):
                           "--method", *method.split(), "--out", str(tmp_path / "c.json"))
     assert "stateprep.divide_conquer" in loaded
     assert sorted(loaded & SIMULATION) == []
+    # Time encoding combines no registers, so it plans no disentangling stage.
+    assert ("stateprep.discrimination" in loaded) == (method != "time")
     assert "numpy.random" not in loaded or numpy_loads("numpy.random")
 
 
