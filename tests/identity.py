@@ -9,9 +9,11 @@ divide-and-conquer under all 8 combinations of its three flags, and by
 every hybrid lambda strictly between 1 and n, with and without
 ``--prune``.  A key names its input and its ``stateprep compile`` flags;
 its value hashes the document's bytes, the metrics and the stage reports.
-At n <= 4 each compile has a second key, ``<key>: verify``, which hashes
-its ``verify`` reports: enumerating, and sampling 64 shots at seed 0,
-floats written as 12-digit text.
+At n <= 4 each compile has two more keys, which hash its ``verify``
+reports, floats written as 12-digit text: ``<key>: verify`` the
+enumerating one, and ``<key>: sample`` the one that samples 64 shots at
+seed 0.  They are apart because a sampled report also depends on the
+draws of the sampler, which can change while the circuit does not.
 
 ``python tests/identity.py`` re-records ``tests/data/identity.json``;
 ``tests/test_identity.py`` recomputes the corpus and names each key
@@ -77,13 +79,14 @@ def fingerprint(circuit) -> str:
     )))
 
 
-def verdicts(circuit, vector) -> str:
-    """A hash of the ``verify`` reports of ``circuit`` against ``vector``,
-    enumerating and sampling, floats as ``.12g`` text."""
-    reports = (sp.verify_preparation(circuit, vector),
-               sp.verify_preparation(circuit, vector, mode="sample", shots=64, seed=0))
-    return digest(json.dumps([{k: f"{v:.12g}" if isinstance(v, float) else v
-                               for k, v in r.to_json_dict().items()} for r in reports]))
+def verdicts(circuit, vector) -> dict[str, str]:
+    """Hashes of the ``verify`` reports of ``circuit`` against ``vector``,
+    floats as ``.12g`` text: ``verify`` enumerating, ``sample`` sampling."""
+    reports = {"verify": sp.verify_preparation(circuit, vector),
+               "sample": sp.verify_preparation(circuit, vector, mode="sample", shots=64, seed=0)}
+    return {mode: digest(json.dumps([{k: f"{v:.12g}" if isinstance(v, float) else v
+                                      for k, v in r.to_json_dict().items()}]))
+            for mode, r in reports.items()}
 
 
 def corpus():
@@ -95,7 +98,7 @@ def corpus():
             key, circuit = f"{name}: {flags}", synthesize(tree)
             out[key] = fingerprint(circuit)
             if tree.n <= 4:
-                out[f"{key}: verify"] = verdicts(circuit, vector)
+                out.update((f"{key}: {mode}", h) for mode, h in verdicts(circuit, vector).items())
     return out
 
 

@@ -1,4 +1,4 @@
-"""Every corpus circuit writes, and at n <= 4 verifies to, what
+"""Every corpus circuit writes, and at n <= 4 verifies and samples to, what
 ``tests/data/identity.json`` recorded (see ``tests/identity.py``, which
 re-records it)."""
 
