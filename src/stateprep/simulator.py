@@ -15,11 +15,13 @@ two, outcome 0 first, so branches stay in lexicographic outcome order; the
 wire leaves its cluster, and a reset wire starts a new one in |0>.
 ``enumerate`` keeps every outcome of path probability at least
 ``BRANCH_PROB_TOL``.  ``sample`` splits a branch's shots between the
-outcomes with one binomial draw, so the counts are multinomial.  The
-walk hands back arrays over its rows, and ``run`` and ``verify_preparation``
-read the data register from one view of them (``_data_matrices``).  A
-wire that no op touches and that holds no data stays in |0> and factors
-out, so no cluster holds it.
+outcomes with one exact binomial draw from the standard library's
+Mersenne Twister seeded by ``seed`` (``binomial``, which only sample mode
+imports), so the counts are multinomial.  The walk hands back arrays over
+its rows, and ``run`` and ``verify_preparation`` read the data register
+from one view of them (``_data_matrices``).  A wire that no op touches
+and that holds no data stays in |0> and factors out, so no cluster holds
+it.
 
 ``verify_preparation`` in enumerate mode also merges.  After the last
 reader of some outcomes, the rows of a cluster within ``MERGE_TOL`` of
@@ -43,7 +45,7 @@ from .tolerances import (BRANCH_PROB_TOL, DEFAULT_BRANCH_CAP, FIDELITY_TOL, MERG
                          MERGE_TOL, PROB_SUM_TOL)
 from .tree import normalize
 
-# The largest shot count a binomial draw takes: numpy's int64.
+# The largest shot count: the walk's shot counts and ``binomial``'s rows are int64.
 MAX_SHOTS = 2**63 - 1
 
 _X = [[0.0, 1.0], [1.0, 0.0]]  # a cswap's too: it exchanges its slices 01 and 10
@@ -287,7 +289,9 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
             raise ValueError("sample mode needs a positive shot count")
         if shots > MAX_SHOTS:
             raise ValueError(f"shot count {shots} exceeds {MAX_SHOTS}")
-        rng, total, merge = np.random.default_rng(seed), shots, False
+        from .binomial import binomial, generator
+
+        rng, total, merge = generator(seed), shots, False
     elif mode != "enumerate":
         raise ValueError(f"unknown mode {mode!r}")
     # The wires that ops touch or that hold data, and that no op measures,
@@ -343,7 +347,7 @@ def _walk(circuit: Circuit, mode: str, shots, seed, cap: int, merge: bool):
                 doubt |= bool(np.any(reach[gone] >= BRANCH_PROB_TOL))
                 split[gone] = 0.0
             else:
-                k1 = rng.binomial(weight, probs[r, 1] / probs[r].sum(axis=1))
+                k1 = binomial(rng, weight, probs[r, 1] / probs[r].sum(axis=1))
                 split = np.stack((weight - k1, k1), axis=1)
             # Row-major order puts each branch's outcome 0 first: lexicographic.
             keep, outs = np.nonzero(split)

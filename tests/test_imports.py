@@ -3,10 +3,10 @@ first access.
 
 A ``python -m stateprep`` request imports the modules of its subcommand
 and no others: ``compile`` no simulator, a time-encoding ``compile`` no
-plan kernel (``discrimination``) either, ``verify`` no synthesis, and
-neither ``compile`` nor an enumerating ``verify`` ``numpy.random``, whose
-import costs about 6 MiB of RSS and 10 ms.  The
-package imports ``circuit`` eagerly; each name of ``__all__``, and each
+plan kernel (``discrimination``) either, ``verify`` no synthesis, an
+enumerating ``verify`` no sampler (``binomial``), and no request
+``numpy.random``, whose import costs about 6 MiB of RSS and 8 ms: sample
+mode draws from the standard library's generator.  The package imports ``circuit`` eagerly; each name of ``__all__``, and each
 submodule, resolves on first access to its defining module's object.
 A request exits through ``cli.run``, which freezes the heap so that
 shutdown's collections skip it; ``cli.main`` in process freezes nothing.
@@ -86,9 +86,10 @@ def test_verify_loads_no_synthesis(mode, tmp_path):
                           str(DATA / "golden_dense_n6_vector.json"), *mode)
     assert "stateprep.simulator" in loaded
     assert sorted(loaded & SYNTHESIS) == []
+    assert ("stateprep.binomial" in loaded) == (mode[1] == "sample")
+    assert "numpy.random" not in loaded or numpy_loads("numpy.random")
     if mode[1] == "enumerate":
         assert "numpy.ma" not in loaded or numpy_loads("numpy.ma")
-        assert "numpy.random" not in loaded or numpy_loads("numpy.random")
 
 
 def test_version_loads_neither_layer(tmp_path):
