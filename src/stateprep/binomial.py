@@ -6,13 +6,18 @@ bits of each 64-bit word of ``randbytes``, plus half a step, scaled by
 2**-52.  Each is an odd multiple of 2**-53, exact in a double and strictly
 inside (0, 1), so no draw divides by 0 or takes the log of 0; 53 bits and
 half a step would not fit a double above 1/2.  ``binomial`` draws one
-Binomial(n, p) per row, for every row together: a row with p > 1/2 draws
-n - Bin(n, 1 - p); one with n p < 10 inverts its distribution function;
-the others use BTRS, the transformed rejection with squeeze of Hörmann,
-J. Stat. Comput. Simul. 46:101 (1993), which accepts about 80% to 90% of
-its tries.  A call costs tens of numpy operations whatever its rows, so
-both loops take their steps in blocks: inversion up to 16 values of k
-at a time, BTRS three tries per row at a time.
+Binomial(n, p) per row: a row with p > 1/2 draws n - Bin(n, 1 - p); one
+with n p < 10 inverts its distribution function; the others use BTRS,
+the transformed rejection with squeeze of Hörmann, J. Stat. Comput.
+Simul. 46:101 (1993), which accepts about 80% to 90% of its tries.
+
+Each method has two forms.  The vectorized one steps every row together
+and costs tens of numpy operations whatever its rows, so it takes its
+steps in blocks: inversion up to 16 values of k at a time, BTRS three
+tries per row at a time.  The scalar one takes a row in Python, in a few
+microseconds.  A method hands its rows to the scalar form once no more
+than ``_SCALAR`` are left: at once for a small call, and after a round
+or two for a large one.
 """
 
 from __future__ import annotations
@@ -24,21 +29,25 @@ import random
 import numpy as np
 
 # Inversion takes up to ``_STEPS`` values of k a round and gives a row a fresh
-# uniform past k = ``_RESTART``: for n p < 10 and p <= 1/2 the mass beyond it is
-# below 1e-29, so only the rounding of the sums lies there.  Per k, k - 1 and
-# 1/k (1 at k = 0, whose factor is replaced by q**n), as columns.
+# uniform at k = ``_RESTART``: for n p < 10 and p <= 1/2 the mass from there on
+# is below 1e-29, so only the rounding of the sums lies there.  Per k, k - 1
+# and 1/k (1 at k = 0), as columns.
 _STEPS, _RESTART = 16, 64
-_KM1 = np.arange(-1.0, _RESTART + _STEPS - 1.0)[:, None]
+_KM1 = np.arange(-1.0, _RESTART - 1.0)[:, None]
 _INV_K = 1.0 / np.maximum(_KM1 + 1.0, 1.0)
 # BTRS tries per row a round: a row is left for another round about 1% of the time.
 _TRIES = 3
+# Up to this many rows, the scalar forms cost less than a vectorized round.
+_SCALAR = 32
 # The least float above -1.
 _ABOVE_MINUS_ONE = -1.0 + 2.0**-53
 # Hörmann's f_c(k) = log k! - (k + 1/2) log(k + 1) + k + 1 - log(2 pi) / 2,
 # exact below 10 and Stirling's series from there, one term longer than his,
 # so that it errs by under 4e-13.
-_TAIL = np.array([math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + k + 1
-                  - 0.5 * math.log(2 * math.pi) for k in range(10)])
+_TAIL = [math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + k + 1 - 0.5 * math.log(2 * math.pi)
+         for k in range(10)]
+_TAIL_ARRAY = np.array(_TAIL)
+_REFUSED = "a binomial row needs n >= 0 and p in [0, 1]"
 
 
 def generator(seed: int | None) -> random.Random:
@@ -55,11 +64,22 @@ def uniforms(rng: random.Random, *shape: int) -> np.ndarray:
     return (words * 2.0**-52 + 2.0**-53).reshape(shape)
 
 
+def _uniform(rng: random.Random) -> float:
+    """The next of ``uniforms``: ``randbytes`` is ``getrandbits`` as
+    little-endian bytes, so its 64-bit words are successive ``getrandbits(64)``."""
+    return (rng.getrandbits(64) >> 12) * 2.0**-52 + 2.0**-53
+
+
 def binomial(rng: random.Random, n, p) -> np.ndarray:
     """Per row, a Binomial(n, p) variate: ``n`` non-negative integers up to
     2**63 - 1, ``p`` probabilities.  n = 0, p = 0 and p = 1 give 0, 0 and
     n: inversion's first term, q**n, is then 1."""
     n, p = np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float)
+    if len(n) <= _SCALAR:
+        return np.array([_one(rng, ni, pi) for ni, pi in zip(n.tolist(), p.tolist())],
+                        dtype=np.int64)
+    if not ((n >= 0) & (p >= 0.0) & (p <= 1.0)).all():  # NaN fails too
+        raise ValueError(_REFUSED)
     q = np.minimum(p, 1.0 - p)  # exact
     big = n * q >= 10.0
     if big.any():
@@ -70,24 +90,37 @@ def binomial(rng: random.Random, n, p) -> np.ndarray:
     return np.where(p > 0.5, n - k, k)
 
 
+def _one(rng, n: int, p: float) -> int:
+    """``binomial`` of one row, by the scalar forms."""
+    if not (n >= 0 and 0.0 <= p <= 1.0):  # a NaN would never cover its uniform
+        raise ValueError(_REFUSED)
+    q = min(p, 1.0 - p)
+    if n * q >= 10.0:
+        k = _btrs_one(rng, n, q)
+    else:
+        k = _invert_one(rng, n, q / (1.0 - q), math.exp(n * math.log1p(-q)), 0.0, 0.0, _RESTART)
+    return n - k if p > 0.5 else k
+
+
 def _inversion(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The least k whose distribution function exceeds the row's uniform.
     Every row steps the recurrence f(k) = f(k - 1) (n - k + 1) / k * p/q
-    from f(0) = q**n together, until its uniform is covered; the first
-    round stops at the largest n.  Past k = n the factor is 0, then
-    negative, so f stays 0.  Arrays run over k, then rows."""
+    from f(0) = q**n, taking off f(k) from its uniform, until its uniform
+    is covered; the first round stops at the largest n.  Past k = n the
+    factor is 0, then negative, so f stays 0.  Arrays run over k, then
+    rows.  A row's state is its next k, shared, f at it and what its
+    uniform has left; k = ``_RESTART`` starts afresh."""
     nf, r = n.astype(float), p / (1.0 - p)
     f0 = np.exp(nf * np.log1p(-p))
     k, rows = np.empty(len(n), dtype=np.int64), np.arange(len(n))
-    start, stop = _RESTART, min(_STEPS, int(n.max(initial=0)) + 1)
-    while True:
-        if start >= _RESTART:  # at first, or where only rounding is left
-            u, f, cdf, start, stop = uniforms(rng, len(rows)), f0[rows], 0.0, 0, min(stop, _STEPS)
+    start, stop, f, u = _RESTART, min(_STEPS, int(n.max(initial=0)) + 1), f0, f0
+    while len(rows) > _SCALAR:
+        if start == _RESTART:
+            u, f, start, stop = uniforms(rng, len(rows)), f0[rows], 0, min(stop, _STEPS)
         pmf = (nf - _KM1[start:stop]) * (r * _INV_K[start:stop])
-        pmf[0] = pmf[0] * f if start else f
+        pmf[0] = f
         np.cumprod(pmf, axis=0, out=pmf)
         sums = np.cumsum(pmf, axis=0)
-        sums += cdf
         below = (sums <= u).sum(axis=0)
         width = stop - start
         if below.max(initial=0) < width:
@@ -95,15 +128,39 @@ def _inversion(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
             return k
         done, left = below < width, below == width
         k[rows[done]] = start + below[done]
-        rows, nf, r, u, f, cdf = rows[left], nf[left], r[left], u[left], pmf[-1, left], sums[-1, left]
-        start, stop = stop, stop + _STEPS
+        rows, nf, r = rows[left], nf[left], r[left]
+        f = pmf[-1, left] * (nf - (stop - 1.0)) * (r / stop)
+        u = u[left] - sums[-1, left]
+        start, stop = stop, min(stop + _STEPS, _RESTART)
+    for row, *args in zip(*(x.tolist() for x in (rows, nf, r, f0[rows], f, u))):
+        k[row] = _invert_one(rng, *args, start)
+    return k
+
+
+def _invert_one(rng, n: float, r: float, f0: float, f: float, u: float, k: int) -> int:
+    """``_inversion`` of one row in Python, from the same state."""
+    while True:
+        if k == _RESTART:
+            k, f, u = 0, f0, _uniform(rng)
+        if f > u:
+            return k
+        u -= f
+        k += 1
+        f *= (n - k + 1.0) * (r / k)
 
 
 def _tail(k: np.ndarray) -> np.ndarray:
     """Hörmann's f_c at each of the non-negative integers ``k``."""
     w = 1.0 / (k + 1.0) ** 2
     series = (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - w / 1680.0) * w) * w) * np.sqrt(w)
-    return np.where(k < 10, _TAIL.take(k, mode="clip"), series)
+    return np.where(k < 10, _TAIL_ARRAY.take(k, mode="clip"), series)
+
+
+def _tail_one(k: int) -> float:
+    if k < 10:
+        return _TAIL[k]
+    w = 1.0 / (k + 1.0) ** 2
+    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - w / 1680.0) * w) * w) * math.sqrt(w)
 
 
 def _btrs(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -114,40 +171,64 @@ def _btrs(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     any n.  In the squeeze box (us >= 0.07, v <= v_r) it is accepted at
     once.  Outside, and before the row's first try in the box, it is
     accepted if log(v alpha / (a/us^2 + b)) <= log f(k)/f(m), at the mode
-    m, written in differences d = k - m so that no term cancels at large n."""
-    nf = n.astype(float)
-    spq = np.sqrt(nf * p * (1.0 - p))
-    b = 1.15 + 2.53 * spq
-    c, m = nf * p + 0.5, np.floor((nf + 1.0) * p).astype(np.int64)
-    base = np.floor(c)
-    rows = (np.arange(len(n)), n, p, m, base.astype(np.int64), c - base, spq, b,
-            -0.0873 + 0.0248 * b + 0.01 * p, 0.92 - 4.2 / b)
-    k = np.empty(len(n), dtype=np.int64)
-    while True:
-        row, n, p, m, base, frac, spq, b, a, vr = rows
-        u, v = uniforms(rng, 2, _TRIES, len(row))
+    m, written in differences d = k - m so that no term cancels at large n;
+    only those tries, about one in six, compute it."""
+    k, rows = np.empty(len(n), dtype=np.int64), np.arange(len(n))
+    while len(rows) > _SCALAR:
+        nr, pr = n[rows], p[rows]
+        nf = nr.astype(float)
+        spq = np.sqrt(nf * pr * (1.0 - pr))
+        b = 1.15 + 2.53 * spq
+        a, c = -0.0873 + 0.0248 * b + 0.01 * pr, nf * pr + 0.5
+        base = np.floor(c)
+        u, v = uniforms(rng, 2, _TRIES, len(rows))
         u -= 0.5
         us = 0.5 - np.abs(u)
-        off = np.floor((2.0 * a / us + b) * u + frac)
+        off = np.floor((2.0 * a / us + b) * u + (c - base))
         near = np.abs(off) < 2.0**62  # past it, k lies outside [0, n] or has no mass
-        kk = base + np.where(near, off, 0.0).astype(np.int64)
-        ok = near & (kk >= 0) & (kk <= n)
-        accept = ok & (us >= 0.07) & (v <= vr)
-        test = ok & (np.cumsum(accept, axis=0) == 0)  # in range, before the first in the box
-        if test.any():
-            kk = np.where(ok, kk, m)
-            d = (kk - m).astype(float)
-            m1, nm1 = m + 1.0, (n - m) + 1.0
+        kk = base.astype(np.int64) + np.where(near, off, 0.0).astype(np.int64)
+        ok = near & (kk >= 0) & (kk <= nr)
+        accept = ok & (us >= 0.07) & (v <= 0.92 - 4.2 / b)
+        t, i = np.nonzero(ok & ~np.logical_or.accumulate(accept))  # none in the box yet
+        if len(i):
+            kt, nt, pt, bt = kk[t, i], nr[i], pr[i], b[i]
+            mt = np.floor((nt + 1.0) * pt).astype(np.int64)
+            d = (kt - mt).astype(float)
+            m1, nm1 = mt + 1.0, (nt - mt) + 1.0
             # At k = 0 or n with a mode past 2**53, a log1p argument would round
             # to -1; held just above it, log_ratio stays finite and far below 0.
-            ends, mids = np.stack((kk, n - kk)), np.stack((m, n - m))
             shifts = np.log1p(np.maximum(np.stack((d / m1, -d / nm1)), _ABOVE_MINUS_ONE))
-            log_ratio = (d * np.log(nm1 * p / (m1 * (1.0 - p))) + _tail(mids).sum(axis=0)
-                         - ((ends + 0.5) * shifts + _tail(ends)).sum(axis=0))
-            alpha = (2.83 + 5.1 / b) * spq
-            accept |= test & (np.log(v * alpha / (a / us**2 + b)) <= log_ratio)
-        got = accept.any(axis=0)
-        k[row[got]] = kk[accept.argmax(axis=0), np.arange(len(row))][got]
-        if got.all():
+            ends = np.stack((kt, nt - kt, mt, nt - mt))
+            tails = _tail(ends)
+            log_ratio = (d * np.log(nm1 * pt / (m1 * (1.0 - pt))) + tails[2] + tails[3]
+                         - ((ends[:2] + 0.5) * shifts + tails[:2]).sum(axis=0))
+            alpha = (2.83 + 5.1 / bt) * spq[i]
+            accept[t, i] = np.log(v[t, i] * alpha / (a[i] / us[t, i] ** 2 + bt)) <= log_ratio
+        k[rows] = kk[accept.argmax(axis=0), np.arange(len(rows))]  # right where one is accepted
+        rows = rows[~accept.any(axis=0)]
+    for row, ni, pi in zip(rows.tolist(), n[rows].tolist(), p[rows].tolist()):
+        k[row] = _btrs_one(rng, ni, pi)
+    return k
+
+
+def _btrs_one(rng, n: int, p: float) -> int:
+    """``_btrs`` of one row in Python, a try at a time."""
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a, c = -0.0873 + 0.0248 * b + 0.01 * p, n * p + 0.5
+    base = math.floor(c)
+    while True:
+        u, v = _uniform(rng) - 0.5, _uniform(rng)
+        us = 0.5 - abs(u)
+        k = base + math.floor((2.0 * a / us + b) * u + (c - base))
+        if not 0 <= k <= n:
+            continue
+        if us >= 0.07 and v <= 0.92 - 4.2 / b:
             return k
-        rows = [x[~got] for x in rows]
+        m = math.floor((n + 1.0) * p)
+        d, m1, nm1 = k - m, m + 1.0, (n - m) + 1.0
+        log_ratio = (d * math.log(nm1 * p / (m1 * (1.0 - p))) + _tail_one(m) + _tail_one(n - m)
+                     - (k + 0.5) * math.log1p(max(d / m1, _ABOVE_MINUS_ONE)) - _tail_one(k)
+                     - (n - k + 0.5) * math.log1p(max(-d / nm1, _ABOVE_MINUS_ONE)) - _tail_one(n - k))
+        if math.log(v * (2.83 + 5.1 / b) * spq / (a / us**2 + b)) <= log_ratio:
+            return k
