@@ -4,10 +4,11 @@ first access.
 A ``python -m stateprep`` request imports the modules of its subcommand
 and no others: ``compile`` no simulator, a time-encoding ``compile`` no
 plan kernel (``discrimination``) either, ``verify`` no synthesis, an
-enumerating ``verify`` no sampler (``binomial``), and no request
+enumerating ``verify`` no sampler (``binomial``), and neither of them
 ``numpy.random``, whose import costs about 6 MiB of RSS and 8 ms: sample
-mode draws from the standard library's generator.  The package imports ``circuit`` eagerly; each name of ``__all__``, and each
-submodule, resolves on first access to its defining module's object.
+mode draws from the standard library's generator.  The package imports
+``circuit`` eagerly; each name of ``__all__``, and each submodule,
+resolves on first access to its defining module's object.
 A request exits through ``cli.run``, which freezes the heap so that
 shutdown's collections skip it; ``cli.main`` in process freezes nothing.
 """
