@@ -13,11 +13,11 @@ Simul. 46:101 (1993), which accepts about 80% to 90% of its tries.
 
 Each method has two forms.  The vectorized one steps every row together
 and costs tens of numpy operations whatever its rows, so it takes its
-steps in blocks: inversion up to 16 values of k at a time, BTRS three
-tries per row at a time.  The scalar one takes a row in Python, in a few
-microseconds.  A method hands its rows to the scalar form once no more
-than ``_SCALAR`` are left: at once for a small call, and after a round
-or two for a large one.
+steps in blocks: inversion k = 0 and 1, then up to 16 values of k at a
+time, BTRS one try per row not yet accepted.  The scalar one takes a row
+in Python, in a few microseconds.  A method hands its rows to the scalar
+form once no more than ``_SCALAR`` are left: at once for a small call,
+and after a round or two for a large one.
 """
 
 from __future__ import annotations
@@ -28,17 +28,19 @@ import random
 
 import numpy as np
 
-# Inversion takes up to ``_STEPS`` values of k a round and gives a row a fresh
-# uniform at k = ``_RESTART``: for n p < 10 and p <= 1/2 the mass from there on
-# is below 1e-29, so only the rounding of the sums lies there.  Per k, k - 1
-# and 1/k (1 at k = 0), as columns.
-_STEPS, _RESTART = 16, 64
+# Inversion takes k = 0 and 1 in its first round, then up to ``_STEPS`` values
+# of k a round, and gives a row a fresh uniform at k = ``_RESTART``: for
+# n p < 10 and p <= 1/2 the mass from there on is below 1e-29, so only the
+# rounding of the sums lies there.  Per k, k - 1 and 1/k (1 at k = 0), as
+# columns.
+_FIRST, _STEPS, _RESTART = 2, 16, 64
 _KM1 = np.arange(-1.0, _RESTART - 1.0)[:, None]
 _INV_K = 1.0 / np.maximum(_KM1 + 1.0, 1.0)
-# BTRS tries per row a round: a row is left for another round about 1% of the time.
-_TRIES = 3
 # Up to this many rows, the scalar forms cost less than a vectorized round.
-_SCALAR = 32
+# Measured per call on rows drawn from sampled dense walks (2-core x86,
+# pinned): inversion's vectorized round costs less from about 40 rows, BTRS's
+# from about 56, counting the rows a round leaves.
+_SCALAR = 48
 # The least float above -1.
 _ABOVE_MINUS_ONE = -1.0 + 2.0**-53
 # Hörmann's f_c(k) = log k! - (k + 1/2) log(k + 1) + k + 1 - log(2 pi) / 2,
@@ -106,14 +108,13 @@ def _inversion(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The least k whose distribution function exceeds the row's uniform.
     Every row steps the recurrence f(k) = f(k - 1) (n - k + 1) / k * p/q
     from f(0) = q**n, taking off f(k) from its uniform, until its uniform
-    is covered; the first round stops at the largest n.  Past k = n the
-    factor is 0, then negative, so f stays 0.  Arrays run over k, then
-    rows.  A row's state is its next k, shared, f at it and what its
-    uniform has left; k = ``_RESTART`` starts afresh."""
+    is covered.  Past k = n the factor is 0, then negative, so f stays 0.
+    Arrays run over k, then rows.  A row's state is its next k, shared, f
+    at it and what its uniform has left; k = ``_RESTART`` starts afresh."""
     nf, r = n.astype(float), p / (1.0 - p)
     f0 = np.exp(nf * np.log1p(-p))
     k, rows = np.empty(len(n), dtype=np.int64), np.arange(len(n))
-    start, stop, f, u = _RESTART, min(_STEPS, int(n.max(initial=0)) + 1), f0, f0
+    start, stop, f, u = _RESTART, _FIRST, f0, f0
     while len(rows) > _SCALAR:
         if start == _RESTART:
             u, f, start, stop = uniforms(rng, len(rows)), f0[rows], 0, min(stop, _STEPS)
@@ -164,34 +165,32 @@ def _tail_one(k: int) -> float:
 
 
 def _btrs(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """BTRS for rows with n p >= 10 and p <= 1/2: ``_TRIES`` tries a round
-    per row not yet accepted, of which the first accepted counts.  A try's
-    k = floor((2a/us + b) u + c) is taken in two parts, floor(c) as an
-    integer and the rest as a float, so that it reaches every integer at
-    any n.  In the squeeze box (us >= 0.07, v <= v_r) it is accepted at
-    once.  Outside, and before the row's first try in the box, it is
-    accepted if log(v alpha / (a/us^2 + b)) <= log f(k)/f(m), at the mode
-    m, written in differences d = k - m so that no term cancels at large n;
-    only those tries, about one in six, compute it."""
+    """BTRS for rows with n p >= 10 and p <= 1/2, one try a round per row
+    not yet accepted.  A try's k = floor((2a/us + b) u + c) is taken in two
+    parts, floor(c) as an integer and the rest as a float, so that it
+    reaches every integer at any n.  In the squeeze box (us >= 0.07,
+    v <= v_r) it is accepted at once.  Outside, it is accepted if
+    log(v alpha / (a/us^2 + b)) <= log f(k)/f(m), at the mode m, written in
+    differences d = k - m so that no term cancels at large n; only those
+    tries, about one in three, compute it."""
     k, rows = np.empty(len(n), dtype=np.int64), np.arange(len(n))
     while len(rows) > _SCALAR:
-        nr, pr = n[rows], p[rows]
-        nf = nr.astype(float)
-        spq = np.sqrt(nf * pr * (1.0 - pr))
+        nf = n.astype(float)
+        spq = np.sqrt(nf * p * (1.0 - p))
         b = 1.15 + 2.53 * spq
-        a, c = -0.0873 + 0.0248 * b + 0.01 * pr, nf * pr + 0.5
+        a, c = -0.0873 + 0.0248 * b + 0.01 * p, nf * p + 0.5
         base = np.floor(c)
-        u, v = uniforms(rng, 2, _TRIES, len(rows))
+        u, v = uniforms(rng, 2, len(rows))
         u -= 0.5
         us = 0.5 - np.abs(u)
         off = np.floor((2.0 * a / us + b) * u + (c - base))
         near = np.abs(off) < 2.0**62  # past it, k lies outside [0, n] or has no mass
         kk = base.astype(np.int64) + np.where(near, off, 0.0).astype(np.int64)
-        ok = near & (kk >= 0) & (kk <= nr)
+        ok = near & (kk >= 0) & (kk <= n)
         accept = ok & (us >= 0.07) & (v <= 0.92 - 4.2 / b)
-        t, i = np.nonzero(ok & ~np.logical_or.accumulate(accept))  # none in the box yet
+        i = np.flatnonzero(ok & ~accept)
         if len(i):
-            kt, nt, pt, bt = kk[t, i], nr[i], pr[i], b[i]
+            kt, nt, pt, bt = kk[i], n[i], p[i], b[i]
             mt = np.floor((nt + 1.0) * pt).astype(np.int64)
             d = (kt - mt).astype(float)
             m1, nm1 = mt + 1.0, (nt - mt) + 1.0
@@ -203,10 +202,11 @@ def _btrs(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
             log_ratio = (d * np.log(nm1 * pt / (m1 * (1.0 - pt))) + tails[2] + tails[3]
                          - ((ends[:2] + 0.5) * shifts + tails[:2]).sum(axis=0))
             alpha = (2.83 + 5.1 / bt) * spq[i]
-            accept[t, i] = np.log(v[t, i] * alpha / (a[i] / us[t, i] ** 2 + bt)) <= log_ratio
-        k[rows] = kk[accept.argmax(axis=0), np.arange(len(rows))]  # right where one is accepted
-        rows = rows[~accept.any(axis=0)]
-    for row, ni, pi in zip(rows.tolist(), n[rows].tolist(), p[rows].tolist()):
+            accept[i] = np.log(v[i] * alpha / (a[i] / us[i] ** 2 + bt)) <= log_ratio
+        k[rows[accept]] = kk[accept]
+        left = ~accept
+        rows, n, p = rows[left], n[left], p[left]
+    for row, ni, pi in zip(rows.tolist(), n.tolist(), p.tolist()):
         k[row] = _btrs_one(rng, ni, pi)
     return k
 
