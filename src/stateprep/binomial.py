@@ -28,7 +28,8 @@ import random
 
 import numpy as np
 
-# Inversion takes k = 0 and 1 in its first round, then up to ``_STEPS`` values
+# Inversion takes k = 0 and 1 in its first round, which covers most rows of a
+# walk's late splits (they hold a shot or two), then up to ``_STEPS`` values
 # of k a round, and gives a row a fresh uniform at k = ``_RESTART``: for
 # n p < 10 and p <= 1/2 the mass from there on is below 1e-29, so only the
 # rounding of the sums lies there.  Per k, k - 1 and 1/k (1 at k = 0), as
