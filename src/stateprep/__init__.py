@@ -12,7 +12,8 @@ data register in the requested state.
 imported with the package, and first, so its source compiles before numpy
 loads and the compiler's transient memory does not stack on numpy's.  A
 name, or a submodule, is imported on first access and then bound here, so
-a ``verify`` loads no synthesis code and a ``compile`` no simulator.
+a ``verify`` loads no synthesis code, no angle tree and no document writer,
+and a ``compile`` no simulator.
 """
 
 from importlib.util import find_spec
@@ -21,13 +22,15 @@ from . import circuit
 
 # Name -> the submodule that defines it; ``cli`` binds its names through it too.
 _HOMES = {name: module for module, names in (
-    ("circuit", "Circuit ResourceReport deserialize metrics serialize"),
+    ("circuit", "Circuit deserialize"),
     ("discrimination", "AdaptiveMeasPlan OrthPair decompose evaluate_plan plan_document solve_ua"),
     ("divide_conquer",
      "DcOptions compile_disentangler synthesize_dc synthesize_hybrid synthesize_time"),
     ("resources", "dc_formulas hybrid_formulas midreset_formulas reuse_schedule"),
     ("simulator", "Branch VerificationReport run verify_preparation"),
-    ("tree", "AmplitudeTree build_tree pad_to_power_of_two"),
+    ("tree", "AmplitudeTree build_tree"),
+    ("vector", "pad_to_power_of_two"),
+    ("writer", "ResourceReport metrics serialize"),
 ) for name in names.split()}
 
 

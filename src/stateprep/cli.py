@@ -184,63 +184,83 @@ def cmd_distinguish(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-@cache  # one parser per process, however often ``main`` runs in it
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("compile", "verify", "analyze", "sweep", "distinguish")
+
+
+@cache  # one parser per subcommand and process, however often ``main`` runs in it
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, if it is one of ``COMMANDS``, else of
+    all of them.  The usage names every subcommand either way, so help and
+    error texts are those of the parser of all five."""
     parser = argparse.ArgumentParser(
         prog="stateprep", description="Amplitude-encoding circuit tools"
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Given a metavar, argparse names the argument by it in its errors, not by ``dest``:
+    # only a parser of one subcommand, which raises no error about the subcommand, has one.
+    one = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=f"{{{','.join(COMMANDS)}}}" if one else None)
+    wanted = {command} if one else set(COMMANDS)
 
-    p = sub.add_parser("compile", help="synthesize a circuit from a vector file")
-    p.add_argument("input", help="JSON file with an 'amplitudes' list")
-    p.add_argument("--method", choices=("time", "dc", "hybrid"), required=True)
-    p.add_argument("--lambda", dest="lambda_", type=int, default=None,
-                   help="sub-block size for the hybrid method")
-    p.add_argument("--no-disentangle", action="store_true",
-                   help="skip the ancilla measurements (dc only)")
-    p.add_argument("--parallelize", action="store_true",
-                   help="reposition movable swaps into earlier layers (dc only)")
-    p.add_argument("--prune", action="store_true",
-                   help="drop gates and wires that the input makes redundant")
-    p.add_argument("--out", required=True, help="circuit document output path")
-    p.add_argument("--report", default=None,
-                   help="also write the per-stage measurement/correction report")
-    p.set_defaults(func=cmd_compile)
+    if "compile" in wanted:
+        p = sub.add_parser("compile", help="synthesize a circuit from a vector file")
+        p.add_argument("input", help="JSON file with an 'amplitudes' list")
+        p.add_argument("--method", choices=("time", "dc", "hybrid"), required=True)
+        p.add_argument("--lambda", dest="lambda_", type=int, default=None,
+                       help="sub-block size for the hybrid method")
+        p.add_argument("--no-disentangle", action="store_true",
+                       help="skip the ancilla measurements (dc only)")
+        p.add_argument("--parallelize", action="store_true",
+                       help="reposition movable swaps into earlier layers (dc only)")
+        p.add_argument("--prune", action="store_true",
+                       help="drop gates and wires that the input makes redundant")
+        p.add_argument("--out", required=True, help="circuit document output path")
+        p.add_argument("--report", default=None,
+                       help="also write the per-stage measurement/correction report")
+        p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("verify", help="check a circuit against a target vector")
-    p.add_argument("circuit")
-    p.add_argument("target")
-    p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
-    p.add_argument("--shots", type=int, default=None, help="sample mode only (default 4096)")
-    p.add_argument("--seed", type=int, default=None, help="sample mode only (default 0)")
-    p.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
-    p.set_defaults(func=cmd_verify)
+    if "verify" in wanted:
+        p = sub.add_parser("verify", help="check a circuit against a target vector")
+        p.add_argument("circuit")
+        p.add_argument("target")
+        p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
+        p.add_argument("--shots", type=int, default=None, help="sample mode only (default 4096)")
+        p.add_argument("--seed", type=int, default=None, help="sample mode only (default 0)")
+        p.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("analyze", help="closed-form resource table")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--measure", action="store_true",
-                   help="also synthesize circuits and report measured metrics")
-    p.set_defaults(func=cmd_analyze)
+    if "analyze" in wanted:
+        p = sub.add_parser("analyze", help="closed-form resource table")
+        p.add_argument("--n-min", type=int, required=True)
+        p.add_argument("--n-max", type=int, required=True)
+        p.add_argument("--measure", action="store_true",
+                       help="also synthesize circuits and report measured metrics")
+        p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", help="width/depth tradeoff across lambda")
-    p.add_argument("--n", type=int, nargs="+", required=True, help="one or more sizes")
-    p.add_argument("--lambda-min", type=int, default=1)
-    p.add_argument("--lambda-max", type=int, default=None)
-    p.add_argument("--measure", action="store_true")
-    p.set_defaults(func=cmd_sweep)
+    if "sweep" in wanted:
+        p = sub.add_parser("sweep", help="width/depth tradeoff across lambda")
+        p.add_argument("--n", type=int, nargs="+", required=True, help="one or more sizes")
+        p.add_argument("--lambda-min", type=int, default=1)
+        p.add_argument("--lambda-max", type=int, default=None)
+        p.add_argument("--measure", action="store_true")
+        p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("distinguish", help="adaptive plan for two orthogonal states")
-    p.add_argument("plus")
-    p.add_argument("minus")
-    p.add_argument("--plan-out", default=None)
-    p.set_defaults(func=cmd_distinguish)
+    if "distinguish" in wanted:
+        p = sub.add_parser("distinguish", help="adaptive plan for two orthogonal states")
+        p.add_argument("plus")
+        p.add_argument("minus")
+        p.add_argument("--plan-out", default=None)
+        p.set_defaults(func=cmd_distinguish)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named subcommand's parser is built: argparse's gettext lookups
+    # make building all five cost about 2-4 ms of a request.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, MemoryError, StatePrepError) as exc:

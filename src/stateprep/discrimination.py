@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _number
 from .errors import DimensionMismatch, NotOrthogonal, TraceNotZero
 from .tolerances import DEGENERATE_TOL, DRIFT_TOL, ORTH_TOL, REAL_TOL
-from .tree import normalize
+from .vector import normalize
+from .writer import _number
 
 
 @dataclass(frozen=True)

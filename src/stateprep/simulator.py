@@ -43,7 +43,7 @@ from .circuit import KIND, KINDS, Circuit, ranges
 from .errors import DimensionMismatch, TooManyBranches
 from .tolerances import (BRANCH_PROB_TOL, DEFAULT_BRANCH_CAP, FIDELITY_TOL, MERGE_BOUND_TOL,
                          MERGE_TOL, PROB_SUM_TOL)
-from .tree import normalize
+from .vector import normalize
 
 # The largest shot count: the walk's shot counts and ``binomial``'s rows are int64.
 MAX_SHOTS = 2**63 - 1
@@ -493,6 +493,7 @@ def verify_preparation(
             circuit, mode, shots, seed, branch_cap, merge)
         mats = _data_matrices(states, active, circuit.data_qubits, fixed)
         fid = np.linalg.norm(target.conj() @ mats, axis=1) / np.linalg.norm(mats, axis=(1, 2))
+        np.minimum(fid, 1.0, out=fid)  # the ratio of two rounded norms may pass 1
         off = np.sqrt(np.maximum(1.0 - fid**2, 0.0))
         passed = bool(np.max(off + spread) <= edge)
         if passed or np.max(off - spread) > edge:

@@ -10,7 +10,7 @@ from stateprep.circuit import KIND, KINDS, RAGGED, ROLE, ROLES, UNITARY_KINDS, o
 from stateprep.errors import DimensionMismatch
 from stateprep.simulator import _data_matrices
 from stateprep.tolerances import FIDELITY_TOL, PROB_SUM_TOL, STATE_EQ_TOL, ZERO_NORM_TOL
-from stateprep.tree import normalize
+from stateprep.vector import normalize
 
 DENSE_SQUARES = (0.04, 0.13, 0.16, 0.2, 0.07, 0.09, 0.2, 0.11)
 

@@ -15,9 +15,9 @@ from dataclasses import replace
 import numpy as np
 
 import stateprep as sp
-from stateprep.circuit import layers
 from stateprep.discrimination import OrthPair, decompose, evaluate_plan
 from stateprep.divide_conquer import DcOptions
+from stateprep.writer import layers
 
 from conftest import (
     DENSE_SQUARES, data_probabilities, fidelity, preorder, random_orthogonal_pair, random_unit,

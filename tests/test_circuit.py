@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stateprep as sp
-from stateprep.circuit import (CHUNK, DIGIT_TOP, ENTRIES, Circuit, _runs, deserialize, layers,
-                               op_table, serialize)
+from stateprep.circuit import Circuit, deserialize, op_table
+from stateprep.writer import CHUNK, DIGIT_TOP, ENTRIES, _runs, layers, serialize
 from stateprep.errors import InvalidCircuit, ParseError
 
 from conftest import (

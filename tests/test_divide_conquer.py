@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 import stateprep as sp
 from stateprep import divide_conquer
-from stateprep.circuit import Circuit, OpTable, layers
+from stateprep.circuit import Circuit, OpTable
 from stateprep.discrimination import decompose
 from stateprep.divide_conquer import DcOptions, _plan_tree, compile_disentangler
 from stateprep.errors import NonUnitInput
 from stateprep.tolerances import ANGLE_TOL
+from stateprep.writer import layers
 
 from conftest import (
     count_steps, cswap, data_probabilities, fidelity, mcroty, preorder, random_unit, records_of,

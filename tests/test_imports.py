@@ -3,8 +3,9 @@ first access.
 
 A ``python -m stateprep`` request imports the modules of its subcommand
 and no others: ``compile`` no simulator, a time-encoding ``compile`` no
-plan kernel (``discrimination``) either, ``verify`` no synthesis, an
-enumerating ``verify`` no sampler (``binomial``), and neither of them
+plan kernel (``discrimination``) either, ``verify`` no synthesis, no angle
+tree and no document writer, an enumerating ``verify`` no sampler
+(``binomial``), and neither of them
 ``numpy.random``, whose import costs about 6 MiB of RSS and 8 ms: sample
 mode draws from the standard library's generator.  The package imports
 ``circuit`` eagerly; each name of ``__all__``, and each submodule,
@@ -27,6 +28,7 @@ DATA = Path(__file__).parent / "data"
 SIMULATION = {"stateprep.simulator", "stateprep.resources"}
 SYNTHESIS = {"stateprep.divide_conquer", "stateprep.discrimination", "stateprep.resources",
              "stateprep.time_encoding"}
+WRITING = {"stateprep.tree", "stateprep.writer"}  # the angle tree, depth figures, documents
 
 
 def child_env() -> dict:
@@ -71,7 +73,7 @@ def numpy_loads(module: str) -> bool:
 def test_compile_loads_no_simulator(method, tmp_path):
     loaded = loaded_after(tmp_path, "compile", str(DATA / "dc_n3_vector.json"),
                           "--method", *method.split(), "--out", str(tmp_path / "c.json"))
-    assert "stateprep.divide_conquer" in loaded
+    assert {"stateprep.divide_conquer", "stateprep.vector", *WRITING} <= loaded
     assert sorted(loaded & SIMULATION) == []
     # Time encoding combines no registers, so it plans no disentangling stage.
     assert ("stateprep.discrimination" in loaded) == (method != "time")
@@ -85,8 +87,8 @@ def test_verify_loads_no_synthesis(mode, tmp_path):
     # ``np.setdiff1d`` or ``np.unique`` would import ``numpy.ma`` on numpy 2.
     loaded = loaded_after(tmp_path, "verify", str(DATA / "exact" / "hybrid4_dense_n6.json"),
                           str(DATA / "golden_dense_n6_vector.json"), *mode)
-    assert "stateprep.simulator" in loaded
-    assert sorted(loaded & SYNTHESIS) == []
+    assert {"stateprep.simulator", "stateprep.vector"} <= loaded
+    assert sorted(loaded & (SYNTHESIS | WRITING)) == []
     assert ("stateprep.binomial" in loaded) == (mode[1] == "sample")
     assert "numpy.random" not in loaded or numpy_loads("numpy.random")
     if mode[1] == "enumerate":
@@ -96,7 +98,7 @@ def test_verify_loads_no_synthesis(mode, tmp_path):
 def test_version_loads_neither_layer(tmp_path):
     loaded = loaded_after(tmp_path, "--version")
     assert "stateprep.cli" in loaded
-    assert sorted(loaded & (SIMULATION | SYNTHESIS)) == []
+    assert sorted(loaded & (SIMULATION | SYNTHESIS | WRITING)) == []
 
 
 @pytest.mark.parametrize("code, argv", [
@@ -155,3 +157,13 @@ def test_import_loads_only_the_circuit_layer():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=child_env()).stdout.split()
     assert out == ["stateprep", "stateprep.circuit", "stateprep.errors", "True"]
+
+
+def test_the_reader_stays_in_circuit():
+    # ``from stateprep.circuit import deserialize`` is how a reader of
+    # documents alone imports it; that loads no writer.
+    code = ("import sys; from stateprep.circuit import deserialize; "
+            "print(deserialize.__module__, 'stateprep.writer' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=child_env()).stdout.split()
+    assert out == ["stateprep.circuit", "False"]

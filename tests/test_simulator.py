@@ -422,6 +422,17 @@ class TestVerifyPreparation:
         with pytest.raises(ZeroVector):
             sp.verify_preparation(c, np.zeros(8))
 
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_min_fidelity_is_at_most_one(self, mode):
+        # F = |M^dagger t| / |M| is a ratio of two rounded norms: without the
+        # clip, 11 of these 30 inputs read 1.0000000000000002 enumerated, 9 sampled.
+        for n in (1, 2, 3):
+            for seed in range(10):
+                x = np.random.default_rng(seed).random(2**n) + 0.1
+                c = sp.deserialize(sp.serialize(sp.synthesize_dc(sp.build_tree(x))))
+                rep = sp.verify_preparation(c, x, mode=mode, shots=16, seed=0)
+                assert rep.passed and rep.min_fidelity <= 1.0, (n, seed)
+
     def test_entangled_residue_scores_its_reduced_state(self):
         # Wire 1 holds cos(0.1)|0> + sin(0.1)|1> and flips data wire 0 where it is 1:
         # cos(0.1)|00> + sin(0.1)|11>.  Both columns are heavy, and the data
