@@ -256,7 +256,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = sys.argv[1:] if argv is None else argv
     # Only the named subcommand's parser is built: argparse's gettext lookups
     # make building all five cost about 2-4 ms of a request.
     command = argv[0] if argv and argv[0] in COMMANDS else None
