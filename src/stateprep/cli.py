@@ -257,8 +257,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Only the named subcommand's parser is built: argparse's gettext lookups
-    # make building all five cost about 2-4 ms of a request.
+    # Only the named subcommand's parser is built: argparse looks up a
+    # translation for each parser and help text it builds.
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:

@@ -11,8 +11,8 @@ read ``OpTable.waits``.
 Beside the op table, ``metrics`` and ``serialize`` hold a few arrays no
 longer than a field, or one run of at most ``CHUNK`` ops and about
 ``ENTRIES`` entries, and ``serialize`` a digit table of at most
-``DIGIT_TOP`` rows.  Only ``compile`` and the library import this
-module: a ``verify`` request reads documents and writes none.
+``DIGIT_TOP`` rows.  A ``verify`` request, which reads a document and
+writes none, does not import this module.
 """
 
 from __future__ import annotations
